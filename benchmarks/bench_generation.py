@@ -14,6 +14,12 @@ tracemalloc, which numpy feeds its array allocations — that peak heap
 stays under half the on-disk matrix bytes: the fleet is generated
 without ever materializing its demand matrices in RAM.
 
+A third row times the array engine with the compiled draw kernel
+disabled — the batched pure-python draw loop that runs wherever
+``_fastdraw.c`` cannot be built — against the same engine with it,
+again asserting bitwise equality, so the kernel's share of the speedup
+is pinned.
+
 Plain script, no pytest-benchmark::
 
     PYTHONPATH=src python benchmarks/bench_generation.py --out BENCH_kernels.json
@@ -43,6 +49,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from conftest import peak_rss_mb, reset_peak_rss
+from repro.workloads import generator
 from repro.workloads.chunked import generate_chunked_store
 from repro.workloads.datacenters import datacenter_specs
 from repro.workloads.generator import generate_trace_set
@@ -90,6 +97,48 @@ def bench_generate(
     }
 
 
+def bench_generate_fallback(
+    n_servers: int, n_hours: int, repeats: int
+) -> Dict[str, object]:
+    """Array engine without the compiled draw kernel vs with it.
+
+    The kernel is disabled inside this process only, by making the
+    engine's kernel lookup report it unavailable — the same path a
+    machine without a C compiler takes.
+    """
+    specs = datacenter_specs("banking", scale=n_servers / _BANKING_SERVERS)
+
+    def build():
+        return generate_trace_set("bench", specs, n_hours, _SEED).store
+
+    def fallback():
+        checked_drawer = generator._checked_drawer
+        generator._checked_drawer = lambda fast: None
+        try:
+            return build()
+        finally:
+            generator._checked_drawer = checked_drawer
+
+    kernel_store = build()
+    fallback_store = fallback()
+    assert kernel_store.vm_ids == fallback_store.vm_ids
+    assert np.array_equal(kernel_store.cpu_util, fallback_store.cpu_util)
+    assert np.array_equal(kernel_store.cpu_rpe2, fallback_store.cpu_rpe2)
+    assert np.array_equal(kernel_store.memory_gb, fallback_store.memory_gb)
+    n = len(kernel_store.vm_ids)
+    del kernel_store, fallback_store
+    fallback_s = _best_of(repeats, fallback)
+    kernel_s = _best_of(repeats, build)
+    return {
+        "benchmark": "generate-fallback",
+        "n_servers": n,
+        "n_hours": n_hours,
+        "fallback_s": round(fallback_s, 6),
+        "kernel_s": round(kernel_s, 6),
+        "kernel_gain": round(fallback_s / kernel_s, 2),
+    }
+
+
 def bench_generate_streamed(
     n_servers: int, n_hours: int, block_rows: int
 ) -> Dict[str, object]:
@@ -134,6 +183,7 @@ def run(smoke: bool) -> Dict[str, object]:
             # metadata records, so the streaming invariant is still a
             # real assertion in CI.
             lambda: bench_generate_streamed(4_000, 336, block_rows=128),
+            lambda: bench_generate_fallback(200, 48, repeats),
         ]
     else:
         # The scalar reference takes seconds per run at this scale, so
@@ -143,6 +193,7 @@ def run(smoke: bool) -> Dict[str, object]:
         cases = [
             lambda: bench_generate(10_000, 720, repeats),
             lambda: bench_generate_streamed(100_000, 168, block_rows=2048),
+            lambda: bench_generate_fallback(10_000, 720, repeats),
         ]
     results: List[Dict[str, object]] = []
     for case in cases:
@@ -158,6 +209,23 @@ def run(smoke: bool) -> Dict[str, object]:
                 f"T={entry['n_hours']:4d}h  "
                 f"array {entry['vectorized_s']:.4f}s  "
                 f"scalar {entry['reference_s']:.4f}s  "
+                f"speedup {entry['speedup']:.2f}x  "
+                f"rss {entry['peak_rss_mb']:.0f}MB"
+            )
+        elif "fallback_s" in entry:
+            # Against the scalar reference timed by the generate row.
+            reference_s = next(
+                row["reference_s"]
+                for row in results
+                if row["benchmark"] == "generate"
+            )
+            entry["speedup"] = round(reference_s / entry["fallback_s"], 2)
+            print(
+                f"{entry['benchmark']:18s} n={entry['n_servers']:6d} "
+                f"T={entry['n_hours']:4d}h  "
+                f"no kernel {entry['fallback_s']:.4f}s  "
+                f"kernel {entry['kernel_s']:.4f}s  "
+                f"kernel gain {entry['kernel_gain']:.2f}x  "
                 f"speedup {entry['speedup']:.2f}x  "
                 f"rss {entry['peak_rss_mb']:.0f}MB"
             )

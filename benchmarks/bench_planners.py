@@ -1,22 +1,22 @@
-"""End-to-end planner benchmarks: array engines vs scalar references.
+"""End-to-end planner benchmarks: the library planner vs its reference.
 
 Times whole ``plan()`` calls — prediction, sizing, packing, vacate
 sweeps, schedule assembly — on paper-scale instances (~100 and ~1000
 servers, 48 h history + 720 h evaluation at 2 h intervals):
 
-* **dynamic-plan** — ``DynamicConsolidation(engine="array")`` (peak
-  tables, incremental sticky repack, array vacate sweeps) vs
-  ``engine="scalar"`` (per-VM predict/size + from-scratch ``pack()``
-  per interval);
-* **stochastic-plan** — ``StochasticConsolidation(engine="array")``
-  (vectorized pooled-tail prefilter, matrix peak clustering) vs
-  ``engine="scalar"`` (per-bin cluster-tail scan);
+* **dynamic-plan** — ``DynamicConsolidation.plan`` (peak tables,
+  incremental sticky repack, array vacate sweeps) vs the scalar
+  reference planner in ``tests/reference/dynamic.py`` (per-VM
+  predict/size + from-scratch ``pack()`` per interval).  The largest
+  size also runs with the planning engagement's four deployment
+  constraints (two anti-colocation pairs, a host pin, a shared subnet;
+  the row's ``constraints`` field);
 * **sharded-dynamic-plan** (full mode) — a 10k-server × 720 h plan
   through :func:`repro.sharding.run_sharded_plan` (chunked on-disk
   store, 16 topology shards fanned over the runner pool, cross-shard
-  reconciliation) vs the unsharded array engine on the same fleet.
+  reconciliation) vs the unsharded planner on the same fleet.
 
-Every engine-vs-engine case asserts schedule equality before timing
+Every planner-vs-reference case asserts schedule equality before timing
 anything: the speedup is only meaningful because the answers are
 bit-identical.  The sharded case instead pins the consolidation-quality
 gap (mean active hosts vs the unsharded plan) alongside its speedup.
@@ -31,8 +31,8 @@ Plain script, no pytest-benchmark::
     PYTHONPATH=src python benchmarks/bench_planners.py --smoke
     PYTHONPATH=src python benchmarks/bench_planners.py --scale-out
 
-``--smoke`` shrinks the instances for CI: it checks the engines run and
-agree, not that the speedup target (>=5x on the 1000-server dynamic
+``--smoke`` shrinks the instances for CI: it checks the planner runs
+and agrees with its reference, not that the speedup target (>=5x on the 1000-server dynamic
 plan) holds; it also runs a small sharded plan (2 shards x 100 servers,
 2 workers) end to end.  ``--scale-out`` is the 100k-row smoke: it
 streams a 100k-server fleet into a chunked store and plans it sharded,
@@ -54,14 +54,17 @@ import tracemalloc
 from pathlib import Path
 from typing import Callable, Dict, List
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
 from conftest import children_peak_rss_mb, peak_rss_mb, reset_peak_rss
+from repro.constraints import AntiColocate, PinToHost, SameSubnet
+from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
-from repro.core.stochastic import StochasticConsolidation
 from repro.infrastructure.datacenter import Datacenter, build_target_pool
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.runner import ExperimentRunner
@@ -72,6 +75,7 @@ from repro.workloads.chunked import (
     write_trace_set,
 )
 from repro.workloads.datacenters import generate_datacenter
+from tests.reference.dynamic import plan_reference
 
 # The banking preset has 816 servers at scale 1.0 (see bench_kernels).
 _BANKING_SERVERS = 816
@@ -90,10 +94,15 @@ def _best_of(repeats: int, fn: Callable[[], object]) -> float:
 def _pool(n_hosts: int) -> Datacenter:
     datacenter = Datacenter(name="bench-pool")
     for index in range(n_hosts):
+        # 14 hosts per rack, one subnet per rack (build_target_pool's
+        # layout): only the constrained case reads the labels.
+        rack = index // 14
         datacenter.add_host(
             PhysicalServer(
                 host_id=f"h{index:04d}",
                 spec=ServerSpec(cpu_rpe2=50_000.0, memory_gb=256.0),
+                rack=f"r{rack:03d}",
+                subnet=f"n{rack:03d}",
             )
         )
     return datacenter
@@ -109,6 +118,25 @@ def _context(traces) -> PlanningContext:
     )
 
 
+def _with_engagement_constraints(context: PlanningContext) -> PlanningContext:
+    """The planning engagement's four constraints on the first VMs."""
+    vm_ids = context.evaluation.vm_ids
+    return PlanningContext(
+        history=context.history,
+        evaluation=context.evaluation,
+        datacenter=context.datacenter,
+        constraints=ConstraintSet(
+            [
+                AntiColocate(vm_ids[0], vm_ids[1]),
+                AntiColocate(vm_ids[2], vm_ids[3]),
+                PinToHost(vm_ids[4], context.datacenter.hosts[0].host_id),
+                SameSubnet(vm_ids[5], vm_ids[6], vm_ids[7]),
+            ]
+        ),
+        config=context.config,
+    )
+
+
 def _assert_schedules_identical(scalar, array) -> None:
     assert len(scalar) == len(array)
     for left, right in zip(scalar.segments, array.segments):
@@ -116,33 +144,22 @@ def _assert_schedules_identical(scalar, array) -> None:
 
 
 def bench_dynamic(context: PlanningContext, repeats: int) -> Dict[str, float]:
-    scalar = DynamicConsolidation(engine="scalar")
-    array = DynamicConsolidation(engine="array")
-    _assert_schedules_identical(scalar.plan(context), array.plan(context))
+    algorithm = DynamicConsolidation()
+    _assert_schedules_identical(
+        plan_reference(algorithm, context), algorithm.plan(context)
+    )
     return {
-        "vectorized_s": _best_of(repeats, lambda: array.plan(context)),
-        "reference_s": _best_of(repeats, lambda: scalar.plan(context)),
-    }
-
-
-def bench_stochastic(
-    context: PlanningContext, repeats: int
-) -> Dict[str, float]:
-    scalar = StochasticConsolidation(engine="scalar")
-    array = StochasticConsolidation(engine="array")
-    left = scalar.plan(context).segments[0].placement
-    right = array.plan(context).segments[0].placement
-    assert left.assignment == right.assignment
-    return {
-        "vectorized_s": _best_of(repeats, lambda: array.plan(context)),
-        "reference_s": _best_of(repeats, lambda: scalar.plan(context)),
+        "vectorized_s": _best_of(repeats, lambda: algorithm.plan(context)),
+        "reference_s": _best_of(
+            repeats, lambda: plan_reference(algorithm, context)
+        ),
     }
 
 
 def bench_sharded(
     n_servers: int, days: int, n_shards: int, workers: int
 ) -> Dict[str, object]:
-    """Sharded runner-pool plan vs the unsharded array engine.
+    """Sharded runner-pool plan vs the unsharded planner.
 
     The fleet is spilled to a chunked on-disk store first — the sharded
     side plans from memory-mapped rows, exactly as a scale-out caller
@@ -161,7 +178,7 @@ def bench_sharded(
         config=PlanningConfig(),
     )
     start = time.perf_counter()
-    flat = DynamicConsolidation(engine="array").plan(context)
+    flat = DynamicConsolidation().plan(context)
     reference_s = time.perf_counter() - start
     with tempfile.TemporaryDirectory(prefix="bench-sharded-") as tmp:
         write_trace_set(traces, tmp)
@@ -213,20 +230,20 @@ def run(smoke: bool) -> Dict[str, object]:
             "banking", scale=n_servers / _BANKING_SERVERS, days=days, seed=7
         )
         context = _context(traces)
-        cases = [
-            ("dynamic-plan", lambda: bench_dynamic(context, repeats)),
-            ("stochastic-plan", lambda: bench_stochastic(context, repeats)),
-        ]
+        cases = [context]
+        if n_servers == sizes[-1]:
+            cases.append(_with_engagement_constraints(context))
         eval_hours = int(context.evaluation.duration_hours)
-        for name, runner in cases:
+        for case in cases:
             reset_peak_rss()
-            timings = runner()
+            timings = bench_dynamic(case, repeats)
             rss = peak_rss_mb()
             speedup = timings["reference_s"] / timings["vectorized_s"]
             entry = {
-                "benchmark": name,
+                "benchmark": "dynamic-plan",
                 "n_servers": len(traces),
                 "n_hours": eval_hours,
+                "constraints": len(case.constraints),
                 "vectorized_s": round(timings["vectorized_s"], 6),
                 "reference_s": round(timings["reference_s"], 6),
                 "speedup": round(speedup, 2),
@@ -234,7 +251,8 @@ def run(smoke: bool) -> Dict[str, object]:
             }
             results.append(entry)
             print(
-                f"{name:20s} n={len(traces):5d} T={eval_hours:4d}h  "
+                f"{'dynamic-plan':20s} n={len(traces):5d} T={eval_hours:4d}h  "
+                f"constraints {entry['constraints']}  "
                 f"vectorized {entry['vectorized_s']:.4f}s  "
                 f"reference {entry['reference_s']:.4f}s  "
                 f"speedup {entry['speedup']:.2f}x  "

@@ -18,7 +18,7 @@ and a greedy envelope-similarity clustering used by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -153,7 +153,6 @@ def cluster_by_peaks(
     *,
     body_quantile: float = 0.9,
     similarity_threshold: float = 0.25,
-    engine: str = "auto",
 ) -> PeakClusters:
     """Greedy peak clustering on CPU demand envelopes.
 
@@ -164,11 +163,11 @@ def cluster_by_peaks(
     the number of servers — the property that made it deployable on
     thousand-server engagements.
 
-    ``engine="matrix"`` (what ``"auto"`` picks) evaluates each server's
-    Jaccard similarity against *all* representatives in one masked
-    count; the intersection/union counts are integers, so the decisions
-    are bit-identical to the scalar :func:`envelope_similarity` scan
-    (``"scalar"``).
+    Each server's Jaccard similarity against *all* representatives is
+    one masked count; the intersection/union counts are integers, so
+    the decisions are bit-identical to scanning the representatives one
+    by one with :func:`envelope_similarity` (the reference scan in
+    ``tests/reference/correlation.py``).
     """
     if len(trace_set) == 0:
         raise TraceError(f"trace set {trace_set.name!r} is empty")
@@ -176,11 +175,6 @@ def cluster_by_peaks(
         raise TraceError(
             f"similarity_threshold must be in (0, 1], got "
             f"{similarity_threshold}"
-        )
-    if engine not in ("auto", "matrix", "scalar"):
-        raise TraceError(
-            f"unknown engine {engine!r}; expected 'auto', 'matrix' or "
-            "'scalar'"
         )
     envelopes = {
         trace.vm_id: peak_envelope(trace.cpu_rpe2, body_quantile)
@@ -192,46 +186,30 @@ def cluster_by_peaks(
         reverse=True,
     )
     assignment: dict = {}
-    if engine == "scalar":
-        representative_envelopes: List[np.ndarray] = []
-        for trace in order:
-            envelope = envelopes[trace.vm_id]
-            chosen = None
-            for index, representative in enumerate(representative_envelopes):
-                if envelope_similarity(envelope, representative) >= (
-                    similarity_threshold
-                ):
-                    chosen = index
-                    break
-            if chosen is None:
-                chosen = len(representative_envelopes)
-                representative_envelopes.append(envelope)
-            assignment[trace.vm_id] = chosen
-    else:
-        n_points = next(iter(envelopes.values())).size
-        representatives = np.empty((len(order), n_points), dtype=bool)
-        n_reps = 0
-        for trace in order:
-            envelope = envelopes[trace.vm_id]
-            chosen = None
-            if n_reps:
-                block = representatives[:n_reps]
-                intersection = np.count_nonzero(block & envelope, axis=1)
-                union = np.count_nonzero(block | envelope, axis=1)
-                # Same integer counts as envelope_similarity, so the
-                # quotient (0.0 on empty union) matches it bit for bit.
-                similarity = np.where(
-                    union == 0, 0.0, intersection / np.maximum(union, 1)
-                )
-                hits = similarity >= similarity_threshold
-                first = int(np.argmax(hits))
-                if hits[first]:
-                    chosen = first
-            if chosen is None:
-                representatives[n_reps] = envelope
-                chosen = n_reps
-                n_reps += 1
-            assignment[trace.vm_id] = chosen
+    n_points = next(iter(envelopes.values())).size
+    representatives = np.empty((len(order), n_points), dtype=bool)
+    n_reps = 0
+    for trace in order:
+        envelope = envelopes[trace.vm_id]
+        chosen = None
+        if n_reps:
+            block = representatives[:n_reps]
+            intersection = np.count_nonzero(block & envelope, axis=1)
+            union = np.count_nonzero(block | envelope, axis=1)
+            # Same integer counts as envelope_similarity, so the
+            # quotient (0.0 on empty union) matches it bit for bit.
+            similarity = np.where(
+                union == 0, 0.0, intersection / np.maximum(union, 1)
+            )
+            hits = similarity >= similarity_threshold
+            first = int(np.argmax(hits))
+            if hits[first]:
+                chosen = first
+        if chosen is None:
+            representatives[n_reps] = envelope
+            chosen = n_reps
+            n_reps += 1
+        assignment[trace.vm_id] = chosen
     vm_ids = tuple(trace.vm_id for trace in trace_set)
     return PeakClusters(
         vm_ids=vm_ids,

@@ -22,27 +22,29 @@ al., Middleware'09):
 * **Migration reservation** — every host is packed only to the
   utilization bound (Table 3 baseline: 0.8); the reserve keeps the
   migrations this scheme depends on reliable (Observation 4).
+* **Deployment constraints** — every placement decision honours the
+  context's constraints (paper §2.2.4), checked where ``pack()`` checks
+  them.
+
+:meth:`DynamicConsolidation.plan` runs the columnar planner in
+:mod:`repro.core.dynamic_vector`; the per-VM reference it is pinned to
+lives in ``tests/reference/dynamic.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Mapping, Sequence
 
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic_vector import plan_dynamic_array
 from repro.emulator.schedule import PlacementSchedule
-from repro.exceptions import ConfigurationError
-from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
 from repro.migration.cost import MigrationCostModel
-from repro.placement.binpacking import Bin, pack
+from repro.placement.binpacking import Bin
 from repro.placement.plan import Placement
-from repro.sizing.estimator import SizeEstimator
-from repro.sizing.functions import MaxSizing
+from repro.sizing.estimator import DemandTable
 from repro.sizing.prediction import PeriodicPeakPredictor, Predictor
 
 __all__ = ["DynamicConsolidation"]
@@ -75,15 +77,6 @@ class DynamicConsolidation(ConsolidationAlgorithm):
     #: Cap on consolidation sweeps per interval (each sweep is a full
     #: pass over active hosts; convergence is quick in practice).
     max_vacate_sweeps: int = 3
-    #: ``"array"`` plans on the columnar kernels
-    #: (:func:`~repro.core.dynamic_vector.plan_dynamic_array`),
-    #: ``"scalar"`` is the retained per-VM reference below, ``"auto"``
-    #: picks the array path whenever no deployment constraints are set
-    #: (the array planner does not evaluate constraint hooks) *and* the
-    #: instance is exactly this class — subclasses override the scalar
-    #: hooks (``_place_interval`` etc.), which the array planner does
-    #: not call.  Both engines produce bit-identical schedules.
-    engine: str = "auto"
 
     def __post_init__(self) -> None:
         self._cost_cache: Dict[float, float] = {}
@@ -91,277 +84,26 @@ class DynamicConsolidation(ConsolidationAlgorithm):
     # ------------------------------------------------------------------
 
     def plan(self, context: PlanningContext) -> PlacementSchedule:
-        if self.engine not in ("auto", "array", "scalar"):
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected 'auto', "
-                "'array' or 'scalar'"
-            )
-        if self.engine == "array" and context.constraints:
-            raise ConfigurationError(
-                "engine='array' does not support deployment constraints; "
-                "use engine='scalar'"
-            )
-        if self.engine == "array" or (
-            self.engine == "auto"
-            and not context.constraints
-            and type(self) is DynamicConsolidation
-        ):
-            return plan_dynamic_array(self, context)
-        return self._plan_scalar(context)
+        return plan_dynamic_array(self, context)
 
-    def _plan_scalar(self, context: PlanningContext) -> PlacementSchedule:
-        """Retained scalar reference (the equivalence-suite baseline)."""
-        points = context.points_per_interval
-        history_points = context.history.n_points
-        vm_ids = list(context.evaluation.vm_ids)
-        class_of = {
-            trace.vm_id: trace.vm.workload_class
-            for trace in context.evaluation
-        }
-        cpu_full = np.hstack(
-            [
-                context.history.cpu_rpe2_matrix(),
-                context.evaluation.cpu_rpe2_matrix(),
-            ]
-        )
-        memory_full = np.hstack(
-            [
-                context.history.memory_gb_matrix(),
-                context.evaluation.memory_gb_matrix(),
-            ]
-        )
-        estimator = SizeEstimator(
-            sizing=MaxSizing(),
-            overhead=context.config.overhead,
-            network=context.config.network,
-            disk=context.config.disk,
-        )
-        placements: List[Placement] = []
-        previous: Optional[Placement] = None
-        for interval in range(context.n_intervals):
-            now = history_points + interval * points
-            demands = self._predict_interval(
-                vm_ids, cpu_full, memory_full, now, points, estimator,
-                class_of,
-            )
-            placement = self._place_interval(
-                demands, context, previous
-            )
-            placements.append(placement)
-            previous = placement
-        return PlacementSchedule.periodic(
-            placements, context.config.interval_hours
-        )
-
-    # ------------------------------------------------------------------
-
-    def _predict_interval(
-        self,
-        vm_ids: Sequence[str],
-        cpu_full: np.ndarray,
-        memory_full: np.ndarray,
-        now: int,
-        points: int,
-        estimator: SizeEstimator,
-        class_of: Mapping[str, str],
-    ) -> List[VMDemand]:
-        """Size every VM at its predicted peak for the next interval."""
-        matrix_path = getattr(self.predictor, "predict_peak_matrix", None)
-        if matrix_path is not None:
-            cpu_peaks = self.cpu_burst_factor * matrix_path(
-                cpu_full[:, :now], points, cpu_full[:, now:now + points]
-            )
-            memory_peaks = matrix_path(
-                memory_full[:, :now], points, memory_full[:, now:now + points]
-            )
-            return [
-                estimator.estimate_from_values(
-                    vm_id,
-                    float(cpu_peaks[row]),
-                    float(memory_peaks[row]),
-                    class_of.get(vm_id),
-                )
-                for row, vm_id in enumerate(vm_ids)
-            ]
-        demands = []
-        for row, vm_id in enumerate(vm_ids):
-            cpu_peak = self.cpu_burst_factor * self.predictor.predict_peak(
-                cpu_full[row, :now], points, cpu_full[row, now:now + points]
-            )
-            memory_peak = self.predictor.predict_peak(
-                memory_full[row, :now],
-                points,
-                memory_full[row, now:now + points],
-            )
-            demands.append(
-                estimator.estimate_from_values(
-                    vm_id, cpu_peak, memory_peak, class_of.get(vm_id)
-                )
-            )
-        return demands
-
-    def _place_interval(
-        self,
-        demands: List[VMDemand],
-        context: PlanningContext,
-        previous: Optional[Placement],
-    ) -> Placement:
-        """One interval's placement: sticky pack, then cost-aware vacate."""
-        datacenter = context.datacenter
-        bound = context.config.utilization_bound
-        hosts = self._host_order(datacenter, previous)
-        placement = pack(
-            demands,
-            hosts,
-            utilization_bound=bound,
-            strategy="ffd",
-            constraints=context.constraints or None,
-            datacenter=datacenter,
-            preferred=previous.assignment if previous is not None else None,
-        )
-        return self._vacate_hosts(placement, demands, context)
-
-    @staticmethod
-    def _host_order(
-        datacenter: Datacenter, previous: Optional[Placement]
-    ) -> List[PhysicalServer]:
-        """Previously-active hosts first so new load lands on warm iron."""
-        if previous is None:
-            return list(datacenter.hosts)
-        active = previous.hosts_used
-        warm = [h for h in datacenter if h.host_id in active]
-        cold = [h for h in datacenter if h.host_id not in active]
-        return warm + cold
-
-    # ------------------------------------------------------------------
-
-    def _vacate_hosts(
+    def _finish_interval(
         self,
         placement: Placement,
-        demands: List[VMDemand],
+        table: DemandTable,
+        column: int,
         context: PlanningContext,
     ) -> Placement:
-        """Empty lightly-loaded hosts into loaded ones when it pays off."""
-        datacenter = context.datacenter
-        bound = context.config.utilization_bound
-        demand_of = {d.vm_id: d for d in demands}
-        bins: Dict[str, Bin] = {}
-        assignment = dict(placement.assignment)
-        for vm_id, host_id in assignment.items():
-            target = bins.get(host_id)
-            if target is None:
-                target = Bin.for_host(datacenter.host(host_id), bound)
-                bins[host_id] = target
-            target.add(demand_of[vm_id])
+        """Last step of each interval, after the sticky pack and vacate.
 
-        for _ in range(self.max_vacate_sweeps):
-            changed = False
-            # Visit candidates emptiest-first; the cheapest hosts to
-            # vacate free a whole idle-power quantum each.
-            for source in sorted(
-                bins.values(), key=lambda b: (len(b.vm_ids), b.used_cpu)
-            ):
-                if source.is_empty or len(bins) <= 1:
-                    continue
-                if self._try_vacate(
-                    source, bins, assignment, demand_of, context
-                ):
-                    changed = True
-            empty = [host_id for host_id, b in bins.items() if b.is_empty]
-            for host_id in empty:
-                del bins[host_id]
-            if not changed:
-                break
-        return Placement(assignment=assignment)
+        ``table.column(column)`` holds the interval's sized demands.
+        Returns the interval's final placement, which the next
+        interval's sticky pack starts from.  The default keeps
+        ``placement``; subclasses post-process it (a power budget sheds
+        hosts, :mod:`repro.core.powercap`).
+        """
+        return placement
 
-    def _try_vacate(
-        self,
-        source: Bin,
-        bins: Dict[str, Bin],
-        assignment: Dict[str, str],
-        demand_of: Mapping[str, VMDemand],
-        context: PlanningContext,
-    ) -> bool:
-        """Move all of ``source``'s VMs elsewhere if benefit > cost."""
-        constraints = context.constraints
-        datacenter = context.datacenter
-        moves: List[tuple] = []
-        # Candidate order computed once per vacate attempt: residuals
-        # only drift via this attempt's own pending moves, which the fit
-        # check accounts for exactly.
-        candidates = sorted(
-            (b for b in bins.values() if b is not source and not b.is_empty),
-            key=lambda b: b.residual(),
-        )
-        for vm_id in sorted(
-            source.vm_ids,
-            key=lambda v: demand_of[v].cpu_rpe2,
-            reverse=True,
-        ):
-            demand = demand_of[vm_id]
-            target = self._find_target(
-                vm_id,
-                demand,
-                candidates,
-                assignment,
-                moves,
-                context,
-                demand_of,
-            )
-            if target is None:
-                return False
-            moves.append((vm_id, target))
-
-        if self.consider_migration_cost:
-            cost_wh = sum(
-                self._cached_cost(demand_of[vm_id].memory_gb)
-                for vm_id, _ in moves
-            )
-            benefit_wh = (
-                self._idle_watts(source.host) * context.config.interval_hours
-            )
-            if benefit_wh <= cost_wh:
-                return False
-
-        for vm_id, target in moves:
-            target.add(demand_of[vm_id])
-            assignment[vm_id] = target.host.host_id
-        source.body_cpu = 0.0
-        source.body_memory = 0.0
-        source.body_network = 0.0
-        source.body_disk = 0.0
-        source.max_tail_cpu = 0.0
-        source.max_tail_memory = 0.0
-        source.vm_ids.clear()
-        return True
-
-    def _find_target(
-        self,
-        vm_id: str,
-        demand: VMDemand,
-        candidates: List[Bin],
-        assignment: Mapping[str, str],
-        pending_moves: List[tuple],
-        context: PlanningContext,
-        demand_of: Mapping[str, VMDemand],
-    ) -> Optional[Bin]:
-        """Fullest other host that admits the VM (constraints included)."""
-        shadow: Optional[Dict[str, str]] = None
-        if context.constraints:
-            shadow = dict(assignment)
-            for moved_vm, target in pending_moves:
-                shadow[moved_vm] = target.host.host_id
-        for candidate in candidates:
-            if not self._fits_with_pending(
-                candidate, demand, pending_moves, demand_of
-            ):
-                continue
-            if context.constraints and not context.constraints.feasible(
-                vm_id, candidate.host, shadow, context.datacenter
-            ):
-                continue
-            return candidate
-        return None
+    # ------------------------------------------------------------------
 
     @staticmethod
     def _fits_with_pending(
@@ -424,7 +166,7 @@ class DynamicConsolidation(ConsolidationAlgorithm):
         """Batched :meth:`_cached_cost` (array vacate's per-VM costs).
 
         Keys stay ``round(m, 1)`` — python rounding, not ``np.round`` —
-        so cache entries are shared bit-exactly with the scalar path.
+        so cache entries are shared bit-exactly with per-VM lookups.
         """
         return [self._cached_cost(m) for m in memory_gb]
 

@@ -1,7 +1,10 @@
-"""Array-backed dynamic consolidation planner (``engine="array"``).
+"""Dynamic consolidation planner on columnar kernels.
 
-:func:`plan_dynamic_array` reproduces
-:meth:`repro.core.dynamic.DynamicConsolidation.plan` *bit-identically*
+:func:`plan_dynamic_array` is what
+:meth:`repro.core.dynamic.DynamicConsolidation.plan` runs.  It makes
+the per-VM reference planner's decisions *bit-identically*
+(``tests/reference/dynamic.py``: per-interval prediction and sizing, a
+from-scratch ``pack()`` per interval, ``Bin``-based vacate sweeps)
 while replacing its per-VM object churn with columnar kernels:
 
 * prediction + sizing happen **once per plan** — a full
@@ -16,7 +19,18 @@ while replacing its per-VM object churn with columnar kernels:
 * vacate sweeps score sources and candidates with vectorized
   residual / idle-power / migration-cost arrays and fall back to exact
   scalar folds only on the short candidate prefix each VM actually
-  scans.
+  scans;
+* deployment constraints are checked where ``pack()`` checks them:
+  constrained VMs pack first, and a host is taken only if it fits *and*
+  :meth:`~repro.constraints.manager.ConstraintSet.feasible` allows it
+  against the interval's assignment so far (plus, in vacate, the
+  attempt's pending moves).  That assignment holds only the
+  constrained VMs — the only ones any constraint reads.
+
+After each interval's pack and vacate the algorithm's
+``_finish_interval`` hook sees the placement; a hook that returns a
+different placement (a power budget shedding hosts) seeds the next
+interval's sticky pack.
 
 Exactness contract (see ``docs/PERFORMANCE.md``): every float the
 reference computes is recomputed here by the *same* IEEE-754 operations
@@ -33,19 +47,21 @@ demand tail is exactly ``0.0`` and ``x + max(0.0, 0.0)`` reduces to
 expressions bit for bit.
 
 This module must not import :mod:`repro.core.dynamic` (the algorithm
-object is passed in), keeping the dispatch one-directional.
+object is passed in), keeping the dependency one-directional.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningContext
 from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import PlacementError
+from repro.infrastructure.datacenter import Datacenter
 from repro.placement.binpacking import _no_fit_error
 from repro.placement.plan import Placement
 from repro.sizing.estimator import SizeEstimator
@@ -75,10 +91,55 @@ class _HostArrays:
         self.idle_watts = [algorithm._idle_watts(h) for h in hosts]
 
 
+class _Rules:
+    """Deployment constraints by VM row and host index.
+
+    ``assigned`` is the current interval's assignment of the constrained
+    VMs only: every constraint reads just its own VMs, so this mapping
+    answers each ``feasible`` call exactly as the full assignment would.
+    """
+
+    def __init__(
+        self,
+        constraints: ConstraintSet,
+        datacenter: Datacenter,
+        vm_ids: Sequence[str],
+        host_arrays: _HostArrays,
+    ) -> None:
+        self.constraints = constraints
+        self.datacenter = datacenter
+        self.vm_ids = vm_ids
+        self.hosts = host_arrays.hosts
+        self.host_ids = host_arrays.host_ids
+        self.constrained = [
+            bool(constraints.constraints_for(vm_id)) for vm_id in vm_ids
+        ]
+        self.assigned: Dict[str, str] = {}
+
+    def allows(
+        self, row: int, host: int, assignment: Dict[str, str]
+    ) -> bool:
+        return self.constraints.feasible(
+            self.vm_ids[row], self.hosts[host], assignment, self.datacenter
+        )
+
+    def place(self, row: int, host: int) -> None:
+        if self.constrained[row]:
+            self.assigned[self.vm_ids[row]] = self.host_ids[host]
+
+    def with_moves(self, moves: List[Tuple[int, int]]) -> Dict[str, str]:
+        """``assigned`` as it would read after the pending ``moves``."""
+        shadow = dict(self.assigned)
+        for row, host in moves:
+            if self.constrained[row]:
+                shadow[self.vm_ids[row]] = self.host_ids[host]
+        return shadow
+
+
 def plan_dynamic_array(
     algorithm: "DynamicConsolidation", context: PlanningContext
 ) -> PlacementSchedule:
-    """Vectorized twin of ``DynamicConsolidation.plan`` (no constraints)."""
+    """Sticky pack, cost-aware vacate and the interval hook, per interval."""
     points = context.points_per_interval
     history_points = context.history.n_points
     vm_ids = list(context.evaluation.vm_ids)
@@ -123,6 +184,11 @@ def plan_dynamic_array(
     )
 
     host_arrays = _HostArrays(algorithm, context)
+    rules = (
+        _Rules(context.constraints, context.datacenter, vm_ids, host_arrays)
+        if context.constraints
+        else None
+    )
     n_vms = len(vm_ids)
     # FFD tie-break: ascending vm_id among equal scores.
     id_rank = np.empty(n_vms, dtype=np.intp)
@@ -135,18 +201,33 @@ def plan_dynamic_array(
     for interval in range(n_intervals):
         plan, order, appearance = _pack_interval(
             table, interval, host_arrays, id_rank,
-            prev_rows, prev_active, vm_ids, bound,
+            prev_rows, prev_active, vm_ids, bound, rules,
         )
         _vacate_intervals_hosts(
-            algorithm, context, host_arrays, plan, appearance
+            algorithm, context, host_arrays, plan, appearance, rules
         )
-        assignment = {
-            vm_ids[row]: host_arrays.host_ids[plan.assignment_rows[row]]
-            for row in order
-        }
-        placements.append(Placement(assignment=assignment))
-        prev_rows = plan.assignment_rows
-        prev_active = [bool(rows) for rows in plan.vm_rows_of_host]
+        placement = Placement(
+            assignment={
+                vm_ids[row]: host_arrays.host_ids[plan.assignment_rows[row]]
+                for row in order
+            }
+        )
+        final = algorithm._finish_interval(
+            placement, table, interval, context
+        )
+        placements.append(final)
+        if final is placement:
+            prev_rows = plan.assignment_rows
+            prev_active = [bool(rows) for rows in plan.vm_rows_of_host]
+        else:
+            # The hook moved VMs: the next sticky pack starts from them.
+            index_of = host_arrays.caps.index_of
+            prev_rows = [
+                index_of[final.assignment[vm_id]] for vm_id in vm_ids
+            ]
+            prev_active = [False] * host_arrays.n
+            for host in prev_rows:
+                prev_active[host] = True
     return PlacementSchedule.periodic(
         placements, context.config.interval_hours
     )
@@ -161,14 +242,17 @@ def _pack_interval(
     prev_active: Optional[List[bool]],
     vm_ids: List[str],
     utilization_bound: float,
+    rules: Optional[_Rules],
 ) -> Tuple[IncrementalPlan, List[int], List[int]]:
     """Sticky FFD pack of one interval column, delta from ``prev_rows``.
 
     Replays ``pack(..., strategy="ffd", preferred=previous.assignment)``
-    exactly: per VM in FFD order, the previous host is tried first and
-    a warm-first host scan runs only for displaced VMs.  Returns the
-    packed :class:`IncrementalPlan`, the FFD order, and the host
-    appearance order (the vacate sweeps' bin order).
+    exactly: per VM in FFD order (constrained VMs first), the previous
+    host is tried first and a warm-first host scan runs only for
+    displaced VMs; a constrained VM takes a host only if it fits and
+    the constraints allow it.  Returns the packed
+    :class:`IncrementalPlan`, the FFD order, and the host appearance
+    order (the vacate sweeps' bin order).
     """
     caps = host_arrays.caps
     n_hosts = host_arrays.n
@@ -188,6 +272,15 @@ def _pack_interval(
         cpu_col / reference.cpu_rpe2, mem_col / reference.memory_gb
     )
     order = np.lexsort((id_rank, -scores)).tolist()
+    n_checked = 0
+    if rules is not None:
+        # Constrained VMs claim their feasible hosts first, stable
+        # within each group (pack()'s order).
+        constrained = rules.constrained
+        head = [row for row in order if constrained[row]]
+        n_checked = len(head)
+        order = head + [row for row in order if not constrained[row]]
+        rules.assigned = {}
 
     # Saturation skip (same optimization as the scalar engine): the
     # smallest body demand still to come, per FFD position.
@@ -227,6 +320,7 @@ def _pack_interval(
         d_mem = mem[row]
         d_net = net[row]
         d_dsk = dsk[row]
+        check = position < n_checked
         target = -1
         if prev_rows is not None:
             hint = prev_rows[row]
@@ -235,6 +329,7 @@ def _pack_interval(
                 and body_mem[hint] + d_mem <= eps_mem[hint]
                 and body_net[hint] + d_net <= eps_net[hint]
                 and body_dsk[hint] + d_dsk <= eps_dsk[hint]
+                and (not check or rules.allows(row, hint, rules.assigned))
             ):
                 target = hint
         if target < 0:
@@ -249,9 +344,10 @@ def _pack_interval(
                     and body_net[host] + d_net <= eps_net[host]
                     and body_dsk[host] + d_dsk <= eps_dsk[host]
                 ):
-                    target = host
-                    break
-                if (
+                    if not check or rules.allows(row, host, rules.assigned):
+                        target = host
+                        break
+                elif (
                     min_cpu > cap_cpu[host] - body_cpu[host] + _SLACK
                     or min_mem > cap_mem[host] - body_mem[host] + _SLACK
                 ):
@@ -263,6 +359,10 @@ def _pack_interval(
         if not vm_rows_of_host[target]:
             appearance.append(target)
         plan.assign(row, target)
+        if check:
+            rules.place(row, target)
+    if rules is not None:
+        rules.constraints.validate(rules.assigned, rules.datacenter)
     return plan, order, appearance
 
 
@@ -272,8 +372,14 @@ def _vacate_intervals_hosts(
     host_arrays: _HostArrays,
     plan: IncrementalPlan,
     appearance: List[int],
+    rules: Optional[_Rules],
 ) -> None:
-    """Array-backed twin of ``DynamicConsolidation._vacate_hosts``."""
+    """Empty lightly-loaded hosts into loaded ones when it pays off.
+
+    Sweeps like the reference's ``_vacate_hosts``: sources emptiest
+    first, at most ``max_vacate_sweeps`` passes, stop when a pass
+    changes nothing.
+    """
     n_hosts = host_arrays.n
     body_cpu = plan.body_cpu
     vm_rows_of_host = plan.vm_rows_of_host
@@ -311,7 +417,7 @@ def _vacate_intervals_hosts(
             if _try_vacate_array(
                 algorithm, host_arrays, plan, source,
                 apps, alive_np, count_np, body_cpu_np, body_mem_np,
-                interval_hours,
+                interval_hours, rules,
             ):
                 changed = True
         for host in live:
@@ -332,15 +438,19 @@ def _try_vacate_array(
     body_cpu_np: np.ndarray,
     body_mem_np: np.ndarray,
     interval_hours: float,
+    rules: Optional[_Rules],
 ) -> bool:
-    """Array-backed twin of ``_try_vacate`` for one source host.
+    """Move all of ``source``'s VMs elsewhere if benefit > cost.
 
-    Two outcome-identical shortcuts on the reference: the migration-cost
-    gate is evaluated *before* the target search (it depends only on the
-    source's VM set, and a failing attempt changes no state either way),
-    and the first — largest — VM's candidate scan runs as one vectorized
-    mask (its pending loads are all zero).  Everything else replays the
-    reference's scalar folds move by move.
+    Each VM, largest first, goes to the fullest other active host that
+    admits it with this attempt's pending moves counted — and, for a
+    constrained VM, that the constraints allow given those moves.  Two
+    outcome-identical shortcuts on the reference's ``_try_vacate``: the
+    migration-cost gate is evaluated *before* the target search (it
+    depends only on the source's VM set, and a failing attempt changes
+    no state either way), and the first — largest — VM's fit scan runs
+    as one vectorized mask (its pending loads are all zero).
+    Everything else replays the reference's scalar folds move by move.
     """
     caps = host_arrays.caps
     cpu = plan.cpu
@@ -416,8 +526,20 @@ def _try_vacate_array(
     pend_net: Dict[int, float] = {}
     pend_dsk: Dict[int, float] = {}
 
-    first_pick = int(np.argmax(fit0_ordered))
-    moves: List[tuple] = [(first, cand[first_pick])]
+    if rules is not None and rules.constrained[first]:
+        first_pick = next(
+            (
+                pick
+                for pick in np.flatnonzero(fit0_ordered).tolist()
+                if rules.allows(first, cand[pick], rules.assigned)
+            ),
+            -1,
+        )
+        if first_pick < 0:
+            return False
+    else:
+        first_pick = int(np.argmax(fit0_ordered))
+    moves: List[Tuple[int, int]] = [(first, cand[first_pick])]
     pend_cpu[cand[first_pick]] = cpu[first]
     pend_mem[cand[first_pick]] = mem[first]
     pend_net[cand[first_pick]] = net[first]
@@ -428,6 +550,11 @@ def _try_vacate_array(
         d_mem = mem[row]
         d_net = net[row]
         d_dsk = dsk[row]
+        shadow = (
+            rules.with_moves(moves)
+            if rules is not None and rules.constrained[row]
+            else None
+        )
         target = -1
         for host in cand:
             # Body-only prefilter: pending loads are non-negative and
@@ -440,22 +567,23 @@ def _try_vacate_array(
                 and body_mem[host] + d_mem <= eps_mem[host]
                 and body_net[host] + d_net <= eps_net[host]
                 and body_dsk[host] + d_dsk <= eps_dsk[host]
+                and (
+                    host not in pend_cpu
+                    or (
+                        body_cpu[host] + pend_cpu[host] + d_cpu
+                        <= eps_cpu[host]
+                        and body_mem[host] + pend_mem[host] + d_mem
+                        <= eps_mem[host]
+                        and body_net[host] + pend_net[host] + d_net
+                        <= eps_net[host]
+                        and body_dsk[host] + pend_dsk[host] + d_dsk
+                        <= eps_dsk[host]
+                    )
+                )
+                and (shadow is None or rules.allows(row, host, shadow))
             ):
-                if host not in pend_cpu:
-                    target = host
-                    break
-                if (
-                    body_cpu[host] + pend_cpu[host] + d_cpu
-                    <= eps_cpu[host]
-                    and body_mem[host] + pend_mem[host] + d_mem
-                    <= eps_mem[host]
-                    and body_net[host] + pend_net[host] + d_net
-                    <= eps_net[host]
-                    and body_dsk[host] + pend_dsk[host] + d_dsk
-                    <= eps_dsk[host]
-                ):
-                    target = host
-                    break
+                target = host
+                break
         if target < 0:
             return False
         moves.append((row, target))
@@ -483,6 +611,8 @@ def _try_vacate_array(
                 f"{host_arrays.host_ids[target]}"
             )
         plan.assign(row, target)
+        if rules is not None:
+            rules.place(row, target)
         body_cpu_np[target] = body_cpu[target]
         body_mem_np[target] = body_mem[target]
         count_np[target] += 1

@@ -25,7 +25,7 @@ for power compliance — exactly BrownMap's graceful-degradation deal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from repro.core.base import PlanningContext
 from repro.core.dynamic import DynamicConsolidation, _DEFAULT_IDLE_WATTS
@@ -36,6 +36,7 @@ from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
 from repro.placement.binpacking import Bin
 from repro.placement.plan import Placement
+from repro.sizing.estimator import DemandTable
 
 __all__ = ["PowerBudgetedConsolidation"]
 
@@ -72,15 +73,15 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
         self.overshoot_watts = []
         return super().plan(context)
 
-    def _place_interval(
+    def _finish_interval(
         self,
-        demands: List[VMDemand],
+        placement: Placement,
+        table: DemandTable,
+        column: int,
         context: PlanningContext,
-        previous: Optional[Placement],
     ) -> Placement:
-        placement = super()._place_interval(demands, context, previous)
         placement, overshoot = self._enforce_budget(
-            placement, demands, context
+            placement, table.column(column), context
         )
         self.overshoot_watts.append(overshoot)
         return placement

@@ -39,10 +39,6 @@ class SemiStaticConsolidation(ConsolidationAlgorithm):
     #: Semi-static plans do not hold a live-migration reservation; override
     #: only for what-if studies.
     utilization_bound: float = 1.0
-    #: Passed to :meth:`SizeEstimator.estimate_all`: ``"auto"`` takes the
-    #: columnar matrix path for Max/BodyTail sizing (bit-identical to the
-    #: scalar per-trace path), ``"scalar"`` forces the reference.
-    sizing_engine: str = "auto"
 
     def plan(self, context: PlanningContext) -> PlacementSchedule:
         estimator = SizeEstimator(
@@ -51,9 +47,7 @@ class SemiStaticConsolidation(ConsolidationAlgorithm):
             network=context.config.network,
             disk=context.config.disk,
         )
-        demands = estimator.estimate_all(
-            context.history, engine=self.sizing_engine
-        )
+        demands = estimator.estimate_all(context.history)
         placement = pack(
             demands,
             context.datacenter.hosts,

@@ -26,13 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-import numpy as np
-
 from repro.analysis.correlation import PeakClusters, cluster_by_peaks
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.emulator.schedule import PlacementSchedule
-from repro.exceptions import ConfigurationError, PlacementError
+from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
@@ -42,50 +40,6 @@ from repro.sizing.estimator import SizeEstimator
 from repro.sizing.functions import BodyTailSizing
 
 __all__ = ["StochasticConsolidation"]
-
-#: Below this many active hosts the array engine scans candidates in
-#: Python with the exact fold directly — a handful of numpy kernel
-#: dispatches on tiny gathers costs more than the scan they replace.
-_MASK_MIN_ACTIVE = 48
-
-
-def _pooled_with(
-    tails: Dict[int, float], cluster: int, extra: float, overlap: float
-) -> float:
-    """``_ClusterBin._pooled`` of ``tails`` with ``extra`` added to one
-    cluster — without materializing the updated dict.
-
-    Replays the reference's folds exactly: the updated cluster keeps its
-    dict position (a new cluster appends), ``sum`` left-folds the values
-    in that insertion order from integer ``0``, and ``max`` keeps the
-    first maximum.  One pass instead of two dict copies per fit check.
-    """
-    worst: Optional[float] = None
-    total: float = 0
-    seen = False
-    for key, value in tails.items():
-        if key == cluster:
-            value = value + extra
-            seen = True
-        total = total + value
-        if worst is None or value > worst:
-            worst = value
-    if not seen:
-        value = 0.0 + extra
-        total = total + value
-        if worst is None or value > worst:
-            worst = value
-    rest = total - worst
-    return worst + overlap * rest
-
-
-def _stochastic_no_fit(demand: VMDemand) -> PlacementError:
-    return PlacementError(
-        f"VM {demand.vm_id} fits on no host "
-        f"(body cpu={demand.cpu_rpe2:.0f}, "
-        f"tail cpu={demand.tail_cpu_rpe2:.0f})"
-    )
-
 
 class _ClusterBin:
     """Host packing state with per-cluster tail pooling.
@@ -193,12 +147,6 @@ class StochasticConsolidation(ConsolidationAlgorithm):
     #: :class:`_ClusterBin`); 0 = fully trust the clustering.
     tail_overlap_factor: float = 0.55
     utilization_bound: float = 1.0
-    #: ``"array"`` prefilters candidates with vectorized pooled-tail
-    #: lower bounds (exact single-pass verification on the survivors);
-    #: ``"scalar"`` is the retained per-bin reference; ``"auto"`` picks
-    #: the array path when no constraints are set.  Identical
-    #: placements either way.
-    engine: str = "auto"
 
     def plan(self, context: PlanningContext) -> PlacementSchedule:
         estimator = SizeEstimator(
@@ -233,16 +181,6 @@ class StochasticConsolidation(ConsolidationAlgorithm):
         hosts = datacenter.hosts
         if not hosts:
             raise PlacementError("no hosts to pack onto")
-        if self.engine not in ("auto", "array", "scalar"):
-            raise ConfigurationError(
-                f"unknown engine {self.engine!r}; expected 'auto', "
-                "'array' or 'scalar'"
-            )
-        if self.engine == "array" and constraints:
-            raise ConfigurationError(
-                "engine='array' does not support deployment constraints; "
-                "use engine='scalar'"
-            )
         cluster_of = {
             vm_id: cluster
             for vm_id, cluster in zip(clusters.vm_ids, clusters.cluster_of)
@@ -255,27 +193,6 @@ class StochasticConsolidation(ConsolidationAlgorithm):
                 ordered,
                 key=lambda d: not constraints.constraints_for(d.vm_id),
             )
-        if self.engine == "array" or (
-            self.engine == "auto" and not constraints
-        ):
-            assignment = self._pack_array(ordered, cluster_of, hosts)
-        else:
-            assignment = self._pack_scalar(
-                ordered, cluster_of, hosts, constraints, datacenter
-            )
-        if constraints:
-            constraints.validate(assignment, datacenter)
-        return Placement(assignment=assignment)
-
-    def _pack_scalar(
-        self,
-        ordered: List[VMDemand],
-        cluster_of: Mapping[str, int],
-        hosts,
-        constraints: ConstraintSet,
-        datacenter: Datacenter,
-    ) -> Dict[str, str]:
-        """Reference engine: one ``_ClusterBin.fits`` per candidate."""
         bins = [
             _ClusterBin(host, self.utilization_bound, self.tail_overlap_factor)
             for host in hosts
@@ -287,196 +204,16 @@ class StochasticConsolidation(ConsolidationAlgorithm):
                 demand, cluster, bins, assignment, constraints, datacenter
             )
             if target is None:
-                raise _stochastic_no_fit(demand)
+                raise PlacementError(
+                    f"VM {demand.vm_id} fits on no host "
+                    f"(body cpu={demand.cpu_rpe2:.0f}, "
+                    f"tail cpu={demand.tail_cpu_rpe2:.0f})"
+                )
             target.add(demand, cluster)
             assignment[demand.vm_id] = target.host.host_id
-        return assignment
-
-    def _pack_array(
-        self,
-        ordered: List[VMDemand],
-        cluster_of: Mapping[str, int],
-        hosts,
-    ) -> Dict[str, str]:
-        """Vectorized engine (constraint-free path).
-
-        The reference scans every host in index order per VM.  Two
-        structural facts shrink that scan without changing its answer:
-
-        * **Empty hosts are interchangeable within a capacity
-          signature.**  An empty bin's fit check depends only on its
-          (bound-scaled) capacities, so among empties sharing a spec
-          only the lowest-index one can ever be the first fit — the
-          others are skipped wholesale.  The first *fitting* empty is
-          found by checking one representative per distinct signature
-          (almost always one).
-        * **Active hosts are prefiltered with a vectorized lower
-          bound.**  Pooled tails are at least ``max(current worst
-          cluster, updated cluster)`` because the overlap term is
-          non-negative and the float fold is monotone, so hosts failing
-          the bound (plus the exact network/disk checks) can never
-          admit the VM.  Survivors are verified in host order with the
-          exact single-pass :func:`_pooled_with` fold.  Below a small
-          active count the mask costs more than it saves and a direct
-          exact scan runs instead.
-
-        The first verified active with index below the first fitting
-        empty — or that empty — is exactly the reference's first fit.
-        """
-        from bisect import insort
-
-        overlap = self.tail_overlap_factor
-        bound = self.utilization_bound
-        n_hosts = len(hosts)
-        n_clusters = (
-            max(cluster_of.values(), default=0) + 1 if cluster_of else 1
-        )
-        eps_cpu = np.array([h.cpu_rpe2 * bound for h in hosts]) + 1e-9
-        eps_mem = np.array([h.memory_gb * bound for h in hosts]) + 1e-9
-        eps_net = np.array(
-            [h.spec.network_mbps * bound for h in hosts]
-        ) + 1e-9
-        eps_dsk = np.array([h.spec.disk_mbps * bound for h in hosts]) + 1e-9
-        eps_cpu_l = eps_cpu.tolist()
-        eps_mem_l = eps_mem.tolist()
-        eps_net_l = eps_net.tolist()
-        eps_dsk_l = eps_dsk.tolist()
-        body_cpu = np.zeros(n_hosts)
-        body_mem = np.zeros(n_hosts)
-        body_net = np.zeros(n_hosts)
-        body_dsk = np.zeros(n_hosts)
-        # Per-(cluster, host) tail mass for the vectorized bound; the
-        # dicts below keep the reference's insertion-order folds for
-        # exact verification.
-        tail_cpu = np.zeros((n_clusters, n_hosts))
-        tail_mem = np.zeros((n_clusters, n_hosts))
-        worst_cpu = np.zeros(n_hosts)
-        worst_mem = np.zeros(n_hosts)
-        tails_cpu: List[Dict[int, float]] = [{} for _ in range(n_hosts)]
-        tails_mem: List[Dict[int, float]] = [{} for _ in range(n_hosts)]
-        body_cpu_l = [0.0] * n_hosts
-        body_mem_l = [0.0] * n_hosts
-        body_net_l = [0.0] * n_hosts
-        body_dsk_l = [0.0] * n_hosts
-
-        # Empty hosts queued per capacity signature, each queue in
-        # ascending index order (host order = queue order).
-        empty_queues: Dict[tuple, List[int]] = {}
-        for index in reversed(range(n_hosts)):
-            spec = hosts[index].spec
-            signature = (
-                spec.cpu_rpe2, spec.memory_gb,
-                spec.network_mbps, spec.disk_mbps,
-            )
-            empty_queues.setdefault(signature, []).append(index)
-        # Queues were built back-to-front so the ascending pop is O(1).
-        active: List[int] = []
-        active_np = np.empty(n_hosts, dtype=np.intp)
-
-        assignment: Dict[str, str] = {}
-        for demand in ordered:
-            cluster = cluster_of[demand.vm_id]
-            d_cpu = demand.cpu_rpe2
-            d_mem = demand.memory_gb
-            d_net = demand.network_mbps
-            d_dsk = demand.disk_mbps
-            d_tcpu = demand.tail_cpu_rpe2
-            d_tmem = demand.tail_memory_gb
-
-            # The reference's fit on an empty bin reduces to capacity
-            # checks on body+tail (the fold over a one-entry tail dict
-            # is exact): the first fitting empty per signature is the
-            # queue front, and the global one is the min across them.
-            first_empty = n_hosts
-            for queue in empty_queues.values():
-                if not queue:
-                    continue
-                index = queue[-1]
-                if (
-                    index < first_empty
-                    and d_cpu + d_tcpu <= eps_cpu_l[index]
-                    and d_mem + d_tmem <= eps_mem_l[index]
-                    and d_net <= eps_net_l[index]
-                    and d_dsk <= eps_dsk_l[index]
-                ):
-                    first_empty = index
-            if len(active) >= _MASK_MIN_ACTIVE:
-                idx = active_np[: len(active)]
-                mask = (
-                    (
-                        body_cpu[idx] + d_cpu
-                        + np.maximum(
-                            worst_cpu[idx], tail_cpu[cluster, idx] + d_tcpu
-                        )
-                        <= eps_cpu[idx]
-                    )
-                    & (
-                        body_mem[idx] + d_mem
-                        + np.maximum(
-                            worst_mem[idx], tail_mem[cluster, idx] + d_tmem
-                        )
-                        <= eps_mem[idx]
-                    )
-                    & (body_net[idx] + d_net <= eps_net[idx])
-                    & (body_dsk[idx] + d_dsk <= eps_dsk[idx])
-                )
-                candidates = idx[mask].tolist()
-            else:
-                candidates = active
-            target = -1
-            for index in candidates:
-                if index > first_empty:
-                    break
-                pooled_cpu = _pooled_with(
-                    tails_cpu[index], cluster, d_tcpu, overlap
-                )
-                if body_cpu_l[index] + d_cpu + pooled_cpu > eps_cpu_l[index]:
-                    continue
-                pooled_mem = _pooled_with(
-                    tails_mem[index], cluster, d_tmem, overlap
-                )
-                if body_mem_l[index] + d_mem + pooled_mem > eps_mem_l[index]:
-                    continue
-                if candidates is active and (
-                    body_net_l[index] + d_net > eps_net_l[index]
-                    or body_dsk_l[index] + d_dsk > eps_dsk_l[index]
-                ):
-                    continue
-                target = index
-                break
-            if target < 0 and first_empty < n_hosts:
-                target = first_empty
-                spec = hosts[target].spec
-                empty_queues[
-                    (
-                        spec.cpu_rpe2, spec.memory_gb,
-                        spec.network_mbps, spec.disk_mbps,
-                    )
-                ].pop()
-                insort(active, target)
-                active_np[: len(active)] = active
-            if target < 0:
-                raise _stochastic_no_fit(demand)
-            body_cpu_l[target] = body_cpu_l[target] + d_cpu
-            body_mem_l[target] = body_mem_l[target] + d_mem
-            body_net_l[target] = body_net_l[target] + d_net
-            body_dsk_l[target] = body_dsk_l[target] + d_dsk
-            body_cpu[target] = body_cpu_l[target]
-            body_mem[target] = body_mem_l[target]
-            body_net[target] = body_net_l[target]
-            body_dsk[target] = body_dsk_l[target]
-            new_tcpu = tails_cpu[target].get(cluster, 0.0) + d_tcpu
-            new_tmem = tails_mem[target].get(cluster, 0.0) + d_tmem
-            tails_cpu[target][cluster] = new_tcpu
-            tails_mem[target][cluster] = new_tmem
-            tail_cpu[cluster, target] = new_tcpu
-            tail_mem[cluster, target] = new_tmem
-            if new_tcpu > worst_cpu[target]:
-                worst_cpu[target] = new_tcpu
-            if new_tmem > worst_mem[target]:
-                worst_mem[target] = new_tmem
-            assignment[demand.vm_id] = hosts[target].host_id
-        return assignment
+        if constraints:
+            constraints.validate(assignment, datacenter)
+        return Placement(assignment=assignment)
 
     def _first_fit(
         self,

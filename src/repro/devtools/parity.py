@@ -22,8 +22,7 @@ without importing anything):
     Optional mapping of reference method name → list of engine method
     names for renamed counterparts (``fits`` → ``fits_mask``/``fits_one``).
 ``engine_extra``
-    Parameter names the engine side adds (bin indices, the algorithm
-    instance a free function takes instead of ``self``); they are
+    Parameter names the engine side adds (bin indices); they are
     removed from the engine signature before comparison.
 ``renames``
     Reference parameter name → engine parameter name, for batched
@@ -53,13 +52,6 @@ PARITY_MANIFEST = (
             "residual": ["residuals"],
         },
         "engine_extra": ["index", "indices"],
-    },
-    # Sticky dynamic repacking: scalar planner method ↔ array planner
-    # free function (takes the algorithm instance in place of self).
-    {
-        "reference": "repro.core.dynamic:DynamicConsolidation.plan",
-        "engine": "repro.core.dynamic_vector:plan_dynamic_array",
-        "engine_extra": ["algorithm"],
     },
     # Scalar ↔ matrix peak prediction, per predictor.
     {

@@ -322,7 +322,7 @@ class ConsolidationController:
         return True
 
     def flush_pending(self) -> int:
-        """Force-flush every buffered tick; returns columns appended."""
+        """Force-flush every buffered tick; returns the ticks flushed."""
         self._sync_watermark()
         if not self._pending:
             return 0
@@ -345,13 +345,20 @@ class ConsolidationController:
             self.stats.late_dropped += len(self._pending.pop(tick))
 
     def _flush_through(self, tick: int) -> int:
-        """Append columns for every tick up to ``tick`` inclusive.
+        """Flush every tick up to ``tick`` inclusive; returns the count.
 
         Ticks with no (or partial) data are gap-filled from last-known
         values, so the store's column numbering stays aligned with the
-        stream's tick numbering.
+        stream's tick numbering.  Only the last ``retention_points``
+        ticks are appended: older ones would age out of the store
+        unread, so they are folded into the last-known values and the
+        stream position skips past them in one step.
         """
         flushed = 0
+        skipped = tick + 1 - self._watermark - self.store.retention_points
+        if skipped > 0:
+            self._skip_through(self._watermark + skipped - 1)
+            flushed = skipped
         for t in range(self._watermark, tick + 1):
             bucket = self._pending.pop(t, {})
             cpu_util = self._last_cpu_util.copy()
@@ -367,6 +374,25 @@ class ConsolidationController:
             flushed += 1
         self._watermark = tick + 1
         return flushed
+
+    def _skip_through(self, tick: int) -> None:
+        """Flush ticks up to ``tick`` without appending their columns."""
+        n_ticks = tick + 1 - self._watermark
+        cpu_util = self._last_cpu_util.copy()
+        memory_gb = self._last_memory_gb.copy()
+        reported = 0
+        for t in sorted(t for t in self._pending if t <= tick):
+            bucket = self._pending.pop(t)
+            for row, (util, mem) in bucket.items():
+                cpu_util[row] = util
+                memory_gb[row] = mem
+            reported += len(bucket)
+        self.stats.gaps_filled += self.store.n_servers * n_ticks - reported
+        self.stats.ticks_flushed += n_ticks
+        self.store.skip_points(n_ticks)
+        self._last_cpu_util = cpu_util
+        self._last_memory_gb = memory_gb
+        self._watermark = tick + 1
 
     # -- placement queries ----------------------------------------------
 

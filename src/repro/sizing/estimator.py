@@ -186,34 +186,22 @@ class SizeEstimator:
             ),
         )
 
-    def estimate_all(
-        self, trace_set: TraceSet, engine: str = "auto"
-    ) -> List[VMDemand]:
+    def estimate_all(self, trace_set: TraceSet) -> List[VMDemand]:
         """Size every VM in a trace set (kept in trace-set order).
 
-        ``engine="matrix"`` sizes all VMs from the cached
+        Max and body/tail sizing run on the cached
         :class:`~repro.workloads.store.TraceStore` matrices in a few
-        column reductions; ``"scalar"`` is the retained per-trace
-        reference; ``"auto"`` (default) picks the matrix path for the
-        sizing functions it covers bit-identically (max and body/tail
-        percentile reductions are exact row-wise) and falls back
-        otherwise.  Both engines return identical demand lists.
+        column reductions — exact row-wise reductions, so every demand
+        equals :meth:`estimate` on its own trace.  Any other sizing
+        function sizes trace by trace with :meth:`estimate`.
         """
-        if engine not in ("auto", "matrix", "scalar"):
-            raise ConfigurationError(
-                f"unknown engine {engine!r}; expected 'auto', 'matrix' "
-                "or 'scalar'"
-            )
-        if engine == "auto":
-            supported = isinstance(self.sizing, (MaxSizing, BodyTailSizing))
-            engine = "matrix" if supported else "scalar"
-        if engine == "scalar":
+        if not isinstance(self.sizing, (MaxSizing, BodyTailSizing)):
             return [self.estimate(trace) for trace in trace_set]
         store = trace_set.store
         cpu = store.cpu_rpe2
         memory = store.memory_gb
         if cpu.shape[1] == 0 or cpu.shape[0] == 0:
-            # Delegate empty-window error reporting to the reference.
+            # Delegate empty-window error reporting to estimate().
             return [self.estimate(trace) for trace in trace_set]
         classes = [trace.vm.workload_class for trace in trace_set]
         vm_ids = list(store.vm_ids)
@@ -245,11 +233,6 @@ class SizeEstimator:
                 )
                 for row in range(len(vm_ids))
             ]
-        if not isinstance(self.sizing, MaxSizing):
-            raise ConfigurationError(
-                f"engine='matrix' does not cover sizing "
-                f"{type(self.sizing).__name__}; use engine='scalar'"
-            )
         adjusted_cpu = cpu.max(axis=1) * (
             1.0 + self.overhead.cpu_overhead_frac
         )

@@ -222,6 +222,21 @@ class RollingTraceStore:
         if self._length - self._start > self.retention_points:
             self._start = self._length - self.retention_points
 
+    def skip_points(self, k: int) -> None:
+        """Advance the stream by ``k`` columns that are never stored.
+
+        For a caller about to append a full retention window, whose
+        earlier columns would age out unread.  :attr:`total_points`
+        counts the skipped columns, as it counts the columns an
+        oversized append trims; the retained window restarts empty,
+        since the columns it held no longer adjoin the next append.
+        """
+        if k < 0:
+            raise TraceError(f"skip_points: k must be >= 0, got {k}")
+        self._appended += k
+        if k:
+            self._start = self._length
+
     def _ensure_room(self, k: int) -> None:
         """Grow or compact so ``k`` more columns fit."""
         max_width = _CAPACITY_FACTOR * self.retention_points

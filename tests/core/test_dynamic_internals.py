@@ -9,6 +9,7 @@ from repro.migration.cost import MigrationCostModel
 from repro.placement.plan import Placement
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
+from tests.reference.dynamic import host_order, predict_interval
 
 
 def _context(small_pool, n_vms=8, days=3):
@@ -38,13 +39,13 @@ class TestHostOrdering:
         previous = Placement(
             {"a": small_pool.hosts[7].host_id, "b": small_pool.hosts[3].host_id}
         )
-        ordered = DynamicConsolidation._host_order(small_pool, previous)
+        ordered = host_order(small_pool, previous)
         warm = {small_pool.hosts[7].host_id, small_pool.hosts[3].host_id}
         assert {h.host_id for h in ordered[:2]} == warm
         assert len(ordered) == len(small_pool)
 
     def test_no_previous_keeps_pool_order(self, small_pool):
-        ordered = DynamicConsolidation._host_order(small_pool, None)
+        ordered = host_order(small_pool, None)
         assert [h.host_id for h in ordered] == [
             h.host_id for h in small_pool
         ]
@@ -108,7 +109,8 @@ class TestPlanShape:
         bound = context.config.utilization_bound
         for interval, segment in enumerate(schedule):
             now = history_points + interval * points
-            demands = algorithm._predict_interval(
+            demands = predict_interval(
+                algorithm,
                 list(context.evaluation.vm_ids),
                 cpu_full,
                 memory_full,

@@ -1,11 +1,12 @@
-"""Array stochastic (PCP) engine == scalar reference, bit for bit.
+"""Stochastic (PCP) planner == the test-side reference, bit for bit.
 
-The array engine prefilters candidate hosts with vectorized pooled-tail
-lower bounds and verifies survivors with a single-pass pooled sum; it
-must make exactly the decisions of the retained per-bin scan — same
-assignment or the same no-fit failure — across overlap factors, I/O
-models, and workload textures.  The greedy peak clustering both engines
-share has the same contract between its matrix and scalar scans.
+``StochasticConsolidation`` keeps running per-host reservation state;
+the reference in ``tests/reference/stochastic.py`` sizes trace by trace,
+clusters with the one-similarity-at-a-time scan and recomputes every
+candidate's reservation from its member list.  Both must make exactly
+the same placement across overlap factors, I/O models, workload
+textures and constraints.  The library's peak clustering has the same
+contract against the reference scan.
 """
 
 from __future__ import annotations
@@ -14,14 +15,20 @@ import numpy as np
 import pytest
 
 from repro.analysis.correlation import cluster_by_peaks
-from repro.constraints.affinity import AntiColocate
-from repro.constraints.manager import ConstraintSet
+from repro.constraints import (
+    AntiColocate,
+    Colocate,
+    ConstraintSet,
+    PinToHost,
+    SameRack,
+)
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.stochastic import StochasticConsolidation
-from repro.exceptions import ConfigurationError, TraceError
 from repro.sizing.network import DiskDemandModel, NetworkDemandModel
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
+from tests.reference.correlation import cluster_by_peaks_reference
+from tests.reference.stochastic import place_reference
 
 
 def _context(small_pool, *, n_vms=16, days=3, config=None, seed=9):
@@ -52,11 +59,11 @@ def _context(small_pool, *, n_vms=16, days=3, config=None, seed=9):
 
 
 def _assert_plans_identical(small_pool, context, **kwargs):
-    scalar = StochasticConsolidation(engine="scalar", **kwargs).plan(context)
-    array = StochasticConsolidation(engine="array", **kwargs).plan(context)
-    auto = StochasticConsolidation(**kwargs).plan(context)
-    assert scalar.segments[0].placement == array.segments[0].placement
-    assert scalar.segments[0].placement == auto.segments[0].placement
+    algorithm = StochasticConsolidation(**kwargs)
+    schedule = algorithm.plan(context)
+    assert len(schedule) == 1
+    reference = place_reference(algorithm, context)
+    assert schedule.segments[0].placement.assignment == reference.assignment
 
 
 @pytest.mark.parametrize("overlap", [0.0, 0.55, 1.0])
@@ -95,47 +102,53 @@ def test_engines_agree_under_tight_bound(small_pool) -> None:
     )
 
 
-def test_unknown_engine_rejected(small_pool) -> None:
-    context = _context(small_pool, days=2)
-    with pytest.raises(ConfigurationError):
-        StochasticConsolidation(engine="gpu").plan(context)
-
-
-def test_array_engine_rejects_constraints(small_pool) -> None:
-    context = _context(small_pool, days=2)
+def test_constraints_agree(small_pool) -> None:
+    context = _context(small_pool, n_vms=20, seed=13)
     constrained = PlanningContext(
         history=context.history,
         evaluation=context.evaluation,
         datacenter=context.datacenter,
-        constraints=ConstraintSet([AntiColocate("vm0", "vm1")]),
+        constraints=ConstraintSet(
+            [
+                AntiColocate("vm0", "vm1", "vm2"),
+                Colocate("vm3", "vm4"),
+                PinToHost("vm5", small_pool.hosts[6].host_id),
+                SameRack("vm6", "vm7"),
+            ]
+        ),
         config=context.config,
     )
-    with pytest.raises(ConfigurationError):
-        StochasticConsolidation(engine="array").plan(constrained)
-    # auto falls back to the scalar engine and honours the constraint.
+    _assert_plans_identical(small_pool, constrained)
     placement = StochasticConsolidation().plan(constrained).segments[0].placement
-    assert placement.host_of("vm0") != placement.host_of("vm1")
+    assert not constrained.constraints.violations(
+        placement.assignment, small_pool
+    )
+
+
+def test_unknown_engine_rejected(small_pool) -> None:
+    """There is one PCP engine: no ``engine`` option is accepted."""
+    with pytest.raises(TypeError):
+        StochasticConsolidation(engine="array")
 
 
 # ----------------------------------------------------------------------
-# Peak clustering: matrix Jaccard scan == scalar envelope_similarity scan.
+# Peak clustering: matrix Jaccard scan == reference envelope_similarity scan.
 
 
 @pytest.mark.parametrize("threshold", [0.1, 0.25, 0.6, 1.0])
 def test_cluster_engines_agree(small_pool, threshold) -> None:
     context = _context(small_pool, n_vms=24, seed=17)
-    scalar = cluster_by_peaks(
-        context.history, similarity_threshold=threshold, engine="scalar"
+    reference = cluster_by_peaks_reference(
+        context.history, similarity_threshold=threshold
     )
-    matrix = cluster_by_peaks(
-        context.history, similarity_threshold=threshold, engine="matrix"
+    library = cluster_by_peaks(
+        context.history, similarity_threshold=threshold
     )
-    auto = cluster_by_peaks(context.history, similarity_threshold=threshold)
-    assert scalar == matrix == auto
+    assert reference == library
 
 
 def test_cluster_engines_agree_on_flat_envelopes() -> None:
-    """Flat series make empty envelopes (union == 0): both engines 0.0."""
+    """Flat series make empty envelopes (union == 0): both scans 0.0."""
     traces = TraceSet(name="flat")
     for i in range(6):
         traces.add(
@@ -143,11 +156,10 @@ def test_cluster_engines_agree_on_flat_envelopes() -> None:
                 f"vm{i}", np.full(48, 0.2), np.full(48, 1.0)
             )
         )
-    scalar = cluster_by_peaks(traces, engine="scalar")
-    matrix = cluster_by_peaks(traces, engine="matrix")
-    assert scalar == matrix
+    assert cluster_by_peaks_reference(traces) == cluster_by_peaks(traces)
 
 
 def test_cluster_unknown_engine_rejected(flat_trace_set) -> None:
-    with pytest.raises(TraceError):
-        cluster_by_peaks(flat_trace_set, engine="gpu")
+    """There is one clustering scan: no ``engine`` option is accepted."""
+    with pytest.raises(TypeError):
+        cluster_by_peaks(flat_trace_set, engine="scalar")

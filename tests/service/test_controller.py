@@ -102,6 +102,46 @@ class TestIngest:
         assert controller.stats.ticks_flushed == 2
         assert controller.stats.gaps_filled == 2
 
+    def test_far_jump_equals_tick_by_tick(self):
+        """Ticks that age out unread are folded, not appended.
+
+        The reference is the same stream into a store whose retention
+        window covers the whole jump, so every tick is appended one by
+        one; the jumped store must retain the same trailing columns.
+        """
+        window = 16
+        jumped = build_controller(n_vms=3, retention_points=window)
+        stepped = build_controller(n_vms=3, retention_points=8 * window)
+        start = jumped.store.total_points
+        end = start + 5 * window + 3
+        samples = [
+            # Buffered partial ticks deep inside the skipped range ...
+            MonitoringSample(start + 2, "vm0", 0.7, 3.0),
+            MonitoringSample(start + 20, "vm1", 0.2, 1.5),
+            MonitoringSample(start + 20, "vm2", 0.9, 2.5),
+            MonitoringSample(end - window - 1, "vm0", 0.3, 2.2),
+            # ... one in the retained tail, then the completing tick.
+            MonitoringSample(end - 4, "vm2", 0.1, 1.0),
+        ] + [
+            MonitoringSample(end, vm_id, 0.5, 2.0)
+            for vm_id in ("vm0", "vm1", "vm2")
+        ]
+        for controller in (jumped, stepped):
+            for sample in samples:
+                assert controller.ingest(sample)
+        assert jumped.store.n_points == window
+        for matrix in ("cpu_util", "cpu_rpe2", "memory_gb"):
+            np.testing.assert_array_equal(
+                getattr(jumped.store.view(), matrix),
+                getattr(stepped.store.view(), matrix)[:, -window:],
+            )
+        assert jumped.store.total_points == stepped.store.total_points
+        assert jumped.store.total_points == end + 1
+        assert jumped._watermark == stepped._watermark == end + 1
+        assert jumped.stats.gaps_filled == stepped.stats.gaps_filled
+        assert jumped.stats.ticks_flushed == stepped.stats.ticks_flushed
+        assert not jumped._pending
+
     def test_malformed_samples_raise_service_error(self):
         controller = build_controller(n_vms=2)
         tick = controller.store.total_points

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -39,6 +40,29 @@ class TestOps:
     def test_assignment(self, controller):
         response = handle_request(controller, '{"op": "assignment"}')
         assert response["assignment"] == controller.plan.assignment()
+
+    def test_ingest_far_ahead_returns_promptly(self):
+        """A tick 10**9 ahead must not stall the server's event loop."""
+        controller = build_controller(n_hosts=1, n_vms=1)
+        tick = controller.store.total_points + 10**9
+        started = time.perf_counter()
+        response = handle_request(
+            controller,
+            json.dumps(
+                {
+                    "op": "ingest",
+                    "tick": tick,
+                    "vm_id": "vm0",
+                    "cpu_util": 0.5,
+                    "memory_gb": 2.0,
+                }
+            ),
+        )
+        elapsed = time.perf_counter() - started
+        assert response["ok"] and response["accepted"]
+        assert elapsed < 1.0
+        assert controller.store.total_points == tick + 1
+        assert controller.store.last_cpu_util()[0] == 0.5
 
     def test_ingest_roundtrip(self, controller):
         tick = controller.store.total_points

@@ -35,4 +35,4 @@ def fleet_context(fleet_traces):
 
 @pytest.fixture(scope="package")
 def unsharded_schedule(fleet_context):
-    return DynamicConsolidation(engine="array").plan(fleet_context)
+    return DynamicConsolidation().plan(fleet_context)

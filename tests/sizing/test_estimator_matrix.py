@@ -1,8 +1,8 @@
-"""Matrix sizing paths == scalar estimator reference, bit for bit.
+"""Matrix sizing paths == per-trace / per-value sizing, bit for bit.
 
-``estimate_all(engine="matrix")`` and ``estimate_matrix`` are the
-planner's batched sizing layer; every produced demand must equal the
-retained per-trace / per-value scalar calls exactly.
+``estimate_all`` and ``estimate_matrix`` are the planner's batched
+sizing layer; every produced demand must equal the per-trace
+``estimate`` / per-value ``estimate_from_values`` calls exactly.
 """
 
 from __future__ import annotations
@@ -79,11 +79,10 @@ def test_estimate_all_matrix_matches_scalar(estimator) -> None:
         traces = _random_trace_set(
             rng, n_vms=rng.randint(1, 16), hours=rng.randint(1, 72)
         )
-        scalar = estimator.estimate_all(traces, engine="scalar")
-        matrix = estimator.estimate_all(traces, engine="matrix")
-        auto = estimator.estimate_all(traces)
-        _assert_same_demands(scalar, matrix)
-        _assert_same_demands(scalar, auto)
+        _assert_same_demands(
+            [estimator.estimate(trace) for trace in traces],
+            estimator.estimate_all(traces),
+        )
 
 
 def test_auto_falls_back_for_uncovered_sizing() -> None:
@@ -92,13 +91,14 @@ def test_auto_falls_back_for_uncovered_sizing() -> None:
     estimator = SizeEstimator(sizing=MeanSizing())
     _assert_same_demands(
         estimator.estimate_all(traces),
-        estimator.estimate_all(traces, engine="scalar"),
+        [estimator.estimate(trace) for trace in traces],
     )
 
 
 def test_unknown_engine_rejected(flat_trace_set) -> None:
-    with pytest.raises(ConfigurationError):
-        SizeEstimator().estimate_all(flat_trace_set, engine="gpu")
+    """Sizing picks its path by sizing function: no ``engine`` option."""
+    with pytest.raises(TypeError):
+        SizeEstimator().estimate_all(flat_trace_set, engine="matrix")
 
 
 @pytest.mark.parametrize(
