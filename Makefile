@@ -34,12 +34,16 @@ check: lint test
 # plus tiny kernel- and planner-benchmark passes that check the
 # vectorized engines still agree with their scalar references and a
 # 2-shard sharded plan (chunked store, 2 pool workers) checked against
-# the unsharded array engine.
+# the unsharded array engine.  Last, the end-to-end benchmark's
+# self-test (about a minute on 2 CPUs) runs every perfbench workload's
+# checks at toy size, traced and untraced, so a library rename that
+# breaks the tracer's entry points fails here.
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_runner_sweep.py -q -s
 	$(PYTHON) benchmarks/bench_kernels.py --smoke
 	$(PYTHON) benchmarks/bench_generation.py --smoke
 	$(PYTHON) benchmarks/bench_planners.py --smoke
+	$(PYTHON) perfbench/selftest.py
 
 # Re-pin the committed benchmark numbers (paper-scale instances, see
 # docs/PERFORMANCE.md); review the JSON diffs like any other change.

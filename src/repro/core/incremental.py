@@ -13,7 +13,7 @@ Two mutation disciplines coexist, each with its own exactness contract:
   bodies accumulate ``+=`` in FFD placement order and are never
   recomputed, reproducing the scalar reference's left folds bit for bit
   (see ``docs/PERFORMANCE.md``).
-* **Canonical folds** (:meth:`apply_delta`, :meth:`set_demand`,
+* **Canonical folds** (:meth:`apply_delta`, :meth:`set_demands`,
   :meth:`from_assignment`) — the online controller's discipline: after
   every delta the touched hosts' bodies are *re-folded* over their VM
   rows in ascending row order.  Because the fold order is canonical, a
@@ -180,7 +180,7 @@ class IncrementalPlan:
         The from-scratch twin of a delta-mutated plan: per host, VM rows
         ascend and bodies are folded in that order, so the result is
         bitwise comparable with any plan maintained via
-        :meth:`apply_delta` / :meth:`set_demand`.
+        :meth:`apply_delta` / :meth:`set_demands`.
         """
         plan = cls(caps, vm_ids, cpu, mem, net, dsk)
         for vm_id, host_id in assignment.items():
@@ -235,9 +235,7 @@ class IncrementalPlan:
     def active_hosts(self) -> List[int]:
         """Host indices currently carrying at least one VM."""
         return [
-            host
-            for host in range(self.caps.n)
-            if self.vm_rows_of_host[host]
+            host for host, rows in enumerate(self.vm_rows_of_host) if rows
         ]
 
     def affected_hosts(self, changed_vms: Iterable[str]) -> List[int]:
@@ -344,21 +342,66 @@ class IncrementalPlan:
     ) -> None:
         """Update one VM's sized demand, re-folding its host if placed.
 
-        May leave the host over its bound (demand grew in place); the
+        A one-row :meth:`set_demands`.
+        """
+        self.set_demands(
+            [self.row_of(vm_id)],
+            [cpu_rpe2],
+            [memory_gb],
+            [network_mbps],
+            [disk_mbps],
+        )
+
+    def set_demands(
+        self,
+        rows: Sequence[int],
+        cpu_rpe2: Sequence[float],
+        memory_gb: Sequence[float],
+        network_mbps: Optional[Sequence[float]] = None,
+        disk_mbps: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Update a batch of VM rows' sized demands.
+
+        Every value is checked before any row is written; then each
+        placed host among the rows is re-folded once.  The result is
+        bitwise the same as writing the rows one at a time and
+        re-folding each row's host after each write, because a host's
+        last re-fold there reads the same final values in the same
+        ascending row order.  ``None`` I/O vectors keep the rows'
+        current I/O demands.
+
+        May leave a host over its bound (demand grew in place); the
         controller's overload detector is what reacts to that, so no
         admission check is applied here.
         """
-        if cpu_rpe2 < 0 or memory_gb < 0 or network_mbps < 0 or disk_mbps < 0:
-            raise PlacementError(
-                f"{vm_id}: sized demand must be non-negative"
-            )
-        row = self.row_of(vm_id)
-        self.cpu[row] = float(cpu_rpe2)
-        self.mem[row] = float(memory_gb)
-        self.net[row] = float(network_mbps)
-        self.dsk[row] = float(disk_mbps)
-        host = self.assignment_rows[row]
-        if host >= 0:
+        columns = [(self.cpu, cpu_rpe2), (self.mem, memory_gb)]
+        if network_mbps is not None:
+            columns.append((self.net, network_mbps))
+        if disk_mbps is not None:
+            columns.append((self.dsk, disk_mbps))
+        n_vms = len(self.vm_ids)
+        for row in rows:
+            if not 0 <= row < n_vms:
+                raise PlacementError(
+                    f"unknown VM row {row!r} in IncrementalPlan"
+                )
+        for _, values in columns:
+            if len(values) != len(rows):
+                raise PlacementError(
+                    "set_demands: demand vectors must match rows"
+                )
+            for row, value in zip(rows, values):
+                if value < 0:
+                    raise PlacementError(
+                        f"{self.vm_ids[row]}: sized demand must be "
+                        "non-negative"
+                    )
+        for target, values in columns:
+            for row, value in zip(rows, values):
+                target[row] = float(value)
+        hosts = {self.assignment_rows[row] for row in rows}
+        hosts.discard(-1)
+        for host in hosts:
             self._refold_host(host)
 
     def apply_delta(

@@ -37,9 +37,11 @@ the equivalence the fault-injection suite pins.
 
 from __future__ import annotations
 
+import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -146,6 +148,23 @@ class CycleReport:
     latency_seconds: float
     deadline_hit: bool
     detector_errors: int
+
+
+def _as_float(vm_id: Any, value: Any) -> float:
+    """A sample value as a Python float.
+
+    Raises :class:`~repro.exceptions.ServiceError` for a value that is
+    not a real number (a string, ``None``) or is too large for a float.
+    """
+    if isinstance(value, numbers.Real):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ServiceError(
+        f"sample for {vm_id!r} has a value that is not a float: "
+        f"{type(value).__name__}"
+    )
 
 
 def _percentile(values: Sequence[float], fraction: float) -> float:
@@ -270,7 +289,12 @@ class ConsolidationController:
             deque(maxlen=self.config.history_points) for _ in hosts
         ]
         # Ingest state: ticks < watermark are flushed (or dropped late).
+        # The store's VM set is fixed, so its row map and size are too.
         n = store.n_servers
+        self._n_vms = n
+        self._row_of: Dict[str, int] = {
+            vm_id: row for row, vm_id in enumerate(store.vm_ids)
+        }
         self._watermark = store.total_points
         self._pending: Dict[int, Dict[int, Tuple[float, float]]] = {}
         if store.n_points:
@@ -288,37 +312,44 @@ class ConsolidationController:
         Duplicate (tick, vm) pairs and samples behind the watermark are
         counted and discarded without raising — a noisy feed degrades
         telemetry, not the control loop.  Malformed samples (unknown
-        VM, non-finite or negative values) raise
-        :class:`~repro.exceptions.ServiceError`.
+        VM, non-numeric, non-finite or negative values) raise
+        :class:`~repro.exceptions.ServiceError` and change nothing.
         """
-        if not np.isfinite(sample.cpu_util) or not np.isfinite(
-            sample.memory_gb
-        ):
-            raise ServiceError(
-                f"sample for {sample.vm_id!r} has non-finite values"
-            )
-        if sample.cpu_util < 0 or sample.memory_gb < 0:
-            raise ServiceError(
-                f"sample for {sample.vm_id!r} has negative demand"
-            )
+        vm_id = sample.vm_id
+        cpu_util = sample.cpu_util
+        if type(cpu_util) is not float:
+            cpu_util = _as_float(vm_id, cpu_util)
+        if not math.isfinite(cpu_util):
+            raise ServiceError(f"sample for {vm_id!r} has non-finite values")
+        memory_gb = sample.memory_gb
+        if type(memory_gb) is not float:
+            memory_gb = _as_float(vm_id, memory_gb)
+        if not math.isfinite(memory_gb):
+            raise ServiceError(f"sample for {vm_id!r} has non-finite values")
+        if cpu_util < 0 or memory_gb < 0:
+            raise ServiceError(f"sample for {vm_id!r} has negative demand")
         try:
-            row = self.store.row_of(sample.vm_id)
-        except Exception:
+            row = self._row_of[vm_id]
+        except (KeyError, TypeError):
             raise ServiceError(
-                f"sample for unknown vm_id {sample.vm_id!r}"
+                f"sample for unknown vm_id {vm_id!r}"
             ) from None
-        self._sync_watermark()
-        if sample.tick < self._watermark:
+        if self.store.total_points > self._watermark:
+            self._sync_watermark()
+        tick = sample.tick
+        if tick < self._watermark:
             self.stats.late_dropped += 1
             return False
-        bucket = self._pending.setdefault(sample.tick, {})
-        if row in bucket:
+        bucket = self._pending.get(tick)
+        if bucket is None:
+            bucket = self._pending[tick] = {}
+        elif row in bucket:
             self.stats.duplicates_ignored += 1
             return False
-        bucket[row] = (float(sample.cpu_util), float(sample.memory_gb))
+        bucket[row] = (cpu_util, memory_gb)
         self.stats.samples_ingested += 1
-        if len(bucket) == self.store.n_servers:
-            self._flush_through(sample.tick)
+        if len(bucket) == self._n_vms:
+            self._flush_through(tick)
         return True
 
     def flush_pending(self) -> int:
@@ -438,8 +469,8 @@ class ConsolidationController:
         deadline_hit = False
 
         utilization = self._measure_host_utilization()
-        for host in range(self.caps.n):
-            self._history[host].append(float(utilization[host]))
+        for history, value in zip(self._history, utilization.tolist()):
+            history.append(value)
 
         overloaded: List[int] = []
         underloaded: List[int] = []
@@ -533,14 +564,11 @@ class ConsolidationController:
         peak_cpu_rpe2, peak_memory_gb = self.store.peak_window(
             self.config.sizing_window_points
         )
-        for row in rows:
-            self.plan.set_demand(
-                self.plan.vm_ids[row],
-                float(peak_cpu_rpe2[row]),
-                float(peak_memory_gb[row]),
-                self.plan.net[row],
-                self.plan.dsk[row],
-            )
+        self.plan.set_demands(
+            rows,
+            peak_cpu_rpe2[rows].tolist(),
+            peak_memory_gb[rows].tolist(),
+        )
 
     def _host_fits(self, host: int) -> bool:
         caps = self.caps
@@ -607,7 +635,8 @@ class ConsolidationController:
         Targets are chosen by first-fit against *other active* hosts,
         accounting for earlier picks of the same vacate; if any VM has
         no target the host is left alone (counted as a vacate failure).
-        The batch goes through one atomic ``apply_delta``.
+        The batch goes through one atomic ``apply_delta``, so the active
+        set cannot change while targets are chosen: it is listed once.
         """
         plan = self.plan
         caps = self.caps
@@ -615,6 +644,7 @@ class ConsolidationController:
         rows = list(plan.vm_rows_of_host[source])
         if not rows:
             return []
+        candidates = [host for host in plan.active_hosts() if host != source]
         extra_cpu = [0.0] * caps.n
         extra_mem = [0.0] * caps.n
         extra_net = [0.0] * caps.n
@@ -622,9 +652,7 @@ class ConsolidationController:
         targets: List[int] = []
         for row in rows:
             chosen = -1
-            for host in range(caps.n):
-                if host == source or not plan.vm_rows_of_host[host]:
-                    continue
+            for host in candidates:
                 if (
                     plan.body_cpu[host] + extra_cpu[host] + plan.cpu[row]
                     <= caps.eps_cpu[host]

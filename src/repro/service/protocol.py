@@ -47,8 +47,13 @@ def _require(request: Dict[str, Any], key: str, kind: type) -> Any:
     if key not in request:
         raise ServiceError(f"request is missing {key!r}")
     value = request[key]
-    if kind is float and isinstance(value, int):
-        value = float(value)
+    # ``type(...) is int``, not isinstance: a JSON ``true`` must not
+    # read as 1.0.
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ServiceError(f"{key!r} is too large for a float") from None
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ServiceError(
             f"{key!r} must be {kind.__name__}, got {type(value).__name__}"
@@ -135,14 +140,18 @@ def handle_request(
 ) -> Dict[str, Any]:
     """Dispatch one NDJSON request line; never raises.
 
-    Protocol errors (bad JSON, unknown op, missing fields) and
-    controller-level :class:`~repro.exceptions.ServiceError` come back
-    as ``{"ok": false, "error": ...}`` responses.
+    Protocol errors (bad JSON — including integer literals longer than
+    the interpreter's digit limit and nesting deeper than its recursion
+    limit — unknown op, missing fields, wrong field types, integers too
+    large for a float field) and controller-level
+    :class:`~repro.exceptions.ServiceError` come back as
+    ``{"ok": false, "error": ...}`` responses.
     """
     try:
         try:
             request = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError is a ValueError; so is the digit limit.
             raise ServiceError(f"bad JSON: {exc}") from None
         if not isinstance(request, dict):
             raise ServiceError("request must be a JSON object")

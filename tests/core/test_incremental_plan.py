@@ -1,11 +1,12 @@
 """Incremental replanning == replanning from scratch, bit for bit.
 
 The controller's correctness rests on one invariant: a plan mutated by
-*any* sequence of ``apply_delta`` / ``set_demand`` calls is bitwise
-identical to a plan rebuilt from scratch (``from_assignment``) over the
-same demands and assignment.  Canonical folds (ascending row order)
-make the float accumulators order-independent of the *history* of
-mutations — so drift can never accumulate in a long-running controller.
+*any* sequence of ``apply_delta`` / ``set_demand`` / ``set_demands``
+calls is bitwise identical to a plan rebuilt from scratch
+(``from_assignment``) over the same demands and assignment.  Canonical
+folds (ascending row order) make the float accumulators
+order-independent of the *history* of mutations — so drift can never
+accumulate in a long-running controller.
 
 The suite drives random update sequences (seeded sweep always; driven
 wider by hypothesis when available) and asserts exact equality after
@@ -50,6 +51,8 @@ def _capture(plan: IncrementalPlan):
         list(plan.body_dsk),
         list(plan.cpu),
         list(plan.mem),
+        list(plan.net),
+        list(plan.dsk),
     )
 
 
@@ -100,10 +103,19 @@ def _random_mutations(
     caps = plan.caps
     for _ in range(n_ops):
         op = rng.random()
-        if op < 0.4:
+        if op < 0.2:
             vm_id = rng.choice(plan.vm_ids)
             plan.set_demand(
                 vm_id, rng.uniform(10.0, 400.0), rng.uniform(0.5, 12.0)
+            )
+        elif op < 0.4:
+            # Rows drawn with replacement: a repeated row's last value
+            # must win, as it would one call at a time.
+            rows = rng.choices(range(plan.n_vms), k=rng.randint(1, 6))
+            plan.set_demands(
+                rows,
+                [rng.uniform(10.0, 400.0) for _ in rows],
+                [rng.uniform(0.5, 12.0) for _ in rows],
             )
         else:
             n_movers = rng.randint(1, min(3, plan.n_vms))
@@ -216,6 +228,62 @@ class TestApplyDelta:
             plan.apply_delta(["nope"], ["h1"])
         with pytest.raises(PlacementError):
             plan.apply_delta(["a"], ["nope"])
+
+
+class TestSetDemands:
+    def test_batch_equals_rows_one_by_one_and_rebuild(self):
+        rng = random.Random(20261017)
+        for _ in range(30):
+            plan = _random_plan(rng, rng.randint(2, 6), rng.randint(1, 14))
+            _random_mutations(rng, plan, rng.randint(0, 8))
+            one_by_one = plan.copy()
+            rows = rng.choices(
+                range(plan.n_vms), k=rng.randint(1, 2 * plan.n_vms)
+            )
+            columns = [
+                [rng.uniform(10.0, 400.0) for _ in rows],
+                [rng.uniform(0.5, 12.0) for _ in rows],
+                [rng.uniform(0.0, 100.0) for _ in rows],
+                [rng.uniform(0.0, 100.0) for _ in rows],
+            ]
+            plan.set_demands(rows, *columns)
+            for row, *values in zip(rows, *columns):
+                one_by_one.set_demand(plan.vm_ids[row], *values)
+            assert _capture(plan) == _capture(one_by_one)
+            _assert_bitwise_equal(plan, _rebuild(plan))
+
+    def test_omitted_io_keeps_current_values(self):
+        plan = _random_plan(random.Random(3), 3, 5)
+        plan.set_demands(
+            [0, 1], [1.0, 2.0], [1.0, 2.0], [7.0, 8.0], [9.0, 9.5]
+        )
+        plan.set_demands([1, 0], [3.0, 4.0], [3.0, 4.0])
+        assert plan.cpu[:2] == [4.0, 3.0]
+        assert plan.net[:2] == [7.0, 8.0]
+        assert plan.dsk[:2] == [9.0, 9.5]
+        _assert_bitwise_equal(plan, _rebuild(plan))
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_one_negative_value_rejects_the_whole_batch(self, column):
+        plan = _random_plan(random.Random(11), 3, 6)
+        before = _capture(plan)
+        columns = [[50.0, 60.0, 70.0] for _ in range(4)]
+        # The bad value is in the last row, after rows that would
+        # otherwise already have been written.
+        columns[column][2] = -1.0
+        with pytest.raises(PlacementError):
+            plan.set_demands([0, 1, 2], *columns)
+        assert _capture(plan) == before
+
+    @pytest.mark.parametrize(
+        "rows, n_values", [([0, 6], 2), ([0, -1], 2), ([0, 1], 1)]
+    )
+    def test_bad_rows_or_lengths_change_nothing(self, rows, n_values):
+        plan = _random_plan(random.Random(12), 3, 6)
+        before = _capture(plan)
+        with pytest.raises(PlacementError):
+            plan.set_demands(rows, [5.0] * n_values, [1.0] * n_values)
+        assert _capture(plan) == before
 
 
 class TestQueries:

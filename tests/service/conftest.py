@@ -8,7 +8,7 @@ bit for bit, no matter what faults the stream threw at it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Type
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.service.detectors import (
     ThresholdOverloadDetector,
     ThresholdUnderloadDetector,
 )
-from repro.service.harness import ScriptedFeed
+from repro.service.harness import FaultInjector, FaultSpec, ScriptedFeed
 from repro.workloads.rolling import RollingTraceStore
 
 
@@ -44,6 +44,7 @@ def build_controller(
     vm_capacity_rpe2: float = 500.0,
     config: Optional[ControllerConfig] = None,
     bootstrap: bool = True,
+    controller_cls: Type[ConsolidationController] = ConsolidationController,
     **controller_kwargs,
 ) -> ConsolidationController:
     """Seeded quiet-fleet controller on a VirtualClock."""
@@ -68,7 +69,7 @@ def build_controller(
         "underload_detector", ThresholdUnderloadDetector(threshold=0.2)
     )
     controller_kwargs.setdefault("clock", VirtualClock())
-    controller = ConsolidationController(
+    controller = controller_cls(
         hosts,
         store,
         config=config
@@ -101,6 +102,23 @@ def assert_plan_consistent(controller: ConsolidationController) -> None:
     assert plan.body_dsk == rebuilt.body_dsk
 
 
+#: Seeds of the fault-injection streams (``tests/service/test_faults.py``).
+FAULT_SEEDS = (1, 23, 456)
+
+
+def fault_injector(seed: int) -> FaultInjector:
+    """The fault suite's hostile stream: drops, duplicates, delays."""
+    return FaultInjector(
+        FaultSpec(
+            drop_rate=0.15,
+            duplicate_rate=0.15,
+            delay_rate=0.15,
+            delay_ticks=2,
+            seed=seed,
+        )
+    )
+
+
 def scripted_feed_for(
     controller: ConsolidationController,
     cpu_util: Sequence[Sequence[float]],
@@ -118,4 +136,21 @@ def scripted_feed_for(
         cpu,
         mem,
         start_tick=controller.store.total_points,
+    )
+
+
+def noisy_feed(
+    controller: ConsolidationController, n_ticks: int, seed: int
+) -> ScriptedFeed:
+    """Seeded utilization noise with occasional +0.4 spikes."""
+    rng = np.random.default_rng(seed)
+    n_vms = controller.store.n_servers
+    cpu_util = np.clip(
+        rng.uniform(0.05, 0.7, (n_vms, n_ticks))
+        + 0.4 * (rng.random((n_vms, n_ticks)) < 0.1),
+        0.0,
+        1.0,
+    )
+    return scripted_feed_for(
+        controller, cpu_util, rng.uniform(1.0, 6.0, (n_vms, n_ticks))
     )

@@ -153,6 +153,22 @@ class TestIngest:
             )
         with pytest.raises(ServiceError):
             controller.ingest(MonitoringSample(tick, "vm0", -0.1, 2.0))
+        # Values that are not numbers, or too large for a float, are
+        # the same documented error, and touch nothing.
+        controller.ingest(MonitoringSample(tick, "vm1", 0.5, 2.0))
+        before = (controller.stats.snapshot(), repr(controller._pending))
+        for bad in ("0.5", None, 10**400, [0.5], b"0.5"):
+            for sample in (
+                MonitoringSample(tick, "vm0", bad, 2.0),
+                MonitoringSample(tick, "vm0", 0.5, bad),
+                MonitoringSample(tick, "nope", bad, 2.0),
+            ):
+                with pytest.raises(ServiceError):
+                    controller.ingest(sample)
+        assert (controller.stats.snapshot(), repr(controller._pending)) == (
+            before
+        )
+        assert controller.ingest(MonitoringSample(tick, "vm0", 0.5, 2.0))
 
     def test_flush_pending_forces_partial_ticks(self):
         controller = build_controller(n_vms=3)

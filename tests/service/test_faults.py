@@ -24,45 +24,25 @@ from repro.service.detectors import ThresholdOverloadDetector
 from repro.service.harness import (
     FaultInjector,
     FaultSpec,
-    ScriptedFeed,
     SimulationHarness,
 )
 
 from tests.service.conftest import (
+    FAULT_SEEDS,
     assert_plan_consistent,
     build_controller,
+    fault_injector,
+    noisy_feed,
     scripted_feed_for,
 )
 
 
-def _noisy_feed(controller, n_ticks: int, seed: int) -> ScriptedFeed:
-    rng = np.random.default_rng(seed)
-    n_vms = controller.store.n_servers
-    cpu_util = np.clip(
-        rng.uniform(0.05, 0.7, (n_vms, n_ticks))
-        + 0.4 * (rng.random((n_vms, n_ticks)) < 0.1),
-        0.0,
-        1.0,
-    )
-    return scripted_feed_for(
-        controller, cpu_util, rng.uniform(1.0, 6.0, (n_vms, n_ticks))
-    )
-
-
 class TestStreamFaults:
-    @pytest.mark.parametrize("seed", [1, 23, 456])
+    @pytest.mark.parametrize("seed", FAULT_SEEDS)
     def test_drop_dup_delay_never_corrupts_plan(self, seed):
         controller = build_controller(n_hosts=4, n_vms=8, seed=seed)
-        feed = _noisy_feed(controller, 30, seed)
-        injector = FaultInjector(
-            FaultSpec(
-                drop_rate=0.15,
-                duplicate_rate=0.15,
-                delay_rate=0.15,
-                delay_ticks=2,
-                seed=seed,
-            )
-        )
+        feed = noisy_feed(controller, 30, seed)
+        injector = fault_injector(seed)
         harness = SimulationHarness(
             controller, feed, injector=injector, replan_every=1
         )
@@ -101,7 +81,7 @@ class TestStreamFaults:
         stores, assignments = [], []
         for shuffle_seed in (None, 99):
             controller = build_controller(n_hosts=4, n_vms=6, seed=5)
-            feed = _noisy_feed(controller, 20, seed=5)
+            feed = noisy_feed(controller, 20, seed=5)
             rng = (
                 random.Random(shuffle_seed)
                 if shuffle_seed is not None
@@ -125,7 +105,7 @@ class TestStreamFaults:
         results = []
         for rates in (0.0, 0.5):
             controller = build_controller(n_hosts=4, n_vms=6, seed=8)
-            feed = _noisy_feed(controller, 20, seed=8)
+            feed = noisy_feed(controller, 20, seed=8)
             injector = FaultInjector(
                 FaultSpec(duplicate_rate=rates, seed=3)
             )
