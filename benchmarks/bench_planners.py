@@ -5,12 +5,17 @@ sweeps, schedule assembly — on paper-scale instances (~100 and ~1000
 servers, 48 h history + 720 h evaluation at 2 h intervals):
 
 * **dynamic-plan** — ``DynamicConsolidation.plan`` (peak tables,
-  incremental sticky repack, array vacate sweeps) vs the scalar
+  incremental sticky repack, vacate sweeps) vs the scalar
   reference planner in ``tests/reference/dynamic.py`` (per-VM
-  predict/size + from-scratch ``pack()`` per interval).  The largest
-  size also runs with the planning engagement's four deployment
-  constraints (two anti-colocation pairs, a host pin, a shared subnet;
-  the row's ``constraints`` field);
+  predict/size + from-scratch ``pack()`` per interval).  The banking
+  rows pack onto 50,000-RPE2 / 256 GB hosts, so about ten are active
+  and the vacate sweeps barely run; the largest size also runs with
+  the planning engagement's four deployment constraints (two
+  anti-colocation pairs, a host pin, a shared subnet; the row's
+  ``constraints`` field).  The many-bins row plans the
+  natural-resources fleet on the HS23 pool section 5 builds
+  (``ExperimentSettings().build_pool``), which keeps about a hundred
+  hosts active, so the vacate sweeps dominate;
 * **sharded-dynamic-plan** (full mode) — a 10k-server × 720 h plan
   through :func:`repro.sharding.run_sharded_plan` (chunked on-disk
   store, 16 topology shards fanned over the runner pool, cross-shard
@@ -52,7 +57,7 @@ import tempfile
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterator, List, Tuple
 
 _ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(_ROOT / "src"))
@@ -65,6 +70,7 @@ from repro.constraints import AntiColocate, PinToHost, SameSubnet
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
+from repro.experiments.settings import ExperimentSettings
 from repro.infrastructure.datacenter import Datacenter, build_target_pool
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.runner import ExperimentRunner
@@ -75,6 +81,7 @@ from repro.workloads.chunked import (
     write_trace_set,
 )
 from repro.workloads.datacenters import generate_datacenter
+from repro.workloads.trace import TraceSet
 from tests.reference.dynamic import plan_reference
 
 # The banking preset has 816 servers at scale 1.0 (see bench_kernels).
@@ -108,12 +115,12 @@ def _pool(n_hosts: int) -> Datacenter:
     return datacenter
 
 
-def _context(traces) -> PlanningContext:
+def _context(traces, datacenter: Datacenter) -> PlanningContext:
     hours = int(traces.duration_hours)
     return PlanningContext(
         history=traces.window(0, _HISTORY_HOURS),
         evaluation=traces.window(_HISTORY_HOURS, hours),
-        datacenter=_pool(max(4, len(traces) // 2)),
+        datacenter=datacenter,
         config=PlanningConfig(),
     )
 
@@ -145,13 +152,15 @@ def _assert_schedules_identical(scalar, array) -> None:
 
 def bench_dynamic(context: PlanningContext, repeats: int) -> Dict[str, float]:
     algorithm = DynamicConsolidation()
-    _assert_schedules_identical(
-        plan_reference(algorithm, context), algorithm.plan(context)
-    )
+    schedule = algorithm.plan(context)
+    _assert_schedules_identical(plan_reference(algorithm, context), schedule)
     return {
         "vectorized_s": _best_of(repeats, lambda: algorithm.plan(context)),
         "reference_s": _best_of(
             repeats, lambda: plan_reference(algorithm, context)
+        ),
+        "mean_active_hosts": float(
+            np.mean([s.placement.active_host_count for s in schedule])
         ),
     }
 
@@ -219,45 +228,59 @@ def bench_sharded(
     }
 
 
-def run(smoke: bool) -> Dict[str, object]:
-    if smoke:
-        sizes, days, repeats = [50], 4, 1
-    else:
-        sizes, days, repeats = [100, 1000], 32, 3
-    results: List[Dict[str, object]] = []
+def _dynamic_cases(
+    sizes: List[int], days: int, many_bins_scale: float
+) -> Iterator[Tuple[TraceSet, PlanningContext]]:
+    """Each dynamic-plan case, its fleet generated only when reached."""
     for n_servers in sizes:
         traces = generate_datacenter(
             "banking", scale=n_servers / _BANKING_SERVERS, days=days, seed=7
         )
-        context = _context(traces)
-        cases = [context]
+        context = _context(traces, _pool(max(4, len(traces) // 2)))
+        yield traces, context
         if n_servers == sizes[-1]:
-            cases.append(_with_engagement_constraints(context))
-        eval_hours = int(context.evaluation.duration_hours)
-        for case in cases:
-            reset_peak_rss()
-            timings = bench_dynamic(case, repeats)
-            rss = peak_rss_mb()
-            speedup = timings["reference_s"] / timings["vectorized_s"]
-            entry = {
-                "benchmark": "dynamic-plan",
-                "n_servers": len(traces),
-                "n_hours": eval_hours,
-                "constraints": len(case.constraints),
-                "vectorized_s": round(timings["vectorized_s"], 6),
-                "reference_s": round(timings["reference_s"], 6),
-                "speedup": round(speedup, 2),
-                "peak_rss_mb": rss,
-            }
-            results.append(entry)
-            print(
-                f"{'dynamic-plan':20s} n={len(traces):5d} T={eval_hours:4d}h  "
-                f"constraints {entry['constraints']}  "
-                f"vectorized {entry['vectorized_s']:.4f}s  "
-                f"reference {entry['reference_s']:.4f}s  "
-                f"speedup {entry['speedup']:.2f}x  "
-                f"rss {rss:.0f}MB"
-            )
+            yield traces, _with_engagement_constraints(context)
+    traces = generate_datacenter(
+        "natural-resources", scale=many_bins_scale, days=days, seed=7
+    )
+    yield traces, _context(traces, ExperimentSettings().build_pool(traces))
+
+
+def run(smoke: bool) -> Dict[str, object]:
+    if smoke:
+        sizes, days, repeats, many_bins_scale = [50], 4, 1, 0.05
+    else:
+        sizes, days, repeats, many_bins_scale = [100, 1000], 32, 3, 1.0
+    results: List[Dict[str, object]] = []
+    for traces, case in _dynamic_cases(sizes, days, many_bins_scale):
+        eval_hours = int(case.evaluation.duration_hours)
+        reset_peak_rss()
+        timings = bench_dynamic(case, repeats)
+        rss = peak_rss_mb()
+        speedup = timings["reference_s"] / timings["vectorized_s"]
+        entry = {
+            "benchmark": "dynamic-plan",
+            "datacenter": traces.name,
+            "n_servers": len(traces),
+            "n_hours": eval_hours,
+            "constraints": len(case.constraints),
+            "mean_active_hosts": round(timings["mean_active_hosts"], 2),
+            "vectorized_s": round(timings["vectorized_s"], 6),
+            "reference_s": round(timings["reference_s"], 6),
+            "speedup": round(speedup, 2),
+            "peak_rss_mb": rss,
+        }
+        results.append(entry)
+        print(
+            f"{'dynamic-plan':20s} {traces.name:17s} "
+            f"n={len(traces):5d} T={eval_hours:4d}h  "
+            f"constraints {entry['constraints']}  "
+            f"hosts {entry['mean_active_hosts']:6.1f}  "
+            f"vectorized {entry['vectorized_s']:.4f}s  "
+            f"reference {entry['reference_s']:.4f}s  "
+            f"speedup {entry['speedup']:.2f}x  "
+            f"rss {rss:.0f}MB"
+        )
     # Sharded scale-out case: small in smoke (plumbing through the
     # process pool), 10k servers x 720 h in full mode.  Best-of-1: at
     # this size the run is seconds-to-minutes, not microseconds.

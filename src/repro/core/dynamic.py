@@ -34,7 +34,7 @@ lives in ``tests/reference/dynamic.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic_vector import plan_dynamic_array
@@ -159,16 +159,6 @@ class DynamicConsolidation(ConsolidationAlgorithm):
             cost = self.migration_cost.cost_wh(max(key, 0.1))
             self._cost_cache[key] = cost
         return cost
-
-    def _cached_cost_many(
-        self, memory_gb: Sequence[float]
-    ) -> List[float]:
-        """Batched :meth:`_cached_cost` (array vacate's per-VM costs).
-
-        Keys stay ``round(m, 1)`` — python rounding, not ``np.round`` —
-        so cache entries are shared bit-exactly with per-VM lookups.
-        """
-        return [self._cached_cost(m) for m in memory_gb]
 
     @staticmethod
     def _idle_watts(host: PhysicalServer) -> float:

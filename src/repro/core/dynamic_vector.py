@@ -15,11 +15,11 @@ while replacing its per-VM object churn with columnar kernels:
 * the sticky FFD pack keeps its per-host running totals in an
   :class:`~repro.core.incremental.IncrementalPlan` carried across
   intervals (the delta-pack state, shared with the online controller in
-  :mod:`repro.service`) instead of rebuilding ``Bin`` objects 360 times;
-* vacate sweeps score sources and candidates with vectorized
-  residual / idle-power / migration-cost arrays and fall back to exact
-  scalar folds only on the short candidate prefix each VM actually
-  scans;
+  :mod:`repro.service`) instead of rebuilding ``Bin`` objects 360 times,
+  folding each placed VM in inline;
+* vacate sweeps run on the plan's Python-float lists: stable
+  ``sorted`` calls over the appearance-ordered live hosts give the
+  reference's source and candidate orders, tie-breaks included;
 * deployment constraints are checked where ``pack()`` checks them:
   constrained VMs pack first, and a host is taken only if it fits *and*
   :meth:`~repro.constraints.manager.ConstraintSet.feasible` allows it
@@ -38,9 +38,10 @@ in the *same* order — elementwise numpy ops mirror scalar arithmetic
 exactly, comparisons use the identical ``capacity + 1e-9`` slack, and
 all per-host accumulations replay the reference's left folds (the
 plan's append-fold discipline, :meth:`IncrementalPlan.assign`).  The
-only reference behaviours intentionally *not* replayed are pure
-no-state-change shortcuts (skipping a vacate attempt whose cost gate or
-first, largest VM already fails — outcomes the reference also discards).
+one reference step not repeated is the per-attempt candidate sort:
+bodies change only when a vacate commits, so the fullest-first order is
+sorted once, re-sorted after each commit, and each attempt skips its
+own source in it — the same sequence the reference sorts.
 Dynamic sizing is :class:`~repro.sizing.functions.MaxSizing`, so every
 demand tail is exactly ``0.0`` and ``x + max(0.0, 0.0)`` reduces to
 ``x`` — the two-term fit checks below match the reference's four-term
@@ -312,6 +313,7 @@ def _pack_interval(
     body_net = plan.body_net
     body_dsk = plan.body_dsk
     vm_rows_of_host = plan.vm_rows_of_host
+    assignment_rows = plan.assignment_rows
     appearance: List[int] = []
     dead = [False] * n_hosts
 
@@ -356,9 +358,16 @@ def _pack_interval(
                 raise _no_fit_error(
                     table.demand(row, interval), utilization_bound
                 )
-        if not vm_rows_of_host[target]:
+        # plan.assign(row, target), inlined: the same appends and folds.
+        rows_here = vm_rows_of_host[target]
+        if not rows_here:
             appearance.append(target)
-        plan.assign(row, target)
+        rows_here.append(row)
+        body_cpu[target] += d_cpu
+        body_mem[target] += d_mem
+        body_net[target] += d_net
+        body_dsk[target] += d_dsk
+        assignment_rows[row] = target
         if check:
             rules.place(row, target)
     if rules is not None:
@@ -378,139 +387,77 @@ def _vacate_intervals_hosts(
 
     Sweeps like the reference's ``_vacate_hosts``: sources emptiest
     first, at most ``max_vacate_sweeps`` passes, stop when a pass
-    changes nothing.
+    changes nothing.  Bodies change only when a vacate commits, so the
+    fullest-first candidate order is computed once and recomputed only
+    after a commit; each attempt skips its own source in it.
     """
-    n_hosts = host_arrays.n
+    caps = host_arrays.caps
+    cap_cpu = caps.cap_cpu
+    cap_mem = caps.cap_mem
     body_cpu = plan.body_cpu
+    body_mem = plan.body_mem
     vm_rows_of_host = plan.vm_rows_of_host
-    bins_list = appearance
-    # numpy mirrors for vectorized source/candidate scoring; refreshed
-    # only on commits (scalar element writes), so they always equal the
-    # python-float ground truth exactly.
-    body_cpu_np = np.array(body_cpu)
-    body_mem_np = np.array(plan.body_mem)
-    count_np = np.array(
-        [len(rows) for rows in vm_rows_of_host], dtype=np.intp
-    )
-    alive_np = np.zeros(n_hosts, dtype=bool)
-    apps = np.array(bins_list, dtype=np.intp)
-    alive_np[apps] = True
     interval_hours = context.config.interval_hours
 
+    def emptiest(host: int) -> Tuple[int, float]:
+        return len(vm_rows_of_host[host]), body_cpu[host]
+
+    def residual(host: int) -> float:
+        # Bin.residual: min normalized slack.
+        return min(
+            (cap_cpu[host] - body_cpu[host]) / cap_cpu[host],
+            (cap_mem[host] - body_mem[host]) / cap_mem[host],
+        )
+
+    live = appearance
+    candidates: Optional[List[int]] = None
     for _ in range(algorithm.max_vacate_sweeps):
         changed = False
-        live = [h for h in bins_list if alive_np[h]]
         n_bins = len(live)
-        live_arr = np.array(live, dtype=np.intp)
-        # Snapshot source order: (vm count, used cpu), appearance-stable.
-        source_order = np.lexsort(
-            (
-                np.arange(n_bins),
-                body_cpu_np[live_arr],
-                count_np[live_arr],
-            )
-        )
-        for source_pos in source_order:
-            source = live[int(source_pos)]
+        # Stable sorts over the appearance-ordered live bins keep the
+        # reference's tie-break for sources and candidates alike.
+        for source in sorted(live, key=emptiest):
             if not vm_rows_of_host[source] or n_bins <= 1:
                 continue
-            if _try_vacate_array(
-                algorithm, host_arrays, plan, source,
-                apps, alive_np, count_np, body_cpu_np, body_mem_np,
+            if candidates is None:
+                candidates = sorted(
+                    (host for host in live if vm_rows_of_host[host]),
+                    key=residual,
+                )
+            if _try_vacate(
+                algorithm, host_arrays, plan, source, candidates,
                 interval_hours, rules,
             ):
                 changed = True
-        for host in live:
-            if not vm_rows_of_host[host]:
-                alive_np[host] = False
+                candidates = None
+        live = [host for host in live if vm_rows_of_host[host]]
         if not changed:
             break
 
 
-def _try_vacate_array(
+def _try_vacate(
     algorithm: "DynamicConsolidation",
     host_arrays: _HostArrays,
     plan: IncrementalPlan,
     source: int,
-    apps: np.ndarray,
-    alive_np: np.ndarray,
-    count_np: np.ndarray,
-    body_cpu_np: np.ndarray,
-    body_mem_np: np.ndarray,
+    candidates: List[int],
     interval_hours: float,
     rules: Optional[_Rules],
 ) -> bool:
     """Move all of ``source``'s VMs elsewhere if benefit > cost.
 
-    Each VM, largest first, goes to the fullest other active host that
-    admits it with this attempt's pending moves counted — and, for a
-    constrained VM, that the constraints allow given those moves.  Two
-    outcome-identical shortcuts on the reference's ``_try_vacate``: the
-    migration-cost gate is evaluated *before* the target search (it
-    depends only on the source's VM set, and a failing attempt changes
-    no state either way), and the first — largest — VM's fit scan runs
-    as one vectorized mask (its pending loads are all zero).
-    Everything else replays the reference's scalar folds move by move.
+    Replays the reference's ``_try_vacate``: each VM, largest first,
+    goes to the first of ``candidates`` (fullest first, the source
+    skipped) that admits it with this attempt's pending moves counted —
+    and, for a constrained VM, that the constraints allow given those
+    moves.  Once every VM has a target the migration-cost gate decides;
+    only then do the moves commit.
     """
     caps = host_arrays.caps
     cpu = plan.cpu
     mem = plan.mem
     net = plan.net
     dsk = plan.dsk
-    move_rows = sorted(
-        plan.vm_rows_of_host[source], key=cpu.__getitem__, reverse=True
-    )
-
-    if algorithm.consider_migration_cost:
-        cost_wh: float = 0
-        for cost in algorithm._cached_cost_many(
-            [mem[row] for row in move_rows]
-        ):
-            cost_wh = cost_wh + cost
-        benefit_wh = host_arrays.idle_watts[source] * interval_hours
-        if benefit_wh <= cost_wh:
-            return False
-
-    # Candidates: every other live, non-empty bin, appearance order.
-    mask = alive_np[apps] & (count_np[apps] > 0) & (apps != source)
-    candidates = apps[mask]
-    if candidates.size == 0:
-        return False
-
-    # Vectorized first-VM admission: pending loads are all zero for the
-    # first VM, so the mask below is exactly the reference's fit checks.
-    first = move_rows[0]
-    fit0 = (
-        (body_cpu_np[candidates] + cpu[first]
-         <= caps.eps_cpu_np[candidates])
-        & (body_mem_np[candidates] + mem[first]
-           <= caps.eps_mem_np[candidates])
-    )
-    if net[first] or dsk[first]:
-        body_net_np = np.array(plan.body_net)
-        body_dsk_np = np.array(plan.body_dsk)
-        fit0 &= (
-            body_net_np[candidates] + net[first]
-            <= caps.eps_net_np[candidates]
-        ) & (
-            body_dsk_np[candidates] + dsk[first]
-            <= caps.eps_dsk_np[candidates]
-        )
-    if not fit0.any():
-        return False
-
-    # Fullest-first candidate order: min normalized slack, stable on
-    # appearance — the reference's sorted(..., key=residual).
-    residual = np.minimum(
-        (caps.cap_cpu_np[candidates] - body_cpu_np[candidates])
-        / caps.cap_cpu_np[candidates],
-        (caps.cap_mem_np[candidates] - body_mem_np[candidates])
-        / caps.cap_mem_np[candidates],
-    )
-    cand_order = np.lexsort((np.arange(candidates.size), residual))
-    cand = candidates[cand_order].tolist()
-    fit0_ordered = fit0[cand_order]
-
     body_cpu = plan.body_cpu
     body_mem = plan.body_mem
     body_net = plan.body_net
@@ -525,27 +472,10 @@ def _try_vacate_array(
     pend_mem: Dict[int, float] = {}
     pend_net: Dict[int, float] = {}
     pend_dsk: Dict[int, float] = {}
-
-    if rules is not None and rules.constrained[first]:
-        first_pick = next(
-            (
-                pick
-                for pick in np.flatnonzero(fit0_ordered).tolist()
-                if rules.allows(first, cand[pick], rules.assigned)
-            ),
-            -1,
-        )
-        if first_pick < 0:
-            return False
-    else:
-        first_pick = int(np.argmax(fit0_ordered))
-    moves: List[Tuple[int, int]] = [(first, cand[first_pick])]
-    pend_cpu[cand[first_pick]] = cpu[first]
-    pend_mem[cand[first_pick]] = mem[first]
-    pend_net[cand[first_pick]] = net[first]
-    pend_dsk[cand[first_pick]] = dsk[first]
-
-    for row in move_rows[1:]:
+    moves: List[Tuple[int, int]] = []
+    for row in sorted(
+        plan.vm_rows_of_host[source], key=cpu.__getitem__, reverse=True
+    ):
         d_cpu = cpu[row]
         d_mem = mem[row]
         d_net = net[row]
@@ -556,7 +486,7 @@ def _try_vacate_array(
             else None
         )
         target = -1
-        for host in cand:
+        for host in candidates:
             # Body-only prefilter: pending loads are non-negative and
             # the float fold is monotone, so failing without pending
             # implies failing with it.  Most candidates fail here with
@@ -567,6 +497,7 @@ def _try_vacate_array(
                 and body_mem[host] + d_mem <= eps_mem[host]
                 and body_net[host] + d_net <= eps_net[host]
                 and body_dsk[host] + d_dsk <= eps_dsk[host]
+                and host != source
                 and (
                     host not in pend_cpu
                     or (
@@ -592,20 +523,18 @@ def _try_vacate_array(
         pend_net[target] = pend_net.get(target, 0.0) + d_net
         pend_dsk[target] = pend_dsk.get(target, 0.0) + d_dsk
 
+    if algorithm.consider_migration_cost:
+        cost_wh: float = 0
+        for row, _ in moves:
+            cost_wh = cost_wh + algorithm._cached_cost(mem[row])
+        if host_arrays.idle_watts[source] * interval_hours <= cost_wh:
+            return False
+
     # Commit: sequential per-move adds with the reference's re-check
     # (Bin.add validates against the *committed* state, whose folds can
     # differ from body + pending in the last ulp).
     for row, target in moves:
-        d_cpu = cpu[row]
-        d_mem = mem[row]
-        d_net = net[row]
-        d_dsk = dsk[row]
-        if not (
-            body_cpu[target] + d_cpu <= eps_cpu[target]
-            and body_mem[target] + d_mem <= eps_mem[target]
-            and body_net[target] + d_net <= eps_net[target]
-            and body_dsk[target] + d_dsk <= eps_dsk[target]
-        ):
+        if not plan.fits(row, target):
             raise PlacementError(
                 f"{plan.vm_ids[row]} does not fit on "
                 f"{host_arrays.host_ids[target]}"
@@ -613,11 +542,5 @@ def _try_vacate_array(
         plan.assign(row, target)
         if rules is not None:
             rules.place(row, target)
-        body_cpu_np[target] = body_cpu[target]
-        body_mem_np[target] = body_mem[target]
-        count_np[target] += 1
     plan.clear_host(source)
-    body_cpu_np[source] = 0.0
-    body_mem_np[source] = 0.0
-    count_np[source] = 0
     return True

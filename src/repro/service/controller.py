@@ -295,6 +295,7 @@ class ConsolidationController:
         self._row_of: Dict[str, int] = {
             vm_id: row for row, vm_id in enumerate(store.vm_ids)
         }
+        self._cpu_util_limit = list(store.cpu_util_limit)
         self._watermark = store.total_points
         self._pending: Dict[int, Dict[int, Tuple[float, float]]] = {}
         if store.n_points:
@@ -312,7 +313,9 @@ class ConsolidationController:
         Duplicate (tick, vm) pairs and samples behind the watermark are
         counted and discarded without raising — a noisy feed degrades
         telemetry, not the control loop.  Malformed samples (unknown
-        VM, non-numeric, non-finite or negative values) raise
+        VM, non-numeric, non-finite or negative values, or a
+        ``cpu_util`` above the store's ``cpu_util_limit``, where
+        ``cpu_util × capacity`` would overflow) raise
         :class:`~repro.exceptions.ServiceError` and change nothing.
         """
         vm_id = sample.vm_id
@@ -334,6 +337,14 @@ class ConsolidationController:
             raise ServiceError(
                 f"sample for unknown vm_id {vm_id!r}"
             ) from None
+        # Every row's limit is at least 1.0 (capacities are finite),
+        # so ordinary utilizations skip the lookup.
+        if cpu_util > 1.0 and cpu_util > self._cpu_util_limit[row]:
+            raise ServiceError(
+                f"sample for {vm_id!r} has cpu_util {cpu_util!r} above "
+                f"{self._cpu_util_limit[row]!r}: cpu_util * capacity "
+                f"would overflow"
+            )
         if self.store.total_points > self._watermark:
             self._sync_watermark()
         tick = sample.tick

@@ -366,7 +366,9 @@ def open_chunked_store(
     The returned store's matrices are read-only ``np.memmap`` views:
     nothing is resident until touched, and ``window()``/``rows()``
     slices of it remain memmap views.  Query results are bit-identical
-    to the in-memory store built from the same traces.  Pass an
+    to the in-memory store built from the same traces.  Every matrix
+    file must hold float64 of the manifest's row count, or
+    :class:`TraceError` names the file.  Pass an
     already-loaded ``manifest`` to skip re-parsing it — at 100k rows
     the manifest is tens of MB of JSON, a real cost per shard task.
     """
@@ -378,7 +380,13 @@ def open_chunked_store(
         path = base / f"{metric}.npy"
         if not path.is_file():
             raise TraceError(f"chunked store missing matrix file {path}")
-        matrices[metric] = np.load(path, mmap_mode="r")
+        matrix = np.load(path, mmap_mode="r")
+        if matrix.dtype != np.float64:
+            raise TraceError(
+                f"chunked store matrix file {path} has dtype "
+                f"{matrix.dtype}, expected float64"
+            )
+        matrices[metric] = matrix
     expected = (manifest.n_servers, None)
     for metric, matrix in matrices.items():
         if matrix.ndim != 2 or matrix.shape[0] != expected[0]:

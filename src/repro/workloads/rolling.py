@@ -28,6 +28,7 @@ Design points, each pinned by ``tests/workloads/test_rolling_store.py``:
 
 from __future__ import annotations
 
+import sys
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,6 +93,16 @@ class RollingTraceStore:
         self.interval_hours = float(interval_hours)
         self.retention_points = int(retention_points)
         self._capacity_col = capacity[:, None]
+        # float max / capacity can round up far enough for the product
+        # to overflow; one float step down then cannot.
+        with np.errstate(over="ignore"):
+            limit = sys.float_info.max / capacity
+            overflows = ~np.isfinite(limit * capacity)
+        limit[overflows] = np.nextafter(limit[overflows], 0.0)
+        #: Per-row ceiling on ``cpu_util``: at or below it the derived
+        #: ``cpu_rpe2 = cpu_util × capacity`` stays finite.
+        self.cpu_util_limit: Tuple[float, ...] = tuple(limit.tolist())
+        self._cpu_util_limit_col = limit[:, None]
         n = len(self.vm_ids)
         width = min(self.retention_points, 64)
         self._cpu_util = np.empty((n, width), dtype=float)
@@ -174,7 +185,11 @@ class RollingTraceStore:
         ``cpu_util`` / ``memory_gb`` are ``(n_servers,)`` vectors or
         ``(n_servers, k)`` matrices of utilization fractions and GB.
         Only the appended columns are written: the derived absolute-CPU
-        matrix for existing columns is left untouched.
+        matrix for existing columns is left untouched.  Non-finite or
+        negative samples, and a ``cpu_util`` above its row's
+        :attr:`cpu_util_limit` (whose derived absolute CPU would
+        overflow to Inf), raise :class:`TraceError` before anything is
+        written.
         """
         cpu = np.asarray(cpu_util, dtype=float)
         mem = np.asarray(memory_gb, dtype=float)
@@ -194,6 +209,11 @@ class RollingTraceStore:
             raise TraceError("append_samples: NaN or Inf in samples")
         if np.any(cpu < 0) or np.any(mem < 0):
             raise TraceError("append_samples: negative demand sample")
+        if np.any(cpu > self._cpu_util_limit_col):
+            raise TraceError(
+                "append_samples: cpu_util above cpu_util_limit "
+                "(cpu_util * capacity would overflow to Inf)"
+            )
         k = cpu.shape[1]
         if k == 0:
             return

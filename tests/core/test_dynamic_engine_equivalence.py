@@ -5,8 +5,9 @@
 of the per-VM reference in ``tests/reference/dynamic.py`` — same
 assignments in every interval, hence the same migrations, host counts,
 and downstream figures.  Covered across predictors, I/O sizing models,
-the migration cost gate, generated workload texture, every deployment
-constraint class, and a binding power budget.
+the migration cost gate (off, on, and binding), generated workload
+texture, a many-host pool, every deployment constraint class, and a
+binding power budget.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from repro.constraints import (
 )
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
+from repro.core.planner import ConsolidationPlanner
 from repro.core.powercap import PowerBudgetedConsolidation
 from repro.exceptions import PlacementError
+from repro.experiments.settings import ExperimentSettings
+from repro.migration.cost import MigrationCostModel
 from repro.placement.plan import Placement
 from repro.sizing.network import DiskDemandModel, NetworkDemandModel
 from repro.sizing.prediction import (
@@ -37,6 +41,7 @@ from repro.sizing.prediction import (
     OraclePredictor,
     PeriodicPeakPredictor,
 )
+from repro.workloads.datacenters import generate_datacenter
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
 from tests.reference.dynamic import plan_reference
@@ -113,6 +118,48 @@ def test_engines_agree_with_cost_gate(small_pool, consider_cost) -> None:
     context = _context(small_pool, seed=11)
     _assert_matches_reference(
         context, consider_migration_cost=consider_cost
+    )
+
+
+def test_engines_agree_with_binding_cost_gate(small_pool) -> None:
+    """A gate that refuses some vacates the gate-off plan commits."""
+    context = _context(small_pool, seed=11)
+    # About 55 Wh per 1.2 GB VM against 320 Wh of idle power per
+    # interval: vacating a host of six or more VMs does not pay.
+    costly = MigrationCostModel(sla_cost_per_second=4.0)
+    gated = DynamicConsolidation(migration_cost=costly).plan(context)
+    free = DynamicConsolidation(consider_migration_cost=False).plan(context)
+    assert any(
+        left.placement.assignment != right.placement.assignment
+        for left, right in zip(gated, free)
+    )
+    _assert_matches_reference(context, migration_cost=costly)
+
+
+@pytest.mark.parametrize(
+    "scale, days, evaluation_days", [(0.25, 20, 7), (0.5, 10, 3)]
+)
+def test_many_bins_agree(scale, days, evaluation_days) -> None:
+    """A pool section 5 would build: dozens of active hosts per interval.
+
+    348 VMs on HS23 blades keep 25-28 hosts active, many with tied
+    residuals; 695 VMs keep 50-56.  Vacate sweeps run long candidate
+    lists and commit often, and each commit must re-sort the
+    fullest-first order: the larger fleet's schedule changes if a
+    commit only drops the emptied host from the old order.
+    """
+    settings = ExperimentSettings(scale=scale)
+    traces = generate_datacenter("natural-resources", scale=scale, days=days)
+    context = ConsolidationPlanner(
+        traces=traces,
+        datacenter=settings.build_pool(traces),
+        config=settings.planning_config(),
+        evaluation_days=evaluation_days,
+    ).context
+    schedule = DynamicConsolidation().plan(context)
+    assert min(s.placement.active_host_count for s in schedule) >= 20
+    _assert_schedules_identical(
+        plan_reference(DynamicConsolidation(), context), schedule
     )
 
 

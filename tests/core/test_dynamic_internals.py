@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
+from repro.core.dynamic_vector import _HostArrays, _try_vacate
+from repro.core.incremental import IncrementalPlan
 from repro.migration.cost import MigrationCostModel
 from repro.placement.plan import Placement
 from repro.workloads.trace import TraceSet
@@ -77,6 +79,85 @@ class TestMigrationCostGate:
         second = algorithm._cached_cost(2.04)  # rounds to the same key
         assert first == second
         assert len(algorithm._cost_cache) == 1
+
+
+class _CountingCost(DynamicConsolidation):
+    """Counts migration-cost lookups."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        self.cost_lookups = 0
+
+    def _cached_cost(self, memory_gb: float) -> float:
+        self.cost_lookups += 1
+        return super()._cached_cost(memory_gb)
+
+
+class TestVacateAttempt:
+    """One vacate attempt: the fit search first, then the cost gate."""
+
+    @staticmethod
+    def _attempt(small_pool, algorithm, source_shares):
+        """Host 1 half full; host 0 holds VMs of the given cpu shares."""
+        context = _context(small_pool)
+        host_arrays = _HostArrays(algorithm, context)
+        cap = host_arrays.caps.cap_cpu[1]
+        loads = [0.5 * cap] + [share * cap for share in source_shares]
+        plan = IncrementalPlan(
+            host_arrays.caps,
+            [f"vm{row}" for row in range(len(loads))],
+            loads,
+            [1.0] * len(loads),
+        )
+        plan.assign(0, 1)
+        for row in range(1, len(loads)):
+            plan.assign(row, 0)
+
+        def attempt() -> bool:
+            return _try_vacate(
+                algorithm, host_arrays, plan, 0, [0, 1],
+                context.config.interval_hours, None,
+            )
+
+        return plan, attempt
+
+    @staticmethod
+    def _state(plan):
+        return (
+            list(plan.assignment_rows),
+            [list(rows) for rows in plan.vm_rows_of_host],
+            list(plan.body_cpu),
+            list(plan.body_mem),
+            list(plan.body_net),
+            list(plan.body_dsk),
+        )
+
+    def test_unplaceable_vm_skips_the_cost_gate(self, small_pool):
+        algorithm = _CountingCost()
+        # The 0.4 share fits on host 1; the 0.3 share then does not, and
+        # the source itself is no target.
+        plan, attempt = self._attempt(small_pool, algorithm, [0.4, 0.3])
+        before = self._state(plan)
+        assert attempt() is False
+        assert algorithm.cost_lookups == 0
+        assert self._state(plan) == before
+
+    def test_failed_cost_gate_leaves_plan_unchanged(self, small_pool):
+        algorithm = _CountingCost(
+            migration_cost=MigrationCostModel(sla_cost_per_second=1e6)
+        )
+        plan, attempt = self._attempt(small_pool, algorithm, [0.3, 0.1])
+        before = self._state(plan)
+        assert attempt() is False
+        # Both VMs found a target before the gate priced them.
+        assert algorithm.cost_lookups == 2
+        assert self._state(plan) == before
+
+        free = DynamicConsolidation(consider_migration_cost=False)
+        plan, attempt = self._attempt(small_pool, free, [0.3, 0.1])
+        assert attempt() is True
+        assert plan.vm_rows_of_host[0] == []
+        assert plan.vm_rows_of_host[1] == [0, 1, 2]
 
 
 class TestPlanShape:

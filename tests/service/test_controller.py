@@ -9,6 +9,8 @@ rebuilds the plan from scratch every cycle.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,33 @@ class TestIngest:
             before
         )
         assert controller.ingest(MonitoringSample(tick, "vm0", 0.5, 2.0))
+
+    def test_cpu_util_overflowing_capacity_raises(self):
+        # 1e308 × 500 RPE2 of capacity overflows to Inf in the store.
+        controller = build_controller(n_vms=2)
+        tick = controller.store.total_points
+        controller.ingest(MonitoringSample(tick, "vm1", 0.5, 2.0))
+        before = (
+            controller.stats.snapshot(),
+            repr(controller._pending),
+            controller.store.total_points,
+        )
+        with pytest.raises(ServiceError, match="overflow"):
+            controller.ingest(MonitoringSample(tick, "vm0", 1e308, 2.0))
+        assert (
+            controller.stats.snapshot(),
+            repr(controller._pending),
+            controller.store.total_points,
+        ) == before
+        # Up to the store's limit, a huge cpu_util is still a sample.
+        limit = controller.store.cpu_util_limit[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert controller.ingest(
+                MonitoringSample(tick, "vm0", limit, 2.0)
+            )
+        assert controller.store.total_points == tick + 1
+        assert np.isfinite(controller.store.view().cpu_rpe2).all()
 
     def test_flush_pending_forces_partial_ticks(self):
         controller = build_controller(n_vms=3)

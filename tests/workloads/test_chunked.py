@@ -213,6 +213,19 @@ class TestOpenValidation:
         with pytest.raises(TraceError, match="missing matrix file"):
             open_chunked_store(tmp_path)
 
+    @pytest.mark.parametrize("dtype", ["float32", "int64"])
+    @pytest.mark.parametrize("metric", ["cpu_util", "cpu_rpe2", "memory_gb"])
+    def test_wrong_matrix_dtype_detected(
+        self, traces, tmp_path, metric, dtype
+    ) -> None:
+        # A valid manifest in front of a rewritten payload: float32
+        # would open and silently lose precision.
+        write_trace_set(traces, tmp_path)
+        path = tmp_path / f"{metric}.npy"
+        np.save(path, np.load(path).astype(dtype))
+        with pytest.raises(TraceError, match=rf"{metric}\.npy.*float64"):
+            open_chunked_store(tmp_path)
+
     def test_unsupported_format_version(self, traces, tmp_path) -> None:
         write_trace_set(traces, tmp_path)
         manifest = tmp_path / "manifest.json"

@@ -18,6 +18,7 @@ always runs):
 from __future__ import annotations
 
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,48 @@ class TestValidation:
             store.append_samples(np.ones((2, 2)), good)
         # Nothing was ingested by the failed attempts.
         assert store.n_points == 0
+
+    def test_rejects_overflowing_derived_cpu(self):
+        # Row 1's capacity is 200 RPE2: 1e308 × 200 overflows to Inf.
+        store = _make_store(2, 8)
+        fresh = _make_store(2, 8)
+        for target in (store, fresh):
+            target.append_samples(np.full(2, 0.5), np.ones(2))
+        bad = np.array([[0.5, 0.5], [0.5, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TraceError, match="overflow"):
+                store.append_samples(bad, np.ones((2, 2)))
+        assert store.total_points == 1
+        # Up to the limit, a huge cpu_util is a sample like any other.
+        at_limit = np.array(store.cpu_util_limit)
+        for target in (store, fresh):
+            target.append_samples(at_limit, np.ones(2))
+        np.testing.assert_array_equal(
+            store.view().cpu_rpe2, fresh.view().cpu_rpe2
+        )
+        assert np.isfinite(store.view().cpu_rpe2).all()
+
+    def test_cpu_util_limit_keeps_derived_cpu_finite(self):
+        rng = np.random.default_rng(3)
+        capacity = np.concatenate(
+            [
+                [1e-300, 0.1, 0.5, 1.0, 3.0, 200.0, 7e10, 1e300],
+                10.0 ** rng.uniform(-3, 6, 400),
+            ]
+        )
+        store = RollingTraceStore(
+            [f"vm{i}" for i in range(capacity.size)], capacity
+        )
+        limit = np.array(store.cpu_util_limit)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(limit * capacity).all()
+        # At most one float step below float max / capacity.
+        with np.errstate(over="ignore"):
+            assert (
+                np.nextafter(limit, np.inf) >= np.finfo(float).max / capacity
+            ).all()
 
     def test_constructor_validation(self):
         with pytest.raises(TraceError):
