@@ -34,15 +34,13 @@ lives in ``tests/reference/dynamic.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping
+from typing import Dict
 
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic_vector import plan_dynamic_array
 from repro.emulator.schedule import PlacementSchedule
 from repro.infrastructure.server import PhysicalServer
-from repro.infrastructure.vm import VMDemand
 from repro.migration.cost import MigrationCostModel
-from repro.placement.binpacking import Bin
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable
 from repro.sizing.prediction import PeriodicPeakPredictor, Predictor
@@ -104,53 +102,6 @@ class DynamicConsolidation(ConsolidationAlgorithm):
         return placement
 
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _fits_with_pending(
-        candidate: Bin,
-        demand: VMDemand,
-        pending_moves: List[tuple],
-        demand_of: Mapping[str, VMDemand],
-    ) -> bool:
-        """Fit check that also counts not-yet-committed moves.
-
-        While a vacate attempt is being evaluated, earlier VMs of the
-        same source may already be aimed at ``candidate``; their demand
-        must count or the vacate could overcommit the target.
-        """
-        pending_cpu = 0.0
-        pending_memory = 0.0
-        pending_network = 0.0
-        pending_disk = 0.0
-        for moved_vm, target in pending_moves:
-            if target is candidate:
-                moved = demand_of[moved_vm]
-                pending_cpu += moved.cpu_rpe2
-                pending_memory += moved.memory_gb
-                pending_network += moved.network_mbps
-                pending_disk += moved.disk_mbps
-        cpu_after = (
-            candidate.body_cpu
-            + pending_cpu
-            + demand.cpu_rpe2
-            + max(candidate.max_tail_cpu, demand.tail_cpu_rpe2)
-        )
-        memory_after = (
-            candidate.body_memory
-            + pending_memory
-            + demand.memory_gb
-            + max(candidate.max_tail_memory, demand.tail_memory_gb)
-        )
-        network_after = (
-            candidate.body_network + pending_network + demand.network_mbps
-        )
-        disk_after = candidate.body_disk + pending_disk + demand.disk_mbps
-        return (
-            cpu_after <= candidate.cpu_capacity + 1e-9
-            and memory_after <= candidate.memory_capacity + 1e-9
-            and network_after <= candidate.network_capacity + 1e-9
-            and disk_after <= candidate.disk_capacity + 1e-9
-        )
 
     def _cached_cost(self, memory_gb: float) -> float:
         key = round(memory_gb, 1)

@@ -19,7 +19,9 @@ while replacing its per-VM object churn with columnar kernels:
   folding each placed VM in inline;
 * vacate sweeps run on the plan's Python-float lists: stable
   ``sorted`` calls over the appearance-ordered live hosts give the
-  reference's source and candidate orders, tie-breaks included;
+  reference's source and candidate orders, tie-breaks included, and
+  each attempt's targets come from the plan's shared search,
+  :meth:`~repro.core.incremental.IncrementalPlan.vacate_targets`;
 * deployment constraints are checked where ``pack()`` checks them:
   constrained VMs pack first, and a host is taken only if it fits *and*
   :meth:`~repro.constraints.manager.ConstraintSet.feasible` allows it
@@ -61,8 +63,8 @@ from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningContext
 from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
-from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
+from repro.infrastructure.server import PhysicalServer
 from repro.placement.binpacking import _no_fit_error
 from repro.placement.plan import Placement
 from repro.sizing.estimator import SizeEstimator
@@ -105,13 +107,13 @@ class _Rules:
         constraints: ConstraintSet,
         datacenter: Datacenter,
         vm_ids: Sequence[str],
-        host_arrays: _HostArrays,
+        hosts: Sequence[PhysicalServer],
     ) -> None:
         self.constraints = constraints
         self.datacenter = datacenter
         self.vm_ids = vm_ids
-        self.hosts = host_arrays.hosts
-        self.host_ids = host_arrays.host_ids
+        self.hosts = hosts
+        self.host_ids = [host.host_id for host in hosts]
         self.constrained = [
             bool(constraints.constraints_for(vm_id)) for vm_id in vm_ids
         ]
@@ -128,13 +130,17 @@ class _Rules:
         if self.constrained[row]:
             self.assigned[self.vm_ids[row]] = self.host_ids[host]
 
-    def with_moves(self, moves: List[Tuple[int, int]]) -> Dict[str, str]:
-        """``assigned`` as it would read after the pending ``moves``."""
+    def allows_after(
+        self, row: int, host: int, moves: List[Tuple[int, int]]
+    ) -> bool:
+        """:meth:`allows` against ``assigned`` after the pending moves."""
+        if not self.constrained[row]:
+            return True
         shadow = dict(self.assigned)
-        for row, host in moves:
-            if self.constrained[row]:
-                shadow[self.vm_ids[row]] = self.host_ids[host]
-        return shadow
+        for moved, target in moves:
+            if self.constrained[moved]:
+                shadow[self.vm_ids[moved]] = self.host_ids[target]
+        return self.allows(row, host, shadow)
 
 
 def plan_dynamic_array(
@@ -186,7 +192,9 @@ def plan_dynamic_array(
 
     host_arrays = _HostArrays(algorithm, context)
     rules = (
-        _Rules(context.constraints, context.datacenter, vm_ids, host_arrays)
+        _Rules(
+            context.constraints, context.datacenter, vm_ids, host_arrays.hosts
+        )
         if context.constraints
         else None
     )
@@ -391,23 +399,12 @@ def _vacate_intervals_hosts(
     fullest-first candidate order is computed once and recomputed only
     after a commit; each attempt skips its own source in it.
     """
-    caps = host_arrays.caps
-    cap_cpu = caps.cap_cpu
-    cap_mem = caps.cap_mem
     body_cpu = plan.body_cpu
-    body_mem = plan.body_mem
     vm_rows_of_host = plan.vm_rows_of_host
     interval_hours = context.config.interval_hours
 
     def emptiest(host: int) -> Tuple[int, float]:
         return len(vm_rows_of_host[host]), body_cpu[host]
-
-    def residual(host: int) -> float:
-        # Bin.residual: min normalized slack.
-        return min(
-            (cap_cpu[host] - body_cpu[host]) / cap_cpu[host],
-            (cap_mem[host] - body_mem[host]) / cap_mem[host],
-        )
 
     live = appearance
     candidates: Optional[List[int]] = None
@@ -422,7 +419,7 @@ def _vacate_intervals_hosts(
             if candidates is None:
                 candidates = sorted(
                     (host for host in live if vm_rows_of_host[host]),
-                    key=residual,
+                    key=plan.residual,
                 )
             if _try_vacate(
                 algorithm, host_arrays, plan, source, candidates,
@@ -450,97 +447,31 @@ def _try_vacate(
     goes to the first of ``candidates`` (fullest first, the source
     skipped) that admits it with this attempt's pending moves counted —
     and, for a constrained VM, that the constraints allow given those
-    moves.  Once every VM has a target the migration-cost gate decides;
-    only then do the moves commit.
+    moves (:meth:`IncrementalPlan.vacate_targets`).  Once every VM has
+    a target the migration-cost gate decides; only then do the moves
+    commit, with the reference's per-move re-check.
     """
-    caps = host_arrays.caps
-    cpu = plan.cpu
-    mem = plan.mem
-    net = plan.net
-    dsk = plan.dsk
-    body_cpu = plan.body_cpu
-    body_mem = plan.body_mem
-    body_net = plan.body_net
-    body_dsk = plan.body_dsk
-    eps_cpu = caps.eps_cpu
-    eps_mem = caps.eps_mem
-    eps_net = caps.eps_net
-    eps_dsk = caps.eps_dsk
-    # Pending loads per candidate host: exact left folds in move order,
-    # matching the reference's per-check recomputation.
-    pend_cpu: Dict[int, float] = {}
-    pend_mem: Dict[int, float] = {}
-    pend_net: Dict[int, float] = {}
-    pend_dsk: Dict[int, float] = {}
-    moves: List[Tuple[int, int]] = []
-    for row in sorted(
-        plan.vm_rows_of_host[source], key=cpu.__getitem__, reverse=True
-    ):
-        d_cpu = cpu[row]
-        d_mem = mem[row]
-        d_net = net[row]
-        d_dsk = dsk[row]
-        shadow = (
-            rules.with_moves(moves)
-            if rules is not None and rules.constrained[row]
-            else None
-        )
-        target = -1
-        for host in candidates:
-            # Body-only prefilter: pending loads are non-negative and
-            # the float fold is monotone, so failing without pending
-            # implies failing with it.  Most candidates fail here with
-            # one add + compare; the exact pending fold runs only on
-            # prefilter survivors.
-            if (
-                body_cpu[host] + d_cpu <= eps_cpu[host]
-                and body_mem[host] + d_mem <= eps_mem[host]
-                and body_net[host] + d_net <= eps_net[host]
-                and body_dsk[host] + d_dsk <= eps_dsk[host]
-                and host != source
-                and (
-                    host not in pend_cpu
-                    or (
-                        body_cpu[host] + pend_cpu[host] + d_cpu
-                        <= eps_cpu[host]
-                        and body_mem[host] + pend_mem[host] + d_mem
-                        <= eps_mem[host]
-                        and body_net[host] + pend_net[host] + d_net
-                        <= eps_net[host]
-                        and body_dsk[host] + pend_dsk[host] + d_dsk
-                        <= eps_dsk[host]
-                    )
-                )
-                and (shadow is None or rules.allows(row, host, shadow))
-            ):
-                target = host
-                break
-        if target < 0:
-            return False
-        moves.append((row, target))
-        pend_cpu[target] = pend_cpu.get(target, 0.0) + d_cpu
-        pend_mem[target] = pend_mem.get(target, 0.0) + d_mem
-        pend_net[target] = pend_net.get(target, 0.0) + d_net
-        pend_dsk[target] = pend_dsk.get(target, 0.0) + d_dsk
+    moves = plan.vacate_targets(
+        source,
+        sorted(
+            plan.vm_rows_of_host[source], key=plan.cpu.__getitem__,
+            reverse=True,
+        ),
+        candidates,
+        rules.allows_after if rules is not None else None,
+    )
+    if moves is None:
+        return False
 
     if algorithm.consider_migration_cost:
         cost_wh: float = 0
         for row, _ in moves:
-            cost_wh = cost_wh + algorithm._cached_cost(mem[row])
+            cost_wh = cost_wh + algorithm._cached_cost(plan.mem[row])
         if host_arrays.idle_watts[source] * interval_hours <= cost_wh:
             return False
 
-    # Commit: sequential per-move adds with the reference's re-check
-    # (Bin.add validates against the *committed* state, whose folds can
-    # differ from body + pending in the last ulp).
-    for row, target in moves:
-        if not plan.fits(row, target):
-            raise PlacementError(
-                f"{plan.vm_ids[row]} does not fit on "
-                f"{host_arrays.host_ids[target]}"
-            )
-        plan.assign(row, target)
-        if rules is not None:
+    plan.commit_vacate(source, moves)
+    if rules is not None:
+        for row, target in moves:
             rules.place(row, target)
-    plan.clear_host(source)
     return True

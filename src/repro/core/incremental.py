@@ -23,6 +23,14 @@ Two mutation disciplines coexist, each with its own exactness contract:
   (``tests/core/test_incremental_plan.py``), and the reason float
   drift can never accumulate across a long-running controller's life.
 
+Every caller that empties a host — the dynamic planner, the power
+budget, the sharded reconciler and the online controller — finds the
+targets with the one read-only search, :meth:`vacate_targets`, ordering
+candidates by :meth:`residual` where it wants fullest-first.  The
+planner and the power budget commit its moves with append folds
+(:meth:`commit_vacate`), the reconciler and the controller with
+:meth:`apply_delta`.
+
 :meth:`apply_delta` is atomic: either every move commits or the plan is
 restored to its pre-call state, so a mid-delta misfit can never leave
 corrupt accumulators behind (the controller's fault-tolerance story
@@ -31,7 +39,7 @@ leans on this).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +58,7 @@ class HostCapacities:
 
     Python-float lists carry the exactness contract (every comparison
     uses the same ``capacity + 1e-9`` float the scalar ``Bin`` derives);
-    the numpy mirrors serve vectorized candidate scoring.
+    the numpy CPU and memory mirrors serve vectorized fill prefilters.
     """
 
     __slots__ = (
@@ -58,7 +66,6 @@ class HostCapacities:
         "cap_cpu", "cap_mem", "cap_net", "cap_dsk",
         "eps_cpu", "eps_mem", "eps_net", "eps_dsk",
         "cap_cpu_np", "cap_mem_np",
-        "eps_cpu_np", "eps_mem_np", "eps_net_np", "eps_dsk_np",
         "index_of",
     )
 
@@ -87,10 +94,6 @@ class HostCapacities:
         self.eps_dsk = [c + _SLACK for c in self.cap_dsk]
         self.cap_cpu_np = np.array(self.cap_cpu)
         self.cap_mem_np = np.array(self.cap_mem)
-        self.eps_cpu_np = np.array(self.eps_cpu)
-        self.eps_mem_np = np.array(self.eps_mem)
-        self.eps_net_np = np.array(self.eps_net)
-        self.eps_dsk_np = np.array(self.eps_dsk)
         self.index_of: Dict[str, int] = {
             host_id: i for i, host_id in enumerate(self.host_ids)
         }
@@ -262,6 +265,102 @@ class IncrementalPlan:
             and self.body_dsk[host] + self.dsk[row] <= caps.eps_dsk[host]
         )
 
+    def residual(self, host: int) -> float:
+        """Smallest normalized headroom (``Bin.residual``): fullest first."""
+        caps = self.caps
+        return min(
+            (caps.cap_cpu[host] - self.body_cpu[host]) / caps.cap_cpu[host],
+            (caps.cap_mem[host] - self.body_mem[host]) / caps.cap_mem[host],
+        )
+
+    def fill(self, host: int) -> float:
+        """Worst-resource fill fraction of the bound-scaled capacity."""
+        caps = self.caps
+        return max(
+            self.body_cpu[host] / caps.cap_cpu[host],
+            self.body_mem[host] / caps.cap_mem[host],
+        )
+
+    def vacate_targets(
+        self,
+        source: int,
+        rows: Sequence[int],
+        candidates: Sequence[int],
+        allows: Optional[
+            Callable[[int, int, List[Tuple[int, int]]], bool]
+        ] = None,
+    ) -> Optional[List[Tuple[int, int]]]:
+        """Where every row of ``source`` would go; writes nothing.
+
+        Each row, in the given order, takes the first of ``candidates``
+        (``source`` skipped) that admits it with the loads of this
+        search's earlier picks counted — and, when ``allows`` is given,
+        that ``allows(row, host, moves)`` accepts given the picks so
+        far.  Returns the ``(row, host)`` moves, or ``None`` as soon as
+        a row fits nowhere.
+
+        Pending loads are left folds in pick order, so each check
+        computes ``body + pending + demand`` exactly as a re-count of
+        the earlier picks would.  Pending loads are non-negative and
+        float addition is monotone, so a candidate failing on its body
+        alone fails with them too: the body-only test runs first and
+        the pending fold only for candidates that survive it.
+        """
+        caps = self.caps
+        cpu = self.cpu
+        mem = self.mem
+        net = self.net
+        dsk = self.dsk
+        body_cpu = self.body_cpu
+        body_mem = self.body_mem
+        body_net = self.body_net
+        body_dsk = self.body_dsk
+        eps_cpu = caps.eps_cpu
+        eps_mem = caps.eps_mem
+        eps_net = caps.eps_net
+        eps_dsk = caps.eps_dsk
+        pend_cpu: Dict[int, float] = {}
+        pend_mem: Dict[int, float] = {}
+        pend_net: Dict[int, float] = {}
+        pend_dsk: Dict[int, float] = {}
+        moves: List[Tuple[int, int]] = []
+        for row in rows:
+            d_cpu = cpu[row]
+            d_mem = mem[row]
+            d_net = net[row]
+            d_dsk = dsk[row]
+            for host in candidates:
+                if (
+                    body_cpu[host] + d_cpu <= eps_cpu[host]
+                    and body_mem[host] + d_mem <= eps_mem[host]
+                    and body_net[host] + d_net <= eps_net[host]
+                    and body_dsk[host] + d_dsk <= eps_dsk[host]
+                    and host != source
+                    and (
+                        host not in pend_cpu
+                        or (
+                            body_cpu[host] + pend_cpu[host] + d_cpu
+                            <= eps_cpu[host]
+                            and body_mem[host] + pend_mem[host] + d_mem
+                            <= eps_mem[host]
+                            and body_net[host] + pend_net[host] + d_net
+                            <= eps_net[host]
+                            and body_dsk[host] + pend_dsk[host] + d_dsk
+                            <= eps_dsk[host]
+                        )
+                    )
+                    and (allows is None or allows(row, host, moves))
+                ):
+                    break
+            else:
+                return None
+            moves.append((row, host))
+            pend_cpu[host] = pend_cpu.get(host, 0.0) + d_cpu
+            pend_mem[host] = pend_mem.get(host, 0.0) + d_mem
+            pend_net[host] = pend_net.get(host, 0.0) + d_net
+            pend_dsk[host] = pend_dsk.get(host, 0.0) + d_dsk
+        return moves
+
     # -- batch-planner mutation (append folds) ---------------------------
 
     def assign(self, row: int, host: int) -> None:
@@ -279,13 +378,30 @@ class IncrementalPlan:
         self.body_dsk[host] += self.dsk[row]
         self.assignment_rows[row] = host
 
-    def clear_host(self, host: int) -> None:
-        """Zero a vacated host (rows must be re-assigned by the caller)."""
-        self.body_cpu[host] = 0.0
-        self.body_mem[host] = 0.0
-        self.body_net[host] = 0.0
-        self.body_dsk[host] = 0.0
-        self.vm_rows_of_host[host] = []
+    def commit_vacate(
+        self, source: int, moves: Sequence[Tuple[int, int]]
+    ) -> None:
+        """Commit a :meth:`vacate_targets` result with append folds.
+
+        Each move is re-checked against the *committed* state before it
+        is assigned (as ``Bin.add`` does: the committed folds can differ
+        from ``body + pending`` in the last ulp), then ``source`` is
+        zeroed.  A misfit raises
+        :class:`~repro.exceptions.PlacementError` with the earlier moves
+        already applied.
+        """
+        for row, host in moves:
+            if not self.fits(row, host):
+                raise PlacementError(
+                    f"{self.vm_ids[row]} does not fit on "
+                    f"{self.caps.host_ids[host]}"
+                )
+            self.assign(row, host)
+        self.body_cpu[source] = 0.0
+        self.body_mem[source] = 0.0
+        self.body_net[source] = 0.0
+        self.body_dsk[source] = 0.0
+        self.vm_rows_of_host[source] = []
 
     # -- controller mutation (canonical folds) ---------------------------
 

@@ -12,29 +12,37 @@ Mechanism per interval, after normal cost-aware placement:
 1. estimate the interval's power from active hosts and their packed
    utilization (same linear model the emulator applies),
 2. while the estimate exceeds the budget, *force-vacate* the emptiest
-   active host into the remaining ones — allowed to overshoot the
-   migration-reservation bound but never a host's full physical
-   capacity,
+   active host into the remaining ones, fullest first — allowed to
+   overshoot the migration-reservation bound but never a host's full
+   physical capacity,
 3. stop when the budget is met or nothing can be vacated; the residual
    overshoot is reported so callers can alert.
 
 Forced consolidation trades SLA risk (packing into the reservation)
 for power compliance — exactly BrownMap's graceful-degradation deal.
+
+The interval's placement is rebuilt as an
+:class:`~repro.core.incremental.IncrementalPlan` at full capacity
+(bound 1.0), folded in the placement's order, and each forced vacate's
+targets come from the plan's shared search,
+:meth:`~repro.core.incremental.IncrementalPlan.vacate_targets` — the
+dynamic planner's own, cost gate aside.  ``tests/reference/powercap.py``
+keeps the ``Bin``-based version the hook is pinned to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import List, Sequence
 
 from repro.core.base import PlanningContext
 from repro.core.dynamic import DynamicConsolidation, _DEFAULT_IDLE_WATTS
+from repro.core.dynamic_vector import _Rules
+from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.power import LinearPowerModel
 from repro.infrastructure.server import PhysicalServer
-from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import Bin
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable
 
@@ -49,6 +57,21 @@ def _power_model(host: PhysicalServer) -> LinearPowerModel:
     if host.model is not None:
         return LinearPowerModel.from_model(host.model)
     return _DEFAULT_POWER
+
+
+def _planned_power(
+    plan: IncrementalPlan,
+    hosts: Sequence[PhysicalServer],
+    order: Sequence[int],
+) -> float:
+    """Active hosts at their packed CPU utilization, summed in ``order``."""
+    total = 0.0
+    for host in order:
+        if plan.vm_rows_of_host[host]:
+            server = hosts[host]
+            utilization = min(plan.body_cpu[host] / server.cpu_rpe2, 1.0)
+            total += _power_model(server).power_watts(utilization)
+    return total
 
 
 @dataclass
@@ -81,112 +104,86 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
         context: PlanningContext,
     ) -> Placement:
         placement, overshoot = self._enforce_budget(
-            placement, table.column(column), context
+            placement, table, column, context
         )
         self.overshoot_watts.append(overshoot)
         return placement
 
     # ------------------------------------------------------------------
 
-    def _estimated_power(
-        self, bins: Mapping[str, Bin]
-    ) -> float:
-        """Planned power: active hosts at their packed CPU utilization."""
-        total = 0.0
-        for bin_ in bins.values():
-            if bin_.is_empty:
-                continue
-            utilization = min(
-                bin_.used_cpu / bin_.host.cpu_rpe2, 1.0
-            )
-            total += _power_model(bin_.host).power_watts(utilization)
-        return total
-
     def _enforce_budget(
         self,
         placement: Placement,
-        demands: List[VMDemand],
+        table: DemandTable,
+        column: int,
         context: PlanningContext,
     ) -> "tuple[Placement, float]":
         """Force-vacate hosts until the power estimate meets the budget."""
         if self.budget_watts == float("inf"):
             return placement, 0.0
-        demand_of = {d.vm_id: d for d in demands}
-        # Rebuild bins at FULL physical capacity: the budget enforcer may
-        # eat into the migration reservation (the documented SLA trade).
-        bins: Dict[str, Bin] = {}
-        assignment = dict(placement.assignment)
-        for vm_id, host_id in assignment.items():
-            bin_ = bins.get(host_id)
-            if bin_ is None:
-                bin_ = Bin.for_host(context.datacenter.host(host_id), 1.0)
-                bins[host_id] = bin_
-            bin_.add(demand_of[vm_id])
+        hosts = list(context.datacenter.hosts)
+        # Full physical capacity: the budget enforcer may eat into the
+        # migration reservation (the documented SLA trade).
+        caps = HostCapacities(hosts, 1.0)
+        plan = IncrementalPlan(
+            caps,
+            table.vm_ids,
+            table.cpu_rpe2[:, column].tolist(),
+            table.memory_gb[:, column].tolist(),
+            table.network_mbps[:, column].tolist(),
+            table.disk_mbps[:, column].tolist(),
+        )
+        rules = (
+            _Rules(context.constraints, context.datacenter, plan.vm_ids, hosts)
+            if context.constraints
+            else None
+        )
+        # Append folds in placement order; hosts in order of appearance
+        # (the power sum's order and every tie-break below).
+        appearance: List[int] = []
+        for vm_id, host_id in placement.assignment.items():
+            row = plan.row_of(vm_id)
+            host = caps.index_of[host_id]
+            if not plan.fits(row, host):
+                raise PlacementError(f"{vm_id} does not fit on {host_id}")
+            if not plan.vm_rows_of_host[host]:
+                appearance.append(host)
+            plan.assign(row, host)
+            if rules is not None:
+                rules.place(row, host)
 
-        while self._estimated_power(bins) > self.budget_watts:
-            active = [b for b in bins.values() if not b.is_empty]
+        vm_rows_of_host = plan.vm_rows_of_host
+        while _planned_power(plan, hosts, appearance) > self.budget_watts:
+            active = [host for host in appearance if vm_rows_of_host[host]]
             if len(active) <= 1:
                 break
-            source = min(active, key=lambda b: (len(b.vm_ids), b.used_cpu))
-            if not self._force_vacate(
-                source, bins, assignment, demand_of, context
-            ):
-                break
-        overshoot = max(
-            0.0, self._estimated_power(bins) - self.budget_watts
-        )
-        return Placement(assignment=assignment), overshoot
-
-    def _force_vacate(
-        self,
-        source: Bin,
-        bins: Dict[str, Bin],
-        assignment: Dict[str, str],
-        demand_of: Mapping[str, VMDemand],
-        context: PlanningContext,
-    ) -> bool:
-        """Vacate ignoring the cost-benefit rule (budget compliance)."""
-        moves: List[tuple] = []
-        for vm_id in sorted(
-            source.vm_ids,
-            key=lambda v: demand_of[v].cpu_rpe2,
-            reverse=True,
-        ):
-            demand = demand_of[vm_id]
-            shadow = dict(assignment)
-            for moved_vm, moved_target in moves:
-                shadow[moved_vm] = moved_target.host.host_id
-            target = None
-            candidates = sorted(
-                (
-                    b
-                    for b in bins.values()
-                    if b is not source and not b.is_empty
+            source = min(
+                active,
+                key=lambda host: (
+                    len(vm_rows_of_host[host]), plan.body_cpu[host]
                 ),
-                key=lambda b: b.residual(),
             )
-            for candidate in candidates:
-                if not self._fits_with_pending(
-                    candidate, demand, moves, demand_of
-                ):
-                    continue
-                if context.constraints and not context.constraints.feasible(
-                    vm_id, candidate.host, shadow, context.datacenter
-                ):
-                    continue
-                target = candidate
+            moves = plan.vacate_targets(
+                source,
+                sorted(
+                    vm_rows_of_host[source], key=plan.cpu.__getitem__,
+                    reverse=True,
+                ),
+                sorted(active, key=plan.residual),
+                rules.allows_after if rules is not None else None,
+            )
+            if moves is None:
                 break
-            if target is None:
-                return False
-            moves.append((vm_id, target))
-        for vm_id, target in moves:
-            target.add(demand_of[vm_id])
-            assignment[vm_id] = target.host.host_id
-        source.body_cpu = 0.0
-        source.body_memory = 0.0
-        source.body_network = 0.0
-        source.body_disk = 0.0
-        source.max_tail_cpu = 0.0
-        source.max_tail_memory = 0.0
-        source.vm_ids.clear()
-        return True
+            plan.commit_vacate(source, moves)
+            if rules is not None:
+                for row, host in moves:
+                    rules.place(row, host)
+        overshoot = max(
+            0.0, _planned_power(plan, hosts, appearance) - self.budget_watts
+        )
+        host_ids = caps.host_ids
+        assignment = {
+            vm_id: host_ids[plan.assignment_rows[plan.row_of(vm_id)]]
+            for vm_id in placement.assignment
+        }
+        return Placement(assignment=assignment), overshoot

@@ -643,59 +643,32 @@ class ConsolidationController:
     ) -> List[Tuple[str, str, str]]:
         """All-or-nothing vacate of an underloaded host.
 
-        Targets are chosen by first-fit against *other active* hosts,
-        accounting for earlier picks of the same vacate; if any VM has
-        no target the host is left alone (counted as a vacate failure).
-        The batch goes through one atomic ``apply_delta``, so the active
-        set cannot change while targets are chosen: it is listed once.
+        Each VM, in ascending row order, takes the first *other active*
+        host that admits it with earlier picks of the same vacate
+        counted (:meth:`~repro.core.incremental.IncrementalPlan.vacate_targets`);
+        if any VM has no target the host is left alone (counted as a
+        vacate failure).  The batch goes through one atomic
+        ``apply_delta``, so the active set cannot change while targets
+        are chosen: it is listed once.
         """
         plan = self.plan
-        caps = self.caps
-        host_ids = caps.host_ids
-        rows = list(plan.vm_rows_of_host[source])
+        host_ids = self.caps.host_ids
+        rows = plan.vm_rows_of_host[source]
         if not rows:
             return []
-        candidates = [host for host in plan.active_hosts() if host != source]
-        extra_cpu = [0.0] * caps.n
-        extra_mem = [0.0] * caps.n
-        extra_net = [0.0] * caps.n
-        extra_dsk = [0.0] * caps.n
-        targets: List[int] = []
-        for row in rows:
-            chosen = -1
-            for host in candidates:
-                if (
-                    plan.body_cpu[host] + extra_cpu[host] + plan.cpu[row]
-                    <= caps.eps_cpu[host]
-                    and plan.body_mem[host] + extra_mem[host] + plan.mem[row]
-                    <= caps.eps_mem[host]
-                    and plan.body_net[host] + extra_net[host] + plan.net[row]
-                    <= caps.eps_net[host]
-                    and plan.body_dsk[host] + extra_dsk[host] + plan.dsk[row]
-                    <= caps.eps_dsk[host]
-                ):
-                    chosen = host
-                    break
-            if chosen < 0:
-                self.stats.vacate_failures += 1
-                return []
-            extra_cpu[chosen] += plan.cpu[row]
-            extra_mem[chosen] += plan.mem[row]
-            extra_net[chosen] += plan.net[row]
-            extra_dsk[chosen] += plan.dsk[row]
-            targets.append(chosen)
-        vm_ids = [plan.vm_ids[row] for row in rows]
+        moves = plan.vacate_targets(source, rows, plan.active_hosts())
+        if moves is None:
+            self.stats.vacate_failures += 1
+            return []
+        vm_ids = [plan.vm_ids[row] for row, _ in moves]
+        targets = [host_ids[target] for _, target in moves]
         try:
-            touched.update(
-                plan.apply_delta(
-                    vm_ids, [host_ids[t] for t in targets]
-                )
-            )
+            touched.update(plan.apply_delta(vm_ids, targets))
         except PlacementError:
             self.stats.vacate_failures += 1
             return []
         return [
-            (vm_id, host_ids[source], host_ids[target])
+            (vm_id, host_ids[source], target)
             for vm_id, target in zip(vm_ids, targets)
         ]
 

@@ -5,10 +5,11 @@ hosts; with ``S`` shards that is up to ``S - 1`` extra active hosts per
 interval versus the unsharded plan.  Reconciliation closes that gap on
 the *merged* assignment: under-filled hosts are vacated all-or-nothing
 into fuller hosts — first within their own rack (cheap, local moves),
-then across racks for whatever is left.  Moves use the same fit rule as
-the planners (``capacity + 1e-9`` slack via
-:class:`~repro.core.incremental.IncrementalPlan`), so a reconciled
-placement satisfies exactly the invariants the shard plans did.
+then across racks for whatever is left.  Targets come from the same
+search the dynamic planner vacates with
+(:meth:`~repro.core.incremental.IncrementalPlan.vacate_targets`, with
+its ``capacity + 1e-9`` fit rule), so a reconciled placement satisfies
+exactly the invariants the shard plans did.
 
 The pass is deliberately greedy and bounded: sources are only hosts
 below the fill threshold (the shard-boundary tail, a handful per shard),
@@ -30,90 +31,34 @@ from repro.sizing.estimator import DemandTable
 __all__ = ["reconcile_assignment", "reconcile_plan"]
 
 
-def _fill_fractions(
-    plan: IncrementalPlan, hosts: Sequence[int]
-) -> np.ndarray:
-    """Worst-resource fill fraction of each host (bound-scaled caps)."""
-    caps = plan.caps
-    index = np.asarray(hosts, dtype=np.intp)
-    body_cpu = np.array([plan.body_cpu[h] for h in hosts])
-    body_mem = np.array([plan.body_mem[h] for h in hosts])
-    return np.maximum(
-        body_cpu / caps.cap_cpu_np[index],
-        body_mem / caps.cap_mem_np[index],
-    )
-
-
-def _target_order(
-    plan: IncrementalPlan, targets: List[int]
-) -> List[int]:
-    """Fullest-first: ascending normalized residual, stable on index."""
-    caps = plan.caps
-    index = np.asarray(targets, dtype=np.intp)
-    residual = np.minimum(
-        (caps.cap_cpu_np[index] - np.array([plan.body_cpu[h] for h in targets]))
-        / caps.cap_cpu_np[index],
-        (caps.cap_mem_np[index] - np.array([plan.body_mem[h] for h in targets]))
-        / caps.cap_mem_np[index],
-    )
-    order = np.lexsort((index, residual))
-    return [targets[int(i)] for i in order]
-
-
 def _try_vacate(
     plan: IncrementalPlan, source: int, targets: List[int]
 ) -> int:
     """All-or-nothing vacate of ``source`` into ``targets``.
 
-    Targets are scanned fullest-first per VM (largest first), counting
-    this attempt's own pending moves; the commit is one atomic
+    Each VM, largest first, takes the fullest of ``targets`` that admits
+    it with this attempt's earlier picks counted
+    (:meth:`~repro.core.incremental.IncrementalPlan.vacate_targets`);
+    the commit is one atomic
     :meth:`~repro.core.incremental.IncrementalPlan.apply_delta`.
-    Returns the number of VMs moved (0 when the vacate fails).
+    ``targets`` ascend, so the stable fullest-first sort breaks ties on
+    the host index.  Returns the number of VMs moved (0 when the vacate
+    fails).
     """
-    rows = sorted(
-        plan.vm_rows_of_host[source], key=plan.cpu.__getitem__, reverse=True
+    moves = plan.vacate_targets(
+        source,
+        sorted(
+            plan.vm_rows_of_host[source], key=plan.cpu.__getitem__,
+            reverse=True,
+        ),
+        sorted(targets, key=plan.residual),
     )
-    if not rows:
+    if not moves:
         return 0
-    ordered = _target_order(plan, [t for t in targets if t != source])
-    if not ordered:
-        return 0
-    caps = plan.caps
-    pend_cpu: Dict[int, float] = {}
-    pend_mem: Dict[int, float] = {}
-    pend_net: Dict[int, float] = {}
-    pend_dsk: Dict[int, float] = {}
-    moves: List[Tuple[int, int]] = []
-    for row in rows:
-        d_cpu = plan.cpu[row]
-        d_mem = plan.mem[row]
-        d_net = plan.net[row]
-        d_dsk = plan.dsk[row]
-        target = -1
-        for host in ordered:
-            if (
-                plan.body_cpu[host] + pend_cpu.get(host, 0.0) + d_cpu
-                <= caps.eps_cpu[host]
-                and plan.body_mem[host] + pend_mem.get(host, 0.0) + d_mem
-                <= caps.eps_mem[host]
-                and plan.body_net[host] + pend_net.get(host, 0.0) + d_net
-                <= caps.eps_net[host]
-                and plan.body_dsk[host] + pend_dsk.get(host, 0.0) + d_dsk
-                <= caps.eps_dsk[host]
-            ):
-                target = host
-                break
-        if target < 0:
-            return 0
-        moves.append((row, target))
-        pend_cpu[target] = pend_cpu.get(target, 0.0) + d_cpu
-        pend_mem[target] = pend_mem.get(target, 0.0) + d_mem
-        pend_net[target] = pend_net.get(target, 0.0) + d_net
-        pend_dsk[target] = pend_dsk.get(target, 0.0) + d_dsk
     try:
         plan.apply_delta(
             [plan.vm_ids[row] for row, _ in moves],
-            [caps.host_ids[target] for _, target in moves],
+            [plan.caps.host_ids[target] for _, target in moves],
         )
     except PlacementError:
         # The pending folds approximated the canonical folds the commit
@@ -149,22 +94,23 @@ def reconcile_plan(
         active = plan.active_hosts()
         if len(active) <= 1:
             break
-        fills = _fill_fractions(plan, active)
-        under = [
-            host
-            for host, fill in zip(active, fills.tolist())
-            if fill < fill_threshold
-        ]
+        under = [host for host in active if plan.fill(host) < fill_threshold]
         if not under:
             break
         under.sort(key=lambda h: (len(plan.vm_rows_of_host[h]), plan.body_cpu[h]))
 
-        # Phase A: intra-group (rack-local) vacates.
+        # Phase A: intra-group (rack-local) vacates, into the peers
+        # still active (an earlier vacate of the sweep may have emptied
+        # one).
         active_in_group: Dict[int, List[int]] = {}
         for host in active:
             active_in_group.setdefault(group_of_host[host], []).append(host)
         for source in under:
-            peers = active_in_group[group_of_host[source]]
+            peers = [
+                host
+                for host in active_in_group[group_of_host[source]]
+                if plan.vm_rows_of_host[host]
+            ]
             if len(peers) <= 1:
                 continue
             moved = _try_vacate(plan, source, peers)
@@ -178,7 +124,7 @@ def reconcile_plan(
             host
             for host in under
             if plan.vm_rows_of_host[host]
-            and float(_fill_fractions(plan, [host])[0]) < fill_threshold
+            and plan.fill(host) < fill_threshold
         ]
         for source in survivors:
             moved = _try_vacate(plan, source, active)

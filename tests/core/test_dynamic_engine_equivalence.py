@@ -45,6 +45,7 @@ from repro.workloads.datacenters import generate_datacenter
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
 from tests.reference.dynamic import plan_reference
+from tests.reference.powercap import ReferencePowerBudget
 
 
 def _context(small_pool, *, n_vms=14, days=4, config=None, seed=5):
@@ -305,6 +306,30 @@ def test_binding_power_budget_agrees(small_pool, constrained) -> None:
     assert np.mean(
         [s.placement.active_host_count for s in schedule]
     ) < np.mean([s.placement.active_host_count for s in unbudgeted])
+
+
+@pytest.mark.parametrize("budget_watts", [600.0, 1200.0, 1800.0, 1.0])
+@pytest.mark.parametrize("constrained", [False, True])
+def test_power_budget_matches_reference_hook(
+    small_pool, constrained, budget_watts
+) -> None:
+    """The library hook against the ``Bin``-based one, end to end.
+
+    The reference side plans with the scalar planner and enforces the
+    budget with ``tests/reference/powercap.py``, so a change to the
+    library's hook cannot hide behind a shared implementation.
+    """
+    context = _context(small_pool, n_vms=30)
+    if constrained:
+        context = _constrained(
+            context, [AntiColocate("vm0", "vm1", "vm2"), SameRack("vm3", "vm4")]
+        )
+    library = PowerBudgetedConsolidation(budget_watts=budget_watts)
+    reference = ReferencePowerBudget(budget_watts=budget_watts)
+    _assert_schedules_identical(
+        plan_reference(reference, context), library.plan(context)
+    )
+    assert library.overshoot_watts == reference.overshoot_watts
 
 
 @pytest.mark.parametrize(

@@ -328,3 +328,194 @@ class TestQueries:
         caps = HostCapacities(_fleet(2), utilization_bound=0.5)
         assert caps.cap_cpu == [500.0, 500.0]
         assert caps.eps_cpu[0] == 500.0 + 1e-9
+
+
+# ----------------------------------------------------------------------
+# The shared vacate search.
+
+
+def _random_io_plan(
+    rng: random.Random, n_hosts: int, n_vms: int
+) -> IncrementalPlan:
+    """A crowded plan whose VMs load every resource, I/O included."""
+    caps = HostCapacities(_fleet(n_hosts), utilization_bound=0.9)
+    vm_ids = [f"vm{i}" for i in range(n_vms)]
+    plan = IncrementalPlan(
+        caps,
+        vm_ids,
+        [rng.uniform(50.0, 450.0) for _ in vm_ids],
+        [rng.uniform(1.0, 25.0) for _ in vm_ids],
+        [rng.uniform(0.0, 4000.0) for _ in vm_ids],
+        [rng.uniform(0.0, 1500.0) for _ in vm_ids],
+    )
+    for row, vm_id in enumerate(vm_ids):
+        targets = list(range(n_hosts))
+        rng.shuffle(targets)
+        for host in targets:
+            if plan.fits(row, host):
+                plan.apply_delta([vm_id], [caps.host_ids[host]])
+                break
+    return plan
+
+
+def _oracle_targets(plan, source, rows, candidates, allows=None):
+    """Brute force: each check re-folds the pending load from the moves."""
+    caps = plan.caps
+    moves = []
+    for row in rows:
+        for host in candidates:
+            if host == source:
+                continue
+            pending = [0.0, 0.0, 0.0, 0.0]
+            for moved, target in moves:
+                if target == host:
+                    pending[0] += plan.cpu[moved]
+                    pending[1] += plan.mem[moved]
+                    pending[2] += plan.net[moved]
+                    pending[3] += plan.dsk[moved]
+            if (
+                plan.body_cpu[host] + pending[0] + plan.cpu[row]
+                <= caps.eps_cpu[host]
+                and plan.body_mem[host] + pending[1] + plan.mem[row]
+                <= caps.eps_mem[host]
+                and plan.body_net[host] + pending[2] + plan.net[row]
+                <= caps.eps_net[host]
+                and plan.body_dsk[host] + pending[3] + plan.dsk[row]
+                <= caps.eps_dsk[host]
+                and (allows is None or allows(row, host, list(moves)))
+            ):
+                moves.append((row, host))
+                break
+        else:
+            return None
+    return moves
+
+
+def _vacate_cases(seed: int, n_cases: int):
+    """Random (plan, source, rows, candidates) draws.
+
+    Rows come in random order; candidates are a random ordered subset
+    of all hosts, so the source and empty hosts appear in some draws.
+    """
+    rng = random.Random(seed)
+    for _ in range(n_cases):
+        plan = _random_io_plan(rng, rng.randint(2, 6), rng.randint(2, 14))
+        source = rng.choice(plan.active_hosts())
+        rows = list(plan.vm_rows_of_host[source])
+        rng.shuffle(rows)
+        candidates = rng.sample(
+            range(plan.n_hosts), rng.randint(1, plan.n_hosts)
+        )
+        yield plan, source, rows, candidates
+
+
+def _spread(row: int, host: int, moves) -> bool:
+    """A pure predicate that refuses about a third of all picks."""
+    return (7 * row + 3 * host + len(moves)) % 3 != 0
+
+
+class TestVacateTargets:
+    def test_matches_brute_force_oracle(self):
+        outcomes = {"placed": 0, "refused": 0}
+        for plan, source, rows, candidates in _vacate_cases(7, 300):
+            before = _capture(plan)
+            moves = plan.vacate_targets(source, rows, candidates)
+            # Read-only: the plan is byte-equal after the search.
+            assert _capture(plan) == before
+            # None exactly when some row has no admissible candidate.
+            assert moves == _oracle_targets(plan, source, rows, candidates)
+            if moves is None:
+                outcomes["refused"] += 1
+                continue
+            outcomes["placed"] += 1
+            assert [row for row, _ in moves] == rows
+            for _, host in moves:
+                assert host != source
+                assert host in candidates
+        assert min(outcomes.values()) >= 30, outcomes
+
+    def test_allows_is_honoured(self):
+        vetoed = 0
+        for plan, source, rows, candidates in _vacate_cases(11, 300):
+            seen = []
+
+            def allows(row, host, moves):
+                seen.append((row, host, list(moves)))
+                return _spread(row, host, moves)
+
+            before = _capture(plan)
+            moves = plan.vacate_targets(source, rows, candidates, allows)
+            assert _capture(plan) == before
+            assert moves == _oracle_targets(
+                plan, source, rows, candidates, _spread
+            )
+            if plan.vacate_targets(source, rows, candidates) != moves:
+                vetoed += 1
+            # Every call sees exactly the picks made before its row.
+            for row, _, earlier in seen:
+                index = rows.index(row)
+                assert [moved for moved, _ in earlier] == rows[:index]
+                if moves is not None:
+                    assert earlier == moves[:index]
+            for index, (row, host) in enumerate(moves or []):
+                assert _spread(row, host, moves[:index])
+        assert vetoed >= 30
+
+    def test_apply_delta_commit_never_overfills(self):
+        committed = 0
+        for plan, source, rows, candidates in _vacate_cases(13, 300):
+            moves = plan.vacate_targets(source, rows, candidates)
+            if not moves:
+                continue
+            caps = plan.caps
+            before = _capture(plan)
+            try:
+                plan.apply_delta(
+                    [plan.vm_ids[row] for row, _ in moves],
+                    [caps.host_ids[host] for _, host in moves],
+                )
+            except PlacementError:
+                assert _capture(plan) == before
+                continue
+            committed += 1
+            assert plan.vm_rows_of_host[source] == []
+            for host in range(plan.n_hosts):
+                assert plan.body_cpu[host] <= caps.eps_cpu[host]
+                assert plan.body_mem[host] <= caps.eps_mem[host]
+                assert plan.body_net[host] <= caps.eps_net[host]
+                assert plan.body_dsk[host] <= caps.eps_dsk[host]
+            _assert_bitwise_equal(plan, _rebuild(plan))
+        assert committed >= 30
+
+    def test_commit_vacate_appends_then_clears_the_source(self):
+        caps = HostCapacities(
+            _fleet(3, cpu_rpe2=100.0, memory_gb=100.0), utilization_bound=1.0
+        )
+        plan = IncrementalPlan(
+            caps, ["a", "b", "c", "d"], [40.0, 30.0, 20.0, 10.0], [1.0] * 4
+        )
+        for row, host in ((0, 1), (1, 0), (2, 0), (3, 2)):
+            plan.assign(row, host)
+        moves = plan.vacate_targets(0, [1, 2], [1, 2, 0])
+        assert moves == [(1, 1), (2, 1)]
+        plan.commit_vacate(0, moves)
+        assert plan.vm_rows_of_host == [[], [0, 1, 2], [3]]
+        assert plan.assignment_rows == [1, 1, 1, 2]
+        # Append folds in move order, not a canonical re-fold.
+        assert plan.body_cpu == [0.0, (40.0 + 30.0) + 20.0, 10.0]
+        assert plan.body_mem[0] == 0.0
+        # A stale move is re-checked against the committed state.
+        with pytest.raises(PlacementError, match="does not fit"):
+            plan.commit_vacate(2, [(3, 1), (3, 1)])
+
+    def test_residual_and_fill(self):
+        caps = HostCapacities(
+            _fleet(2, cpu_rpe2=200.0, memory_gb=10.0), utilization_bound=0.5
+        )
+        plan = IncrementalPlan(caps, ["a"], [25.0], [4.0])
+        plan.assign(0, 1)
+        # CPU 25 of 100 (residual 0.75), memory 4 of 5 (residual 0.2).
+        assert plan.residual(1) == min((100.0 - 25.0) / 100.0, (5.0 - 4.0) / 5.0)
+        assert plan.fill(1) == max(25.0 / 100.0, 4.0 / 5.0)
+        assert plan.residual(0) == 1.0
+        assert plan.fill(0) == 0.0

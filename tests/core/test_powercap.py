@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.constraints import ConstraintSet, ExcludeHosts, SameRack
 from repro.core import (
     ConsolidationPlanner,
     DynamicConsolidation,
     PowerBudgetedConsolidation,
 )
+from repro.core.base import PlanningContext
 from repro.exceptions import ConfigurationError
 from repro.infrastructure import build_target_pool
 from repro.workloads import generate_datacenter
+from tests.reference.powercap import ReferencePowerBudget
 
 
 @pytest.fixture(scope="module")
@@ -69,3 +72,60 @@ class TestPowerBudget:
     def test_invalid_budget(self):
         with pytest.raises(ConfigurationError):
             PowerBudgetedConsolidation(budget_watts=0.0)
+
+
+@pytest.fixture(scope="module")
+def constrained_context(planner):
+    """The banking fleet with an exclusion and a rack-affinity rule.
+
+    The exclusion keeps the budget from shedding onto hosts 1 and 2
+    whenever the first VM would have to move there.
+    """
+    context = planner.context
+    vm_ids = sorted(context.evaluation.vm_ids)
+    hosts = context.datacenter.hosts
+    return PlanningContext(
+        history=context.history,
+        evaluation=context.evaluation,
+        datacenter=context.datacenter,
+        constraints=ConstraintSet(
+            [
+                ExcludeHosts(vm_ids[0], [hosts[1].host_id, hosts[2].host_id]),
+                SameRack(*vm_ids[3:6]),
+            ]
+        ),
+        config=context.config,
+    )
+
+
+class TestReferenceHook:
+    """The budget hook sheds exactly what the ``Bin``-based one sheds.
+
+    Both sides run the same planner; only the hook differs.  Budgets
+    from 0.5 to 0.85 of the unbudgeted peak force-vacate hosts in many
+    intervals, and 1 W vacates until nothing more fits.
+    """
+
+    @pytest.mark.parametrize("fraction", [0.5, 0.6, 0.7, 0.85, None])
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_schedules_and_overshoot_match(
+        self, planner, unconstrained, constrained_context, fraction,
+        constrained,
+    ):
+        peak = unconstrained.power_watts.sum(axis=0).max()
+        budget = 1.0 if fraction is None else peak * fraction
+        context = constrained_context if constrained else planner.context
+        library = PowerBudgetedConsolidation(budget_watts=budget)
+        reference = ReferencePowerBudget(budget_watts=budget)
+        schedule = library.plan(context)
+        expected = reference.plan(context)
+        assert [s.placement.assignment for s in schedule] == [
+            s.placement.assignment for s in expected
+        ]
+        assert library.overshoot_watts == reference.overshoot_watts
+        # Binding: the budget moves VMs the plain planner leaves alone.
+        plain = DynamicConsolidation().plan(context)
+        assert any(
+            left.placement.assignment != right.placement.assignment
+            for left, right in zip(schedule, plain)
+        )

@@ -293,7 +293,7 @@ def _find_target(
         for moved_vm, target in pending_moves:
             shadow[moved_vm] = target.host.host_id
     for candidate in candidates:
-        if not algorithm._fits_with_pending(
+        if not _fits_with_pending(
             candidate, demand, pending_moves, demand_of
         ):
             continue
@@ -303,3 +303,50 @@ def _find_target(
             continue
         return candidate
     return None
+
+
+def _fits_with_pending(
+    candidate: Bin,
+    demand: VMDemand,
+    pending_moves: List[tuple],
+    demand_of: Mapping[str, VMDemand],
+) -> bool:
+    """Fit check that also counts not-yet-committed moves.
+
+    While a vacate attempt is being evaluated, earlier VMs of the same
+    source may already be aimed at ``candidate``; their demand must
+    count or the vacate could overcommit the target.
+    """
+    pending_cpu = 0.0
+    pending_memory = 0.0
+    pending_network = 0.0
+    pending_disk = 0.0
+    for moved_vm, target in pending_moves:
+        if target is candidate:
+            moved = demand_of[moved_vm]
+            pending_cpu += moved.cpu_rpe2
+            pending_memory += moved.memory_gb
+            pending_network += moved.network_mbps
+            pending_disk += moved.disk_mbps
+    cpu_after = (
+        candidate.body_cpu
+        + pending_cpu
+        + demand.cpu_rpe2
+        + max(candidate.max_tail_cpu, demand.tail_cpu_rpe2)
+    )
+    memory_after = (
+        candidate.body_memory
+        + pending_memory
+        + demand.memory_gb
+        + max(candidate.max_tail_memory, demand.tail_memory_gb)
+    )
+    network_after = (
+        candidate.body_network + pending_network + demand.network_mbps
+    )
+    disk_after = candidate.body_disk + pending_disk + demand.disk_mbps
+    return (
+        cpu_after <= candidate.cpu_capacity + 1e-9
+        and memory_after <= candidate.memory_capacity + 1e-9
+        and network_after <= candidate.network_capacity + 1e-9
+        and disk_after <= candidate.disk_capacity + 1e-9
+    )

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 
 import numpy as np
 import pytest
@@ -145,6 +147,90 @@ class TestServer:
         bad, good = asyncio.run(scenario())
         assert bad["ok"] is False
         assert good == {"ok": True, "op": "ping"}
+
+
+async def _send_then_close(port: int) -> None:
+    """Sends a request and closes without reading the answer."""
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(json.dumps({"op": "place", "vm_id": "vm3"}).encode() + b"\n")
+    await writer.drain()
+    writer.close()
+    await writer.wait_closed()
+
+
+async def _close_mid_line(port: int) -> None:
+    """Closes halfway through a request line."""
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(b'{"op": "place", "vm_')
+    await writer.drain()
+    writer.close()
+    await writer.wait_closed()
+
+
+async def _abort(port: int) -> None:
+    """Resets the connection with a request in flight."""
+    _, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(json.dumps({"op": "stats"}).encode() + b"\n")
+    await writer.drain()
+    # Zero linger: the close sends RST instead of FIN.
+    writer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+    )
+    writer.transport.abort()
+
+
+class TestClientDisconnects:
+    """Clients that vanish mid-firehose cost the service nothing."""
+
+    @pytest.mark.parametrize(
+        "rude_client",
+        [_send_then_close, _close_mid_line, _abort],
+        ids=["send-then-close", "close-mid-line", "abort"],
+    )
+    def test_firehose_and_service_survive(self, rude_client):
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _, context: errors.append(context)
+            )
+            controller = build_controller(n_hosts=4, n_vms=8, seed=5)
+            feed = _churny_feed(controller, 30, seed=5)
+            server = await serve_controller(controller, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            firehose = asyncio.ensure_future(
+                run_firehose(
+                    controller, feed, tick_seconds=0.001, replan_every=2
+                )
+            )
+            disconnects = 0
+            while not firehose.done():
+                await rude_client(port)
+                disconnects += 1
+                await asyncio.sleep(0.001)
+            delivered = await firehose
+            # The server's side of the last dropped connections.
+            await asyncio.sleep(0.05)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", port
+            )
+            answer = await _request(
+                reader, writer, {"op": "place", "vm_id": "vm3"}
+            )
+            writer.close()
+            await writer.wait_closed()
+            server.close()
+            await server.wait_closed()
+            return delivered, disconnects, answer, errors, controller
+
+        delivered, disconnects, answer, errors, controller = asyncio.run(
+            scenario()
+        )
+        assert delivered == 30
+        assert disconnects >= 5
+        assert answer["ok"]
+        assert answer["host"] == controller.host_of("vm3")
+        assert errors == []
+        assert_plan_consistent(controller)
 
 
 class TestCli:

@@ -95,10 +95,10 @@ class TestMultiShardInvariants:
                 ]
             )
             for matrix, eps in (
-                (table.cpu_rpe2, caps.eps_cpu_np),
-                (table.memory_gb, caps.eps_mem_np),
-                (table.network_mbps, caps.eps_net_np),
-                (table.disk_mbps, caps.eps_dsk_np),
+                (table.cpu_rpe2, np.array(caps.eps_cpu)),
+                (table.memory_gb, np.array(caps.eps_mem)),
+                (table.network_mbps, np.array(caps.eps_net)),
+                (table.disk_mbps, np.array(caps.eps_dsk)),
             ):
                 load = np.bincount(
                     hosts, weights=matrix[rows, column], minlength=caps.n

@@ -81,6 +81,18 @@ class TestReconcilePlan:
         assert reconcile_plan(plan, _GROUP_OF_HOST) == 0
         assert plan.assignment() == before
 
+    def test_rack_pass_skips_hosts_emptied_earlier_in_the_sweep(self) -> None:
+        # Three hosts in rack 0.  Vacating h1 into h0 empties h1; h2 then
+        # fits nowhere still active in its rack (h0 is at 70) and must
+        # not be moved onto the just-emptied h1, which frees nothing.
+        # Across racks h3 is too full, so h2 stays put.
+        cpu = {"a": 60.0, "b": 10.0, "c": 45.0, "d": 80.0}
+        plan = _plan(cpu, {"a": "h0", "b": "h1", "c": "h2", "d": "h3"})
+        moves = reconcile_plan(plan, [0, 0, 0, 1])
+        assert moves == 1
+        assert plan.assignment()["b"] == "h0"
+        assert plan.active_hosts() == [0, 2, 3]
+
     def test_respects_fill_threshold(self) -> None:
         # At threshold 0.05 nothing is "under-filled", so nothing moves.
         cpu = {"a": 30.0, "b": 10.0}
