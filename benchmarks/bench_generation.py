@@ -1,9 +1,10 @@
 """Benchmark for the batched store-first workload generation engine.
 
-Times ``generate_trace_set(engine="array")`` against the pinned scalar
-reference on a paper-plus-scale fleet (10k servers, 720 trace hours,
-banking mix), asserting bitwise equality before timing — the array
-engine is only a win if it is *the same* generator, faster.  Both
+Times ``generate_trace_set`` against the per-VM reference pipeline in
+``tests/reference/generation.py`` on a paper-plus-scale fleet (10k
+servers, 720 trace hours, banking mix), asserting bitwise equality
+before timing — the batched generator is only a win if it is *the
+same* generator, faster.  Both
 timed paths include the columnar :class:`TraceStore` build, since the
 store is what every downstream stage (sizing, packing, emulation)
 consumes.
@@ -44,7 +45,9 @@ import tracemalloc
 from pathlib import Path
 from typing import Callable, Dict, List
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from repro.workloads import generator
 from repro.workloads.chunked import generate_chunked_store
 from repro.workloads.datacenters import datacenter_specs
 from repro.workloads.generator import generate_trace_set
+from tests.reference.generation import generate_trace_set_reference
 
 # The banking preset has 816 servers at scale 1.0; express the bench
 # fleet sizes as scales of it so the class mix stays the paper's.
@@ -72,16 +76,19 @@ def _best_of(repeats: int, fn: Callable[[], object]) -> float:
 def bench_generate(
     n_servers: int, n_hours: int, repeats: int
 ) -> Dict[str, object]:
-    """Array vs scalar engine, same process, store build included."""
+    """Batched vs per-VM reference, same process, store build included."""
     specs = datacenter_specs("banking", scale=n_servers / _BANKING_SERVERS)
 
-    def build(engine: str):
-        return generate_trace_set(
-            "bench", specs, n_hours, _SEED, engine=engine
+    def build():
+        return generate_trace_set("bench", specs, n_hours, _SEED).store
+
+    def build_reference():
+        return generate_trace_set_reference(
+            "bench", specs, n_hours, _SEED
         ).store
 
-    array_store = build("array")
-    scalar_store = build("scalar")
+    array_store = build()
+    scalar_store = build_reference()
     assert array_store.vm_ids == scalar_store.vm_ids
     assert np.array_equal(array_store.cpu_util, scalar_store.cpu_util)
     assert np.array_equal(array_store.cpu_rpe2, scalar_store.cpu_rpe2)
@@ -92,8 +99,8 @@ def bench_generate(
         "benchmark": "generate",
         "n_servers": n,
         "n_hours": n_hours,
-        "vectorized_s": round(_best_of(repeats, lambda: build("array")), 6),
-        "reference_s": round(_best_of(repeats, lambda: build("scalar")), 6),
+        "vectorized_s": round(_best_of(repeats, build), 6),
+        "reference_s": round(_best_of(repeats, build_reference), 6),
     }
 
 

@@ -1,15 +1,13 @@
 """Microbenchmarks for the vectorized demand kernels.
 
-Times the three columnar hot paths against their retained scalar
-references on paper-scale instances (~100 and ~1000 servers, 720 trace
-hours):
+Times the three columnar hot paths against their scalar references on
+paper-scale instances (~100 and ~1000 servers, 720 trace hours):
 
-* **replay** — :class:`ConsolidationEmulator` (scatter-add) vs
-  :class:`ReferenceConsolidationEmulator` (per-VM loop) replaying a
-  daily consolidation schedule;
-* **pack** — ``pack(engine="auto")`` (the shipped default: BinArray
-  masks above the size crossover, scalar below) vs ``pack(
-  engine="scalar")`` (per-bin Python scan), FFD and BFD;
+* **replay** — :class:`ConsolidationEmulator` (scatter-add) vs the
+  per-VM loop in ``tests/reference/emulator.py`` replaying a daily
+  consolidation schedule;
+* **pack** — ``pack()`` (BinArray masks) vs the per-bin Python scan in
+  ``tests/reference/packing.py``, FFD and BFD;
 * **assemble** — ``TraceStore.from_traces`` vs per-trace ``np.vstack``
   reassembly of the demand matrices.
 
@@ -33,16 +31,14 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(_ROOT / "src"))
+sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
 from conftest import peak_rss_mb, reset_peak_rss
-from repro.emulator import (
-    ConsolidationEmulator,
-    PlacementSchedule,
-    ReferenceConsolidationEmulator,
-)
+from repro.emulator import ConsolidationEmulator, PlacementSchedule
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.placement.binpacking import pack
@@ -51,6 +47,8 @@ from repro.sizing.estimator import SizeEstimator
 from repro.sizing.functions import BodyTailSizing
 from repro.workloads.datacenters import generate_datacenter
 from repro.workloads.store import TraceStore
+from tests.reference.emulator import ReferenceConsolidationEmulator
+from tests.reference.packing import pack_reference
 
 # The banking preset has 816 servers at scale 1.0; scale the other
 # sizes off that so per-server statistics stay the paper's.
@@ -120,21 +118,14 @@ def bench_pack(traces, strategy: str, repeats: int) -> Dict[str, float]:
     demands = estimator.estimate_all(traces)
     hosts = _pool(len(demands)).hosts
     kwargs = dict(utilization_bound=0.8, strategy=strategy)
-    # The shipped default is engine="auto" (size-aware crossover); time
-    # that against the scalar reference so the committed numbers reflect
-    # what callers actually get — auto must never lose to scalar.
-    auto = pack(demands, hosts, engine="auto", **kwargs)
-    array = pack(demands, hosts, engine="array", **kwargs)
-    scalar = pack(demands, hosts, engine="scalar", **kwargs)
-    assert auto.assignment == array.assignment == scalar.assignment
+    expected = pack_reference(demands, hosts, **kwargs)
+    assert pack(demands, hosts, **kwargs).assignment == expected.assignment
     return {
         "vectorized_s": _best_of(
-            repeats,
-            lambda: pack(demands, hosts, engine="auto", **kwargs),
+            repeats, lambda: pack(demands, hosts, **kwargs)
         ),
         "reference_s": _best_of(
-            repeats,
-            lambda: pack(demands, hosts, engine="scalar", **kwargs),
+            repeats, lambda: pack_reference(demands, hosts, **kwargs)
         ),
     }
 
@@ -174,9 +165,8 @@ def run(smoke: bool) -> Dict[str, object]:
         sizes, days, repeats = [50], 3, 1
     else:
         # Best-of-9: these kernels run in single-digit milliseconds, so
-        # scheduler noise at best-of-3 can swing a true-tie row (e.g.
-        # pack below its auto crossover, where auto *is* the scalar
-        # path) a few percent either side of 1.0x.
+        # scheduler noise at best-of-3 can swing a near-tie row a few
+        # percent either side of 1.0x.
         sizes, days, repeats = [100, 1000], 30, 9
     results: List[Dict[str, object]] = []
     for n_servers in sizes:

@@ -291,7 +291,7 @@ def _pack_interval(
         order = head + [row for row in order if not constrained[row]]
         rules.assigned = {}
 
-    # Saturation skip (same optimization as the scalar engine): the
+    # Saturation skip (same optimization as the reference bin scan): the
     # smallest body demand still to come, per FFD position.
     ordered_cpu = cpu_col[order]
     ordered_mem = mem_col[order]

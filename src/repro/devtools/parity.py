@@ -37,11 +37,6 @@ from __future__ import annotations
 __all__ = ["PARITY_MANIFEST"]
 
 PARITY_MANIFEST = (
-    # Scalar reference emulator ↔ columnar scatter-add emulator.
-    {
-        "reference": "repro.emulator.reference:ReferenceConsolidationEmulator",
-        "engine": "repro.emulator.emulator:ConsolidationEmulator",
-    },
     # Bin-at-a-time packing state ↔ array-backed bin state.  The array
     # engine addresses bins by index, hence the extra index parameters.
     {

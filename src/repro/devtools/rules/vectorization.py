@@ -23,13 +23,10 @@ scope too — :mod:`repro.workloads`'s generator/models/presets/chunked
 modules — so a new per-trace loop upstream of the store can't quietly
 reintroduce the scalar stage the engine removed.
 
-Retained scalar references (``emulator/reference.py`` and the pinned
-``_generate_trace_set_scalar`` reference pipeline in
-``workloads/generator.py``) opt out with
-``# repro-lint: disable-file=REPRO109`` / per-line ``disable=`` pragmas:
-those loops exist to *be* what the kernels are checked against.  The
-planners keep no scalar path in the library; their references live in
-``tests/reference/``, outside the rule's scope.
+No library module is exempt.  The scalar references the kernels are
+checked against — the planners, the packing scan, the emulator loop
+and the per-VM generator — live in ``tests/reference/``, outside the
+rule's scope.
 """
 
 from __future__ import annotations

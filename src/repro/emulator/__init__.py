@@ -1,7 +1,6 @@
 """The trace-replay consolidation emulator."""
 
 from repro.emulator.emulator import ConsolidationEmulator
-from repro.emulator.reference import ReferenceConsolidationEmulator
 from repro.emulator.results import EmulationResult
 from repro.emulator.schedule import PlacementSchedule, ScheduledPlacement
 from repro.emulator.verification import (
@@ -14,7 +13,6 @@ from repro.emulator.verification import (
 
 __all__ = [
     "ConsolidationEmulator",
-    "ReferenceConsolidationEmulator",
     "DAXPY_MODEL",
     "RUBIS_MODEL",
     "VerificationReport",

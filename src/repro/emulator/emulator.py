@@ -21,11 +21,10 @@ The hot path is columnar: adjusted demand lives in two read-mostly
 ``(n_vms, n_hours)`` matrices derived from the trace set's
 :class:`~repro.workloads.store.TraceStore`, each segment's assignment is
 resolved to integer (VM row → host row) index arrays once, and demand
-lands on host rows via a scatter-add over those indices.  Results are
-bit-identical to :class:`~repro.emulator.reference
-.ReferenceConsolidationEmulator` (the retained scalar implementation):
-the scatter accumulates contributions per host row in exactly the
-left-to-right assignment order the scalar loop used.
+lands on host rows via a scatter-add over those indices.  The scatter
+accumulates contributions per host row in exactly the left-to-right
+assignment order of a per-VM loop, so results are bit-identical to the
+loop-based reference kept in ``tests/reference/emulator.py``.
 """
 
 from __future__ import annotations

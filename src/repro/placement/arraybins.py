@@ -10,8 +10,8 @@ bin.
 Float semantics are the contract: every arithmetic step mirrors the
 scalar :class:`Bin` expressions operation for operation (same operand
 order, same ``1e-9`` slack), so the admissibility mask equals the
-vector of scalar ``fits`` answers bit for bit and the two packing
-engines make identical decisions.
+vector of scalar ``fits`` answers bit for bit and :func:`pack` makes
+the decisions of the bin-at-a-time scan in ``tests/reference/packing.py``.
 """
 
 from __future__ import annotations

@@ -9,20 +9,16 @@ Three pieces:
 
 * :class:`Bin` — one host's running totals during packing, including
   PCP's *tail pooling*: per-VM bodies accumulate, but only the largest
-  tail is reserved per host.  This scalar path is the *reference
-  implementation*: the vectorized engine is pinned to it by equivalence
-  tests.
+  tail is reserved per host.  :func:`~repro.placement.improve
+  .improve_placement` packs on it, and the scalar reference scan in
+  ``tests/reference/packing.py`` pins :func:`pack` through it.
 * :class:`~repro.placement.arraybins.BinArray` — the array-backed
-  engine: per-resource capacity/body/tail vectors so each VM's
-  admissibility is one boolean mask over all bins.
+  bins :func:`pack` runs on: per-resource capacity/body/tail vectors so
+  each VM's admissibility is one boolean mask over all bins.
 * :func:`pack` — FFD/BFD over a host list with constraint support,
   a preferred-host map (dynamic consolidation seeds it with the previous
   interval's assignment to avoid gratuitous migrations), and strict
-  error reporting when a VM fits nowhere.  ``engine="auto"`` (default)
-  routes through :class:`BinArray` when the host count clears the
-  strategy's crossover (:data:`_AUTO_MIN_HOSTS`) and through the
-  reference bin-at-a-time scan below it; ``engine="array"`` /
-  ``engine="scalar"`` force a side.  All produce identical placements.
+  error reporting when a VM fits nowhere.
 """
 
 from __future__ import annotations
@@ -41,13 +37,6 @@ from repro.placement.arraybins import BinArray
 from repro.placement.plan import Placement
 
 __all__ = ["Bin", "pack", "sort_decreasing"]
-
-#: ``engine="auto"`` host-count crossovers, measured on the kernel
-#: benchmark: below these sizes numpy's fixed per-call overhead makes
-#: the vector masks slower than the scalar scan (bfd was 0.4x at 100
-#: hosts).  BFD crosses later because its scalar residual scan touches
-#: fewer bins per VM than FFD's first-fit probe.
-_AUTO_MIN_HOSTS = {"ffd": 64, "bfd": 512}
 
 
 @dataclass
@@ -176,7 +165,6 @@ def pack(
     constraints: Optional[ConstraintSet] = None,
     datacenter: Optional[Datacenter] = None,
     preferred: Optional[Mapping[str, str]] = None,
-    engine: str = "auto",
 ) -> Placement:
     """Pack VM demands onto hosts; returns a validated placement.
 
@@ -198,16 +186,6 @@ def pack(
     preferred:
         Optional VM → host_id hints tried before any other host; used by
         dynamic consolidation to keep VMs where they already run.
-    engine:
-        ``"array"`` evaluates admissibility as vector masks over all
-        bins via :class:`BinArray`; ``"scalar"`` is the reference
-        bin-at-a-time scan.  ``"auto"`` (default) picks per problem
-        size: vector masks only pay off once the bin scan is long enough
-        to beat numpy's per-call overhead, so auto uses the array engine
-        from :data:`_AUTO_MIN_HOSTS` hosts upward (64 for ffd, 512 for
-        bfd — bfd's scalar scan exits early on the residual heap less
-        often, shifting its crossover) and the scalar engine below.
-        Identical placements either way.
 
     Raises
     ------
@@ -221,17 +199,8 @@ def pack(
         raise ConfigurationError(
             f"unknown strategy {strategy!r}; expected 'ffd' or 'bfd'"
         )
-    if engine not in ("auto", "array", "scalar"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'auto', 'array' or "
-            "'scalar'"
-        )
     if not hosts:
         raise PlacementError("no hosts to pack onto")
-    if engine == "auto":
-        engine = (
-            "array" if len(hosts) >= _AUTO_MIN_HOSTS[strategy] else "scalar"
-        )
     if constraints and datacenter is None:
         raise ConfigurationError(
             "constraints require a datacenter for topology lookups"
@@ -252,26 +221,30 @@ def pack(
             key=lambda d: not constraints.constraints_for(d.vm_id),
         )
 
-    if engine == "array":
-        assignment = _pack_array(
-            ordered,
-            hosts,
-            utilization_bound,
-            strategy=strategy,
-            constraints=constraints,
-            datacenter=datacenter,
-            preferred=preferred,
+    # Admissibility is one mask over all bins.  FFD takes the first set
+    # bit, BFD the first minimum residual among open admissible bins;
+    # constraint hooks run only on the masked candidates, lowest index
+    # first — the decisions of a bin-at-a-time ``Bin.fits`` scan.
+    bins = BinArray(hosts, utilization_bound)
+    index_of_host = {h.host_id: i for i, h in enumerate(bins.hosts)}
+    assignment: Dict[str, str] = {}
+
+    def constraint_ok(vm_id: str, index: int) -> bool:
+        if constraints and datacenter is not None:
+            return constraints.feasible(
+                vm_id, bins.hosts[index], assignment, datacenter
+            )
+        return True
+
+    for demand in ordered:
+        target = _choose_bin(
+            demand, bins, index_of_host, constraint_ok,
+            strategy=strategy, preferred=preferred,
         )
-    else:
-        assignment = _pack_scalar(
-            ordered,
-            hosts,
-            utilization_bound,
-            strategy=strategy,
-            constraints=constraints,
-            datacenter=datacenter,
-            preferred=preferred,
-        )
+        if target is None:
+            raise _no_fit_error(demand, utilization_bound)
+        bins.add(target, demand)
+        assignment[demand.vm_id] = bins.hosts[target].host_id
 
     if constraints and datacenter is not None:
         constraints.validate(assignment, datacenter)
@@ -288,131 +261,7 @@ def _no_fit_error(
     )
 
 
-def _suffix_min_bodies(
-    ordered: Sequence[VMDemand],
-) -> Tuple[List[float], List[float]]:
-    """Per position, the smallest body CPU/memory among demands[i:].
-
-    A bin whose remaining capacity (in either optimized dimension)
-    cannot even cover the smallest *future* body demand can never admit
-    anything again — the FFD scan drops it permanently.
-    """
-    n = len(ordered)
-    min_cpu = [0.0] * n
-    min_memory = [0.0] * n
-    running_cpu = float("inf")
-    running_memory = float("inf")
-    for i in range(n - 1, -1, -1):
-        running_cpu = min(running_cpu, ordered[i].cpu_rpe2)
-        running_memory = min(running_memory, ordered[i].memory_gb)
-        min_cpu[i] = running_cpu
-        min_memory[i] = running_memory
-    return min_cpu, min_memory
-
-
-def _pack_scalar(
-    ordered: Sequence[VMDemand],
-    hosts: Sequence[PhysicalServer],
-    utilization_bound: float,
-    *,
-    strategy: str,
-    constraints: Optional[ConstraintSet],
-    datacenter: Optional[Datacenter],
-    preferred: Optional[Mapping[str, str]],
-) -> Dict[str, str]:
-    """Reference engine: one ``Bin.fits`` call per (VM, candidate)."""
-    bins = [Bin.for_host(host, utilization_bound) for host in hosts]
-    bin_of_host = {b.host.host_id: b for b in bins}
-    assignment: Dict[str, str] = {}
-    suffix_min_cpu, suffix_min_memory = _suffix_min_bodies(ordered)
-    scan_bins = list(bins)
-
-    for position, demand in enumerate(ordered):
-        if strategy == "ffd":
-            # Drop permanently-saturated bins: remaining capacity below
-            # the smallest body demand still to come means the bin can
-            # never pass another fits() check.  Purely an optimization —
-            # a dropped bin would have failed every future scan anyway.
-            scan_bins = [
-                b
-                for b in scan_bins
-                if not _is_saturated(
-                    b,
-                    suffix_min_cpu[position],
-                    suffix_min_memory[position],
-                )
-            ]
-        target = _choose_bin(
-            demand,
-            scan_bins if strategy == "ffd" else bins,
-            bin_of_host,
-            assignment,
-            strategy=strategy,
-            constraints=constraints,
-            datacenter=datacenter,
-            preferred=preferred,
-        )
-        if target is None:
-            raise _no_fit_error(demand, utilization_bound)
-        target.add(demand)
-        assignment[demand.vm_id] = target.host.host_id
-    return assignment
-
-
-def _is_saturated(
-    candidate: Bin, min_future_cpu: float, min_future_memory: float
-) -> bool:
-    """Can the bin never admit any remaining demand on capacity alone?"""
-    remaining_cpu = candidate.cpu_capacity - candidate.used_cpu
-    remaining_memory = candidate.memory_capacity - candidate.used_memory
-    return (
-        min_future_cpu > remaining_cpu + 1e-9
-        or min_future_memory > remaining_memory + 1e-9
-    )
-
-
-def _pack_array(
-    ordered: Sequence[VMDemand],
-    hosts: Sequence[PhysicalServer],
-    utilization_bound: float,
-    *,
-    strategy: str,
-    constraints: Optional[ConstraintSet],
-    datacenter: Optional[Datacenter],
-    preferred: Optional[Mapping[str, str]],
-) -> Dict[str, str]:
-    """Vectorized engine: admissibility as one mask over all bins.
-
-    Decision order mirrors the scalar scan exactly: FFD takes the first
-    set bit (``argmax`` of the mask), BFD the first minimum residual
-    among open admissible bins; constraint hooks run only on the masked
-    candidate set, in the same order the scalar engine would have
-    consulted them.
-    """
-    bins = BinArray(hosts, utilization_bound)
-    index_of_host = {h.host_id: i for i, h in enumerate(bins.hosts)}
-    assignment: Dict[str, str] = {}
-
-    def constraint_ok(vm_id: str, index: int) -> bool:
-        if constraints and datacenter is not None:
-            return constraints.feasible(
-                vm_id, bins.hosts[index], assignment, datacenter
-            )
-        return True
-
-    for demand in ordered:
-        target = _choose_bin_array(
-            demand, bins, index_of_host, constraint_ok,
-            strategy=strategy, preferred=preferred,
-        )
-        if target is None:
-            raise _no_fit_error(demand, utilization_bound)
-        bins.add(target, demand)
-        assignment[demand.vm_id] = bins.hosts[target].host_id
-    return assignment
-
-
-def _choose_bin_array(
+def _choose_bin(
     demand: VMDemand,
     bins: BinArray,
     index_of_host: Mapping[str, int],
@@ -453,64 +302,12 @@ def _choose_bin_array(
     open_candidates = np.flatnonzero(mask & (bins.vm_count > 0))
     if open_candidates.size:
         residuals = bins.residuals(open_candidates)
-        # Stable residual order keeps the scalar tie-break: the first
-        # bin (lowest index) among equal residuals wins.
+        # Stable residual order: the first bin (lowest index) among
+        # equal residuals wins.
         for pick in open_candidates[np.argsort(residuals, kind="stable")]:
             if constraint_ok(demand.vm_id, int(pick)):
                 return int(pick)
     for index in np.flatnonzero(mask & (bins.vm_count == 0)):
         if constraint_ok(demand.vm_id, int(index)):
             return int(index)
-    return None
-
-
-def _choose_bin(
-    demand: VMDemand,
-    bins: Sequence[Bin],
-    bin_of_host: Mapping[str, Bin],
-    assignment: Mapping[str, str],
-    *,
-    strategy: str,
-    constraints: Optional[ConstraintSet],
-    datacenter: Optional[Datacenter],
-    preferred: Optional[Mapping[str, str]],
-) -> Optional[Bin]:
-    """Pick the bin for one VM, or None if nothing admits it."""
-    def admissible(candidate: Bin) -> bool:
-        if not candidate.fits(demand):
-            return False
-        if constraints and datacenter is not None:
-            return constraints.feasible(
-                demand.vm_id, candidate.host, assignment, datacenter
-            )
-        return True
-
-    if preferred is not None:
-        hint = preferred.get(demand.vm_id)
-        if hint is not None:
-            hinted_bin = bin_of_host.get(hint)
-            if hinted_bin is not None and admissible(hinted_bin):
-                return hinted_bin
-
-    if strategy == "ffd":
-        for candidate in bins:
-            if admissible(candidate):
-                return candidate
-        return None
-
-    # Best fit: among open (non-empty) bins pick the tightest residual
-    # after adding; open a new bin only when no open bin admits the VM.
-    best: Optional[Bin] = None
-    best_residual = float("inf")
-    for candidate in bins:
-        if candidate.is_empty or not admissible(candidate):
-            continue
-        residual = candidate.residual()
-        if residual < best_residual:
-            best, best_residual = candidate, residual
-    if best is not None:
-        return best
-    for candidate in bins:
-        if candidate.is_empty and admissible(candidate):
-            return candidate
     return None

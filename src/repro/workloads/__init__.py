@@ -28,7 +28,6 @@ from repro.workloads.generator import (
     ScheduledJobSpec,
     TraceBlock,
     WorkloadClassProfile,
-    generate_server_trace,
     generate_trace_blocks,
     generate_trace_matrix,
     generate_trace_set,
@@ -75,7 +74,6 @@ __all__ = [
     "generate_chunked_store",
     "generate_datacenter",
     "generate_datacenter_chunked",
-    "generate_server_trace",
     "generate_trace_blocks",
     "generate_trace_matrix",
     "generate_trace_set",

@@ -491,7 +491,6 @@ def generate_datacenter(
     scale: float = 1.0,
     days: int = STUDY_DAYS,
     seed: Optional[int] = None,
-    engine: str = "array",
     vm_range: Optional[Tuple[int, int]] = None,
 ) -> TraceSet:
     """Generate the trace set for one of the paper's datacenters.
@@ -508,12 +507,9 @@ def generate_datacenter(
         Trace length in days (paper: 30).
     seed:
         Override the preset's seed for alternative trace realizations.
-    engine:
-        ``"array"`` (default, batched store-first) or ``"scalar"``
-        (pinned per-VM reference); bit-identical outputs.
     vm_range:
-        Array engine only: generate just global rows ``[start, stop)``,
-        bit-identical to the same rows of the full fleet.
+        Generate just global rows ``[start, stop)``, bit-identical to
+        the same rows of the full fleet.
     """
     config = get_datacenter_config(key)
     if days <= 0:
@@ -524,7 +520,6 @@ def generate_datacenter(
         n_hours=days * HOURS_PER_DAY,
         seed=config.seed if seed is None else seed,
         correlation=config.correlation,
-        engine=engine,
         vm_range=vm_range,
     )
 

@@ -44,7 +44,7 @@ from repro.workloads.fastdraw import (
 )
 from repro.workloads.fastseed import FastSeeder, make_fast_seeder
 from repro.workloads.store import TraceStore
-from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
+from repro.workloads.trace import TraceSet
 
 __all__ = [
     "ScheduledJobSpec",
@@ -53,7 +53,6 @@ __all__ = [
     "CorrelationModel",
     "WorkloadClassProfile",
     "TraceBlock",
-    "generate_server_trace",
     "generate_trace_blocks",
     "generate_trace_matrix",
     "generate_trace_set",
@@ -65,8 +64,8 @@ __all__ = [
 ]
 
 _UTIL_FLOOR = 0.002
-#: ``models.pareto_spikes`` default duration cap, pinned for the batched
-#: draw loop (both engines must consume identical duration draws).
+#: Longest Pareto spike, in hours: each spike's duration is drawn
+#: uniformly from ``1..3`` (the per-VM reference draws the same range).
 _SPIKE_MAX_DURATION_HOURS = 3
 
 
@@ -148,7 +147,7 @@ class CorrelationModel:
 
 @dataclass(frozen=True)
 class ScheduledJobSpec:
-    """Periodic batch job parameters (see :func:`models.scheduled_jobs`)."""
+    """Periodic batch job parameters (:func:`models.scheduled_job_matrix`)."""
 
     period_hours: int = 24
     start_hour: int = 2
@@ -378,186 +377,18 @@ IDLE = WorkloadClassProfile(
 )
 
 
-def _generate_cpu_util(
-    profile: WorkloadClassProfile,
-    mean_util: float,
-    n_hours: int,
-    rng: np.random.Generator,
-    shared_log_factor: Optional[np.ndarray] = None,
-    event_multiplier: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Generate one server's CPU utilization trace (fractions in [0, 1])."""
-    cpu = profile.cpu
-    peak_hour = float(rng.uniform(9.0, 18.0))
-    shape = models.diurnal_profile(
-        n_hours,
-        peak_hour=peak_hour,
-        amplitude=cpu.diurnal_amplitude,
-        width_hours=cpu.diurnal_width_hours,
-    )
-    shape = shape * models.weekly_profile(
-        n_hours, weekend_factor=cpu.weekend_factor
-    )
-    shape = shape * models.lognormal_noise(n_hours, cpu.lognormal_sigma, rng)
-    shape = shape * np.exp(models.ar1_noise(n_hours, cpu.ar1_phi, cpu.ar1_sigma, rng))
-    if shared_log_factor is not None:
-        shape = shape * np.exp(
-            profile.correlation_sensitivity * shared_log_factor
-        )
-    util = mean_util * shape / shape.mean()
-    if cpu.scheduled is not None:
-        job = cpu.scheduled
-        util = util + models.scheduled_jobs(
-            n_hours,
-            period_hours=job.period_hours,
-            start_hour=int(rng.integers(0, job.period_hours)),
-            duration_hours=job.duration_hours,
-            level=job.level * float(rng.uniform(0.7, 1.3)),
-            jitter_hours=job.jitter_hours,
-            rng=rng,
-        )
-    if cpu.spike_rate_per_hour > 0:
-        util = util + models.pareto_spikes(
-            n_hours,
-            rate_per_hour=cpu.spike_rate_per_hour,
-            alpha=cpu.spike_alpha,
-            scale=cpu.spike_scale,
-            max_spike=cpu.spike_max,
-            rng=rng,
-        )
-    if event_multiplier is not None:
-        # Flash events multiply actual load: applied after the mean is
-        # anchored, so correlated peaks add genuine demand on top.
-        util = util * event_multiplier
-    return np.clip(util, _UTIL_FLOOR, 1.0)
-
-
-def _generate_memory_gb(
-    profile: WorkloadClassProfile,
-    cpu_util: np.ndarray,
-    configured_gb: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Generate the committed-memory trace that tracks a CPU trace."""
-    mem = profile.memory
-    load_peak = max(float(cpu_util.max()), 1e-9)
-    normalized_load = (cpu_util / load_peak) ** mem.load_exponent
-    driver = models.ewma_smooth(normalized_load, mem.smoothing_alpha)
-    committed_frac = mem.base_frac + mem.dynamic_frac * driver
-    if mem.noise_sigma > 0:
-        committed_frac = committed_frac * models.lognormal_noise(
-            cpu_util.size, mem.noise_sigma, rng
-        )
-    committed = configured_gb * committed_frac
-    return np.clip(committed, 0.01 * configured_gb, configured_gb)
-
-
-def generate_server_trace(
-    vm_id: str,
-    profile: WorkloadClassProfile,
-    source_model: ServerModel,
-    n_hours: int,
-    rng: np.random.Generator,
-    *,
-    mean_util: Optional[float] = None,
-    labels: Optional[dict] = None,
-    shared_log_factor: Optional[np.ndarray] = None,
-    event_multiplier: Optional[np.ndarray] = None,
-) -> ServerTrace:
-    """Generate a full :class:`ServerTrace` for one source server.
-
-    Parameters
-    ----------
-    vm_id:
-        Identifier for the resulting VM.
-    profile:
-        Workload class profile controlling the statistical models.
-    source_model:
-        Hardware of the source physical server; bounds utilization and
-        sets the configured memory.
-    n_hours:
-        Trace length (the paper uses 30 days = 720 hourly points).
-    rng:
-        Random generator; pass a per-server child of a seeded
-        ``SeedSequence`` for reproducibility.
-    mean_util:
-        Per-server target mean utilization; defaults to the profile's.
-    """
-    if n_hours <= 0:
-        raise ConfigurationError(f"n_hours must be > 0, got {n_hours}")
-    target_mean = profile.mean_util if mean_util is None else mean_util
-    if not 0 < target_mean <= 1:
-        raise ConfigurationError(
-            f"{vm_id}: mean_util must be in (0, 1], got {target_mean}"
-        )
-    cpu_util = _generate_cpu_util(
-        profile,
-        target_mean,
-        n_hours,
-        rng,
-        shared_log_factor=shared_log_factor,
-        event_multiplier=event_multiplier,
-    )
-    memory_gb = _generate_memory_gb(
-        profile, cpu_util, source_model.memory_gb, rng
-    )
-    vm = VirtualMachine(
-        vm_id=vm_id,
-        memory_config_gb=source_model.memory_gb,
-        workload_class=profile.workload_class,
-        labels=dict(labels or {}, profile=profile.name),
-    )
-    return ServerTrace(
-        vm=vm,
-        source_spec=ServerSpec.from_model(source_model),
-        cpu_util=ResourceTrace(cpu_util, unit="fraction"),
-        memory_gb=ResourceTrace(memory_gb, unit="GB"),
-    )
-
-
-def _event_multiplier(
-    events: Sequence[Tuple[int, int, float]],
-    n_hours: int,
-    participation: float,
-    rng: np.random.Generator,
-) -> Optional[np.ndarray]:
-    """One server's flash-event exposure: a multiplicative load series."""
-    if not events or participation <= 0:
-        return None
-    multiplier = np.ones(n_hours)
-    hit_any = False
-    for start, duration, magnitude in events:
-        if rng.random() >= participation:
-            continue
-        hit_any = True
-        # The server's own severity varies around the event magnitude.
-        severity = magnitude * float(rng.uniform(0.5, 1.5))
-        # The whole ramp at once: within one event the hit timestamps are
-        # distinct, so an elementwise maximum over the slice reproduces
-        # the per-offset max writes exactly.
-        count = min(duration, n_hours - start)
-        if count <= 0:
-            continue
-        decay = 1.0 - np.arange(count) / duration
-        window = slice(start, start + count)
-        np.maximum(
-            multiplier[window], 1.0 + severity * decay, out=multiplier[window]
-        )
-    return multiplier if hit_any else None
-
-
 # ----------------------------------------------------------------------
 # Batched (store-first) generation engine
 #
-# The array engine draws each VM's randomness from the same
-# ``SeedSequence(seed, spawn_key=(index + 1,))`` stream as the scalar
-# reference — per-VM draws stay per-VM calls on one reused generator —
-# but all trace *arithmetic* runs on ``(n_vms, n_hours)`` matrices
-# written straight into columnar storage.  Every batched operation below
-# is elementwise-identical to the scalar pipeline (same ufuncs, same
-# operation order per element), so the engines are bit-identical; the
-# equivalence suite in tests/workloads/test_engine_equivalence.py pins
-# that across every profile, correlation model, and flash calendar.
+# Each VM's randomness comes from its own
+# ``SeedSequence(seed, spawn_key=(index + 1,))`` stream — per-VM draws
+# stay per-VM calls on one reused generator — but all trace *arithmetic*
+# runs on ``(n_vms, n_hours)`` matrices written straight into columnar
+# storage.  Every batched operation below is elementwise-identical to
+# the per-VM scalar pipeline kept in tests/reference/generation.py
+# (same ufuncs, same operation order per element), so the two are
+# bit-identical; tests/workloads/test_engine_equivalence.py pins that
+# across every profile, correlation model, and flash calendar.
 
 #: Scalar-reference uniform ranges, written as ``low + (high - low) * u``
 #: exactly like ``Generator.uniform`` evaluates them.
@@ -1178,8 +1009,8 @@ def _block_math(
     """The batched trace arithmetic for one block (CPU then memory).
 
     Every step is the scalar pipeline's operation applied matrix-wide,
-    in the same per-element order, so rows are bit-identical to
-    :func:`generate_server_trace`.  With a verified C kernel the
+    in the same per-element order, so rows are bit-identical to the
+    per-VM reference pipeline.  With a verified C kernel the
     recurrences and the purely elementwise pass sequences run fused —
     identical per-element rounding, fewer trips over the matrices.  The
     SIMD-sensitive ufuncs (``exp``, ``power``, pairwise ``mean``) stay
@@ -1447,7 +1278,7 @@ def generate_trace_blocks(
     vm_range: Optional[Tuple[int, int]] = None,
     block_rows: Optional[int] = None,
 ) -> Iterator[TraceBlock]:
-    """Stream the fleet as :class:`TraceBlock` row blocks (array engine).
+    """Stream the fleet as :class:`TraceBlock` row blocks.
 
     This is the streaming face of the batched engine: blocks arrive in
     global row order and are bit-identical to the matching rows of
@@ -1586,7 +1417,6 @@ def generate_trace_set(
     mean_util_spread_sigma: float = 0.7,
     mean_util_bounds: Tuple[float, float] = (0.002, 0.6),
     correlation: Optional[CorrelationModel] = None,
-    engine: str = "array",
     vm_range: Optional[Tuple[int, int]] = None,
 ) -> TraceSet:
     """Generate a trace set from ``(profile, hardware, count)`` groups.
@@ -1600,42 +1430,17 @@ def generate_trace_set(
     AR(1) business factor and one flash-event calendar, each scaled by
     the server's class ``correlation_sensitivity``.
 
-    ``engine`` selects the implementation: ``"array"`` (default) runs
-    the batched store-first engine and returns a lazily materialized
-    set backed by the columnar store; ``"scalar"`` runs the pinned
-    per-VM reference pipeline.  Both are bit-identical.
+    The fleet is generated on ``(n_vms, n_hours)`` matrices straight
+    into a columnar store (:func:`generate_trace_matrix`); the returned
+    set is backed by that store and builds its per-VM objects lazily.
 
-    ``vm_range`` (array engine only) restricts generation to global
-    fleet rows ``[start, stop)`` — the rows are bit-identical to the
-    same rows of the full fleet, which is how shard workers generate
-    their slice on demand.
+    ``vm_range`` restricts generation to global fleet rows
+    ``[start, stop)`` — the rows are bit-identical to the same rows of
+    the full fleet, which is how shard workers generate their slice on
+    demand.
     """
-    if engine == "scalar":
-        if vm_range is not None:
-            raise ConfigurationError(
-                "vm_range requires the array engine"
-            )
-        return _generate_trace_set_scalar(
-            name,
-            specs,
-            n_hours,
-            seed,
-            mean_util_spread_sigma=mean_util_spread_sigma,
-            mean_util_bounds=mean_util_bounds,
-            correlation=correlation,
-        )
-    if engine != "array":
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'array' or 'scalar'"
-        )
     _validate_generation_args(n_hours, mean_util_spread_sigma)
-    total = 0
-    for profile, _hardware, count in specs:
-        if count < 0:
-            raise ConfigurationError(
-                f"{profile.name}: count must be >= 0, got {count}"
-            )
-        total += count
+    _plan, total = _plan_blocks(specs, vm_range=vm_range)
     if total == 0:
         return TraceSet(name=name)
     store, blocks = generate_trace_matrix(
@@ -1657,78 +1462,3 @@ def generate_trace_set(
         return pairs
 
     return TraceSet.from_store(name, store, vm_specs)
-
-
-def _generate_trace_set_scalar(
-    name: str,
-    specs: Sequence[Tuple[WorkloadClassProfile, ServerModel, int]],
-    n_hours: int,
-    seed: int,
-    *,
-    mean_util_spread_sigma: float = 0.7,
-    mean_util_bounds: Tuple[float, float] = (0.002, 0.6),
-    correlation: Optional[CorrelationModel] = None,
-) -> TraceSet:
-    """The pinned per-VM reference pipeline (``engine="scalar"``).
-
-    Kept scalar on purpose: this is what the array engine's bitwise
-    equivalence suite diffs against, like the reference emulator.  One
-    upfront ``spawn(total + 1)`` replaces the historical per-VM
-    ``spawn(1)`` calls — SeedSequence children are a function of the
-    spawn index alone, so the streams are unchanged while the O(n)
-    bookkeeping goes away.
-    """
-    _validate_generation_args(n_hours, mean_util_spread_sigma)
-    total = 0
-    for profile, _hardware, count in specs:
-        if count < 0:
-            raise ConfigurationError(
-                f"{profile.name}: count must be >= 0, got {count}"
-            )
-        total += count
-    children = np.random.SeedSequence(seed).spawn(total + 1)
-    shared_rng = np.random.default_rng(children[0])
-    shared_log_factor = None
-    events: Sequence[Tuple[int, int, float]] = ()
-    if correlation is not None:
-        shared_log_factor = correlation.draw_shared_log_factor(
-            n_hours, shared_rng
-        )
-        events = correlation.draw_events(n_hours, shared_rng)
-    trace_set = TraceSet(name=name)
-    server_index = 0
-    for profile, hardware, count in specs:
-        for _ in range(count):  # repro-lint: disable=REPRO109
-            rng = np.random.default_rng(children[server_index + 1])
-            spread = float(
-                rng.lognormal(
-                    mean=-0.5 * mean_util_spread_sigma**2,
-                    sigma=mean_util_spread_sigma,
-                )
-            )
-            mean_util = float(
-                np.clip(profile.mean_util * spread, *mean_util_bounds)
-            )
-            event_multiplier = None
-            if correlation is not None:
-                event_multiplier = _event_multiplier(
-                    events,
-                    n_hours,
-                    correlation.event_participation
-                    * profile.correlation_sensitivity,
-                    rng,
-                )
-            trace_set.add(
-                generate_server_trace(
-                    vm_id=f"{name}-vm{server_index:04d}",
-                    profile=profile,
-                    source_model=hardware,
-                    n_hours=n_hours,
-                    rng=rng,
-                    mean_util=mean_util,
-                    shared_log_factor=shared_log_factor,
-                    event_multiplier=event_multiplier,
-                )
-            )
-            server_index += 1
-    return trace_set

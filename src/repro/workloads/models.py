@@ -1,22 +1,28 @@
 """Statistical building blocks for synthetic enterprise workload traces.
 
-The trace generators compose these primitives to reproduce the workload
+The trace generator composes these primitives to reproduce the workload
 properties the paper measures in Section 4:
 
-* diurnal business-hour cycles and weekend dips (:func:`diurnal_profile`,
-  :func:`weekly_profile`) — the medium-term variation semi-static
-  consolidation exploits,
+* diurnal business-hour cycles and weekend dips
+  (:func:`diurnal_profile_matrix`, :func:`weekly_profile`) — the
+  medium-term variation semi-static consolidation exploits,
 * multiplicative lognormal burstiness and additive Pareto spikes
-  (:func:`lognormal_noise`, :func:`pareto_spikes`) — the heavy-tailed
-  short-term variation dynamic consolidation exploits (web workloads),
-* autocorrelated AR(1) fluctuation (:func:`ar1_noise`) — the smooth load
-  evolution of steady batch/compute workloads,
-* scheduled batch windows (:func:`scheduled_jobs`) — nightly/periodic
-  jobs with high but predictable peaks,
-* :func:`ewma_smooth` — the slow response of memory to load that makes
-  memory an order of magnitude less bursty than CPU (Observation 2).
+  (:func:`lognormal_noise`, :func:`pareto_spike_matrix`) — the
+  heavy-tailed short-term variation dynamic consolidation exploits (web
+  workloads),
+* autocorrelated AR(1) fluctuation (:func:`ar1_noise`,
+  :func:`ar1_filter_matrix`) — the smooth load evolution of steady
+  batch/compute workloads,
+* scheduled batch windows (:func:`scheduled_job_matrix`) —
+  nightly/periodic jobs with high but predictable peaks,
+* :func:`ewma_smooth_matrix` — the slow response of memory to load that
+  makes memory an order of magnitude less bursty than CPU
+  (Observation 2).
 
-All functions are deterministic given a :class:`numpy.random.Generator`.
+The ``*_matrix`` kernels work on ``(n_vms, n_hours)`` blocks from
+pre-drawn randomness; each row is bit-identical to the per-VM helper of
+the same name in ``tests/reference/generation.py``.  The random
+functions are deterministic given a :class:`numpy.random.Generator`.
 """
 
 from __future__ import annotations
@@ -39,17 +45,13 @@ from repro.workloads.trace import HOURS_PER_DAY
 __all__ = [
     "hour_of_day",
     "day_of_week",
-    "diurnal_profile",
     "diurnal_profile_matrix",
     "weekly_profile",
     "lognormal_noise",
     "ar1_noise",
     "ar1_filter_matrix",
-    "pareto_spikes",
     "pareto_spike_matrix",
-    "scheduled_jobs",
     "scheduled_job_matrix",
-    "ewma_smooth",
     "ewma_smooth_matrix",
 ]
 
@@ -68,30 +70,6 @@ def day_of_week(n_hours: int, start_hour: int = 0) -> np.ndarray:
     if n_hours <= 0:
         raise ConfigurationError(f"n_hours must be > 0, got {n_hours}")
     return ((np.arange(n_hours) + start_hour) // HOURS_PER_DAY) % 7
-
-
-def diurnal_profile(
-    n_hours: int,
-    *,
-    peak_hour: float = 14.0,
-    amplitude: float = 1.0,
-    width_hours: float = 4.0,
-    start_hour: int = 0,
-) -> np.ndarray:
-    """Multiplicative business-hours bump, mean-one-ish baseline of 1.
-
-    The profile is ``1 + amplitude * exp(-d^2 / (2 width^2))`` where ``d``
-    is the circular distance to ``peak_hour``.  ``amplitude=0`` yields a
-    flat profile.
-    """
-    if amplitude < 0:
-        raise ConfigurationError(f"amplitude must be >= 0, got {amplitude}")
-    if width_hours <= 0:
-        raise ConfigurationError(f"width_hours must be > 0, got {width_hours}")
-    hod = hour_of_day(n_hours, start_hour).astype(float)
-    distance = np.abs(hod - peak_hour)
-    distance = np.minimum(distance, HOURS_PER_DAY - distance)
-    return 1.0 + amplitude * np.exp(-(distance**2) / (2.0 * width_hours**2))
 
 
 def weekly_profile(
@@ -151,97 +129,6 @@ def ar1_noise(
     return x
 
 
-def pareto_spikes(
-    n_hours: int,
-    *,
-    rate_per_hour: float,
-    alpha: float,
-    scale: float,
-    max_spike: float,
-    rng: np.random.Generator,
-    max_duration_hours: int = 3,
-) -> np.ndarray:
-    """Sparse additive load spikes with Pareto-distributed magnitude.
-
-    Spike arrivals are Poisson with the given hourly rate; each spike has
-    magnitude ``min(scale * pareto(alpha), max_spike)`` and lasts 1 to
-    ``max_duration_hours`` hours (uniform), decaying linearly.  This is
-    the mechanism behind the extreme peak-to-average ratios of the
-    Banking workload (>10 for 30% of servers at 1 h intervals).
-    """
-    if rate_per_hour < 0:
-        raise ConfigurationError(
-            f"rate_per_hour must be >= 0, got {rate_per_hour}"
-        )
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be > 0, got {alpha}")
-    if scale < 0 or max_spike < 0:
-        raise ConfigurationError("scale and max_spike must be >= 0")
-    if max_duration_hours < 1:
-        raise ConfigurationError(
-            f"max_duration_hours must be >= 1, got {max_duration_hours}"
-        )
-    spikes = np.zeros(n_hours)
-    if rate_per_hour == 0 or scale == 0:
-        return spikes
-    n_spikes = rng.poisson(rate_per_hour * n_hours)
-    if n_spikes == 0:
-        return spikes
-    starts = rng.integers(0, n_hours, size=n_spikes)
-    magnitudes = np.minimum(scale * rng.pareto(alpha, size=n_spikes), max_spike)
-    durations = rng.integers(1, max_duration_hours + 1, size=n_spikes)
-    for start, magnitude, duration in zip(starts, magnitudes, durations):
-        for offset in range(duration):
-            t = start + offset
-            if t >= n_hours:
-                break
-            decay = 1.0 - offset / duration
-            spikes[t] = max(spikes[t], magnitude * decay)
-    return spikes
-
-
-def scheduled_jobs(
-    n_hours: int,
-    *,
-    period_hours: int,
-    start_hour: int,
-    duration_hours: int,
-    level: float,
-    jitter_hours: int = 0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Additive load from periodically scheduled batch jobs.
-
-    Example: nightly payroll at 02:00 for 2 hours at 40% extra load is
-    ``period_hours=24, start_hour=2, duration_hours=2, level=0.4``.
-    ``jitter_hours`` shifts each occurrence by a uniform ±jitter, which is
-    what makes "predictable" batch peaks imperfectly predictable.
-    """
-    if period_hours <= 0:
-        raise ConfigurationError(f"period_hours must be > 0, got {period_hours}")
-    if duration_hours <= 0:
-        raise ConfigurationError(
-            f"duration_hours must be > 0, got {duration_hours}"
-        )
-    if level < 0:
-        raise ConfigurationError(f"level must be >= 0, got {level}")
-    if jitter_hours < 0:
-        raise ConfigurationError(f"jitter_hours must be >= 0, got {jitter_hours}")
-    if jitter_hours > 0 and rng is None:
-        raise ConfigurationError("jitter_hours > 0 requires an rng")
-    load = np.zeros(n_hours)
-    occurrence = start_hour % period_hours
-    while occurrence < n_hours:
-        begin = occurrence
-        if jitter_hours > 0:
-            assert rng is not None
-            begin += int(rng.integers(-jitter_hours, jitter_hours + 1))
-        for t in range(max(begin, 0), min(begin + duration_hours, n_hours)):
-            load[t] = max(load[t], level)
-        occurrence += period_hours
-    return load
-
-
 def diurnal_profile_matrix(
     n_hours: int,
     peak_hours: np.ndarray,
@@ -252,10 +139,11 @@ def diurnal_profile_matrix(
     weekend_factor: Optional[float] = None,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Batched :func:`diurnal_profile` for a vector of per-VM peak hours.
+    """Business-hours bump for a vector of per-VM peak hours.
 
-    Returns an ``(n_vms, n_hours)`` matrix whose rows are bit-identical to
-    per-VM calls of :func:`diurnal_profile` (and, when ``weekend_factor``
+    Returns an ``(n_vms, n_hours)`` matrix whose row ``i`` is
+    ``1 + amplitude * exp(-d^2 / (2 width^2))``, ``d`` the circular
+    distance to ``peak_hours[i]`` (and, when ``weekend_factor``
     is given, the elementwise product with :func:`weekly_profile`).  The
     profile is 24h-periodic (168h with the weekly dip folded in), so the
     bump is evaluated once per distinct hour and gathered, instead of
@@ -384,7 +272,7 @@ def pareto_spike_matrix(
     magnitudes: np.ndarray,
     durations: np.ndarray,
 ) -> np.ndarray:
-    """Batched :func:`pareto_spikes` scatter from pre-drawn spike draws.
+    """Pareto spike overlay scattered from pre-drawn spike draws.
 
     Each spike ``i`` lives on trace row ``rows[i]`` and decays linearly
     from ``starts[i]`` over ``durations[i]`` hours; overlapping spikes
@@ -417,7 +305,7 @@ def scheduled_job_matrix(
     levels: np.ndarray,
     jitters: np.ndarray,
 ) -> np.ndarray:
-    """Batched :func:`scheduled_jobs` from pre-drawn starts/levels/jitter.
+    """Scheduled batch-job load from pre-drawn starts/levels/jitter.
 
     ``starts``/``levels`` are per-VM; ``jitters`` is ``(n_vms, max_occ)``
     with row ``j`` holding the jitter draws for VM ``j``'s occurrences (0
@@ -452,9 +340,10 @@ def scheduled_job_matrix(
 
 
 def ewma_smooth_matrix(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Batched :func:`ewma_smooth` over the rows of a 2-D array.
+    """Exponentially weighted moving average over the rows of a 2-D array.
 
-    Bit-identical to per-row :func:`ewma_smooth`: the linear filter does
+    ``alpha`` is the weight of the *new* observation: 1.0 returns the
+    input unchanged, small values respond slowly.  The linear filter does
     the same ``alpha*v[t] + (1-alpha)*s[t-1]`` multiply/add per step.
     """
     if not 0 < alpha <= 1:
@@ -483,25 +372,3 @@ def ewma_smooth_matrix(values: np.ndarray, alpha: float) -> np.ndarray:
             previous = alpha * values[:, t] + (1.0 - alpha) * previous
             out[:, t] = previous
     return out
-
-
-def ewma_smooth(values: np.ndarray, alpha: float) -> np.ndarray:
-    """Exponentially weighted moving average with smoothing factor alpha.
-
-    ``alpha`` is the weight of the *new* observation: 1.0 returns the
-    input unchanged, small values respond slowly.  Used to model memory's
-    sluggish response to load (committed memory does not spike and drop
-    with each request burst the way CPU does).
-    """
-    if not 0 < alpha <= 1:
-        raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 1:
-        raise ConfigurationError("ewma_smooth expects a 1-D array")
-    if approx_eq(alpha, 1.0):
-        return values.copy()
-    smoothed = np.empty_like(values)
-    smoothed[0] = values[0]
-    for t in range(1, values.size):
-        smoothed[t] = alpha * values[t] + (1.0 - alpha) * smoothed[t - 1]
-    return smoothed

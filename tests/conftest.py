@@ -15,8 +15,9 @@ from repro.infrastructure.datacenter import Datacenter, build_target_pool
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.infrastructure.vm import VirtualMachine
 from repro.metrics.catalog import get_model
-from repro.workloads.generator import WEB_MODERATE, generate_server_trace
+from repro.workloads.generator import WEB_MODERATE
 from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
+from tests.reference.generation import generate_server_trace
 
 
 @pytest.fixture

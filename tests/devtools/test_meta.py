@@ -4,6 +4,7 @@ This is the CI contract from the issue: ``repro-lint src/repro`` exits
 0 with an *empty* baseline — the codebase carries no accepted debt.
 """
 
+import ast
 import json
 from pathlib import Path
 
@@ -55,3 +56,37 @@ def test_lint_paths_visits_the_whole_library():
     files = discover_files([SRC])
     assert len(files) >= 80
     assert lint_paths([SRC]) == []
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module or ""
+
+
+def test_library_never_imports_the_tests_package():
+    """``tests/reference/`` holds oracles only: an installed ``repro``
+    ships no ``tests`` package, so no library module may import it."""
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for lineno, module in _imported_modules(tree):
+            if module == "tests" or module.startswith("tests."):
+                offenders.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno} {module}"
+                )
+    assert offenders == []
+
+
+def test_library_has_no_vectorization_exemptions():
+    """Scalar references live in ``tests/reference/``; no library module
+    opts out of REPRO109."""
+    offenders = [
+        str(path.relative_to(REPO_ROOT))
+        for path in sorted(SRC.rglob("*.py"))
+        if "=REPRO109" in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []

@@ -2,12 +2,13 @@
 
 :class:`ConsolidationEmulator` (columnar scatter-add) must return arrays
 *exactly* equal — same floats, not approximately — to
-:class:`ReferenceConsolidationEmulator` (the retained scalar loop), for
-randomized trace sets and schedules covering both scatter strategies
-(narrow bincount segments and wide per-row-add segments), shared and
-distinct power models, partial placements, and empty segments.  Driven
-by a seeded stdlib-:mod:`random` sweep plus hypothesis cases when the
-dependency is present.
+:class:`ReferenceConsolidationEmulator` (the scalar loop kept in
+``tests/reference/emulator.py``), for randomized trace sets and
+schedules covering both scatter strategies (narrow bincount segments
+and wide per-row-add segments), shared and distinct power models,
+partial placements, and empty segments.  Driven by a seeded
+stdlib-:mod:`random` sweep plus hypothesis cases when the dependency is
+present.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from typing import List, Tuple
 import numpy as np
 import pytest
 
-from repro.emulator import (
-    ConsolidationEmulator,
-    PlacementSchedule,
-    ReferenceConsolidationEmulator,
-)
+from repro.emulator import ConsolidationEmulator, PlacementSchedule
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.infrastructure.vm import VirtualMachine
@@ -30,6 +27,7 @@ from repro.metrics.catalog import ServerModel
 from repro.placement.plan import Placement
 from repro.sizing.estimator import VirtualizationOverhead
 from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
+from tests.reference.emulator import ReferenceConsolidationEmulator
 
 try:
     from hypothesis import given, settings, strategies as st

@@ -1,8 +1,9 @@
-"""Vectorized packing engine == scalar reference, property-based.
+"""``pack()`` == the scalar reference scan, property-based.
 
-The array engine (:class:`BinArray` masks) must make exactly the same
-decisions as the retained scalar :class:`Bin` scan — same assignment,
-same failures — across randomized instances covering tail pooling,
+The library's :func:`pack` (:class:`BinArray` masks) must make exactly
+the same decisions as the bin-at-a-time :class:`Bin` scan kept in
+``tests/reference/packing.py`` — same assignment, same failures with
+the same message — across randomized instances covering tail pooling,
 preferred-host hints, both strategies, and constraints.  Driven by
 hypothesis when available, with a seeded stdlib-:mod:`random` sweep that
 always runs so the suite keeps its coverage without the dependency.
@@ -22,6 +23,7 @@ from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.infrastructure.vm import VMDemand
 from repro.placement.binpacking import pack
+from tests.reference.packing import pack_reference
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -55,7 +57,7 @@ def assert_engines_agree(
     constraints: Optional[ConstraintSet] = None,
     n_hosts: Optional[int] = None,
 ) -> None:
-    """Both engines produce the same placement or the same failure."""
+    """Library and reference give the same placement or the same failure."""
     pool = _pool(n_hosts if n_hosts is not None else len(demands))
     datacenter = pool if constraints else None
     kwargs = dict(
@@ -66,13 +68,15 @@ def assert_engines_agree(
         preferred=preferred,
     )
     try:
-        scalar = pack(demands, pool.hosts, engine="scalar", **kwargs)
-    except PlacementError:
-        with pytest.raises(PlacementError):
-            pack(demands, pool.hosts, engine="array", **kwargs)
+        expected = pack_reference(demands, pool.hosts, **kwargs)
+    except PlacementError as failure:
+        with pytest.raises(PlacementError) as raised:
+            pack(demands, pool.hosts, **kwargs)
+        assert str(raised.value) == str(failure)
         return
-    array = pack(demands, pool.hosts, engine="array", **kwargs)
-    assert array.assignment == scalar.assignment
+    assert pack(demands, pool.hosts, **kwargs).assignment == (
+        expected.assignment
+    )
 
 
 def _random_demands(
@@ -113,7 +117,7 @@ def test_random_instances_agree(strategy: str, with_tails: bool) -> None:
 
 @pytest.mark.parametrize("strategy", ["ffd", "bfd"])
 def test_preferred_host_hints_agree(strategy: str) -> None:
-    """Dynamic-consolidation hints route identically in both engines."""
+    """Dynamic-consolidation hints route identically in both scans."""
     rng = random.Random(f"hints-{strategy}")
     for _ in range(20):
         demands = _random_demands(
@@ -164,54 +168,51 @@ def test_tail_pooling_exercises_max_not_sum() -> None:
         ),
     ]
     pool = _pool(2)
-    for engine in ("scalar", "array"):
-        placement = pack(demands, pool.hosts, engine=engine)
+    for packer in (pack_reference, pack):
+        placement = packer(demands, pool.hosts)
         assert placement.assignment == {"a": "h000", "b": "h000"}
 
 
 def test_duplicate_vm_ids_rejected() -> None:
     demand = VMDemand(vm_id="dup", cpu_rpe2=1.0, memory_gb=0.1)
     pool = _pool(2)
-    for engine in ("scalar", "array"):
-        with pytest.raises(PlacementError):
-            pack([demand, demand], pool.hosts, engine=engine)
+    for packer in (pack_reference, pack):
+        with pytest.raises(PlacementError, match="duplicate demand"):
+            packer([demand, demand], pool.hosts)
 
 
 # ----------------------------------------------------------------------
-# engine="auto": size-aware dispatch, still pinned to both engines.
+# Pool sizes: the benchmark's pools and both sides of old crossovers.
 
 
 @pytest.mark.parametrize("strategy", ["ffd", "bfd"])
-@pytest.mark.parametrize("n_hosts", [8, 64, 96, 512, 600])
+@pytest.mark.parametrize(
+    "n_hosts", [8, 55, 63, 64, 96, 174, 511, 512, 600]
+)
 def test_auto_matches_forced_engines(strategy: str, n_hosts: int) -> None:
-    """auto must agree with both forced engines on either side of the
-    crossover (ffd switches at 64 hosts, bfd at 512)."""
+    """``pack()`` agrees with the reference scan at every pool size.
+
+    55 and 174 hosts are pool sizes of the end-to-end benchmark; 63/64
+    (FFD) and 511/512 (BFD) straddle the host counts where ``pack()``
+    used to switch between the scan and the masks.
+    """
     rng = random.Random(f"auto-{strategy}-{n_hosts}")
     demands = _random_demands(
         rng, with_tails=True, n_vms=min(40, n_hosts)
     )
     pool = _pool(n_hosts)
     kwargs = dict(utilization_bound=0.8, strategy=strategy)
-    auto = pack(demands, pool.hosts, engine="auto", **kwargs)
-    default = pack(demands, pool.hosts, **kwargs)
-    scalar = pack(demands, pool.hosts, engine="scalar", **kwargs)
-    array = pack(demands, pool.hosts, engine="array", **kwargs)
-    assert auto.assignment == scalar.assignment == array.assignment
-    assert default.assignment == auto.assignment
-
-
-def test_auto_crossover_thresholds_documented() -> None:
-    from repro.placement.binpacking import _AUTO_MIN_HOSTS
-
-    assert _AUTO_MIN_HOSTS == {"ffd": 64, "bfd": 512}
+    expected = pack_reference(demands, pool.hosts, **kwargs)
+    assert pack(demands, pool.hosts, **kwargs).assignment == (
+        expected.assignment
+    )
 
 
 def test_unknown_engine_rejected() -> None:
-    from repro.exceptions import ConfigurationError
-
+    """There is one packing scan: no ``engine`` option is accepted."""
     demand = VMDemand(vm_id="vm0", cpu_rpe2=1.0, memory_gb=0.1)
-    with pytest.raises(ConfigurationError):
-        pack([demand], _pool(2).hosts, engine="gpu")
+    with pytest.raises(TypeError):
+        pack([demand], _pool(2).hosts, engine="array")
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Scalar reference implementations, kept as equivalence oracles.
 
 Each module here is the straightforward per-VM version of a library
-planner or scan; the equivalence suites pin the library's single engine
-to it decision for decision.  None of it is library code.
+stage — a planner, the clustering scan, ``pack()``'s bin scan, the
+emulator's replay or the trace generator; the equivalence suites pin
+the library's single engine to it decision for decision (bit for bit
+for the emulator and the generator).  None of it is library code, and
+no library module may import it.
 """

@@ -1,12 +1,13 @@
-"""The array engine's contract: bit-identical to the scalar reference.
+"""The generator's contract: bit-identical to the per-VM reference.
 
-The batched store-first engine (PR: columnar store-first generation)
-replays the exact per-VM draw choreography of the pinned scalar pipeline
-on ``(n_vms, n_hours)`` matrices, optionally through a compiled kernel
-that links numpy's own distribution code.  Every test here compares
-*bits*, not tolerances: the engines must agree on every float across
-profiles, correlation models, flash events, row subsets, column windows,
-chunked round-trips, and the python fallback with the kernel disabled.
+The batched store-first generator replays the exact per-VM draw
+choreography of the scalar pipeline kept in
+``tests/reference/generation.py`` on ``(n_vms, n_hours)`` matrices,
+optionally through a compiled kernel that links numpy's own
+distribution code.  Every test here compares *bits*, not tolerances:
+the two must agree on every float across profiles, correlation models,
+flash events, row subsets, column windows, chunked round-trips, and the
+python fallback with the kernel disabled.
 """
 
 from __future__ import annotations
@@ -14,13 +15,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.metrics.catalog import get_model
 from repro.workloads import generator
 from repro.workloads.chunked import (
     generate_chunked_store,
     open_chunked_store,
 )
-from repro.workloads.datacenters import datacenter_specs
+from repro.workloads.datacenters import (
+    datacenter_specs,
+    generate_datacenter,
+)
 from repro.workloads.generator import (
     IDLE,
     SCHEDULED_BATCH,
@@ -33,6 +38,7 @@ from repro.workloads.generator import (
     generate_trace_set,
 )
 from repro.workloads import models
+from tests.reference.generation import generate_trace_set_reference
 
 ALL_PROFILES = (WEB_BURSTY, WEB_MODERATE, STEADY_BATCH, SCHEDULED_BATCH, IDLE)
 
@@ -53,10 +59,10 @@ def _hardware():
 
 def _stores(specs, *, correlation=None, seed=_SEED, n_hours=_HOURS):
     array = generate_trace_set(
-        "eq", specs, n_hours, seed, correlation=correlation, engine="array"
+        "eq", specs, n_hours, seed, correlation=correlation
     ).store
-    scalar = generate_trace_set(
-        "eq", specs, n_hours, seed, correlation=correlation, engine="scalar"
+    scalar = generate_trace_set_reference(
+        "eq", specs, n_hours, seed, correlation=correlation
     ).store
     return array, scalar
 
@@ -183,12 +189,38 @@ class TestDeterminismProperties:
         )
 
 
+class TestOptions:
+    def test_unknown_engine_rejected(self):
+        """There is one generator: no ``engine`` option is accepted."""
+        specs = [(IDLE, _hardware(), 2)]
+        with pytest.raises(TypeError):
+            generate_trace_set("eq", specs, _HOURS, _SEED, engine="array")
+        with pytest.raises(TypeError):
+            generate_datacenter("banking", scale=0.01, days=1, engine="array")
+
+    @pytest.mark.parametrize(
+        "specs",
+        [[], [(IDLE, get_model("rack-1u-medium"), 0)]],
+        ids=["no-groups", "empty-group"],
+    )
+    def test_empty_fleet_checks_vm_range(self, specs):
+        """An empty fleet still validates ``vm_range`` like a full one."""
+        assert len(generate_trace_set("eq", specs, _HOURS, _SEED)) == 0
+        assert len(
+            generate_trace_set("eq", specs, _HOURS, _SEED, vm_range=(0, 0))
+        ) == 0
+        with pytest.raises(ConfigurationError, match="out of bounds"):
+            generate_trace_set("eq", specs, _HOURS, _SEED, vm_range=(0, 5))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="count must be >= 0"):
+            generate_trace_set("eq", [(IDLE, _hardware(), -1)], _HOURS, _SEED)
+
+
 class TestLazyTraceSet:
     def test_array_engine_traces_view_store_rows(self):
         specs = [(WEB_BURSTY, _hardware(), 5)]
-        trace_set = generate_trace_set(
-            "eq", specs, _HOURS, _SEED, engine="array"
-        )
+        trace_set = generate_trace_set("eq", specs, _HOURS, _SEED)
         store = trace_set.store
         for row, trace in enumerate(trace_set.traces):
             assert trace.vm_id == store.vm_ids[row]
@@ -201,11 +233,9 @@ class TestLazyTraceSet:
 
     def test_array_engine_vm_metadata_matches_scalar(self):
         specs = [(SCHEDULED_BATCH, get_model("rack-2u-large"), 4)]
-        array_set = generate_trace_set(
-            "eq", specs, _HOURS, _SEED, engine="array"
-        )
-        scalar_set = generate_trace_set(
-            "eq", specs, _HOURS, _SEED, engine="scalar"
+        array_set = generate_trace_set("eq", specs, _HOURS, _SEED)
+        scalar_set = generate_trace_set_reference(
+            "eq", specs, _HOURS, _SEED
         )
         for a, s in zip(array_set.traces, scalar_set.traces):
             assert a.vm.vm_id == s.vm.vm_id
@@ -244,8 +274,7 @@ class TestChunkedRoundTrip:
 
 
 class TestModelReferences:
-    """The matrix models the engine fuses stay pinned to their numpy
-    references — the same functions the scalar pipeline calls row-wise."""
+    """The fused spike overlay stays pinned to its numpy scatter."""
 
     def test_pareto_spike_matrix_reference(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,8 @@
 """Vectorized flash-event ramp == per-offset reference, RNG stream too.
 
-``_event_multiplier`` writes each event's decaying ramp as one
-elementwise maximum over a slice.  Within one event the hit timestamps
+``_event_multiplier`` (the per-VM reference generator's, in
+``tests/reference/generation.py``) writes each event's decaying ramp as
+one elementwise maximum over a slice.  Within one event the hit timestamps
 are distinct, so the slice-maximum must reproduce the historical
 per-offset ``max`` writes exactly — same participation draws, same
 severities (RNG draw order unchanged), same multiplier bytes.
@@ -13,7 +14,7 @@ import random
 
 import numpy as np
 
-from repro.workloads.generator import _event_multiplier
+from tests.reference.generation import _event_multiplier
 
 
 def _reference(events, n_hours, participation, rng):

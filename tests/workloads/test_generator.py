@@ -12,9 +12,9 @@ from repro.workloads.generator import (
     WEB_BURSTY,
     CorrelationModel,
     MemoryModel,
-    generate_server_trace,
     generate_trace_set,
 )
+from tests.reference.generation import generate_server_trace
 
 
 @pytest.fixture

