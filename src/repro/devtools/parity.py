@@ -1,8 +1,11 @@
 """Engine/reference pairing manifest for REPRO110 (engine-parity).
 
-Every vectorized engine in this codebase is pinned to a retained scalar
-reference by equivalence tests (``docs/PERFORMANCE.md``); this manifest
-makes the *API* side of that contract static.  REPRO110 reads it (and
+A vectorized engine that keeps a scalar twin in the library is pinned
+to it by equivalence tests (``docs/PERFORMANCE.md``); this manifest
+makes the *API* side of that contract static.  One pair is left,
+``Bin``↔``BinArray`` (``Bin`` backs ``improve_placement``); every other
+stage has one engine, pinned to its oracle in ``tests/reference/`` by
+the equivalence suites instead.  REPRO110 reads it (and
 any other analyzed module defining a ``PARITY_MANIFEST``) and reports
 when a declared pair's public methods or signatures drift apart —
 catching the "changed the engine, forgot the reference" edit before the
@@ -47,28 +50,5 @@ PARITY_MANIFEST = (
             "residual": ["residuals"],
         },
         "engine_extra": ["index", "indices"],
-    },
-    # Scalar ↔ matrix peak prediction, per predictor.
-    {
-        "reference": "repro.sizing.prediction:OraclePredictor.predict_peak",
-        "engine": "repro.sizing.prediction:OraclePredictor.predict_peak_matrix",
-    },
-    {
-        "reference": "repro.sizing.prediction:LastIntervalPredictor.predict_peak",
-        "engine": "repro.sizing.prediction:LastIntervalPredictor.predict_peak_matrix",
-    },
-    {
-        "reference": "repro.sizing.prediction:EwmaPredictor.predict_peak",
-        "engine": "repro.sizing.prediction:EwmaPredictor.predict_peak_matrix",
-    },
-    {
-        "reference": "repro.sizing.prediction:PeriodicPeakPredictor.predict_peak",
-        "engine": "repro.sizing.prediction:PeriodicPeakPredictor.predict_peak_matrix",
-    },
-    # Scalar ↔ batched sizing from predicted peaks.
-    {
-        "reference": "repro.sizing.estimator:SizeEstimator.estimate_from_values",
-        "engine": "repro.sizing.estimator:SizeEstimator.estimate_matrix",
-        "renames": {"vm_id": "vm_ids", "workload_class": "workload_classes"},
     },
 )

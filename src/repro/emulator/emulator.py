@@ -116,15 +116,10 @@ class ConsolidationEmulator:
 
     def __post_init__(self) -> None:
         store = self.trace_set.store
-        # Adjusted columnar demand: same elementwise operations as the
-        # per-trace scalar path, evaluated as two whole-matrix ops.
-        self._cpu_matrix = store.cpu_rpe2 * (
-            1.0 + self.overhead.cpu_overhead_frac
-        )
-        self._memory_matrix = (
-            store.memory_gb * (1.0 - self.overhead.dedup_savings_frac)
-            + self.overhead.memory_overhead_gb
-        )
+        # Adjusted columnar demand: the overhead model applied to the
+        # whole matrices (elementwise, so each cell equals its sample's).
+        self._cpu_matrix = self.overhead.adjust_cpu(store.cpu_rpe2)
+        self._memory_matrix = self.overhead.adjust_memory(store.memory_gb)
         self._vm_row = {vm_id: i for i, vm_id in enumerate(store.vm_ids)}
         self._n_hours = self.trace_set.n_points
         if approx_ne(self.trace_set.interval_hours, 1.0):

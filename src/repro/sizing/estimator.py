@@ -22,31 +22,20 @@ used by stochastic (PCP) placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.infrastructure.vm import VMDemand, WorkloadClass
+from repro.infrastructure.vm import VMDemand
 from repro.sizing.functions import BodyTailSizing, MaxSizing, SizingFunction
 from repro.sizing.network import DiskDemandModel, NetworkDemandModel
-from repro.workloads.trace import ServerTrace, TraceSet
+from repro.workloads.trace import TraceSet
 
 __all__ = ["VirtualizationOverhead", "SizeEstimator"]
 
-
-def _split_matrix(
-    matrix: np.ndarray, body_percentile: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-wise :meth:`BodyTailSizing.split` over a demand matrix.
-
-    ``np.percentile(..., axis=1)`` runs the same interpolation per row
-    as the 1-D call, so each ``(body, tail)`` pair is bit-identical to
-    splitting the row on its own.
-    """
-    body = np.percentile(matrix, body_percentile, axis=1)
-    tail = np.maximum(matrix.max(axis=1) - body, 0.0)
-    return body, tail
+#: A demand value, or an array of them (adjusted elementwise).
+Demand = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -113,15 +102,19 @@ class VirtualizationOverhead:
                 f"{self.dedup_savings_frac}"
             )
 
-    def adjust_cpu(self, cpu_rpe2: float) -> float:
-        """Inflate CPU demand by the hypervisor overhead."""
+    def adjust_cpu(self, cpu_rpe2: Demand) -> Demand:
+        """Inflate CPU demand (a value or an array) by the hypervisor
+        overhead."""
         return cpu_rpe2 * (1.0 + self.cpu_overhead_frac)
 
-    def adjust_memory(self, memory_gb: float) -> float:
+    def dedup_memory(self, memory_gb: Demand) -> Demand:
+        """Apply dedup savings alone: a shared tail, which carries no
+        per-VM fixed overhead."""
+        return memory_gb * (1.0 - self.dedup_savings_frac)
+
+    def adjust_memory(self, memory_gb: Demand) -> Demand:
         """Apply dedup savings, then add the per-VM fixed overhead."""
-        return memory_gb * (1.0 - self.dedup_savings_frac) + (
-            self.memory_overhead_gb
-        )
+        return self.dedup_memory(memory_gb) + self.memory_overhead_gb
 
 
 @dataclass(frozen=True)
@@ -137,162 +130,46 @@ class SizeEstimator:
     network: Optional[NetworkDemandModel] = None
     disk: Optional[DiskDemandModel] = None
 
-    def _network_for(self, workload_class: str, sized_cpu: float) -> float:
-        if self.network is None:
-            return 0.0
-        return self.network.demand_mbps(workload_class, sized_cpu)
-
-    def _disk_for(self, workload_class: str, sized_cpu: float) -> float:
-        if self.disk is None:
-            return 0.0
-        return self.disk.demand_mbps(workload_class, sized_cpu)
-
-    def estimate(self, trace: ServerTrace) -> VMDemand:
-        """Size one VM over its (already windowed) trace."""
-        cpu_window = trace.cpu_rpe2
-        memory_window = trace.memory_gb.values
-        if isinstance(self.sizing, BodyTailSizing):
-            cpu_body, cpu_tail = self.sizing.split(cpu_window)
-            memory_body, memory_tail = self.sizing.split(memory_window)
-            adjusted_body = self.overhead.adjust_cpu(cpu_body)
-            adjusted_tail = self.overhead.adjust_cpu(cpu_tail)
-            return VMDemand(
-                vm_id=trace.vm_id,
-                cpu_rpe2=adjusted_body,
-                memory_gb=self.overhead.adjust_memory(memory_body),
-                tail_cpu_rpe2=adjusted_tail,
-                # The fixed per-VM overhead is already counted in the body.
-                tail_memory_gb=memory_tail
-                * (1.0 - self.overhead.dedup_savings_frac),
-                network_mbps=self._network_for(
-                    trace.vm.workload_class, adjusted_body + adjusted_tail
-                ),
-                disk_mbps=self._disk_for(
-                    trace.vm.workload_class, adjusted_body + adjusted_tail
-                ),
-            )
-        adjusted_cpu = self.overhead.adjust_cpu(self.sizing.size(cpu_window))
-        return VMDemand(
-            vm_id=trace.vm_id,
-            cpu_rpe2=adjusted_cpu,
-            memory_gb=self.overhead.adjust_memory(
-                self.sizing.size(memory_window)
-            ),
-            network_mbps=self._network_for(
-                trace.vm.workload_class, adjusted_cpu
-            ),
-            disk_mbps=self._disk_for(
-                trace.vm.workload_class, adjusted_cpu
-            ),
-        )
-
     def estimate_all(self, trace_set: TraceSet) -> List[VMDemand]:
         """Size every VM in a trace set (kept in trace-set order).
 
-        Max and body/tail sizing run on the cached
-        :class:`~repro.workloads.store.TraceStore` matrices in a few
-        column reductions — exact row-wise reductions, so every demand
-        equals :meth:`estimate` on its own trace.  Any other sizing
-        function sizes trace by trace with :meth:`estimate`.
+        The sizing function reduces every row of the cached
+        :class:`~repro.workloads.store.TraceStore` matrices at once; the
+        reductions run row by row, so each demand equals sizing its own
+        trace (``tests/reference/sizing.py`` pins it).  Body/tail sizing
+        also fills the tail fields used by stochastic (PCP) placement.
         """
-        if not isinstance(self.sizing, (MaxSizing, BodyTailSizing)):
-            return [self.estimate(trace) for trace in trace_set]
         store = trace_set.store
-        cpu = store.cpu_rpe2
-        memory = store.memory_gb
-        if cpu.shape[1] == 0 or cpu.shape[0] == 0:
-            # Delegate empty-window error reporting to estimate().
-            return [self.estimate(trace) for trace in trace_set]
-        classes = [trace.vm.workload_class for trace in trace_set]
-        vm_ids = list(store.vm_ids)
         if isinstance(self.sizing, BodyTailSizing):
-            cpu_body, cpu_tail = _split_matrix(
-                cpu, self.sizing.body_percentile
-            )
-            memory_body, memory_tail = _split_matrix(
-                memory, self.sizing.body_percentile
-            )
-            adjusted_body = cpu_body * (1.0 + self.overhead.cpu_overhead_frac)
-            adjusted_tail = cpu_tail * (1.0 + self.overhead.cpu_overhead_frac)
-            sized_cpu = adjusted_body + adjusted_tail
-            network, disk = self._io_columns(classes, sized_cpu)
-            dedup_keep = 1.0 - self.overhead.dedup_savings_frac
-            adjusted_memory = (
-                memory_body * dedup_keep + self.overhead.memory_overhead_gb
-            )
-            tail_memory = memory_tail * dedup_keep
-            return [
-                VMDemand(
-                    vm_id=vm_ids[row],
-                    cpu_rpe2=float(adjusted_body[row]),
-                    memory_gb=float(adjusted_memory[row]),
-                    tail_cpu_rpe2=float(adjusted_tail[row]),
-                    tail_memory_gb=float(tail_memory[row]),
-                    network_mbps=float(network[row]),
-                    disk_mbps=float(disk[row]),
-                )
-                for row in range(len(vm_ids))
-            ]
-        adjusted_cpu = cpu.max(axis=1) * (
-            1.0 + self.overhead.cpu_overhead_frac
+            cpu, cpu_tail = self.sizing.split(store.cpu_rpe2)
+            memory, memory_tail = self.sizing.split(store.memory_gb)
+        else:
+            cpu = self.sizing.size(store.cpu_rpe2)
+            memory = self.sizing.size(store.memory_gb)
+            cpu_tail = memory_tail = np.zeros_like(cpu)
+        tail_cpu = self.overhead.adjust_cpu(cpu_tail)
+        # The fixed per-VM overhead is already counted in the body.
+        tail_memory = self.overhead.dedup_memory(memory_tail)
+        table = self._adjust(
+            store.vm_ids,
+            cpu[:, None],
+            memory[:, None],
+            [trace.vm.workload_class for trace in trace_set],
+            tail_cpu[:, None],
         )
-        adjusted_memory = memory.max(axis=1) * (
-            1.0 - self.overhead.dedup_savings_frac
-        ) + self.overhead.memory_overhead_gb
-        network, disk = self._io_columns(classes, adjusted_cpu)
+        # One row per VM, the columns in VMDemand's field order.
         return [
-            VMDemand(
-                vm_id=vm_ids[row],
-                cpu_rpe2=float(adjusted_cpu[row]),
-                memory_gb=float(adjusted_memory[row]),
-                network_mbps=float(network[row]),
-                disk_mbps=float(disk[row]),
+            VMDemand(*fields)
+            for fields in zip(
+                table.vm_ids,
+                table.cpu_rpe2[:, 0].tolist(),
+                table.memory_gb[:, 0].tolist(),
+                tail_cpu.tolist(),
+                tail_memory.tolist(),
+                table.network_mbps[:, 0].tolist(),
+                table.disk_mbps[:, 0].tolist(),
             )
-            for row in range(len(vm_ids))
         ]
-
-    def _io_columns(
-        self,
-        workload_classes: Sequence[Optional[str]],
-        sized_cpu: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Network/disk reservations for already-sized CPU columns.
-
-        Grouped by workload class: each class resolves its intensity
-        once and the reservation is one broadcast per class —
-        elementwise identical to the per-VM model calls.
-        """
-        network = np.zeros_like(sized_cpu)
-        disk = np.zeros_like(sized_cpu)
-        if self.network is None and self.disk is None:
-            return network, disk
-        by_class: dict = {}
-        for row, workload_class in enumerate(workload_classes):
-            if workload_class is not None:
-                by_class.setdefault(workload_class, []).append(row)
-        for workload_class, row_list in by_class.items():
-            rows = np.array(row_list, dtype=np.intp)
-            top_level = WorkloadClass.top_level(workload_class)
-            web = top_level == WorkloadClass.WEB
-            if self.network is not None:
-                intensity = (
-                    self.network.web_mbps_per_rpe2
-                    if web
-                    else self.network.batch_mbps_per_rpe2
-                )
-                network[rows] = (
-                    self.network.base_mbps + intensity * sized_cpu[rows]
-                )
-            if self.disk is not None:
-                intensity = (
-                    self.disk.web_mbps_per_rpe2
-                    if web
-                    else self.disk.batch_mbps_per_rpe2
-                )
-                disk[rows] = (
-                    self.disk.base_mbps + intensity * sized_cpu[rows]
-                )
-        return network, disk
 
     def estimate_matrix(
         self,
@@ -301,47 +178,15 @@ class SizeEstimator:
         memory_gb: np.ndarray,
         workload_classes: Optional[Sequence[Optional[str]]] = None,
     ) -> DemandTable:
-        """Batched :meth:`estimate_from_values` over whole peak tables.
+        """Size whole ``(n_vms, n_intervals)`` predicted-peak tables.
 
-        ``cpu_rpe2`` / ``memory_gb`` are ``(n_vms, n_intervals)``
-        predicted peaks; the overhead and I/O adjustments are applied to
-        the full matrices (elementwise, so bit-identical to the scalar
-        calls) and the result stays columnar — :class:`DemandTable`
-        materializes :class:`VMDemand` rows only on request.
+        The overhead and I/O adjustments are applied to the full
+        matrices (elementwise, so each cell equals sizing its value
+        alone) and the result stays columnar — :class:`DemandTable`
+        materializes :class:`VMDemand` rows only on request.  Negative
+        or non-finite peaks are rejected, naming the first such VM.
         """
-        cpu_rpe2 = np.asarray(cpu_rpe2, dtype=float)
-        memory_gb = np.asarray(memory_gb, dtype=float)
-        if cpu_rpe2.ndim != 2 or cpu_rpe2.shape != memory_gb.shape:
-            raise ConfigurationError(
-                "estimate_matrix expects matching (n_vms, n_intervals) "
-                "peak matrices"
-            )
-        if cpu_rpe2.shape[0] != len(vm_ids):
-            raise ConfigurationError(
-                f"{len(vm_ids)} vm_ids for {cpu_rpe2.shape[0]} peak rows"
-            )
-        negative = (cpu_rpe2 < 0).any(axis=1) | (memory_gb < 0).any(axis=1)
-        if negative.any():
-            offender = vm_ids[int(np.argmax(negative))]
-            raise ConfigurationError(
-                f"{offender}: predicted demand must be >= 0"
-            )
-        adjusted_cpu = cpu_rpe2 * (1.0 + self.overhead.cpu_overhead_frac)
-        adjusted_memory = (
-            memory_gb * (1.0 - self.overhead.dedup_savings_frac)
-            + self.overhead.memory_overhead_gb
-        )
-        network = np.zeros_like(adjusted_cpu)
-        disk = np.zeros_like(adjusted_cpu)
-        if workload_classes is not None:
-            network, disk = self._io_columns(workload_classes, adjusted_cpu)
-        return DemandTable(
-            vm_ids=tuple(vm_ids),
-            cpu_rpe2=adjusted_cpu,
-            memory_gb=adjusted_memory,
-            network_mbps=network,
-            disk_mbps=disk,
-        )
+        return self._adjust(vm_ids, cpu_rpe2, memory_gb, workload_classes)
 
     def estimate_from_values(
         self,
@@ -355,22 +200,86 @@ class SizeEstimator:
         Dynamic consolidation predicts a peak per interval before sizing;
         by the time it reaches the estimator the window is a single value
         per resource.  Pass ``workload_class`` to include the network
-        reservation when a network model is configured.
+        reservation when a network model is configured.  A one-cell
+        :meth:`estimate_matrix`.
         """
-        if cpu_rpe2 < 0 or memory_gb < 0:
+        return self._adjust(
+            [vm_id], [[cpu_rpe2]], [[memory_gb]], [workload_class]
+        ).demand(0, 0)
+
+    def _adjust(
+        self,
+        vm_ids: Sequence[str],
+        cpu_rpe2: np.ndarray,
+        memory_gb: np.ndarray,
+        workload_classes: Optional[Sequence[Optional[str]]],
+        tail_cpu_rpe2: Optional[np.ndarray] = None,
+    ) -> DemandTable:
+        """The one sizing path: overhead, dedup and I/O reservations for
+        ``(n_vms, t)`` peak matrices.
+
+        ``tail_cpu_rpe2`` is an already-adjusted shared CPU tail; the
+        I/O reservations then scale with body plus tail.
+        """
+        cpu_rpe2 = np.asarray(cpu_rpe2, dtype=float)
+        memory_gb = np.asarray(memory_gb, dtype=float)
+        if cpu_rpe2.ndim != 2 or cpu_rpe2.shape != memory_gb.shape:
             raise ConfigurationError(
-                f"{vm_id}: predicted demand must be >= 0"
+                "estimate_matrix expects matching (n_vms, n_intervals) "
+                "peak matrices"
+            )
+        if cpu_rpe2.shape[0] != len(vm_ids):
+            raise ConfigurationError(
+                f"{len(vm_ids)} vm_ids for {cpu_rpe2.shape[0]} peak rows"
+            )
+        finite = np.isfinite(cpu_rpe2) & np.isfinite(memory_gb)
+        valid = finite & (cpu_rpe2 >= 0) & (memory_gb >= 0)
+        if not valid.all():
+            row = int(np.argmin(valid.all(axis=1)))
+            problem = ">= 0" if finite[row].all() else "finite"
+            raise ConfigurationError(
+                f"{vm_ids[row]}: predicted demand must be {problem}"
             )
         adjusted_cpu = self.overhead.adjust_cpu(cpu_rpe2)
-        network = 0.0
-        disk = 0.0
-        if workload_class is not None:
-            network = self._network_for(workload_class, adjusted_cpu)
-            disk = self._disk_for(workload_class, adjusted_cpu)
-        return VMDemand(
-            vm_id=vm_id,
+        sized_cpu = (
+            adjusted_cpu if tail_cpu_rpe2 is None
+            else adjusted_cpu + tail_cpu_rpe2
+        )
+        network, disk = self._io_columns(workload_classes, sized_cpu)
+        return DemandTable(
+            vm_ids=tuple(vm_ids),
             cpu_rpe2=adjusted_cpu,
             memory_gb=self.overhead.adjust_memory(memory_gb),
             network_mbps=network,
             disk_mbps=disk,
         )
+
+    def _io_columns(
+        self,
+        workload_classes: Optional[Sequence[Optional[str]]],
+        sized_cpu: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Network/disk reservations for already-sized CPU rows.
+
+        Grouped by workload class: each model reserves a class's rows in
+        one array call, elementwise identical to per-VM calls.  Rows
+        without a class reserve no I/O.
+        """
+        network = np.zeros_like(sized_cpu)
+        disk = np.zeros_like(sized_cpu)
+        if workload_classes is None or (
+            self.network is None and self.disk is None
+        ):
+            return network, disk
+        by_class: dict = {}
+        for row, workload_class in enumerate(workload_classes):
+            if workload_class is not None:
+                by_class.setdefault(workload_class, []).append(row)
+        for workload_class, row_list in by_class.items():
+            rows = np.array(row_list, dtype=np.intp)
+            for model, out in ((self.network, network), (self.disk, disk)):
+                if model is not None:
+                    out[rows] = model.demand_mbps(
+                        workload_class, sized_cpu[rows]
+                    )
+        return network, disk

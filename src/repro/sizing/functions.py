@@ -17,7 +17,7 @@ The consolidation variants map onto sizing functions as:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Tuple, runtime_checkable
+from typing import Protocol, Tuple, Union, runtime_checkable
 
 import numpy as np
 
@@ -32,18 +32,30 @@ __all__ = [
 ]
 
 
+#: One reservation for a 1-D window, one per row of a ``(n_vms, t)``
+#: window matrix.
+Reservation = Union[float, np.ndarray]
+
+
 def _check_window(window: np.ndarray) -> np.ndarray:
     window = np.asarray(window, dtype=float)
-    if window.ndim != 1 or window.size == 0:
-        raise TraceError("sizing expects a non-empty 1-D demand window")
+    if window.ndim not in (1, 2) or window.shape[-1] == 0:
+        raise TraceError(
+            "sizing expects a non-empty 1-D demand window or an "
+            "(n_vms, t>0) window matrix"
+        )
     return window
 
 
 @runtime_checkable
 class SizingFunction(Protocol):
-    """Anything that maps a demand window to a scalar reservation."""
+    """Anything that maps a demand window to a scalar reservation.
 
-    def size(self, window: np.ndarray) -> float:
+    Sizing reduces over the last axis, so a ``(n_vms, t)`` window matrix
+    gets one reservation per row, each equal to sizing that row alone.
+    """
+
+    def size(self, window: np.ndarray) -> Reservation:
         """Return the reservation for the window, in the window's unit."""
         ...
 
@@ -52,8 +64,8 @@ class SizingFunction(Protocol):
 class MaxSizing:
     """Reserve the window's peak — the conservative industry default."""
 
-    def size(self, window: np.ndarray) -> float:
-        return float(_check_window(window).max())
+    def size(self, window: np.ndarray) -> Reservation:
+        return _check_window(window).max(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -64,8 +76,8 @@ class MeanSizing:
     paper's introduction), not by any of the shipped algorithms.
     """
 
-    def size(self, window: np.ndarray) -> float:
-        return float(_check_window(window).mean())
+    def size(self, window: np.ndarray) -> Reservation:
+        return _check_window(window).mean(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -80,8 +92,8 @@ class PercentileSizing:
                 f"percentile must be in [0, 100], got {self.percentile}"
             )
 
-    def size(self, window: np.ndarray) -> float:
-        return float(np.percentile(_check_window(window), self.percentile))
+    def size(self, window: np.ndarray) -> Reservation:
+        return np.percentile(_check_window(window), self.percentile, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -103,13 +115,14 @@ class BodyTailSizing:
                 f"{self.body_percentile}"
             )
 
-    def size(self, window: np.ndarray) -> float:
+    def size(self, window: np.ndarray) -> Reservation:
         """The body alone — satisfies the :class:`SizingFunction` protocol."""
         return self.split(window)[0]
 
-    def split(self, window: np.ndarray) -> Tuple[float, float]:
-        """Return ``(body, tail)`` with ``body + tail == window.max()``."""
+    def split(self, window: np.ndarray) -> Tuple[Reservation, Reservation]:
+        """Return ``(body, tail)`` with ``body + tail == window.max()``
+        (per row for a window matrix)."""
         window = _check_window(window)
-        body = float(np.percentile(window, self.body_percentile))
-        tail = float(window.max()) - body
-        return body, max(tail, 0.0)
+        body = np.percentile(window, self.body_percentile, axis=-1)
+        tail = np.maximum(window.max(axis=-1) - body, 0.0)
+        return body, tail

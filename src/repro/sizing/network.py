@@ -15,6 +15,9 @@ demand = intensity(workload class) × sized CPU demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar, Union
+
+import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.infrastructure.vm import WorkloadClass
@@ -23,7 +26,46 @@ __all__ = ["NetworkDemandModel", "DiskDemandModel"]
 
 
 @dataclass(frozen=True)
-class NetworkDemandModel:
+class _IoDemandModel:
+    """Shared validation and reservation of the two I/O demand models:
+    reservation = base + intensity(workload class) × sized CPU demand."""
+
+    web_mbps_per_rpe2: float
+    batch_mbps_per_rpe2: float
+    base_mbps: float
+    #: The resource the model reserves, named in validation errors.
+    _resource: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        if self.web_mbps_per_rpe2 < 0 or self.batch_mbps_per_rpe2 < 0:
+            raise ConfigurationError(
+                f"{self._resource} intensities must be >= 0"
+            )
+        if self.base_mbps < 0:
+            raise ConfigurationError("base_mbps must be >= 0")
+
+    def demand_mbps(
+        self,
+        workload_class: str,
+        sized_cpu_rpe2: Union[float, np.ndarray],
+    ) -> Union[float, np.ndarray]:
+        """Reservation for one sized VM, or elementwise for an array of
+        sized CPU demands of the same workload class."""
+        if np.any(sized_cpu_rpe2 < 0):
+            raise ConfigurationError(
+                f"sized_cpu_rpe2 must be >= 0, got {np.min(sized_cpu_rpe2)}"
+            )
+        top_level = WorkloadClass.top_level(workload_class)
+        intensity = (
+            self.web_mbps_per_rpe2
+            if top_level == WorkloadClass.WEB
+            else self.batch_mbps_per_rpe2
+        )
+        return self.base_mbps + intensity * sized_cpu_rpe2
+
+
+@dataclass(frozen=True)
+class NetworkDemandModel(_IoDemandModel):
     """Converts sized CPU demand into a link-bandwidth reservation.
 
     Intensities are in Mbps per RPE2 of sized CPU demand.  Defaults are
@@ -37,30 +79,11 @@ class NetworkDemandModel:
     batch_mbps_per_rpe2: float = 0.08
     #: Baseline per-VM chatter (monitoring, AD, backup control traffic).
     base_mbps: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.web_mbps_per_rpe2 < 0 or self.batch_mbps_per_rpe2 < 0:
-            raise ConfigurationError("network intensities must be >= 0")
-        if self.base_mbps < 0:
-            raise ConfigurationError("base_mbps must be >= 0")
-
-    def demand_mbps(self, workload_class: str, sized_cpu_rpe2: float) -> float:
-        """Bandwidth reservation for one sized VM."""
-        if sized_cpu_rpe2 < 0:
-            raise ConfigurationError(
-                f"sized_cpu_rpe2 must be >= 0, got {sized_cpu_rpe2}"
-            )
-        top_level = WorkloadClass.top_level(workload_class)
-        intensity = (
-            self.web_mbps_per_rpe2
-            if top_level == WorkloadClass.WEB
-            else self.batch_mbps_per_rpe2
-        )
-        return self.base_mbps + intensity * sized_cpu_rpe2
+    _resource: ClassVar[str] = "network"
 
 
 @dataclass(frozen=True)
-class DiskDemandModel:
+class DiskDemandModel(_IoDemandModel):
     """Converts sized CPU demand into a SAN-throughput reservation.
 
     The mirror of :class:`NetworkDemandModel` for the paper's second
@@ -73,23 +96,4 @@ class DiskDemandModel:
     batch_mbps_per_rpe2: float = 0.20
     #: Baseline per-VM churn (OS paging, logging).
     base_mbps: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.web_mbps_per_rpe2 < 0 or self.batch_mbps_per_rpe2 < 0:
-            raise ConfigurationError("disk intensities must be >= 0")
-        if self.base_mbps < 0:
-            raise ConfigurationError("base_mbps must be >= 0")
-
-    def demand_mbps(self, workload_class: str, sized_cpu_rpe2: float) -> float:
-        """Storage-throughput reservation for one sized VM."""
-        if sized_cpu_rpe2 < 0:
-            raise ConfigurationError(
-                f"sized_cpu_rpe2 must be >= 0, got {sized_cpu_rpe2}"
-            )
-        top_level = WorkloadClass.top_level(workload_class)
-        intensity = (
-            self.web_mbps_per_rpe2
-            if top_level == WorkloadClass.WEB
-            else self.batch_mbps_per_rpe2
-        )
-        return self.base_mbps + intensity * sized_cpu_rpe2
+    _resource: ClassVar[str] = "disk"

@@ -6,8 +6,10 @@ the future.  Prediction error is the mechanism behind the paper's
 contention results (Figs. 8, 9): a spike that the predictor did not see
 coming lands on a tightly packed host.
 
-All predictors implement :class:`Predictor`: given the demand history up
-to now, predict the peak demand of the next ``horizon`` samples.
+All predictors implement :class:`Predictor`: given the whole demand
+series of every VM and a list of interval starts, predict the peak
+demand of the ``horizon`` samples after each start from the samples
+before it.
 
 * :class:`OraclePredictor` — cheats by looking at the actual future;
   isolates packing effects from prediction effects in ablations.
@@ -18,19 +20,17 @@ to now, predict the peak demand of the next ``horizon`` samples.
   patterns well, misses heavy-tail spikes — exactly the error profile
   enterprise capacity tools exhibit.
 
-Every predictor also offers ``predict_peak_matrix`` — the same
-prediction for all VM rows of a ``(n_vms, n_points)`` history at once —
-and the module-level :func:`build_peak_table` assembles the full
-``(n_vms, n_intervals)`` peak table a dynamic plan needs in a handful
-of array ops (stride-tricks window maxima, incremental EWMA folds).
-Bit-identical results are the contract: each kernel evaluates exactly
-the scalar expressions, row-broadcast.
+Each predictor has one kernel, ``predict_peak_table``, that fills the
+whole ``(n_vms, n_intervals)`` peak table a dynamic plan needs; the
+module-level :func:`build_peak_table` validates the series and calls
+it.  The per-VM scalar predictions the kernels are pinned to, bit for
+bit, live in ``tests/reference/prediction.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Dict, List, Protocol, Sequence, Tuple, runtime_checkable
 
 import numpy as np
 
@@ -46,18 +46,11 @@ __all__ = [
 ]
 
 
-def _check_history(history: np.ndarray) -> np.ndarray:
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 1 or history.size == 0:
-        raise TraceError("predictor needs a non-empty 1-D history")
-    return history
-
-
-def _check_history_matrix(history: np.ndarray) -> np.ndarray:
-    history = np.asarray(history, dtype=float)
-    if history.ndim != 2 or history.shape[1] == 0:
-        raise TraceError("predict_peak_matrix expects (n, t>0) history")
-    return history
+def _check_series(full: np.ndarray) -> np.ndarray:
+    full = np.asarray(full, dtype=float)
+    if full.ndim != 2 or full.shape[1] == 0:
+        raise TraceError("peak table expects an (n, t>0) demand series")
+    return full
 
 
 def _check_horizon(horizon: int) -> None:
@@ -65,9 +58,17 @@ def _check_horizon(horizon: int) -> None:
         raise ConfigurationError(f"horizon must be > 0, got {horizon}")
 
 
-def _check_starts(
-    starts: Sequence[int], horizon: int, n_points: int, *, need_future: bool
-) -> Sequence[int]:
+def _check_table(
+    full: np.ndarray,
+    horizon: int,
+    starts: Sequence[int],
+    *,
+    need_future: bool = False,
+) -> Tuple[np.ndarray, List[int]]:
+    """Validated ``(full, starts)`` for a ``predict_peak_table`` call."""
+    full = _check_series(full)
+    _check_horizon(horizon)
+    n_points = full.shape[1]
     starts = [int(s) for s in starts]
     for start in starts:
         if start < 1:
@@ -81,7 +82,7 @@ def _check_starts(
             raise TraceError(
                 f"table start {start} beyond the {n_points}-point series"
             )
-    return starts
+    return full, starts
 
 
 def build_peak_table(
@@ -93,56 +94,32 @@ def build_peak_table(
     """Peak predictions for every VM row at every interval start.
 
     ``full`` is the whole ``(n_vms, n_points)`` demand series (history
-    and evaluation concatenated); column ``j`` of the result equals
-    ``predictor.predict_peak(full[row, :starts[j]], horizon,
-    full[row, starts[j]:starts[j] + horizon])`` for every row.  Uses the
-    predictor's own ``predict_peak_table`` kernel when it has one, then
-    ``predict_peak_matrix`` per interval, then the scalar protocol —
-    all three produce bit-identical tables.
+    and evaluation concatenated); column ``j`` of the result is the
+    peak predicted for ``[starts[j], starts[j] + horizon)`` from
+    ``full[:, :starts[j]]``.  Validates the series and the horizon,
+    then runs the predictor's ``predict_peak_table`` kernel.
     """
-    full = _check_history_matrix(full)
+    full = _check_series(full)
     _check_horizon(horizon)
-    table_path = getattr(predictor, "predict_peak_table", None)
-    if table_path is not None:
-        return table_path(full, horizon, starts)
-    starts = _check_starts(
-        starts, horizon, full.shape[1], need_future=False
-    )
-    matrix_path = getattr(predictor, "predict_peak_matrix", None)
-    columns = []
-    for now in starts:
-        history = full[:, :now]
-        future = full[:, now:now + horizon]
-        if matrix_path is not None:
-            columns.append(matrix_path(history, horizon, future))
-        else:
-            columns.append(
-                np.array(
-                    [
-                        predictor.predict_peak(
-                            history[row], horizon, future[row]
-                        )
-                        for row in range(full.shape[0])
-                    ]
-                )
-            )
-    return np.stack(columns, axis=1)
+    return predictor.predict_peak_table(full, horizon, starts)
 
 
 @runtime_checkable
 class Predictor(Protocol):
-    """Predicts the peak demand of the next ``horizon`` samples."""
+    """Predicts the peak demand of the ``horizon`` samples after each
+    interval start."""
 
-    def predict_peak(
+    def predict_peak_table(
         self,
-        history: np.ndarray,
+        full: np.ndarray,
         horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> float:
-        """Return the predicted peak for the next ``horizon`` samples.
+        starts: Sequence[int],
+    ) -> np.ndarray:
+        """Return the ``(n_vms, len(starts))`` predicted-peak table.
 
-        ``actual_future`` is only consulted by oracle-style predictors;
-        honest predictors must ignore it.
+        Column ``j`` is the peak predicted for ``[starts[j], starts[j] +
+        horizon)`` from the history ``full[:, :starts[j]]``.  Only
+        oracle-style predictors may read ``full`` at or after a start.
         """
         ...
 
@@ -151,48 +128,11 @@ class Predictor(Protocol):
 class OraclePredictor:
     """Perfect foresight: returns the actual future peak.
 
-    Requires ``actual_future``; used to separate "dynamic consolidation
-    with perfect prediction" from "dynamic consolidation as deployable".
+    Reads the future from the series itself, so every start needs
+    ``horizon`` samples after it; used to separate "dynamic
+    consolidation with perfect prediction" from "dynamic consolidation
+    as deployable".
     """
-
-    def predict_peak(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> float:
-        _check_history(history)
-        if actual_future is None:
-            raise ConfigurationError(
-                "OraclePredictor needs the actual future demand"
-            )
-        future = np.asarray(actual_future, dtype=float)
-        if future.size < horizon:
-            raise TraceError(
-                f"actual future has {future.size} samples, need {horizon}"
-            )
-        return float(future[:horizon].max())
-
-    def predict_peak_matrix(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Row-wise :meth:`predict_peak` for a ``(n, t)`` history."""
-        _check_history_matrix(history)
-        _check_horizon(horizon)
-        if actual_future is None:
-            raise ConfigurationError(
-                "OraclePredictor needs the actual future demand"
-            )
-        future = np.asarray(actual_future, dtype=float)
-        if future.ndim != 2 or future.shape[1] < horizon:
-            raise TraceError(
-                f"actual future has {future.shape[-1]} samples, "
-                f"need {horizon}"
-            )
-        return future[:, :horizon].max(axis=1)
 
     def predict_peak_table(
         self,
@@ -200,87 +140,30 @@ class OraclePredictor:
         horizon: int,
         starts: Sequence[int],
     ) -> np.ndarray:
-        """All interval predictions at once: a sliding-window max gather.
-
-        ``sliding_window_view`` exposes every length-``horizon`` window
-        of the series as a stride-tricks view; the per-interval future
-        peaks are one ``max`` reduction plus a column gather.
-        """
-        full = _check_history_matrix(full)
-        _check_horizon(horizon)
-        starts = _check_starts(
-            starts, horizon, full.shape[1], need_future=True
-        )
-        if full.shape[1] < horizon:
-            raise TraceError(
-                f"actual future has 0 samples, need {horizon}"
-            )
-        windows = np.lib.stride_tricks.sliding_window_view(
-            full, horizon, axis=1
-        )
-        window_max = windows.max(axis=2)
-        return window_max[:, np.asarray(starts, dtype=np.intp)]
+        """The actual peak of each interval, one window max per start."""
+        full, starts = _check_table(full, horizon, starts, need_future=True)
+        table = np.empty((full.shape[0], len(starts)))
+        for j, now in enumerate(starts):
+            table[:, j] = full[:, now:now + horizon].max(axis=1)
+        return table
 
 
 @dataclass(frozen=True)
 class LastIntervalPredictor:
     """Peak of the most recent ``horizon`` samples (naive persistence)."""
 
-    def predict_peak(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> float:
-        history = _check_history(history)
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon}")
-        return float(history[-min(horizon, history.size):].max())
-
-    def predict_peak_matrix(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Row-wise :meth:`predict_peak` for a ``(n, t)`` history."""
-        history = _check_history_matrix(history)
-        _check_horizon(horizon)
-        n = history.shape[1]
-        return history[:, -min(horizon, n):].max(axis=1)
-
     def predict_peak_table(
         self,
         full: np.ndarray,
         horizon: int,
         starts: Sequence[int],
     ) -> np.ndarray:
-        """All interval predictions at once via sliding-window maxima.
-
-        The prediction at ``now`` is the max of the window *ending* at
-        ``now``; for ``now >= horizon`` that is one gather from the
-        stride-tricks window-max table, with the short-history prefix
-        handled per column.
-        """
-        full = _check_history_matrix(full)
-        _check_horizon(horizon)
-        starts = _check_starts(
-            starts, horizon, full.shape[1], need_future=False
-        )
+        """The peak of the window ending at each start (all of the
+        history when it is shorter than ``horizon``)."""
+        full, starts = _check_table(full, horizon, starts)
         table = np.empty((full.shape[0], len(starts)))
-        window_max = None
-        if full.shape[1] >= horizon and any(s >= horizon for s in starts):
-            windows = np.lib.stride_tricks.sliding_window_view(
-                full, horizon, axis=1
-            )
-            window_max = windows.max(axis=2)
         for j, now in enumerate(starts):
-            if now >= horizon and window_max is not None:
-                table[:, j] = window_max[:, now - horizon]
-            else:
-                table[:, j] = full[:, :now][:, -min(horizon, now):].max(
-                    axis=1
-                )
+            table[:, j] = full[:, now - min(horizon, now):now].max(axis=1)
         return table
 
 
@@ -302,108 +185,46 @@ class EwmaPredictor:
                 f"alpha must be in (0, 1], got {self.alpha}"
             )
 
-    def predict_peak(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> float:
-        history = _check_history(history)
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon}")
-        usable = (history.size // horizon) * horizon
-        if usable == 0:
-            return float(history.max())
-        peaks = history[-usable:].reshape(-1, horizon).max(axis=1)
-        estimate = peaks[0]
-        for peak in peaks[1:]:
-            estimate = self.alpha * peak + (1 - self.alpha) * estimate
-        return float(estimate)
-
-    def predict_peak_matrix(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Row-wise :meth:`predict_peak` for a ``(n, t)`` history.
-
-        One block-peak reduction plus a fold over block columns — the
-        fold runs over *intervals*, not VMs, so its cost is independent
-        of fleet size.  Each step evaluates exactly the scalar EWMA
-        expression, broadcast.
-        """
-        history = _check_history_matrix(history)
-        _check_horizon(horizon)
-        n = history.shape[1]
-        usable = (n // horizon) * horizon
-        if usable == 0:
-            return history.max(axis=1)
-        peaks = history[:, n - usable:].reshape(
-            history.shape[0], -1, horizon
-        ).max(axis=2)
-        estimate = peaks[:, 0]
-        for block in range(1, peaks.shape[1]):
-            estimate = (
-                self.alpha * peaks[:, block] + (1 - self.alpha) * estimate
-            )
-        return estimate
-
     def predict_peak_table(
         self,
         full: np.ndarray,
         horizon: int,
         starts: Sequence[int],
     ) -> np.ndarray:
-        """All interval predictions at once via an incremental fold.
+        """All interval predictions via one incremental fold per phase.
 
-        Consecutive interval starts share the same block phase, so each
-        interval's EWMA extends the previous one by the newly completed
-        blocks: the whole table costs one block-peak reduction plus one
-        vectorized fold step per new block, instead of refolding the
-        entire history 360 times.
+        The blocks of a history ending at ``now`` start at phase ``now %
+        horizon``, so every start of one phase folds a prefix of the
+        same block sequence: taken in ascending order, each start
+        extends the previous fold by its newly completed blocks.  Each
+        step evaluates exactly the scalar EWMA expression, broadcast
+        over the VM rows.
         """
-        full = _check_history_matrix(full)
-        _check_horizon(horizon)
-        starts = _check_starts(
-            starts, horizon, full.shape[1], need_future=False
-        )
-        phase = starts[0] % horizon
-        incremental = all(
-            s % horizon == phase for s in starts
-        ) and all(a <= b for a, b in zip(starts, starts[1:]))
-        if not incremental:
-            return np.stack(
-                [
-                    self.predict_peak_matrix(full[:, :now], horizon)
-                    for now in starts
-                ],
-                axis=1,
-            )
-        n_blocks = max(s // horizon for s in starts)
-        peaks = None
-        if n_blocks:
+        full, starts = _check_table(full, horizon, starts)
+        n_rows = full.shape[0]
+        table = np.empty((n_rows, len(starts)))
+        phases: Dict[int, List[int]] = {}
+        for j in sorted(range(len(starts)), key=starts.__getitem__):
+            phases.setdefault(starts[j] % horizon, []).append(j)
+        for phase, columns in phases.items():
+            n_blocks = starts[columns[-1]] // horizon
             peaks = full[:, phase:phase + n_blocks * horizon].reshape(
-                full.shape[0], n_blocks, horizon
+                n_rows, n_blocks, horizon
             ).max(axis=2)
-        table = np.empty((full.shape[0], len(starts)))
-        estimate = None
-        folded = 0
-        for j, now in enumerate(starts):
-            blocks = now // horizon
-            if blocks == 0:
-                table[:, j] = full[:, :now].max(axis=1)
-                continue
-            if estimate is None:
-                estimate = peaks[:, 0]
-                folded = 1
-            while folded < blocks:
-                estimate = (
-                    self.alpha * peaks[:, folded]
-                    + (1 - self.alpha) * estimate
-                )
-                folded += 1
-            table[:, j] = estimate
+            estimate = peaks[:, 0] if n_blocks else None
+            folded = 1
+            for j in columns:
+                blocks = starts[j] // horizon
+                if blocks == 0:
+                    table[:, j] = full[:, :starts[j]].max(axis=1)
+                    continue
+                while folded < blocks:
+                    estimate = (
+                        self.alpha * peaks[:, folded]
+                        + (1 - self.alpha) * estimate
+                    )
+                    folded += 1
+                table[:, j] = estimate
         return table
 
 
@@ -434,61 +255,31 @@ class PeriodicPeakPredictor:
                 f"safety_margin must be >= 0, got {self.safety_margin}"
             )
 
-    def predict_peak(
+    def predict_peak_table(
         self,
-        history: np.ndarray,
+        full: np.ndarray,
         horizon: int,
-        actual_future: Optional[np.ndarray] = None,
-    ) -> float:
-        history = _check_history(history)
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon}")
-        n = history.size
-        samples = []
-        # The next interval covers phases [n, n + horizon) mod period.
-        for day in range(1, self.lookback_days + 1):
-            start = n - day * self.period
-            if start < 0:
-                break
-            end = min(start + horizon, n)
-            samples.append(history[start:end])
-        if samples:
-            periodic_peak = max(float(s.max()) for s in samples if s.size)
-        else:
-            periodic_peak = float(history.max())
-        recent_peak = float(history[-min(horizon, n):].max())
-        return max(periodic_peak, recent_peak) * (1.0 + self.safety_margin)
-
-    def predict_peak_matrix(
-        self,
-        history: np.ndarray,
-        horizon: int,
-        actual_future: Optional[np.ndarray] = None,
+        starts: Sequence[int],
     ) -> np.ndarray:
-        """Vectorized :meth:`predict_peak` over (n_vms, n_points) history.
+        """All interval predictions, one vectorized column per start.
 
-        Semantically identical to looping ``predict_peak`` per row;
-        used by dynamic consolidation, where the per-interval prediction
-        of every VM is the planning hot path.
+        Each column is a few row-wise maxima over the VM rows: the
+        recency floor (the last ``horizon`` samples), the interval's
+        phases ``day`` periods earlier for every lookback day the
+        history covers, and the whole history while it is shorter than
+        one period.
         """
-        history = np.asarray(history, dtype=float)
-        if history.ndim != 2 or history.shape[1] == 0:
-            raise TraceError("predict_peak_matrix expects (n, t>0) history")
-        if horizon <= 0:
-            raise ConfigurationError(f"horizon must be > 0, got {horizon}")
-        n = history.shape[1]
-        peaks = history[:, -min(horizon, n):].max(axis=1)  # recency floor
-        saw_periodic = False
-        for day in range(1, self.lookback_days + 1):
-            start = n - day * self.period
-            if start < 0:
-                break
-            end = min(start + horizon, n)
-            if end > start:
-                saw_periodic = True
+        full, starts = _check_table(full, horizon, starts)
+        table = np.empty((full.shape[0], len(starts)))
+        for j, now in enumerate(starts):
+            peaks = full[:, now - min(horizon, now):now].max(axis=1)
+            if now < self.period:
+                peaks = np.maximum(peaks, full[:, :now].max(axis=1))
+            days = min(self.lookback_days, now // self.period)
+            for day in range(1, days + 1):
+                start = now - day * self.period
                 peaks = np.maximum(
-                    peaks, history[:, start:end].max(axis=1)
+                    peaks, full[:, start:min(start + horizon, now)].max(axis=1)
                 )
-        if not saw_periodic:
-            peaks = np.maximum(peaks, history.max(axis=1))
-        return peaks * (1.0 + self.safety_margin)
+            table[:, j] = peaks * (1.0 + self.safety_margin)
+        return table

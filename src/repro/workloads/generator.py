@@ -953,7 +953,8 @@ def _add_spikes_inplace(
 ) -> None:
     """Add the spike overlay to ``util`` without a dense scatter matrix.
 
-    Bit-identical to ``util += models.pareto_spike_matrix(...)``: the
+    Bit-identical to ``util += pareto_spike_matrix(...)``, the dense
+    scatter kept in ``tests/reference/generation.py``: the
     contributions landing on one (row, hour) cell combine by max (an
     order-free, exact operation), and adding the overlay's untouched
     ``0.0`` cells to the strictly positive util values is the identity.
@@ -972,7 +973,7 @@ def _add_spikes_inplace(
         active &= times < n_hours
         if not active.any():
             continue
-        # Same decay expression as models.pareto_spike_matrix.
+        # Same decay expression as the reference pareto_spike_matrix.
         decay = 1.0 - offset / durations[active]
         cell_chunks.append(rows[active] * n_hours + times[active])
         value_chunks.append(magnitudes[active] * decay)

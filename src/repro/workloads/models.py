@@ -6,10 +6,10 @@ properties the paper measures in Section 4:
 * diurnal business-hour cycles and weekend dips
   (:func:`diurnal_profile_matrix`, :func:`weekly_profile`) — the
   medium-term variation semi-static consolidation exploits,
-* multiplicative lognormal burstiness and additive Pareto spikes
-  (:func:`lognormal_noise`, :func:`pareto_spike_matrix`) — the
-  heavy-tailed short-term variation dynamic consolidation exploits (web
-  workloads),
+* multiplicative lognormal burstiness (:func:`lognormal_noise`) and
+  additive Pareto spikes (scattered by the generator's
+  ``_add_spikes_inplace``) — the heavy-tailed short-term variation
+  dynamic consolidation exploits (web workloads),
 * autocorrelated AR(1) fluctuation (:func:`ar1_noise`,
   :func:`ar1_filter_matrix`) — the smooth load evolution of steady
   batch/compute workloads,
@@ -50,7 +50,6 @@ __all__ = [
     "lognormal_noise",
     "ar1_noise",
     "ar1_filter_matrix",
-    "pareto_spike_matrix",
     "scheduled_job_matrix",
     "ewma_smooth_matrix",
 ]
@@ -261,39 +260,6 @@ def ar1_filter_matrix(
             previous = phi * previous + sigma * gaussians[:, t]
             out[:, t] = previous
     return out
-
-
-def pareto_spike_matrix(
-    n_rows: int,
-    n_hours: int,
-    *,
-    rows: np.ndarray,
-    starts: np.ndarray,
-    magnitudes: np.ndarray,
-    durations: np.ndarray,
-) -> np.ndarray:
-    """Pareto spike overlay scattered from pre-drawn spike draws.
-
-    Each spike ``i`` lives on trace row ``rows[i]`` and decays linearly
-    from ``starts[i]`` over ``durations[i]`` hours; overlapping spikes
-    combine by max, exactly like the scalar loop (max is order-free).
-    """
-    spikes = np.zeros((n_rows, n_hours))
-    starts = np.asarray(starts)
-    durations = np.asarray(durations)
-    if starts.size == 0:
-        return spikes
-    for offset in range(int(durations.max())):
-        active = durations > offset
-        times = starts + offset
-        active &= times < n_hours
-        if not active.any():
-            continue
-        decay = 1.0 - offset / durations[active]
-        np.maximum.at(
-            spikes, (rows[active], times[active]), magnitudes[active] * decay
-        )
-    return spikes
 
 
 def scheduled_job_matrix(

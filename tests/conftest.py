@@ -13,11 +13,13 @@ import pytest
 
 from repro.infrastructure.datacenter import Datacenter, build_target_pool
 from repro.infrastructure.server import PhysicalServer, ServerSpec
-from repro.infrastructure.vm import VirtualMachine
+from repro.infrastructure.vm import VirtualMachine, VMDemand
 from repro.metrics.catalog import get_model
+from repro.sizing.estimator import SizeEstimator
 from repro.workloads.generator import WEB_MODERATE
 from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
 from tests.reference.generation import generate_server_trace
+from tests.reference.sizing import estimate_reference
 
 
 @pytest.fixture
@@ -56,6 +58,14 @@ def make_server_trace(
             unit="GB",
         ),
     )
+
+
+def size_one(estimator: SizeEstimator, trace: ServerTrace) -> VMDemand:
+    """``estimate_all`` on a one-trace set, checked against the per-trace
+    reference sizing."""
+    (demand,) = estimator.estimate_all(TraceSet(name="one", _traces=[trace]))
+    assert demand == estimate_reference(estimator, trace)
+    return demand
 
 
 @pytest.fixture

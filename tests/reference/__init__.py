@@ -2,8 +2,9 @@
 
 Each module here is the straightforward per-VM version of a library
 stage — a planner, the clustering scan, ``pack()``'s bin scan, the
-emulator's replay or the trace generator; the equivalence suites pin
-the library's single engine to it decision for decision (bit for bit
-for the emulator and the generator).  None of it is library code, and
+emulator's replay, the trace generator, peak prediction or size
+estimation; the equivalence suites pin the library's single engine to
+it decision for decision (bit for bit for the emulator, the generator,
+prediction and sizing).  None of it is library code, and
 no library module may import it.
 """

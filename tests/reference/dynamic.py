@@ -26,6 +26,7 @@ from repro.placement.binpacking import Bin, pack
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable, SizeEstimator
 from repro.sizing.functions import MaxSizing
+from tests.reference.sizing import estimate_from_values_reference
 
 __all__ = ["host_order", "plan_reference", "predict_interval"]
 
@@ -107,39 +108,22 @@ def predict_interval(
 ) -> List[VMDemand]:
     """Size every VM at its predicted peak for the next interval."""
     predictor = algorithm.predictor
-    matrix_path = getattr(predictor, "predict_peak_matrix", None)
-    if matrix_path is not None:
-        cpu_peaks = algorithm.cpu_burst_factor * matrix_path(
-            cpu_full[:, :now], points, cpu_full[:, now:now + points]
+    cpu_peaks = algorithm.cpu_burst_factor * predictor.predict_peak_table(
+        cpu_full, points, [now]
+    )[:, 0]
+    memory_peaks = predictor.predict_peak_table(
+        memory_full, points, [now]
+    )[:, 0]
+    return [
+        estimate_from_values_reference(
+            estimator,
+            vm_id,
+            float(cpu_peaks[row]),
+            float(memory_peaks[row]),
+            class_of.get(vm_id),
         )
-        memory_peaks = matrix_path(
-            memory_full[:, :now], points, memory_full[:, now:now + points]
-        )
-        return [
-            estimator.estimate_from_values(
-                vm_id,
-                float(cpu_peaks[row]),
-                float(memory_peaks[row]),
-                class_of.get(vm_id),
-            )
-            for row, vm_id in enumerate(vm_ids)
-        ]
-    demands = []
-    for row, vm_id in enumerate(vm_ids):
-        cpu_peak = algorithm.cpu_burst_factor * predictor.predict_peak(
-            cpu_full[row, :now], points, cpu_full[row, now:now + points]
-        )
-        memory_peak = predictor.predict_peak(
-            memory_full[row, :now],
-            points,
-            memory_full[row, now:now + points],
-        )
-        demands.append(
-            estimator.estimate_from_values(
-                vm_id, cpu_peak, memory_peak, class_of.get(vm_id)
-            )
-        )
-    return demands
+        for row, vm_id in enumerate(vm_ids)
+    ]
 
 
 def _place_interval(

@@ -52,6 +52,7 @@ __all__ = [
     "ewma_smooth",
     "generate_server_trace",
     "generate_trace_set_reference",
+    "pareto_spike_matrix",
     "pareto_spikes",
     "scheduled_jobs",
 ]
@@ -367,6 +368,40 @@ def pareto_spikes(
                 break
             decay = 1.0 - offset / duration
             spikes[t] = max(spikes[t], magnitude * decay)
+    return spikes
+
+
+def pareto_spike_matrix(
+    n_rows: int,
+    n_hours: int,
+    *,
+    rows: np.ndarray,
+    starts: np.ndarray,
+    magnitudes: np.ndarray,
+    durations: np.ndarray,
+) -> np.ndarray:
+    """Pareto spike overlay scattered from pre-drawn spike draws.
+
+    The dense oracle for the generator's ``_add_spikes_inplace``.  Each
+    spike ``i`` lives on trace row ``rows[i]`` and decays linearly
+    from ``starts[i]`` over ``durations[i]`` hours; overlapping spikes
+    combine by max, exactly like the scalar loop (max is order-free).
+    """
+    spikes = np.zeros((n_rows, n_hours))
+    starts = np.asarray(starts)
+    durations = np.asarray(durations)
+    if starts.size == 0:
+        return spikes
+    for offset in range(int(durations.max())):
+        active = durations > offset
+        times = starts + offset
+        active &= times < n_hours
+        if not active.any():
+            continue
+        decay = 1.0 - offset / durations[active]
+        np.maximum.at(
+            spikes, (rows[active], times[active]), magnitudes[active] * decay
+        )
     return spikes
 
 

@@ -1,6 +1,6 @@
 """Reference for :class:`StochasticConsolidation`'s PCP placement.
 
-Sizes every VM trace by trace (:meth:`SizeEstimator.estimate`), clusters
+Sizes every VM trace by trace (``tests/reference/sizing.py``), clusters
 with the reference scan, and first-fits VMs in ``pack()`` order — but
 checks each candidate host by recomputing its whole reservation from
 its member list:
@@ -25,6 +25,7 @@ from repro.placement.plan import Placement
 from repro.sizing.estimator import SizeEstimator
 from repro.sizing.functions import BodyTailSizing
 from tests.reference.correlation import cluster_by_peaks_reference
+from tests.reference.sizing import estimate_reference
 
 __all__ = ["place_reference"]
 
@@ -39,7 +40,9 @@ def place_reference(
         network=context.config.network,
         disk=context.config.disk,
     )
-    demands = [estimator.estimate(trace) for trace in context.history]
+    demands = [
+        estimate_reference(estimator, trace) for trace in context.history
+    ]
     clusters = cluster_by_peaks_reference(
         context.history,
         body_quantile=algorithm.envelope_quantile,

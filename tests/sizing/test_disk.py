@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.sizing.estimator import SizeEstimator, VirtualizationOverhead
 from repro.sizing.network import DiskDemandModel
-from tests.conftest import make_server_trace
+from tests.conftest import make_server_trace, size_one
 
 
 class TestDiskDemandModel:
@@ -32,7 +32,7 @@ class TestDiskDemandModel:
 class TestEstimatorIntegration:
     def test_no_model_means_zero_disk(self):
         trace = make_server_trace("vm", [0.5] * 4, [1.0] * 4)
-        assert SizeEstimator().estimate(trace).disk_mbps == 0.0
+        assert size_one(SizeEstimator(), trace).disk_mbps == 0.0
 
     def test_model_fills_disk_demand(self):
         trace = make_server_trace("vm", [0.5] * 4, [1.0] * 4, cpu_rpe2=1000)
@@ -40,7 +40,7 @@ class TestEstimatorIntegration:
             overhead=VirtualizationOverhead(cpu_overhead_frac=0.0),
             disk=DiskDemandModel(base_mbps=1.0, web_mbps_per_rpe2=0.02),
         )
-        demand = estimator.estimate(trace)
+        demand = size_one(estimator, trace)
         # Sized CPU 500 RPE2, web intensity 0.02 -> 1 + 10 = 11 Mbps.
         assert demand.disk_mbps == pytest.approx(11.0)
 
@@ -52,6 +52,6 @@ class TestEstimatorIntegration:
             network=NetworkDemandModel(),
             disk=DiskDemandModel(),
         )
-        demand = estimator.estimate(trace)
+        demand = size_one(estimator, trace)
         assert demand.network_mbps > 0
         assert demand.disk_mbps > 0

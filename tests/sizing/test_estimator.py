@@ -7,7 +7,7 @@ from repro.exceptions import ConfigurationError
 from repro.sizing.estimator import SizeEstimator, VirtualizationOverhead
 from repro.sizing.functions import BodyTailSizing, MaxSizing, PercentileSizing
 from repro.workloads.trace import TraceSet
-from tests.conftest import make_server_trace
+from tests.conftest import make_server_trace, size_one
 
 
 @pytest.fixture
@@ -46,14 +46,16 @@ class TestEstimateScalarSizing:
                 cpu_overhead_frac=0.1, memory_overhead_gb=0.5
             ),
         )
-        demand = estimator.estimate(trace)
+        demand = size_one(estimator, trace)
         assert demand.cpu_rpe2 == pytest.approx(0.5 * 1000 * 1.1)
         assert demand.memory_gb == pytest.approx(2.0 + 0.5)
         assert demand.tail_cpu_rpe2 == 0.0
 
     def test_percentile_sizing_smaller_than_max(self, trace):
-        max_demand = SizeEstimator(sizing=MaxSizing()).estimate(trace)
-        p50_demand = SizeEstimator(sizing=PercentileSizing(50)).estimate(trace)
+        max_demand = size_one(SizeEstimator(sizing=MaxSizing()), trace)
+        p50_demand = size_one(
+            SizeEstimator(sizing=PercentileSizing(50)), trace
+        )
         assert p50_demand.cpu_rpe2 < max_demand.cpu_rpe2
         assert p50_demand.memory_gb < max_demand.memory_gb
 
@@ -73,7 +75,7 @@ class TestEstimateBodyTail:
                 cpu_overhead_frac=0.0, memory_overhead_gb=0.0
             ),
         )
-        demand = estimator.estimate(trace)
+        demand = size_one(estimator, trace)
         assert demand.cpu_rpe2 + demand.tail_cpu_rpe2 == pytest.approx(500.0)
         assert demand.memory_gb + demand.tail_memory_gb == pytest.approx(2.0)
 
@@ -82,11 +84,14 @@ class TestEstimateBodyTail:
             sizing=BodyTailSizing(50),
             overhead=VirtualizationOverhead(memory_overhead_gb=0.5),
         )
-        demand = estimator.estimate(trace)
-        flat = SizeEstimator(
-            sizing=BodyTailSizing(50),
-            overhead=VirtualizationOverhead(memory_overhead_gb=0.0),
-        ).estimate(trace)
+        demand = size_one(estimator, trace)
+        flat = size_one(
+            SizeEstimator(
+                sizing=BodyTailSizing(50),
+                overhead=VirtualizationOverhead(memory_overhead_gb=0.0),
+            ),
+            trace,
+        )
         assert demand.memory_gb == pytest.approx(flat.memory_gb + 0.5)
         assert demand.tail_memory_gb == pytest.approx(flat.tail_memory_gb)
 

@@ -1,8 +1,9 @@
-"""Matrix sizing paths == per-trace / per-value sizing, bit for bit.
+"""Matrix sizing == the per-VM reference sizing, bit for bit.
 
-``estimate_all`` and ``estimate_matrix`` are the planner's batched
-sizing layer; every produced demand must equal the per-trace
-``estimate`` / per-value ``estimate_from_values`` calls exactly.
+``estimate_all`` and ``estimate_matrix`` (with its one-cell view
+``estimate_from_values``) are the library's one sizing path; every
+produced demand must equal the per-trace / per-value arithmetic of
+``tests/reference/sizing.py`` exactly.
 """
 
 from __future__ import annotations
@@ -14,10 +15,19 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.sizing.estimator import SizeEstimator, VirtualizationOverhead
-from repro.sizing.functions import BodyTailSizing, MaxSizing, MeanSizing
+from repro.sizing.functions import (
+    BodyTailSizing,
+    MaxSizing,
+    MeanSizing,
+    PercentileSizing,
+)
 from repro.sizing.network import DiskDemandModel, NetworkDemandModel
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
+from tests.reference.sizing import (
+    estimate_from_values_reference,
+    estimate_reference,
+)
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -80,19 +90,34 @@ def test_estimate_all_matrix_matches_scalar(estimator) -> None:
             rng, n_vms=rng.randint(1, 16), hours=rng.randint(1, 72)
         )
         _assert_same_demands(
-            [estimator.estimate(trace) for trace in traces],
+            [estimate_reference(estimator, trace) for trace in traces],
             estimator.estimate_all(traces),
         )
 
 
-def test_auto_falls_back_for_uncovered_sizing() -> None:
-    rng = random.Random("fallback")
-    traces = _random_trace_set(rng, n_vms=6, hours=24)
-    estimator = SizeEstimator(sizing=MeanSizing())
-    _assert_same_demands(
-        estimator.estimate_all(traces),
-        [estimator.estimate(trace) for trace in traces],
+@pytest.mark.parametrize(
+    "sizing",
+    [MeanSizing(), PercentileSizing(50.0), PercentileSizing(97.5)],
+    ids=repr,
+)
+def test_any_sizing_runs_on_the_matrices(sizing) -> None:
+    """Every sizing function reduces the store rows, also on windowed
+    (column-sliced) store views, and equals sizing trace by trace."""
+    rng = random.Random(f"rows-{sizing!r}")
+    estimator = SizeEstimator(
+        sizing=sizing, network=NetworkDemandModel(), disk=DiskDemandModel()
     )
+    for _ in range(12):
+        hours = rng.randint(2, 72)
+        traces = _random_trace_set(rng, n_vms=rng.randint(1, 16), hours=hours)
+        traces.store  # window the built store: a zero-copy column slice
+        start = rng.randrange(hours - 1)
+        window = traces.window(start, rng.randint(start + 1, hours))
+        for trace_set in (traces, window):
+            _assert_same_demands(
+                [estimate_reference(estimator, t) for t in trace_set],
+                estimator.estimate_all(trace_set),
+            )
 
 
 def test_unknown_engine_rejected(flat_trace_set) -> None:
@@ -126,14 +151,15 @@ def test_estimate_matrix_matches_estimate_from_values(estimator) -> None:
         assert table.n_vms == n_vms and table.n_columns == n_intervals
         for column in range(n_intervals):
             for row in range(n_vms):
-                batched = table.demand(row, column)
-                scalar = estimator.estimate_from_values(
+                args = (
                     vm_ids[row],
                     float(cpu[row, column]),
                     float(memory[row, column]),
-                    workload_class=classes[row],
+                    classes[row],
                 )
-                assert batched == scalar, (row, column)
+                scalar = estimate_from_values_reference(estimator, *args)
+                assert table.demand(row, column) == scalar, (row, column)
+                assert estimator.estimate_from_values(*args) == scalar
 
 
 def test_estimate_matrix_rejects_negative_with_scalar_message() -> None:
@@ -145,6 +171,22 @@ def test_estimate_matrix_rejects_negative_with_scalar_message() -> None:
     with pytest.raises(ConfigurationError) as scalar_error:
         estimator.estimate_from_values("b", -1.0, 1.0)
     assert str(batched_error.value) == str(scalar_error.value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=repr)
+@pytest.mark.parametrize("resource", ["cpu", "memory"])
+def test_non_finite_peaks_rejected(bad, resource) -> None:
+    """NaN and infinite peaks fail like negative ones, naming the VM."""
+    estimator = SizeEstimator()
+    cpu = np.array([[10.0, 20.0], [5.0, 6.0]])
+    memory = np.ones_like(cpu)
+    (cpu if resource == "cpu" else memory)[1, 1] = bad
+    with pytest.raises(ConfigurationError, match="^b: predicted demand"):
+        estimator.estimate_matrix(["a", "b"], cpu, memory)
+    values = [5.0, 1.0]
+    values[0 if resource == "cpu" else 1] = bad
+    with pytest.raises(ConfigurationError, match="^b: predicted demand"):
+        estimator.estimate_from_values("b", *values)
 
 
 def test_estimate_matrix_shape_validation() -> None:
@@ -196,7 +238,8 @@ if HAVE_HYPOTHESIS:
         for row in range(n_vms):
             for column in range(n_intervals):
                 assert table.demand(row, column) == (
-                    estimator.estimate_from_values(
+                    estimate_from_values_reference(
+                        estimator,
                         vm_ids[row],
                         float(cpu[row, column]),
                         float(memory[row, column]),

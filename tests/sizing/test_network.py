@@ -5,7 +5,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.sizing.estimator import SizeEstimator, VirtualizationOverhead
 from repro.sizing.network import NetworkDemandModel
-from tests.conftest import make_server_trace
+from tests.conftest import make_server_trace, size_one
 
 
 class TestNetworkDemandModel:
@@ -42,7 +42,7 @@ class TestNetworkDemandModel:
 class TestEstimatorIntegration:
     def test_no_model_means_zero_network(self):
         trace = make_server_trace("vm", [0.5] * 4, [1.0] * 4)
-        demand = SizeEstimator().estimate(trace)
+        demand = size_one(SizeEstimator(), trace)
         assert demand.network_mbps == 0.0
 
     def test_model_fills_network_demand(self):
@@ -53,7 +53,7 @@ class TestEstimatorIntegration:
                 base_mbps=1.0, web_mbps_per_rpe2=0.1
             ),
         )
-        demand = estimator.estimate(trace)
+        demand = size_one(estimator, trace)
         # Sized CPU = 500 RPE2 -> 1 + 0.1 * 500 = 51 Mbps.
         assert demand.network_mbps == pytest.approx(51.0)
 

@@ -1,4 +1,4 @@
-"""Tests for demand predictors."""
+"""Tests for demand predictors, run through the shipped table kernel."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,19 @@ from repro.sizing.prediction import (
     OraclePredictor,
     PeriodicPeakPredictor,
     Predictor,
+    build_peak_table,
 )
+from tests.reference.prediction import predict_peak_reference
+
+
+def predict(predictor, history, horizon, future=None):
+    """One VM's prediction at the end of ``history``: a one-start table
+    over ``history`` followed by ``future`` (only the oracle reads it)."""
+    history = np.asarray(history, dtype=float)
+    series = history if future is None else np.concatenate([history, future])
+    table = build_peak_table(predictor, series[None, :], horizon, [history.size])
+    assert table.shape == (1, 1)
+    return table[0, 0]
 
 
 class TestOraclePredictor:
@@ -18,31 +30,27 @@ class TestOraclePredictor:
         oracle = OraclePredictor()
         history = np.ones(10)
         future = np.array([0.5, 3.0, 0.2])
-        assert oracle.predict_peak(history, 2, future) == 3.0
-
-    def test_requires_future(self):
-        with pytest.raises(ConfigurationError):
-            OraclePredictor().predict_peak(np.ones(5), 2)
+        assert predict(oracle, history, 2, future) == 3.0
 
     def test_short_future_rejected(self):
         with pytest.raises(TraceError):
-            OraclePredictor().predict_peak(np.ones(5), 4, np.ones(2))
+            predict(OraclePredictor(), np.ones(5), 4, np.ones(2))
 
 
 class TestLastIntervalPredictor:
     def test_uses_recent_window(self):
         predictor = LastIntervalPredictor()
         history = np.array([9.0, 1.0, 2.0, 3.0])
-        assert predictor.predict_peak(history, 2) == 3.0
+        assert predict(predictor, history, 2) == 3.0
 
     def test_short_history_uses_all(self):
         predictor = LastIntervalPredictor()
-        assert predictor.predict_peak(np.array([4.0]), 10) == 4.0
+        assert predict(predictor, np.array([4.0]), 10) == 4.0
 
     def test_ignores_future(self):
         predictor = LastIntervalPredictor()
-        value = predictor.predict_peak(
-            np.array([1.0, 2.0]), 2, np.array([100.0, 100.0])
+        value = predict(
+            predictor, np.array([1.0, 2.0]), 2, np.array([100.0, 100.0])
         )
         assert value == 2.0
 
@@ -50,13 +58,13 @@ class TestLastIntervalPredictor:
 class TestEwmaPredictor:
     def test_flat_history(self):
         predictor = EwmaPredictor(alpha=0.5)
-        assert predictor.predict_peak(np.full(12, 2.0), 3) == 2.0
+        assert predict(predictor, np.full(12, 2.0), 3) == 2.0
 
     def test_weights_recent_peaks(self):
         # Interval peaks: 1, 1, 10 -> estimate leans toward 10.
         history = np.array([1.0, 1.0, 1.0, 1.0, 10.0, 10.0])
-        low_alpha = EwmaPredictor(alpha=0.1).predict_peak(history, 2)
-        high_alpha = EwmaPredictor(alpha=0.9).predict_peak(history, 2)
+        low_alpha = predict(EwmaPredictor(alpha=0.1), history, 2)
+        high_alpha = predict(EwmaPredictor(alpha=0.9), history, 2)
         assert high_alpha > low_alpha
         assert high_alpha <= 10.0
 
@@ -66,7 +74,7 @@ class TestEwmaPredictor:
 
     def test_history_shorter_than_interval(self):
         predictor = EwmaPredictor()
-        assert predictor.predict_peak(np.array([3.0]), 4) == 3.0
+        assert predict(predictor, np.array([3.0]), 4) == 3.0
 
 
 class TestPeriodicPeakPredictor:
@@ -80,7 +88,7 @@ class TestPeriodicPeakPredictor:
             period=24, lookback_days=3, safety_margin=0.0
         )
         # Prediction for the slot that covers hour 12.
-        prediction = predictor.predict_peak(history[: 4 * 24 + 12], 2)
+        prediction = predict(predictor, history[: 4 * 24 + 12], 2)
         assert prediction == 5.0
 
     def test_recency_floor(self):
@@ -90,13 +98,13 @@ class TestPeriodicPeakPredictor:
         predictor = PeriodicPeakPredictor(
             period=24, lookback_days=3, safety_margin=0.0
         )
-        assert predictor.predict_peak(history, 4) >= 8.0
+        assert predict(predictor, history, 4) >= 8.0
 
     def test_safety_margin_inflates(self):
         history = np.ones(72)
-        base = PeriodicPeakPredictor(safety_margin=0.0).predict_peak(history, 2)
-        inflated = PeriodicPeakPredictor(safety_margin=0.25).predict_peak(
-            history, 2
+        base = predict(PeriodicPeakPredictor(safety_margin=0.0), history, 2)
+        inflated = predict(
+            PeriodicPeakPredictor(safety_margin=0.25), history, 2
         )
         assert inflated == pytest.approx(base * 1.25)
 
@@ -105,8 +113,8 @@ class TestPeriodicPeakPredictor:
         # is under-predicted.
         history = np.ones(96)
         future = np.array([6.0, 1.0])
-        prediction = PeriodicPeakPredictor(safety_margin=0.1).predict_peak(
-            history, 2, future
+        prediction = predict(
+            PeriodicPeakPredictor(safety_margin=0.1), history, 2, future
         )
         assert prediction < 6.0
 
@@ -120,31 +128,40 @@ class TestPeriodicPeakPredictor:
             assert isinstance(predictor, Predictor)
 
     def test_matrix_path_matches_scalar(self):
-        # The vectorized fast path must be semantically identical to the
-        # per-row scalar path (dynamic consolidation relies on it).
+        # The table kernel must equal the per-VM scalar prediction on
+        # every row (dynamic consolidation relies on it).
         rng = np.random.default_rng(8)
         history = rng.random((25, 30 * 24))
         for lookback in (1, 2, 7):
             predictor = PeriodicPeakPredictor(lookback_days=lookback)
-            vector = predictor.predict_peak_matrix(history, 2)
+            vector = build_peak_table(
+                predictor, history, 2, [history.shape[1]]
+            )[:, 0]
             scalar = np.array(
-                [predictor.predict_peak(row, 2) for row in history]
+                [predict_peak_reference(predictor, row, 2) for row in history]
             )
-            assert np.allclose(vector, scalar)
+            np.testing.assert_array_equal(vector, scalar)
 
     def test_matrix_path_short_history(self):
         predictor = PeriodicPeakPredictor(lookback_days=7)
         history = np.random.default_rng(0).random((4, 10))
-        vector = predictor.predict_peak_matrix(history, 2)
+        vector = build_peak_table(predictor, history, 2, [10])[:, 0]
         scalar = np.array(
-            [predictor.predict_peak(row, 2) for row in history]
+            [predict_peak_reference(predictor, row, 2) for row in history]
         )
-        assert np.allclose(vector, scalar)
+        np.testing.assert_array_equal(vector, scalar)
 
     def test_matrix_path_validation(self):
+        # The table needs an (n_vms, t > 0) series and starts inside it.
         predictor = PeriodicPeakPredictor()
-        with pytest.raises(Exception):
-            predictor.predict_peak_matrix(np.ones(5), 2)
+        with pytest.raises(TraceError):
+            build_peak_table(predictor, np.ones(5), 2, [5])
+        with pytest.raises(TraceError):
+            build_peak_table(predictor, np.ones((2, 0)), 2, [])
+        with pytest.raises(TraceError):
+            build_peak_table(predictor, np.ones((2, 5)), 2, [0])
+        with pytest.raises(TraceError):
+            build_peak_table(predictor, np.ones((2, 5)), 2, [6])
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -154,4 +171,4 @@ class TestPeriodicPeakPredictor:
         with pytest.raises(ConfigurationError):
             PeriodicPeakPredictor(safety_margin=-0.1)
         with pytest.raises(ConfigurationError):
-            PeriodicPeakPredictor().predict_peak(np.ones(5), 0)
+            predict(PeriodicPeakPredictor(), np.ones(5), 0)

@@ -1,10 +1,11 @@
-"""Batched predictor kernels == scalar ``predict_peak``, bit for bit.
+"""Peak-table kernels == the scalar reference predictors, bit for bit.
 
-``predict_peak_matrix`` / ``predict_peak_table`` are the planner's
-batched prediction layer; the equivalence contract is exact equality
-against the scalar reference on every row and interval, not closeness.
-Driven by hypothesis when available, with a seeded stdlib sweep that
-always runs.
+``build_peak_table`` runs each predictor's one kernel,
+``predict_peak_table``, over a whole ``(n_vms, n_points)`` series.  The
+equivalence contract is exact equality with
+``tests/reference/prediction.py`` on every row and interval start, not
+closeness.  Driven by seeded stdlib sweeps that always run, plus
+hypothesis when available.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from repro.sizing.prediction import (
     OraclePredictor,
     PeriodicPeakPredictor,
     build_peak_table,
+)
+from tests.reference.prediction import (
+    peak_table_reference,
+    predict_peak_reference,
 )
 
 try:
@@ -44,12 +49,17 @@ def _random_matrix(rng: random.Random, n_rows: int, n_points: int):
     return base
 
 
+def _predict_rows(predictor, history, horizon, future=None):
+    """Every row's prediction at the end of ``history``: a one-start table."""
+    full = history if future is None else np.hstack([history, future])
+    return build_peak_table(predictor, full, horizon, [history.shape[1]])[:, 0]
+
+
 def _assert_matrix_matches_scalar(predictor, history, horizon, future=None):
-    batched = predictor.predict_peak_matrix(
-        history, horizon, actual_future=future
-    )
+    batched = _predict_rows(predictor, history, horizon, future)
     for row in range(history.shape[0]):
-        scalar = predictor.predict_peak(
+        scalar = predict_peak_reference(
+            predictor,
             history[row],
             horizon,
             actual_future=None if future is None else future[row],
@@ -99,21 +109,80 @@ def test_peak_table_matches_per_interval_loop(predictor) -> None:
         starts = [history_points + i * horizon for i in range(n_intervals)]
         table = build_peak_table(predictor, full, horizon, starts)
         assert table.shape == (n_rows, n_intervals)
-        for column, start in enumerate(starts):
-            for row in range(n_rows):
-                scalar = predictor.predict_peak(
-                    full[row, :start],
-                    horizon,
-                    actual_future=full[row, start:],
-                )
-                assert table[row, column] == scalar, (row, column)
+        np.testing.assert_array_equal(
+            table, peak_table_reference(predictor, full, horizon, starts)
+        )
+
+
+def _irregular_predictor(rng: random.Random, kind: str):
+    if kind == "oracle":
+        return OraclePredictor()
+    if kind == "last":
+        return LastIntervalPredictor()
+    if kind == "ewma":
+        return EwmaPredictor(alpha=rng.choice([0.05, 0.3, 0.7, 1.0]))
+    return PeriodicPeakPredictor(
+        period=rng.randint(1, 12),
+        lookback_days=rng.randint(1, 4),
+        safety_margin=rng.choice([0.0, 0.1, 0.25]),
+    )
+
+
+@pytest.mark.parametrize("kind", ["oracle", "last", "ewma", "periodic"])
+def test_irregular_starts_match_reference(kind) -> None:
+    """Any start list: unsorted, repeated, mixed phases, short history.
+
+    The planners ask for regular starts (``history + i * horizon``);
+    this sweep reaches the branches they never do, including a periodic
+    predictor whose period is shorter than the horizon.
+    """
+    rng = random.Random(f"irregular-{kind}")
+    seen = {"unsorted": 0, "repeated": 0, "mixed_phase": 0, "short": 0,
+            "period_lt_horizon": 0}
+    for _ in range(300):
+        predictor = _irregular_predictor(rng, kind)
+        horizon = rng.randint(1, 10)
+        n_points = rng.randint(horizon + 1, 60)
+        full = _random_matrix(rng, rng.randint(1, 5), n_points)
+        last_start = n_points - horizon if kind == "oracle" else n_points
+        starts = [rng.randint(1, last_start) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            starts.append(rng.choice(starts))
+        table = build_peak_table(predictor, full, horizon, starts)
+        assert table.shape == (full.shape[0], len(starts))
+        np.testing.assert_array_equal(
+            table, peak_table_reference(predictor, full, horizon, starts)
+        )
+        seen["unsorted"] += starts != sorted(starts)
+        seen["repeated"] += len(set(starts)) < len(starts)
+        seen["mixed_phase"] += len({s % horizon for s in starts}) > 1
+        seen["short"] += any(s < horizon for s in starts)
+        seen["period_lt_horizon"] += (
+            isinstance(predictor, PeriodicPeakPredictor)
+            and predictor.period < horizon
+        )
+    if kind != "periodic":
+        del seen["period_lt_horizon"]
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "predictor", PREDICTORS + [OraclePredictor()], ids=lambda p: repr(p)
+)
+@pytest.mark.parametrize("n_points, horizon", [(10, 4), (2, 5)])
+def test_empty_starts_give_empty_table(predictor, n_points, horizon) -> None:
+    full = np.arange(3.0 * n_points).reshape(3, n_points)
+    table = build_peak_table(predictor, full, horizon, [])
+    assert table.shape == (3, 0)
 
 
 def test_flat_history_predicts_flat() -> None:
     history = np.full((3, 48), 0.25)
     for predictor in PREDICTORS:
-        batched = predictor.predict_peak_matrix(history, 12)
-        assert np.all(batched == predictor.predict_peak(history[0], 12))
+        batched = _predict_rows(predictor, history, 12)
+        assert np.all(
+            batched == predict_peak_reference(predictor, history[0], 12)
+        )
 
 
 if HAVE_HYPOTHESIS:

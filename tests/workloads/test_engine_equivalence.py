@@ -37,8 +37,10 @@ from repro.workloads.generator import (
     generate_trace_matrix,
     generate_trace_set,
 )
-from repro.workloads import models
-from tests.reference.generation import generate_trace_set_reference
+from tests.reference.generation import (
+    generate_trace_set_reference,
+    pareto_spike_matrix,
+)
 
 ALL_PROFILES = (WEB_BURSTY, WEB_MODERATE, STEADY_BATCH, SCHEDULED_BATCH, IDLE)
 
@@ -282,7 +284,7 @@ class TestModelReferences:
         starts = rng.integers(0, 60, rows.size)
         magnitudes = rng.pareto(1.8, rows.size) + 1.0
         durations = rng.integers(1, 3, rows.size)
-        overlay = models.pareto_spike_matrix(
+        overlay = pareto_spike_matrix(
             4,
             64,
             rows=rows,
