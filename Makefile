@@ -9,20 +9,20 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: lint lint-changed test check list-rules bench-smoke bench-baseline golden-regen soak
 
 # Two lint gates: every rule on the library, then the whole-program
-# rules (engine parity, cache purity, unit flow, dead exports) across
-# the full tree — they need tests/examples/benchmarks in the semantic
-# model to judge reachability and liveness.
+# rules (cache purity, unit flow, dead exports) across the full tree —
+# they need tests/examples/benchmarks in the semantic model to judge
+# reachability and liveness.
 lint:
 	$(PYTHON) -m repro.devtools src/repro
 	$(PYTHON) -m repro.devtools src/repro tests examples benchmarks \
-		--select REPRO110,REPRO111,REPRO112,REPRO113
+		--select REPRO111,REPRO112,REPRO113
 
 # Same gates, but report only files changed vs the merge base with
 # origin/main (the whole tree is still analyzed for cross-module rules).
 lint-changed:
 	$(PYTHON) -m repro.devtools src/repro --changed
 	$(PYTHON) -m repro.devtools src/repro tests examples benchmarks \
-		--select REPRO110,REPRO111,REPRO112,REPRO113 --changed
+		--select REPRO111,REPRO112,REPRO113 --changed
 
 test:
 	$(PYTHON) -m pytest -x -q

@@ -6,8 +6,8 @@ paper-scale instances (~100 and ~1000 servers, 720 trace hours):
 * **replay** — :class:`ConsolidationEmulator` (scatter-add) vs the
   per-VM loop in ``tests/reference/emulator.py`` replaying a daily
   consolidation schedule;
-* **pack** — ``pack()`` (BinArray masks) vs the per-bin Python scan in
-  ``tests/reference/packing.py``, FFD and BFD;
+* **pack** — FFD ``pack()`` (BinArray masks) vs the per-bin Python
+  scan in ``tests/reference/packing.py``;
 * **assemble** — ``TraceStore.from_traces`` vs per-trace ``np.vstack``
   reassembly of the demand matrices.
 
@@ -113,19 +113,20 @@ def bench_replay(traces, repeats: int) -> Dict[str, float]:
     }
 
 
-def bench_pack(traces, strategy: str, repeats: int) -> Dict[str, float]:
+def bench_pack(traces, repeats: int) -> Dict[str, float]:
     estimator = SizeEstimator(sizing=BodyTailSizing())
     demands = estimator.estimate_all(traces)
     hosts = _pool(len(demands)).hosts
-    kwargs = dict(utilization_bound=0.8, strategy=strategy)
-    expected = pack_reference(demands, hosts, **kwargs)
-    assert pack(demands, hosts, **kwargs).assignment == expected.assignment
+    expected = pack_reference(demands, hosts, utilization_bound=0.8)
+    got = pack(demands, hosts, utilization_bound=0.8)
+    assert got.assignment == expected.assignment
     return {
         "vectorized_s": _best_of(
-            repeats, lambda: pack(demands, hosts, **kwargs)
+            repeats, lambda: pack(demands, hosts, utilization_bound=0.8)
         ),
         "reference_s": _best_of(
-            repeats, lambda: pack_reference(demands, hosts, **kwargs)
+            repeats,
+            lambda: pack_reference(demands, hosts, utilization_bound=0.8),
         ),
     }
 
@@ -176,8 +177,7 @@ def run(smoke: bool) -> Dict[str, object]:
         traces.store  # columnar build is shared setup, not replay time
         cases = [
             ("replay", lambda: bench_replay(traces, repeats)),
-            ("pack-ffd", lambda: bench_pack(traces, "ffd", repeats)),
-            ("pack-bfd", lambda: bench_pack(traces, "bfd", repeats)),
+            ("pack-ffd", lambda: bench_pack(traces, repeats)),
             ("assemble", lambda: bench_assemble(traces, repeats)),
         ]
         for name, runner in cases:

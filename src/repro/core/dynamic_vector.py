@@ -4,7 +4,8 @@
 :meth:`repro.core.dynamic.DynamicConsolidation.plan` runs.  It makes
 the per-VM reference planner's decisions *bit-identically*
 (``tests/reference/dynamic.py``: per-interval prediction and sizing, a
-from-scratch ``pack()`` per interval, ``Bin``-based vacate sweeps)
+from-scratch ``pack()`` per interval, vacate sweeps on the scalar
+``Bin`` of ``tests/reference/packing.py``)
 while replacing its per-VM object churn with columnar kernels:
 
 * prediction + sizing happen **once per plan** — a full
@@ -15,7 +16,7 @@ while replacing its per-VM object churn with columnar kernels:
 * the sticky FFD pack keeps its per-host running totals in an
   :class:`~repro.core.incremental.IncrementalPlan` carried across
   intervals (the delta-pack state, shared with the online controller in
-  :mod:`repro.service`) instead of rebuilding ``Bin`` objects 360 times,
+  :mod:`repro.service`) instead of rebuilding per-host bins 360 times,
   folding each placed VM in inline;
 * vacate sweeps run on the plan's Python-float lists: stable
   ``sorted`` calls over the appearance-ordered live hosts give the
@@ -76,7 +77,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["plan_dynamic_array"]
 
-#: Same admission slack as :class:`repro.placement.binpacking.Bin`.
+#: Admission slack: a fit compares against ``capacity + 1e-9``, as in
+#: ``pack()``.
 _SLACK = 1e-9
 
 
@@ -255,7 +257,7 @@ def _pack_interval(
 ) -> Tuple[IncrementalPlan, List[int], List[int]]:
     """Sticky FFD pack of one interval column, delta from ``prev_rows``.
 
-    Replays ``pack(..., strategy="ffd", preferred=previous.assignment)``
+    Replays ``pack(..., preferred=previous.assignment)``
     exactly: per VM in FFD order (constrained VMs first), the previous
     host is tried first and a warm-first host scan runs only for
     displaced VMs; a constrained VM takes a host only if it fits and

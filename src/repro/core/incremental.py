@@ -49,7 +49,8 @@ from repro.infrastructure.vm import VMDemand
 
 __all__ = ["HostCapacities", "IncrementalPlan"]
 
-#: Same admission slack as :class:`repro.placement.binpacking.Bin`.
+#: Admission slack: a fit compares against ``capacity + 1e-9``, as in
+#: ``pack()``.
 _SLACK = 1e-9
 
 
@@ -57,7 +58,7 @@ class HostCapacities:
     """Bound-scaled per-host capacity vectors, fixed for a plan's life.
 
     Python-float lists carry the exactness contract (every comparison
-    uses the same ``capacity + 1e-9`` float the scalar ``Bin`` derives);
+    uses the same ``capacity + 1e-9`` float ``pack()``'s bins derive);
     the numpy CPU and memory mirrors serve vectorized fill prefilters.
     """
 
@@ -79,7 +80,8 @@ class HostCapacities:
         self.host_ids: List[str] = [h.host_id for h in hosts]
         self.n = len(hosts)
         self.utilization_bound = utilization_bound
-        # Bin.for_host capacities (bound-scaled), as python floats.
+        # Capacities scaled by the bound, as pack() scales them, as
+        # python floats.
         self.cap_cpu = [h.cpu_rpe2 * utilization_bound for h in hosts]
         self.cap_mem = [h.memory_gb * utilization_bound for h in hosts]
         self.cap_net = [
@@ -266,7 +268,7 @@ class IncrementalPlan:
         )
 
     def residual(self, host: int) -> float:
-        """Smallest normalized headroom (``Bin.residual``): fullest first."""
+        """Smallest normalized CPU/memory headroom: fullest first."""
         caps = self.caps
         return min(
             (caps.cap_cpu[host] - self.body_cpu[host]) / caps.cap_cpu[host],
@@ -384,9 +386,9 @@ class IncrementalPlan:
         """Commit a :meth:`vacate_targets` result with append folds.
 
         Each move is re-checked against the *committed* state before it
-        is assigned (as ``Bin.add`` does: the committed folds can differ
-        from ``body + pending`` in the last ulp), then ``source`` is
-        zeroed.  A misfit raises
+        is assigned (as ``BinArray.add`` does: the committed folds can
+        differ from ``body + pending`` in the last ulp), then ``source``
+        is zeroed.  A misfit raises
         :class:`~repro.exceptions.PlacementError` with the earlier moves
         already applied.
         """

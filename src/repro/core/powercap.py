@@ -27,7 +27,8 @@ The interval's placement is rebuilt as an
 targets come from the plan's shared search,
 :meth:`~repro.core.incremental.IncrementalPlan.vacate_targets` — the
 dynamic planner's own, cost gate aside.  ``tests/reference/powercap.py``
-keeps the ``Bin``-based version the hook is pinned to.
+keeps the version on the scalar ``Bin`` of ``tests/reference/packing.py``
+that the hook is pinned to.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.emulator.schedule import PlacementSchedule
 from repro.placement.binpacking import pack
-from repro.placement.improve import improve_placement
 from repro.sizing.estimator import SizeEstimator
 from repro.sizing.functions import MaxSizing, SizingFunction
 
@@ -32,10 +31,6 @@ class SemiStaticConsolidation(ConsolidationAlgorithm):
 
     name: str = "semi-static"
     sizing: SizingFunction = field(default_factory=MaxSizing)
-    strategy: str = "ffd"
-    #: Run the evacuation-based local-search pass after greedy packing
-    #: (plan-time refinement; relocation happens during downtime anyway).
-    local_search: bool = False
     #: Semi-static plans do not hold a live-migration reservation; override
     #: only for what-if studies.
     utilization_bound: float = 1.0
@@ -52,19 +47,9 @@ class SemiStaticConsolidation(ConsolidationAlgorithm):
             demands,
             context.datacenter.hosts,
             utilization_bound=self.utilization_bound,
-            strategy=self.strategy,
             constraints=context.constraints or None,
             datacenter=context.datacenter,
         )
-        if self.local_search:
-            placement = improve_placement(
-                placement,
-                demands,
-                context.datacenter.hosts,
-                utilization_bound=self.utilization_bound,
-                constraints=context.constraints or None,
-                datacenter=context.datacenter,
-            )
         return PlacementSchedule.static(
             placement, context.evaluation.duration_hours
         )

@@ -35,7 +35,6 @@ class StaticConsolidation(ConsolidationAlgorithm):
     name: str = "static"
     #: Headroom above the observed history peak (lifetime uncertainty).
     provisioning_margin: float = 0.25
-    strategy: str = "ffd"
 
     def __post_init__(self) -> None:
         if self.provisioning_margin < 0:
@@ -66,7 +65,6 @@ class StaticConsolidation(ConsolidationAlgorithm):
             demands,
             context.datacenter.hosts,
             utilization_bound=1.0,
-            strategy=self.strategy,
             constraints=context.constraints or None,
             datacenter=context.datacenter,
         )

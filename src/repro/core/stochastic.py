@@ -30,7 +30,7 @@ from repro.analysis.correlation import PeakClusters, cluster_by_peaks
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.emulator.schedule import PlacementSchedule
-from repro.exceptions import PlacementError
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
@@ -147,6 +147,18 @@ class StochasticConsolidation(ConsolidationAlgorithm):
     #: :class:`_ClusterBin`); 0 = fully trust the clustering.
     tail_overlap_factor: float = 0.55
     utilization_bound: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not 0 < self.utilization_bound <= 1:
+            raise ConfigurationError(
+                f"utilization_bound must be in (0, 1], got "
+                f"{self.utilization_bound}"
+            )
+        if not 0 <= self.tail_overlap_factor <= 1:
+            raise ConfigurationError(
+                f"tail_overlap_factor must be in [0, 1], got "
+                f"{self.tail_overlap_factor}"
+            )
 
     def plan(self, context: PlanningContext) -> PlacementSchedule:
         estimator = SizeEstimator(

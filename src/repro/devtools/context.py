@@ -55,7 +55,7 @@ class Project:
     ``semantics`` is the whole-program model
     (:class:`~repro.devtools.semantics.SemanticModel`) the engine builds
     before the collection pass — module graph, symbol tables, call
-    graph — for the interprocedural rules (REPRO110-113).
+    graph — for the interprocedural rules (REPRO111-113).
     """
 
     signatures: Dict[str, Optional[Tuple[str, ...]]] = field(default_factory=dict)

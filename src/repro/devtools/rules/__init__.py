@@ -13,7 +13,6 @@ from repro.devtools.rules import (  # noqa: F401  (imported for registration)
     dataclass_validation,
     dead_api,
     determinism,
-    engine_parity,
     float_compare,
     mutable_defaults,
     no_print,

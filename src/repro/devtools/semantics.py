@@ -1,8 +1,8 @@
 """Project-wide semantic model for interprocedural lint rules.
 
 The per-file rules (REPRO101-109) see one AST at a time; the
-invariants added on top of them — engine/reference API parity, cache
-purity of runner tasks, unit flow through helper returns — are
+invariants added on top of them (REPRO111-113) — cache purity of
+runner tasks, unit flow through helper returns, dead exports — are
 *cross-module* properties.  This module builds, once per lint run, the
 whole-program facts those rules need:
 
@@ -11,8 +11,8 @@ whole-program facts those rules need:
   derived structurally from ``__init__.py`` package markers);
 * per-module **symbol tables**: top-level functions, classes (with
   their methods), assignments, import aliases, and ``__all__`` exports;
-* a **signature index**: every function/method with its positional,
-  keyword-only, vararg parameters and default-value source text;
+* a **signature index**: every function/method with its positional and
+  keyword-only parameters and its decorators;
 * a best-effort **call graph** whose edges resolve through
   ``import``/``from`` aliases, ``self``/``cls`` method calls, local
   ``var = ClassName(...)`` bindings, and parameter annotations naming
@@ -82,9 +82,6 @@ class FunctionInfo:
     posonly: Tuple[str, ...]
     args: Tuple[str, ...]
     kwonly: Tuple[str, ...]
-    vararg: Optional[str]
-    kwarg: Optional[str]
-    defaults: Dict[str, str]  #: param name → default expression source
     decorators: Tuple[str, ...]  #: dotted decorator names (call parens stripped)
 
     @property
@@ -262,16 +259,6 @@ class SemanticModel:
                 if found is not None:
                     return found
         return None
-
-    def lookup(self, spec: str) -> Optional[Resolution]:
-        """Resolve a manifest-style ``module.path:Symbol.method`` spec."""
-        if ":" in spec:
-            module_name, _, symbol = spec.partition(":")
-            info = self.modules.get(module_name)
-            if info is None:
-                return None
-            return self._resolve_symbol(info, symbol.split("."), 0)
-        return self._resolve_absolute(spec.split("."), 0)
 
     # ------------------------------------------------------------------
     # call graph
@@ -493,13 +480,6 @@ def _function_info(
     posonly = tuple(a.arg for a in args.posonlyargs)
     positional = tuple(a.arg for a in args.args)
     kwonly = tuple(a.arg for a in args.kwonlyargs)
-    defaults: Dict[str, str] = {}
-    pos_all = posonly + positional
-    for param, default in zip(pos_all[len(pos_all) - len(args.defaults):], args.defaults):
-        defaults[param] = ast.unparse(default)
-    for param, default in zip(kwonly, args.kw_defaults):
-        if default is not None:
-            defaults[param] = ast.unparse(default)
     decorators = []
     for decorator in node.decorator_list:
         target = decorator.func if isinstance(decorator, ast.Call) else decorator
@@ -516,9 +496,6 @@ def _function_info(
         posonly=posonly,
         args=positional,
         kwonly=kwonly,
-        vararg=args.vararg.arg if args.vararg else None,
-        kwarg=args.kwarg.arg if args.kwarg else None,
-        defaults=defaults,
         decorators=tuple(decorators),
     )
 

@@ -10,6 +10,7 @@ window is a :class:`VMDemand` produced by :mod:`repro.sizing`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -123,6 +124,18 @@ class VMDemand:
     disk_mbps: float = 0.0
 
     def __post_init__(self) -> None:
+        # ``nan < 0`` is false, so the sign checks alone let a NaN through,
+        # and the packers disagree on one: ``np.maximum`` propagates it,
+        # builtin ``max`` can drop it.
+        for name in (
+            "cpu_rpe2", "memory_gb", "tail_cpu_rpe2", "tail_memory_gb",
+            "network_mbps", "disk_mbps",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{self.vm_id}: {name} must be finite, got {value}"
+                )
         if self.cpu_rpe2 < 0 or self.memory_gb < 0:
             raise ConfigurationError(
                 f"{self.vm_id}: sized demand must be non-negative "

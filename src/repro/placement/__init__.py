@@ -1,15 +1,12 @@
-"""Placement structures and bin-packing heuristics."""
+"""Placement structures and first-fit-decreasing packing."""
 
 from repro.placement.arraybins import BinArray
-from repro.placement.binpacking import Bin, pack, sort_decreasing
-from repro.placement.improve import improve_placement
+from repro.placement.binpacking import pack, sort_decreasing
 from repro.placement.plan import Placement
 
 __all__ = [
-    "Bin",
     "BinArray",
     "Placement",
-    "improve_placement",
     "pack",
     "sort_decreasing",
 ]

@@ -1,17 +1,18 @@
 """Array-backed bin state for vectorized packing.
 
-:class:`BinArray` is the structure-of-arrays counterpart of
-:class:`~repro.placement.binpacking.Bin`: one NumPy vector per resource
-dimension (capacity, accumulated body, pooled tail) across the whole
-host pool, so the "does VM v fit on host h?" question is answered for
-*every* host at once as a boolean mask instead of one Python call per
-bin.
+:class:`BinArray` holds one NumPy vector per resource dimension
+(capacity, accumulated body, pooled tail) across the whole host pool,
+so the "does VM v fit on host h?" question is answered for *every* host
+at once as a boolean mask instead of one Python call per bin.
 
-Float semantics are the contract: every arithmetic step mirrors the
-scalar :class:`Bin` expressions operation for operation (same operand
-order, same ``1e-9`` slack), so the admissibility mask equals the
-vector of scalar ``fits`` answers bit for bit and :func:`pack` makes
-the decisions of the bin-at-a-time scan in ``tests/reference/packing.py``.
+Float semantics are the contract: a bin's load after adding a VM is
+``body + demand body + max(pooled tail, demand tail)`` for CPU and
+memory and ``body + demand`` for each link, in that operand order,
+compared against the capacity scaled by the utilization bound plus a
+``1e-9`` slack.  The scalar ``Bin`` in ``tests/reference/packing.py``
+uses the same expressions, so the mask equals its ``fits`` answers bit
+for bit and :func:`~repro.placement.binpacking.pack` makes the
+decisions of the reference's bin-at-a-time scan.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.infrastructure.vm import VMDemand
 
 __all__ = ["BinArray"]
 
-#: Capacity slack shared with the scalar ``Bin.fits`` comparisons.
+#: Capacity slack of every fit comparison.
 _SLACK = 1e-9
 
 
@@ -60,18 +61,13 @@ class BinArray:
         self.body_disk = np.zeros(n)
         self.max_tail_cpu = np.zeros(n)
         self.max_tail_memory = np.zeros(n)
-        self.vm_count = np.zeros(n, dtype=np.intp)
-        self.vm_ids: List[List[str]] = [[] for _ in range(n)]
-
-    def __len__(self) -> int:
-        return len(self.hosts)
 
     def fits_mask(self, demand: VMDemand) -> np.ndarray:
         """Boolean mask: would the VM fit on each bin?
 
-        One vector expression per resource, evaluated in the same
-        operand order as ``Bin.fits`` so each element equals the scalar
-        answer exactly.
+        One vector expression per resource, in the operand order of
+        :meth:`fits_one`, so each element equals the scalar answer
+        exactly.
         """
         cpu_after = (
             self.body_cpu
@@ -113,24 +109,8 @@ class BinArray:
             and disk_after <= self.disk_capacity[index] + _SLACK
         )
 
-    def residuals(self, indices: np.ndarray) -> np.ndarray:
-        """Best-fit slack for the given bins: min normalized headroom.
-
-        Mirrors ``Bin.residual`` elementwise: ``(capacity - used) /
-        capacity`` per optimized dimension, reduced with ``min``.
-        """
-        used_cpu = self.body_cpu[indices] + self.max_tail_cpu[indices]
-        used_memory = self.body_memory[indices] + self.max_tail_memory[indices]
-        cpu_slack = (
-            self.cpu_capacity[indices] - used_cpu
-        ) / self.cpu_capacity[indices]
-        memory_slack = (
-            self.memory_capacity[indices] - used_memory
-        ) / self.memory_capacity[indices]
-        return np.minimum(cpu_slack, memory_slack)
-
     def add(self, index: int, demand: VMDemand) -> None:
-        """Commit the VM to one bin (same accounting as ``Bin.add``)."""
+        """Commit the VM to one bin: bodies add, tails pool (max)."""
         if not self.fits_one(index, demand):
             raise PlacementError(
                 f"{demand.vm_id} does not fit on {self.hosts[index].host_id}"
@@ -145,5 +125,3 @@ class BinArray:
         self.max_tail_memory[index] = max(
             self.max_tail_memory[index], demand.tail_memory_gb
         )
-        self.vm_count[index] += 1
-        self.vm_ids[index].append(demand.vm_id)

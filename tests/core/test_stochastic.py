@@ -8,6 +8,7 @@ from repro.core.semistatic import SemiStaticConsolidation
 from repro.core.stochastic import StochasticConsolidation
 from repro.constraints.affinity import AntiColocate
 from repro.constraints.manager import ConstraintSet
+from repro.exceptions import ConfigurationError
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
 
@@ -91,3 +92,21 @@ class TestStochasticConsolidation:
         schedule = StochasticConsolidation().plan(context)
         assert len(schedule) == 1
         assert schedule.total_migrations() == 0
+
+
+class TestConfiguration:
+    @pytest.mark.parametrize("bound", [0.0, -0.5, 1.5, float("nan")])
+    def test_utilization_bound_must_be_a_fraction(self, bound):
+        # Above 1 the cluster bins would overcommit every host silently;
+        # at 0 every VM would fail with a misleading "fits on no host".
+        with pytest.raises(ConfigurationError, match="utilization_bound"):
+            StochasticConsolidation(utilization_bound=bound)
+
+    @pytest.mark.parametrize("overlap", [-0.1, 1.5, float("nan")])
+    def test_tail_overlap_factor_must_be_a_fraction(self, overlap):
+        with pytest.raises(ConfigurationError, match="tail_overlap_factor"):
+            StochasticConsolidation(tail_overlap_factor=overlap)
+
+    def test_range_ends_accepted(self):
+        StochasticConsolidation(utilization_bound=1.0, tail_overlap_factor=0.0)
+        StochasticConsolidation(utilization_bound=0.5, tail_overlap_factor=1.0)

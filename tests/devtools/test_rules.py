@@ -27,7 +27,6 @@ RULE_CASES = [
     ("REPRO109", "emulator/r109_per_trace_loops.py", 5, "emulator/r109_clean.py"),
     # The whole-program rules take mini-package directories, not single
     # files: their findings are properties of several modules at once.
-    ("REPRO110", "r110_parity", 3, "r110_parity_clean"),
     ("REPRO111", "r111_purity", 4, "r111_purity_clean"),
     ("REPRO112", "r112_units", 5, "r112_units_clean"),
     ("REPRO113", "r113_dead", 2, "r113_clean"),

@@ -68,11 +68,6 @@ class TestResolution:
         resolved = model.resolve_dotted(beta, ["numpy", "random", "rand"])
         assert resolved == Resolution("external", "numpy.random.rand")
 
-    def test_manifest_style_lookup(self, model):
-        resolved = model.lookup("semantics_pkg.alpha:Engine.prepare")
-        assert resolved is not None and resolved.kind == "function"
-        assert model.functions[resolved.key].class_name == "Engine"
-
 
 class TestCallGraph:
     def test_reachability_spans_constructor_binding_and_methods(self, model):

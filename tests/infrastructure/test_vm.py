@@ -70,3 +70,17 @@ class TestVMDemand:
         with pytest.raises(ConfigurationError):
             VMDemand(vm_id="vm1", cpu_rpe2=1.0, memory_gb=2.0,
                      tail_memory_gb=-0.1)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "cpu_rpe2", "memory_gb", "tail_cpu_rpe2", "tail_memory_gb",
+            "network_mbps", "disk_mbps",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_demand_rejected(self, field, value):
+        sizes = dict(cpu_rpe2=100.0, memory_gb=1.0)
+        sizes[field] = value
+        with pytest.raises(ConfigurationError, match=f"a: {field} must be"):
+            VMDemand("a", **sizes)

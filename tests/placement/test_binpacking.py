@@ -1,4 +1,4 @@
-"""Tests for the bin-packing heuristics."""
+"""Tests for first-fit-decreasing packing and its bins."""
 
 import pytest
 
@@ -6,7 +6,8 @@ from repro.constraints.affinity import AntiColocate, Colocate, PinToHost
 from repro.constraints.manager import ConstraintSet
 from repro.exceptions import ConfigurationError, ConstraintViolation, PlacementError
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import Bin, pack, sort_decreasing
+from repro.placement.arraybins import BinArray
+from repro.placement.binpacking import pack, sort_decreasing
 
 
 def _demand(vm_id, cpu, mem, tail_cpu=0.0, tail_mem=0.0):
@@ -20,35 +21,42 @@ def _demand(vm_id, cpu, mem, tail_cpu=0.0, tail_mem=0.0):
 
 
 class TestBin:
+    """The bins ``pack()`` runs on: one :class:`BinArray` element each."""
+
     def test_capacity_scaled_by_bound(self, tiny_pool):
-        host = tiny_pool.host("tiny-h0")
-        bin_ = Bin.for_host(host, 0.8)
-        assert bin_.cpu_capacity == pytest.approx(800.0)
-        assert bin_.memory_capacity == pytest.approx(8.0)
+        bins = BinArray(tiny_pool.hosts, 0.8)
+        assert bins.cpu_capacity.tolist() == pytest.approx([800.0, 800.0])
+        assert bins.memory_capacity.tolist() == pytest.approx([8.0, 8.0])
 
     def test_fits_and_add(self, tiny_pool):
-        bin_ = Bin.for_host(tiny_pool.host("tiny-h0"), 1.0)
-        assert bin_.fits(_demand("a", 600, 6))
-        bin_.add(_demand("a", 600, 6))
-        assert not bin_.fits(_demand("b", 500, 1))
-        assert bin_.fits(_demand("b", 300, 1))
+        bins = BinArray(tiny_pool.hosts, 1.0)
+        assert bins.fits_one(0, _demand("a", 600, 6))
+        bins.add(0, _demand("a", 600, 6))
+        assert not bins.fits_one(0, _demand("b", 500, 1))
+        assert bins.fits_one(0, _demand("b", 300, 1))
+        assert bins.fits_mask(_demand("b", 500, 1)).tolist() == [False, True]
 
     def test_tail_pooling(self, tiny_pool):
-        bin_ = Bin.for_host(tiny_pool.host("tiny-h0"), 1.0)
-        bin_.add(_demand("a", 300, 2, tail_cpu=400))
+        bins = BinArray(tiny_pool.hosts, 1.0)
+        bins.add(0, _demand("a", 300, 2, tail_cpu=400))
         # Second VM's tail pools with the first: only max(400, 300) held.
-        assert bin_.fits(_demand("b", 300, 2, tail_cpu=300))
-        bin_.add(_demand("b", 300, 2, tail_cpu=300))
-        assert bin_.used_cpu == pytest.approx(300 + 300 + 400)
+        assert bins.fits_one(0, _demand("b", 300, 2, tail_cpu=300))
+        bins.add(0, _demand("b", 300, 2, tail_cpu=300))
+        assert bins.body_cpu[0] == pytest.approx(300 + 300)
+        assert bins.max_tail_cpu[0] == pytest.approx(400)
+        # 600 of body plus the pooled 400 fill h0's 1000 RPE2 exactly.
+        assert bins.fits_mask(_demand("c", 1, 0)).tolist() == [False, True]
 
     def test_add_overflow_raises(self, tiny_pool):
-        bin_ = Bin.for_host(tiny_pool.host("tiny-h0"), 1.0)
-        with pytest.raises(PlacementError):
-            bin_.add(_demand("a", 2000, 1))
+        bins = BinArray(tiny_pool.hosts, 1.0)
+        with pytest.raises(PlacementError, match="a does not fit on tiny-h0"):
+            bins.add(0, _demand("a", 2000, 1))
+        assert bins.body_cpu.tolist() == [0.0, 0.0]
 
     def test_invalid_bound(self, tiny_pool):
-        with pytest.raises(ConfigurationError):
-            Bin.for_host(tiny_pool.host("tiny-h0"), 0.0)
+        for bound in (0.0, 1.5):
+            with pytest.raises(ConfigurationError):
+                BinArray(tiny_pool.hosts, bound)
 
 
 class TestSortDecreasing:
@@ -106,10 +114,6 @@ class TestPack:
         with pytest.raises(PlacementError):
             pack([_demand("a", 1, 1)], [])
 
-    def test_bad_strategy_rejected(self, tiny_pool):
-        with pytest.raises(ConfigurationError):
-            pack([_demand("a", 1, 1)], tiny_pool.hosts, strategy="magic")
-
     def test_preferred_host_sticky(self, tiny_pool):
         demands = [_demand("a", 100, 1)]
         placement = pack(
@@ -125,17 +129,6 @@ class TestPack:
         # "a" lands on h0 first (bigger), so b's hint is infeasible.
         assert placement.host_of("a") == "tiny-h0"
         assert placement.host_of("b") == "tiny-h1"
-
-    def test_bfd_prefers_tightest_open_bin(self, tiny_pool):
-        # Seed both hosts, then a small VM should go to the fuller one
-        # under BFD.
-        demands = [
-            _demand("big", 800, 8),
-            _demand("mid", 600, 6),
-            _demand("small", 100, 1),
-        ]
-        placement = pack(demands, tiny_pool.hosts, strategy="bfd")
-        assert placement.host_of("small") == placement.host_of("big")
 
 
 class TestPackWithConstraints:

@@ -7,8 +7,8 @@ a successful packing must
 * keep every host within its bound-scaled capacity (body sums plus the
   pooled tail — the PCP reservation rule),
 * place every VM exactly once, and
-* be invariant to the input permutation of the demand list (FFD/BFD
-  canonicalize their order internally, with vm_id tie-breaks).
+* be invariant to the input permutation of the demand list (FFD
+  canonicalizes its order internally, with vm_id tie-breaks).
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _make_hosts(count: int) -> List[PhysicalServer]:
 
 
 def _random_instance(rng: random.Random):
-    """One packing instance: demands, hosts, bound, strategy."""
+    """One packing instance: demands, hosts, bound."""
     bound = rng.choice([0.7, 0.8, 0.9, 1.0])
     n_vms = rng.randint(1, 40)
     with_tails = rng.random() < 0.5
@@ -60,8 +60,7 @@ def _random_instance(rng: random.Random):
     # may fail for capacity, so every property quantifies over
     # successful packings only by construction.
     hosts = _make_hosts(n_vms)
-    strategy = rng.choice(["ffd", "bfd"])
-    return demands, hosts, bound, strategy
+    return demands, hosts, bound
 
 
 def _host_usage(
@@ -86,10 +85,8 @@ def _host_usage(
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_pack_never_exceeds_capacity(seed: int) -> None:
     rng = random.Random(20260806 + seed)
-    demands, hosts, bound, strategy = _random_instance(rng)
-    placement = pack(
-        demands, hosts, utilization_bound=bound, strategy=strategy
-    )
+    demands, hosts, bound = _random_instance(rng)
+    placement = pack(demands, hosts, utilization_bound=bound)
     for host_id, entry in _host_usage(placement.assignment, demands).items():
         assert approx_lte(
             entry["cpu"] + entry["tail_cpu"], HOST_SPEC.cpu_rpe2 * bound
@@ -102,10 +99,8 @@ def test_pack_never_exceeds_capacity(seed: int) -> None:
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_pack_places_every_vm_exactly_once(seed: int) -> None:
     rng = random.Random(918273 + seed)
-    demands, hosts, bound, strategy = _random_instance(rng)
-    placement = pack(
-        demands, hosts, utilization_bound=bound, strategy=strategy
-    )
+    demands, hosts, bound = _random_instance(rng)
+    placement = pack(demands, hosts, utilization_bound=bound)
     assert sorted(placement.assignment) == sorted(d.vm_id for d in demands)
     host_ids = {h.host_id for h in hosts}
     assert set(placement.assignment.values()) <= host_ids
@@ -114,15 +109,11 @@ def test_pack_places_every_vm_exactly_once(seed: int) -> None:
 @pytest.mark.parametrize("seed", range(N_INSTANCES))
 def test_pack_is_permutation_invariant(seed: int) -> None:
     rng = random.Random(555000 + seed)
-    demands, hosts, bound, strategy = _random_instance(rng)
-    baseline = pack(
-        demands, hosts, utilization_bound=bound, strategy=strategy
-    )
+    demands, hosts, bound = _random_instance(rng)
+    baseline = pack(demands, hosts, utilization_bound=bound)
     shuffled = list(demands)
     rng.shuffle(shuffled)
-    permuted = pack(
-        shuffled, hosts, utilization_bound=bound, strategy=strategy
-    )
+    permuted = pack(shuffled, hosts, utilization_bound=bound)
     assert permuted.assignment == baseline.assignment
 
 

@@ -4,7 +4,7 @@ The library's :func:`pack` (:class:`BinArray` masks) must make exactly
 the same decisions as the bin-at-a-time :class:`Bin` scan kept in
 ``tests/reference/packing.py`` — same assignment, same failures with
 the same message — across randomized instances covering tail pooling,
-preferred-host hints, both strategies, and constraints.  Driven by
+preferred-host hints, and constraints.  Driven by
 hypothesis when available, with a seeded stdlib-:mod:`random` sweep that
 always runs so the suite keeps its coverage without the dependency.
 """
@@ -51,7 +51,6 @@ def _pool(n_hosts: int) -> Datacenter:
 def assert_engines_agree(
     demands: List[VMDemand],
     *,
-    strategy: str = "ffd",
     bound: float = 1.0,
     preferred: Optional[Dict[str, str]] = None,
     constraints: Optional[ConstraintSet] = None,
@@ -62,7 +61,6 @@ def assert_engines_agree(
     datacenter = pool if constraints else None
     kwargs = dict(
         utilization_bound=bound,
-        strategy=strategy,
         constraints=constraints,
         datacenter=datacenter,
         preferred=preferred,
@@ -100,25 +98,19 @@ def _random_demands(
 # Seeded stdlib sweep: always runs, no hypothesis required.
 
 
-@pytest.mark.parametrize("strategy", ["ffd", "bfd"])
 @pytest.mark.parametrize("with_tails", [False, True])
-def test_random_instances_agree(strategy: str, with_tails: bool) -> None:
-    rng = random.Random(f"{strategy}-{with_tails}")
+def test_random_instances_agree(with_tails: bool) -> None:
+    rng = random.Random(f"ffd-{with_tails}")
     for _ in range(30):
         demands = _random_demands(
             rng, with_tails=with_tails, n_vms=rng.randint(1, 40)
         )
-        assert_engines_agree(
-            demands,
-            strategy=strategy,
-            bound=rng.choice([0.7, 0.8, 1.0]),
-        )
+        assert_engines_agree(demands, bound=rng.choice([0.7, 0.8, 1.0]))
 
 
-@pytest.mark.parametrize("strategy", ["ffd", "bfd"])
-def test_preferred_host_hints_agree(strategy: str) -> None:
+def test_preferred_host_hints_agree() -> None:
     """Dynamic-consolidation hints route identically in both scans."""
-    rng = random.Random(f"hints-{strategy}")
+    rng = random.Random("hints-ffd")
     for _ in range(20):
         demands = _random_demands(
             rng, with_tails=rng.random() < 0.5, n_vms=rng.randint(1, 30)
@@ -129,13 +121,12 @@ def test_preferred_host_hints_agree(strategy: str) -> None:
             for d in demands
             if rng.random() < 0.6
         }
-        assert_engines_agree(demands, strategy=strategy, preferred=preferred)
+        assert_engines_agree(demands, preferred=preferred)
 
 
-@pytest.mark.parametrize("strategy", ["ffd", "bfd"])
-def test_constrained_instances_agree(strategy: str) -> None:
+def test_constrained_instances_agree() -> None:
     """Constraint hooks fire on the masked candidate set identically."""
-    rng = random.Random(f"constraints-{strategy}")
+    rng = random.Random("constraints-ffd")
     for _ in range(15):
         n_vms = rng.randint(4, 24)
         demands = _random_demands(rng, with_tails=False, n_vms=n_vms)
@@ -147,9 +138,7 @@ def test_constrained_instances_agree(strategy: str) -> None:
             constraints.add(
                 ExcludeHosts(demand.vm_id, [f"h{rng.randint(0, 3):03d}"])
             )
-        assert_engines_agree(
-            demands, strategy=strategy, constraints=constraints
-        )
+        assert_engines_agree(demands, constraints=constraints)
 
 
 def test_oversized_vm_fails_in_both_engines() -> None:
@@ -182,28 +171,24 @@ def test_duplicate_vm_ids_rejected() -> None:
 
 
 # ----------------------------------------------------------------------
-# Pool sizes: the benchmark's pools and both sides of old crossovers.
+# Pool sizes: small, the benchmark's, and a few hundred hosts.
 
 
-@pytest.mark.parametrize("strategy", ["ffd", "bfd"])
 @pytest.mark.parametrize(
     "n_hosts", [8, 55, 63, 64, 96, 174, 511, 512, 600]
 )
-def test_auto_matches_forced_engines(strategy: str, n_hosts: int) -> None:
+def test_pool_sizes_agree(n_hosts: int) -> None:
     """``pack()`` agrees with the reference scan at every pool size.
 
-    55 and 174 hosts are pool sizes of the end-to-end benchmark; 63/64
-    (FFD) and 511/512 (BFD) straddle the host counts where ``pack()``
-    used to switch between the scan and the masks.
+    55 and 174 hosts are pool sizes of the end-to-end benchmark.
     """
-    rng = random.Random(f"auto-{strategy}-{n_hosts}")
+    rng = random.Random(f"auto-ffd-{n_hosts}")
     demands = _random_demands(
         rng, with_tails=True, n_vms=min(40, n_hosts)
     )
     pool = _pool(n_hosts)
-    kwargs = dict(utilization_bound=0.8, strategy=strategy)
-    expected = pack_reference(demands, pool.hosts, **kwargs)
-    assert pack(demands, pool.hosts, **kwargs).assignment == (
+    expected = pack_reference(demands, pool.hosts, utilization_bound=0.8)
+    assert pack(demands, pool.hosts, utilization_bound=0.8).assignment == (
         expected.assignment
     )
 
@@ -242,23 +227,21 @@ if HAVE_HYPOTHESIS:
 
     @given(
         demands=demand_lists(),
-        strategy=st.sampled_from(["ffd", "bfd"]),
         bound=st.sampled_from([0.7, 0.8, 1.0]),
     )
     @settings(max_examples=80, deadline=None)
-    def test_hypothesis_engines_agree(demands, strategy, bound):
-        assert_engines_agree(demands, strategy=strategy, bound=bound)
+    def test_hypothesis_engines_agree(demands, bound):
+        assert_engines_agree(demands, bound=bound)
 
     @given(
         demands=demand_lists(),
-        strategy=st.sampled_from(["ffd", "bfd"]),
         hint_bits=st.lists(st.booleans(), min_size=40, max_size=40),
     )
     @settings(max_examples=40, deadline=None)
-    def test_hypothesis_hints_agree(demands, strategy, hint_bits):
+    def test_hypothesis_hints_agree(demands, hint_bits):
         preferred = {
             d.vm_id: f"h{i % 7:03d}"
             for i, d in enumerate(demands)
             if hint_bits[i % len(hint_bits)]
         }
-        assert_engines_agree(demands, strategy=strategy, preferred=preferred)
+        assert_engines_agree(demands, preferred=preferred)

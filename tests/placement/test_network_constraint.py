@@ -6,7 +6,8 @@ from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import Bin, pack
+from repro.placement.arraybins import BinArray
+from repro.placement.binpacking import pack
 
 
 @pytest.fixture
@@ -32,21 +33,27 @@ def _demand(vm_id, network):
 
 
 class TestNetworkInBin:
+    """Link capacity in ``pack()``'s bins (:class:`BinArray`)."""
+
     def test_bin_tracks_network(self, thin_link_pool):
-        bin_ = Bin.for_host(thin_link_pool.host("h0"), 1.0)
-        bin_.add(_demand("a", 60.0))
-        assert not bin_.fits(_demand("b", 50.0))
-        assert bin_.fits(_demand("b", 40.0))
+        bins = BinArray(thin_link_pool.hosts, 1.0)
+        bins.add(0, _demand("a", 60.0))
+        assert not bins.fits_one(0, _demand("b", 50.0))
+        assert bins.fits_one(0, _demand("b", 40.0))
+        assert bins.fits_mask(_demand("b", 50.0)).tolist() == [
+            False, True, True, True,
+        ]
 
     def test_bound_scales_network(self, thin_link_pool):
-        bin_ = Bin.for_host(thin_link_pool.host("h0"), 0.8)
-        assert bin_.network_capacity == pytest.approx(80.0)
+        bins = BinArray(thin_link_pool.hosts, 0.8)
+        assert bins.network_capacity.tolist() == pytest.approx([80.0] * 4)
 
     def test_zero_network_demand_never_blocks(self, thin_link_pool):
-        bin_ = Bin.for_host(thin_link_pool.host("h0"), 1.0)
+        bins = BinArray(thin_link_pool.hosts, 1.0)
         for index in range(50):
-            bin_.add(_demand(f"v{index}", 0.0))
-        assert len(bin_.vm_ids) == 50
+            bins.add(0, _demand(f"v{index}", 0.0))
+        assert bins.body_network[0] == 0.0
+        assert bins.fits_mask(_demand("full-link", 100.0)).all()
 
 
 class TestNetworkInPack:

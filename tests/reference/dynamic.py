@@ -22,10 +22,11 @@ from repro.emulator.schedule import PlacementSchedule
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import Bin, pack
+from repro.placement.binpacking import pack
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable, SizeEstimator
 from repro.sizing.functions import MaxSizing
+from tests.reference.packing import Bin
 from tests.reference.sizing import estimate_from_values_reference
 
 __all__ = ["host_order", "plan_reference", "predict_interval"]
@@ -140,7 +141,6 @@ def _place_interval(
         demands,
         hosts,
         utilization_bound=bound,
-        strategy="ffd",
         constraints=context.constraints or None,
         datacenter=datacenter,
         preferred=previous.assignment if previous is not None else None,

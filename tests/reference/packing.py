@@ -1,16 +1,19 @@
 """Scalar reference scan for :func:`repro.placement.binpacking.pack`.
 
-One ``Bin.fits`` call per (VM, candidate bin), where the library asks
-:class:`~repro.placement.arraybins.BinArray` for one admissibility mask
-over all bins.  :func:`pack_reference` keeps ``pack()``'s whole
-contract — argument checks, the duplicate-VM check, FFD order with
-constrained VMs first, the same ``PlacementError`` text and the final
-``constraints.validate`` — so the equivalence suite can compare
-placements and failures one for one.
+:class:`Bin` is one host's running totals, including PCP's tail pooling;
+the reference dynamic and power-budget planners fold onto it too.  The
+scan makes one ``Bin.fits`` call per (VM, candidate bin), where the
+library asks :class:`~repro.placement.arraybins.BinArray` for one
+admissibility mask over all bins.  :func:`pack_reference` keeps
+``pack()``'s whole contract — argument checks, the duplicate-VM check,
+FFD order with constrained VMs first, the same ``PlacementError`` text
+and the final ``constraints.validate`` — so the equivalence suite can
+compare placements and failures one for one.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.constraints.manager import ConstraintSet
@@ -18,10 +21,107 @@ from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import Bin, sort_decreasing
+from repro.placement.binpacking import sort_decreasing
 from repro.placement.plan import Placement
 
-__all__ = ["pack_reference"]
+__all__ = ["Bin", "pack_reference"]
+
+
+@dataclass
+class Bin:
+    """One host's packing state.
+
+    Capacity is the host spec scaled by the utilization bound.  Body
+    demands accumulate; tail demands pool (only the per-host maximum is
+    reserved) — the PCP sizing contract.  For body-only demands the tail
+    fields stay zero and the bin behaves like a plain vector bin.
+    """
+
+    host: PhysicalServer
+    cpu_capacity: float
+    memory_capacity: float
+    network_capacity: float = float("inf")
+    disk_capacity: float = float("inf")
+    body_cpu: float = 0.0
+    body_memory: float = 0.0
+    body_network: float = 0.0
+    body_disk: float = 0.0
+    max_tail_cpu: float = 0.0
+    max_tail_memory: float = 0.0
+    vm_ids: List[str] = field(default_factory=list)
+
+    @classmethod
+    def for_host(cls, host: PhysicalServer, utilization_bound: float) -> "Bin":
+        if not 0 < utilization_bound <= 1:
+            raise ConfigurationError(
+                f"utilization_bound must be in (0, 1], got {utilization_bound}"
+            )
+        return cls(
+            host=host,
+            cpu_capacity=host.cpu_rpe2 * utilization_bound,
+            memory_capacity=host.memory_gb * utilization_bound,
+            network_capacity=host.spec.network_mbps * utilization_bound,
+            disk_capacity=host.spec.disk_mbps * utilization_bound,
+        )
+
+    @property
+    def used_cpu(self) -> float:
+        """Reserved CPU: sum of bodies plus the pooled tail."""
+        return self.body_cpu + self.max_tail_cpu
+
+    @property
+    def used_memory(self) -> float:
+        return self.body_memory + self.max_tail_memory
+
+    @property
+    def is_empty(self) -> bool:
+        return not self.vm_ids
+
+    def fits(self, demand: VMDemand) -> bool:
+        """Would adding the VM keep every resource within capacity?
+
+        CPU and memory are the optimized dimensions; link bandwidth is a
+        feasibility constraint (paper §3.1) checked the same way.
+        """
+        cpu_after = (
+            self.body_cpu
+            + demand.cpu_rpe2
+            + max(self.max_tail_cpu, demand.tail_cpu_rpe2)
+        )
+        memory_after = (
+            self.body_memory
+            + demand.memory_gb
+            + max(self.max_tail_memory, demand.tail_memory_gb)
+        )
+        network_after = self.body_network + demand.network_mbps
+        disk_after = self.body_disk + demand.disk_mbps
+        return (
+            cpu_after <= self.cpu_capacity + 1e-9
+            and memory_after <= self.memory_capacity + 1e-9
+            and network_after <= self.network_capacity + 1e-9
+            and disk_after <= self.disk_capacity + 1e-9
+        )
+
+    def add(self, demand: VMDemand) -> None:
+        if not self.fits(demand):
+            raise PlacementError(
+                f"{demand.vm_id} does not fit on {self.host.host_id}"
+            )
+        self.body_cpu += demand.cpu_rpe2
+        self.body_memory += demand.memory_gb
+        self.body_network += demand.network_mbps
+        self.body_disk += demand.disk_mbps
+        self.max_tail_cpu = max(self.max_tail_cpu, demand.tail_cpu_rpe2)
+        self.max_tail_memory = max(self.max_tail_memory, demand.tail_memory_gb)
+        self.vm_ids.append(demand.vm_id)
+
+    def residual(self) -> float:
+        """Min normalized headroom; the reference planners sort by it."""
+        cpu_slack = (self.cpu_capacity - self.used_cpu) / self.cpu_capacity
+        memory_slack = (
+            self.memory_capacity - self.used_memory
+        ) / self.memory_capacity
+        return min(cpu_slack, memory_slack)
 
 
 def pack_reference(
@@ -29,16 +129,11 @@ def pack_reference(
     hosts: Sequence[PhysicalServer],
     *,
     utilization_bound: float = 1.0,
-    strategy: str = "ffd",
     constraints: Optional[ConstraintSet] = None,
     datacenter: Optional[Datacenter] = None,
     preferred: Optional[Mapping[str, str]] = None,
 ) -> Placement:
     """What ``pack(...)`` must return (or raise), one bin at a time."""
-    if strategy not in ("ffd", "bfd"):
-        raise ConfigurationError(
-            f"unknown strategy {strategy!r}; expected 'ffd' or 'bfd'"
-        )
     if not hosts:
         raise PlacementError("no hosts to pack onto")
     if constraints and datacenter is None:
@@ -61,7 +156,6 @@ def pack_reference(
         ordered,
         hosts,
         utilization_bound,
-        strategy=strategy,
         constraints=constraints,
         datacenter=datacenter,
         preferred=preferred,
@@ -108,7 +202,6 @@ def _pack_scalar(
     hosts: Sequence[PhysicalServer],
     utilization_bound: float,
     *,
-    strategy: str,
     constraints: Optional[ConstraintSet],
     datacenter: Optional[Datacenter],
     preferred: Optional[Mapping[str, str]],
@@ -121,26 +214,24 @@ def _pack_scalar(
     scan_bins = list(bins)
 
     for position, demand in enumerate(ordered):
-        if strategy == "ffd":
-            # Drop permanently-saturated bins: remaining capacity below
-            # the smallest body demand still to come means the bin can
-            # never pass another fits() check.  Purely an optimization —
-            # a dropped bin would have failed every future scan anyway.
-            scan_bins = [
-                b
-                for b in scan_bins
-                if not _is_saturated(
-                    b,
-                    suffix_min_cpu[position],
-                    suffix_min_memory[position],
-                )
-            ]
+        # Drop permanently-saturated bins: remaining capacity below the
+        # smallest body demand still to come means the bin can never
+        # pass another fits() check.  Purely an optimization — a dropped
+        # bin would have failed every future scan anyway.
+        scan_bins = [
+            b
+            for b in scan_bins
+            if not _is_saturated(
+                b,
+                suffix_min_cpu[position],
+                suffix_min_memory[position],
+            )
+        ]
         target = _choose_bin(
             demand,
-            scan_bins if strategy == "ffd" else bins,
+            scan_bins,
             bin_of_host,
             assignment,
-            strategy=strategy,
             constraints=constraints,
             datacenter=datacenter,
             preferred=preferred,
@@ -170,7 +261,6 @@ def _choose_bin(
     bin_of_host: Mapping[str, Bin],
     assignment: Mapping[str, str],
     *,
-    strategy: str,
     constraints: Optional[ConstraintSet],
     datacenter: Optional[Datacenter],
     preferred: Optional[Mapping[str, str]],
@@ -192,25 +282,7 @@ def _choose_bin(
             if hinted_bin is not None and admissible(hinted_bin):
                 return hinted_bin
 
-    if strategy == "ffd":
-        for candidate in bins:
-            if admissible(candidate):
-                return candidate
-        return None
-
-    # Best fit: among open (non-empty) bins pick the tightest residual
-    # after adding; open a new bin only when no open bin admits the VM.
-    best: Optional[Bin] = None
-    best_residual = float("inf")
     for candidate in bins:
-        if candidate.is_empty or not admissible(candidate):
-            continue
-        residual = candidate.residual()
-        if residual < best_residual:
-            best, best_residual = candidate, residual
-    if best is not None:
-        return best
-    for candidate in bins:
-        if candidate.is_empty and admissible(candidate):
+        if admissible(candidate):
             return candidate
     return None

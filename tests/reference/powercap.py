@@ -18,10 +18,10 @@ from typing import Dict, List, Mapping
 from repro.core.base import PlanningContext
 from repro.core.powercap import PowerBudgetedConsolidation, _power_model
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import Bin
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable
 from tests.reference.dynamic import _fits_with_pending
+from tests.reference.packing import Bin
 
 __all__ = ["ReferencePowerBudget"]
 
