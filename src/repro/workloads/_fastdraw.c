@@ -216,8 +216,8 @@ void repro_draw_probe(bitgen_t *bg, double *out_f, int64_t *out_i) {
 
 /* First-order AR(1) recurrence, matching models.ar1_filter_matrix:
  * out[0] = stationary_std * g[0]; out[t] = phi*out[t-1] + sigma*g[t].
- * scipy's lfilter computes sigma*g[t] + phi*out[t-1]; IEEE addition is
- * commutative bitwise and both products round identically, so rows are
+ * The numpy recurrence steps one column at a time with the same two
+ * products and one addition in the same order, so rows are
  * bit-identical (given -ffp-contract=off). */
 void repro_ar1_filter(const double *gauss, double *out, int64_t count,
                       int64_t n, double phi, double sigma,

@@ -17,13 +17,14 @@ calls.  Nothing is trusted: :func:`make_fast_drawer` runs a fixed draw
 choreography through the library and replays it on a reference
 ``Generator`` (covering the lognormal/normal/uniform/pareto/poisson
 paths, the Lemire bounded-integer path, and the buffered-uint32 reset),
-and verifies the C filters against the numpy/scipy implementations.
+and verifies the C filters against the numpy implementations.
 Any mismatch — or a missing compiler — disables the kernel for the
 process and callers fall back to the pure-python draw loop.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -154,6 +155,7 @@ def _compile_library() -> Optional[str]:
     target = os.path.join(directory, f"_fastdraw-{key}.so")
     if os.path.exists(target):
         return target
+    scratch = None
     try:
         os.makedirs(directory, exist_ok=True)
         handle, scratch = tempfile.mkstemp(suffix=".so", dir=directory)
@@ -175,22 +177,39 @@ def _compile_library() -> Optional[str]:
             stderr=subprocess.DEVNULL,
             timeout=120,
         )
-        if result.returncode != 0:
-            os.unlink(scratch)
-            return None
-        os.replace(scratch, target)  # atomic against concurrent builds
-        return target
+        if result.returncode == 0:
+            os.replace(scratch, target)  # atomic against concurrent builds
+            return target
     except (OSError, subprocess.SubprocessError):
+        pass
+    # Every failed build (compiler error, timeout, failed rename)
+    # removes its scratch object, so none accumulates in the cache.
+    if scratch is not None:
+        with contextlib.suppress(OSError):
+            os.unlink(scratch)
+    return None
+
+
+def _open_library(target: Optional[str]) -> Optional[ctypes.CDLL]:
+    if target is None:
+        return None
+    try:
+        return ctypes.CDLL(target)
+    except OSError:
         return None
 
 
 def _load_library() -> Optional[ctypes.CDLL]:
     target = _compile_library()
-    if target is None:
-        return None
-    try:
-        library = ctypes.CDLL(target)
-    except OSError:
+    library = _open_library(target)
+    if library is None and target is not None:
+        # A cached object that does not load (truncated, say) would
+        # otherwise disable the kernel in every later process: build it
+        # once more, and fall back only if the rebuild fails to load too.
+        with contextlib.suppress(OSError):
+            os.unlink(target)
+        library = _open_library(_compile_library())
+    if library is None:
         return None
     library.repro_draw_block.restype = ctypes.c_int64
     library.repro_draw_block.argtypes = [

@@ -31,13 +31,6 @@ from typing import Optional
 
 import numpy as np
 
-try:  # SciPy ships with the toolchain; gate anyway so the batched
-    # engine degrades to the (bit-identical) column-stepped recurrence
-    # instead of failing to import.
-    from scipy.signal import lfilter as _lfilter
-except ImportError:  # pragma: no cover - scipy present in CI image
-    _lfilter = None
-
 from repro.exceptions import ConfigurationError
 from repro.numerics import approx_eq
 from repro.workloads.trace import HOURS_PER_DAY
@@ -231,8 +224,9 @@ def ar1_filter_matrix(
     the stationary start ``x0 = sigma/sqrt(1-phi^2) * g0`` and the rest
     are the shocks ``eps = sigma * g``.  Rows are bit-identical to
     :func:`ar1_noise` because ``Generator.normal(0, s, n)`` scales
-    standard normals by exactly ``s`` and the linear-filter recurrence
-    performs the same multiply/add per step as the scalar loop.
+    standard normals by exactly ``s`` and each column step performs the
+    same multiply/add as the scalar loop.  A zero-hour input returns
+    the empty ``(n_vms, 0)`` array.
     """
     if not -1.0 < phi < 1.0:
         raise ConfigurationError(f"phi must be in (-1, 1), got {phi}")
@@ -240,25 +234,15 @@ def ar1_filter_matrix(
         raise ConfigurationError(f"sigma must be >= 0, got {sigma}")
     if gaussians.ndim != 2:
         raise ConfigurationError("ar1_filter_matrix expects a 2-D array")
-    if sigma == 0:
+    if sigma == 0 or gaussians.shape[1] == 0:
         return np.zeros_like(gaussians)
-    n_hours = gaussians.shape[1]
     stationary_std = sigma / np.sqrt(1.0 - phi**2)
     out = np.empty_like(gaussians)
-    x0 = stationary_std * gaussians[:, 0]
-    out[:, 0] = x0
-    if n_hours == 1:
-        return out
-    if _lfilter is not None:
-        shocks, _ = _lfilter(
-            [sigma], [1.0, -phi], gaussians[:, 1:], axis=1, zi=(phi * x0)[:, None]
-        )
-        out[:, 1:] = shocks
-    else:  # pragma: no cover - exercised only without scipy
-        previous = x0
-        for t in range(1, n_hours):
-            previous = phi * previous + sigma * gaussians[:, t]
-            out[:, t] = previous
+    previous = stationary_std * gaussians[:, 0]
+    out[:, 0] = previous
+    for t in range(1, gaussians.shape[1]):
+        previous = phi * previous + sigma * gaussians[:, t]
+        out[:, t] = previous
     return out
 
 
@@ -309,32 +293,21 @@ def ewma_smooth_matrix(values: np.ndarray, alpha: float) -> np.ndarray:
     """Exponentially weighted moving average over the rows of a 2-D array.
 
     ``alpha`` is the weight of the *new* observation: 1.0 returns the
-    input unchanged, small values respond slowly.  The linear filter does
-    the same ``alpha*v[t] + (1-alpha)*s[t-1]`` multiply/add per step.
+    input unchanged, small values respond slowly.  Each column step does
+    the same ``alpha*v[t] + (1-alpha)*s[t-1]`` multiply/add as the
+    per-VM loop.  A zero-hour input returns the empty ``(n, 0)`` array.
     """
     if not 0 < alpha <= 1:
         raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
     values = np.asarray(values, dtype=float)
     if values.ndim != 2:
         raise ConfigurationError("ewma_smooth_matrix expects a 2-D array")
-    if approx_eq(alpha, 1.0):
+    if approx_eq(alpha, 1.0) or values.shape[1] == 0:
         return values.copy()
     out = np.empty_like(values)
-    out[:, 0] = values[:, 0]
-    if values.shape[1] == 1:
-        return out
-    if _lfilter is not None:
-        smoothed, _ = _lfilter(
-            [alpha],
-            [1.0, -(1.0 - alpha)],
-            values[:, 1:],
-            axis=1,
-            zi=((1.0 - alpha) * values[:, 0])[:, None],
-        )
-        out[:, 1:] = smoothed
-    else:  # pragma: no cover - exercised only without scipy
-        previous = values[:, 0].copy()
-        for t in range(1, values.shape[1]):
-            previous = alpha * values[:, t] + (1.0 - alpha) * previous
-            out[:, t] = previous
+    previous = values[:, 0]
+    out[:, 0] = previous
+    for t in range(1, values.shape[1]):
+        previous = alpha * values[:, t] + (1.0 - alpha) * previous
+        out[:, t] = previous
     return out

@@ -6,7 +6,10 @@ This is the CI contract from the issue: ``repro-lint src/repro`` exits
 
 import ast
 import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro.devtools import lint_paths
 from repro.devtools.cli import main
@@ -75,6 +78,26 @@ def test_library_never_imports_the_tests_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for lineno, module in _imported_modules(tree):
             if module == "tests" or module.startswith("tests."):
+                offenders.append(
+                    f"{path.relative_to(REPO_ROOT)}:{lineno} {module}"
+                )
+    assert offenders == []
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 10),
+    reason="sys.stdlib_module_names needs Python 3.10",
+)
+def test_library_imports_only_stdlib_numpy_and_itself():
+    """The declared runtime dependency is numpy alone.  The scan is
+    static and covers imports inside ``try`` blocks and functions, so an
+    optional dependency fails here even where it is not installed."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "repro"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for lineno, module in _imported_modules(tree):
+            if module.split(".")[0] not in allowed:
                 offenders.append(
                     f"{path.relative_to(REPO_ROOT)}:{lineno} {module}"
                 )

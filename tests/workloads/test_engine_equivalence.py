@@ -12,6 +12,12 @@ python fallback with the kernel disabled.
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -59,6 +65,11 @@ def _hardware():
     return get_model("rack-1u-medium")
 
 
+def _mixed_fleet():
+    """Six VMs of each of the five profiles on one hardware model."""
+    return [(profile, _hardware(), 6) for profile in ALL_PROFILES]
+
+
 def _stores(specs, *, correlation=None, seed=_SEED, n_hours=_HOURS):
     array = generate_trace_set(
         "eq", specs, n_hours, seed, correlation=correlation
@@ -103,8 +114,9 @@ class TestBitwiseEquivalence:
         _assert_stores_equal(array, scalar)
 
     def test_python_fallback_matches_kernel(self, monkeypatch):
-        """With the compiled kernel disabled the engine must not move."""
-        specs = [(WEB_BURSTY, _hardware(), 6)]
+        """With the compiled kernel disabled the engine must not move,
+        on any profile."""
+        specs = _mixed_fleet()
         with_kernel, _ = _stores(specs, correlation=BUSY_CORRELATION)
         monkeypatch.setattr(generator, "_checked_drawer", lambda fast: None)
         without_kernel, scalar = _stores(
@@ -117,6 +129,90 @@ class TestBitwiseEquivalence:
         np.testing.assert_array_equal(
             with_kernel.memory_gb, without_kernel.memory_gb
         )
+
+
+#: Generates ``_mixed_fleet()`` in a fresh interpreter and saves its
+#: store; argv: out_dir hours seed event_rate participation.
+_FALLBACK_CHILD = """
+import json
+import sys
+
+import numpy as np
+
+from repro.metrics.catalog import get_model
+from repro.workloads.fastdraw import make_fast_drawer
+from repro.workloads.fastseed import make_fast_seeder
+from repro.workloads.generator import (
+    IDLE, SCHEDULED_BATCH, STEADY_BATCH, WEB_BURSTY, WEB_MODERATE,
+    CorrelationModel, generate_trace_set,
+)
+
+out, hours, seed, rate, participation = sys.argv[1:]
+profiles = (WEB_BURSTY, WEB_MODERATE, STEADY_BATCH, SCHEDULED_BATCH, IDLE)
+store = generate_trace_set(
+    "eq",
+    [(profile, get_model("rack-1u-medium"), 6) for profile in profiles],
+    int(hours),
+    int(seed),
+    correlation=CorrelationModel(
+        event_rate_per_day=float(rate),
+        event_participation=float(participation),
+    ),
+).store
+for name in ("cpu_util", "cpu_rpe2", "memory_gb"):
+    np.save(f"{out}/{name}.npy", getattr(store, name))
+print(json.dumps({
+    "kernel": make_fast_drawer(make_fast_seeder()) is not None,
+    "scipy": "scipy" in sys.modules,
+}))
+"""
+
+
+class TestFreshProcessFallback:
+    """Where the kernel cannot be built, a fresh process generates on
+    the Python draw loop, bit-identical to the kernel, and imports no
+    SciPy on the way."""
+
+    @pytest.mark.parametrize("case", ["no-compiler", "uncreatable-cache"])
+    def test_fallback_matches_kernel_in_a_fresh_process(self, tmp_path, case):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        if case == "no-compiler":
+            (tmp_path / "bin").mkdir()
+            env["PATH"] = str(tmp_path / "bin")  # no gcc, no cc
+            env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
+        else:
+            # makedirs fails below a regular file, even as root.
+            (tmp_path / "file").write_text("")
+            env["XDG_CACHE_HOME"] = str(tmp_path / "file" / "cache")
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                _FALLBACK_CHILD,
+                str(tmp_path),
+                str(_HOURS),
+                str(_SEED),
+                str(BUSY_CORRELATION.event_rate_per_day),
+                str(BUSY_CORRELATION.event_participation),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"kernel": False, "scipy": False}
+        in_process = generate_trace_set(
+            "eq", _mixed_fleet(), _HOURS, _SEED, correlation=BUSY_CORRELATION
+        ).store
+        for name in ("cpu_util", "cpu_rpe2", "memory_gb"):
+            np.testing.assert_array_equal(
+                np.load(tmp_path / f"{name}.npy"), getattr(in_process, name)
+            )
 
 
 class TestDeterminismProperties:

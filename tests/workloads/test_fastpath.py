@@ -5,14 +5,20 @@ themselves against the numpy reference constructors before the first
 use and fall back to bit-identical python otherwise.  These tests pin
 the pieces of that contract that the end-to-end equivalence suite
 exercises only indirectly: the batched SeedSequence/PCG64 hashes, the
-state-install round trip, and the compiled kernel's availability probe.
+state-install round trip, the compiled kernel's availability probe,
+and its on-disk cache (failed builds, unloadable cached objects).
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+
 import numpy as np
 import pytest
 
+from repro.workloads import fastdraw
 from repro.workloads.fastdraw import make_fast_drawer
 from repro.workloads.fastseed import (
     FastSeeder,
@@ -125,3 +131,57 @@ def test_fast_seeder_exposes_state_addresses():
     words_address, flags_address = seeder.raw_addresses()
     assert words_address != 0
     assert flags_address != 0
+
+
+@pytest.fixture
+def fresh_kernel_cache(tmp_path, monkeypatch):
+    """An empty kernel cache and a process that has not probed it yet."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(fastdraw, "_SUPPORTED", None)
+    monkeypatch.setattr(fastdraw, "_LIBRARY", None)
+    return tmp_path / "repro-workloads"
+
+
+def _timed_out_build(*args, **kwargs):
+    raise subprocess.TimeoutExpired(args[0], kwargs.get("timeout"))
+
+
+def _failed_rename(*args, **kwargs):
+    raise OSError("rename refused")
+
+
+@pytest.mark.parametrize(
+    "module, name, failure",
+    [(subprocess, "run", _timed_out_build), (os, "replace", _failed_rename)],
+    ids=["timeout", "rename"],
+)
+def test_failed_build_leaves_no_file_behind(
+    fresh_kernel_cache, monkeypatch, module, name, failure
+):
+    # No compiler runs: the build succeeds up to the step that fails.
+    monkeypatch.setattr(shutil, "which", lambda command: "/bin/true")
+    monkeypatch.setattr(fastdraw, "_npyrandom_library", lambda: "/dev/null")
+    monkeypatch.setattr(
+        subprocess,
+        "run",
+        lambda *args, **kwargs: subprocess.CompletedProcess(args, 0),
+    )
+    monkeypatch.setattr(module, name, failure)
+    assert make_fast_drawer(make_fast_seeder()) is None
+    assert os.listdir(fresh_kernel_cache) == []
+
+
+@pytest.mark.skipif(
+    shutil.which("gcc") is None and shutil.which("cc") is None,
+    reason="no C compiler on PATH",
+)
+def test_unloadable_cached_object_is_rebuilt(fresh_kernel_cache):
+    target = fastdraw._compile_library()
+    if target is None:
+        pytest.skip("the draw kernel does not build on this platform")
+    with open(target, "wb"):
+        pass  # truncate: what a full disk or a killed copy leaves
+    drawer = make_fast_drawer(make_fast_seeder())
+    assert drawer is not None
+    assert fastdraw._SUPPORTED is True
+    assert os.path.getsize(target) > 0

@@ -160,3 +160,45 @@ class TestEwmaSmooth:
     def test_invalid_alpha(self):
         with pytest.raises(ConfigurationError):
             ewma_smooth(np.ones(3), 0.0)
+
+
+class TestFilterMatrices:
+    """The batched AR(1) and EWMA recurrences: the generator's fallback
+    and the oracle the C kernel verifies itself against."""
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    @pytest.mark.parametrize(
+        "smooth",
+        [
+            lambda matrix: models.ar1_filter_matrix(matrix, 0.5, 0.1),
+            lambda matrix: models.ewma_smooth_matrix(matrix, 0.3),
+        ],
+        ids=["ar1", "ewma"],
+    )
+    def test_zero_hours_give_an_empty_matrix(self, smooth, n_rows):
+        out = smooth(np.ones((n_rows, 0)))
+        assert out.shape == (n_rows, 0)
+
+    @pytest.mark.parametrize("n_hours", [1, 2, 200])
+    @pytest.mark.parametrize("phi, sigma", [(0.6, 0.2), (-0.35, 1.1)])
+    def test_ar1_rows_match_the_per_vm_helper(self, phi, sigma, n_hours):
+        seeds = range(6)
+        gaussians = np.stack(
+            [np.random.default_rng(s).standard_normal(n_hours) for s in seeds]
+        )
+        out = models.ar1_filter_matrix(gaussians, phi, sigma)
+        for row, seed in enumerate(seeds):
+            expected = models.ar1_noise(
+                n_hours, phi, sigma, np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(out[row], expected)
+
+    @pytest.mark.parametrize("n_hours", [1, 2, 200])
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.85])
+    def test_ewma_rows_match_the_per_vm_helper(self, alpha, n_hours):
+        values = np.random.default_rng(5).lognormal(0.0, 0.8, (6, n_hours))
+        out = models.ewma_smooth_matrix(values, alpha)
+        for row in range(values.shape[0]):
+            np.testing.assert_array_equal(
+                out[row], ewma_smooth(values[row], alpha)
+            )
