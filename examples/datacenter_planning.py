@@ -12,7 +12,8 @@ The seven planner runs (three baseline schemes + a four-point
 reservation sweep) are independent, so they fan out as
 ``planning-run`` tasks over :class:`repro.runner.ExperimentRunner` —
 sharing one cached trace set — unless ``--serial`` keeps them
-in-process.
+in-process, where the run computes the trace set and the repeated
+``dynamic@0.80`` plan once each even with the disk cache off.
 
 Run:  python examples/datacenter_planning.py [datacenter] [--scale S]
           [--serial | --workers N]

@@ -400,6 +400,15 @@ def _vacate_intervals_hosts(
     changes nothing.  Bodies change only when a vacate commits, so the
     fullest-first candidate order is computed once and recomputed only
     after a commit; each attempt skips its own source in it.
+
+    With each candidate order comes its capacity rule
+    (:meth:`IncrementalPlan.vacate_ruled_out`): a source whose CPU or
+    memory load exceeds the other candidates' combined spare room is
+    skipped without a search, exactly as if :func:`_try_vacate` had
+    returned False.  The rule needs every candidate within its ``eps``:
+    the pack checks each add and ``commit_vacate`` re-checks each move.
+    Constraints only remove targets and the cost gate runs after the
+    search, so neither can turn a ruled-out source into a commit.
     """
     body_cpu = plan.body_cpu
     vm_rows_of_host = plan.vm_rows_of_host
@@ -423,6 +432,9 @@ def _vacate_intervals_hosts(
                     (host for host in live if vm_rows_of_host[host]),
                     key=plan.residual,
                 )
+                ruled_out = plan.vacate_ruled_out(candidates)
+            if ruled_out(source):
+                continue
             if _try_vacate(
                 algorithm, host_arrays, plan, source, candidates,
                 interval_hours, rules,

@@ -27,6 +27,8 @@ Every caller that empties a host — the dynamic planner, the power
 budget, the sharded reconciler and the online controller — finds the
 targets with the one read-only search, :meth:`vacate_targets`, ordering
 candidates by :meth:`residual` where it wants fullest-first.  The
+dynamic planner first drops, in O(1) per source, sources the other
+candidates' spare capacity cannot hold (:meth:`vacate_ruled_out`).  The
 planner and the power budget commit its moves with append folds
 (:meth:`commit_vacate`), the reconciler and the controller with
 :meth:`apply_delta`.
@@ -362,6 +364,46 @@ class IncrementalPlan:
             pend_net[host] = pend_net.get(host, 0.0) + d_net
             pend_dsk[host] = pend_dsk.get(host, 0.0) + d_dsk
         return moves
+
+    def vacate_ruled_out(
+        self, candidates: Sequence[int]
+    ) -> Callable[[int], bool]:
+        """An O(1) test that :meth:`vacate_targets` would return ``None``.
+
+        Sums the CPU and memory bodies (``load``) and admission
+        capacities (``room``, the ``eps`` floats) of ``candidates`` once.
+        The returned test is True for a ``source`` among ``candidates``
+        whose load exceeds the other candidates' combined spare room,
+        ``load > room - eps[source] + 1e-9 * room`` on either resource:
+        no search over these candidates can place all of its rows.
+
+        Sound when every candidate is within its ``eps`` — true of any
+        plan whose adds were fit-checked (the batch pack checks each
+        add, :meth:`commit_vacate` re-checks each move).  A successful
+        search puts every row of ``source`` on other candidates and takes
+        none past its ``eps``, so ``body[source] <= sum(eps[h] - body[h]
+        for h != source)`` up to rounding, which stays near
+        ``len(candidates) * 2**-53`` of the room, far below the margin.
+        ``allows`` only removes targets, so it cannot rescue a source
+        this test rules out.
+        """
+        caps = self.caps
+        eps_cpu = caps.eps_cpu
+        eps_mem = caps.eps_mem
+        load_cpu = sum(self.body_cpu[host] for host in candidates)
+        load_mem = sum(self.body_mem[host] for host in candidates)
+        room_cpu = sum(eps_cpu[host] for host in candidates)
+        room_mem = sum(eps_mem[host] for host in candidates)
+        margin_cpu = 1e-9 * room_cpu
+        margin_mem = 1e-9 * room_mem
+
+        def ruled_out(source: int) -> bool:
+            return (
+                load_cpu > room_cpu - eps_cpu[source] + margin_cpu
+                or load_mem > room_mem - eps_mem[source] + margin_mem
+            )
+
+        return ruled_out
 
     # -- batch-planner mutation (append folds) ---------------------------
 

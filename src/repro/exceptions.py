@@ -7,7 +7,8 @@ subclasses are raised close to where the problem is detected:
 * configuration / input validation problems raise :class:`ConfigurationError`,
 * infeasible placement problems raise :class:`PlacementError`,
 * constraint violations raise :class:`ConstraintViolation`,
-* trace shape or unit mismatches raise :class:`TraceError`.
+* trace shape or unit mismatches raise :class:`TraceError`,
+* a process-pool worker that dies mid-sweep raises :class:`RunnerError`.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "ConstraintViolation",
     "EmulationError",
     "ServiceError",
+    "RunnerError",
 ]
 
 
@@ -66,4 +68,14 @@ class ServiceError(ReproError):
     server maps it to an error *response* rather than a dropped
     connection, and the controller's event loop treats it as a
     recoverable per-cycle fault.
+    """
+
+
+class RunnerError(ReproError):
+    """The experiment runner's process pool failed under a task.
+
+    Raised when a pool worker dies abruptly (killed, or exiting without
+    returning a result); the message names the tasks left unfinished,
+    one of which the dead worker held, and the pool's own exception is
+    chained as the cause.
     """

@@ -34,7 +34,8 @@ __all__ = ["CacheStats", "ResultCache", "default_cache_dir", "CACHE_DIR_ENV"]
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable that disables caching entirely when set to 1.
+#: Environment variable that disables the disk cache when set to 1
+#: (reuse within one run stays on; see ``RunnerContext``).
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 
 

@@ -2,10 +2,12 @@
 
 An executor is a pure function ``(params, ctx) -> result`` registered
 under a task kind.  The :class:`RunnerContext` threaded into every
-executor lets a task compute *sub-tasks through the same cache* — the
+executor lets a task compute *sub-tasks through the same context* — the
 mechanism by which one generated trace set is shared by the comparison,
 sensitivity, and figure tasks that replay it, instead of each
-regenerating it from scratch.
+regenerating it from scratch.  The context keeps every result it
+computes or loads, so within one context each distinct spec is computed
+at most once, with or without the on-disk cache.
 
 Built-in kinds live in :mod:`repro.runner.tasks`; applications may
 register their own with :func:`register_task_kind` (under a process
@@ -69,22 +71,40 @@ def registered_kinds() -> Tuple[str, ...]:
 class RunnerContext:
     """Execution context handed to every task executor.
 
-    Carries the (optional) result cache and a cycle guard for nested
-    task execution.
+    Carries the (optional) disk cache, a cycle guard for nested task
+    execution, and the context's own memo: every result it computes or
+    loads from disk, keyed by task spec, kept until the context is
+    dropped.  Within one context each distinct spec — nested sub-tasks
+    included — is therefore computed at most once, identical specs
+    return the *same* object, and a disk hit is unpickled once.  This
+    holds with the disk cache off too; failures are never kept.  Memory
+    grows with the distinct results the context has served, so a
+    context lives for one :meth:`ExperimentRunner.run
+    <repro.runner.runner.ExperimentRunner.run>` (or one pooled task).
+
+    ``subtask_hits`` counts the sub-tasks (tasks executed from inside
+    another task) served from the memo or the disk cache.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None) -> None:
         self.cache = cache
+        self.subtask_hits = 0
         self._in_progress: Set[str] = set()
+        self._results: Dict[str, object] = {}
 
     def run_task(self, task: ExperimentTask) -> object:
-        """Compute a (sub-)task through the cache; returns its result."""
+        """Compute a (sub-)task through the context; returns its result."""
         result, _hit, _seconds = self.execute(task)
         return result
 
     def execute(self, task: ExperimentTask) -> Tuple[object, bool, float]:
-        """Compute or load one task: ``(result, cache_hit, seconds)``."""
-        if task.spec in self._in_progress:
+        """Compute or reuse one task: ``(result, hit, seconds)``.
+
+        ``hit`` is True when the result came from this context's memo or
+        from the disk cache rather than from the executor.
+        """
+        spec = task.spec
+        if spec in self._in_progress:
             raise ConfigurationError(
                 f"task cycle detected at {task.name}: a task may not "
                 "(transitively) depend on itself"
@@ -92,12 +112,19 @@ class RunnerContext:
         # Timing below is runner telemetry only: the seconds never enter
         # a cached payload or a result, so the wall-clock reads are safe.
         started = time.perf_counter()  # repro-lint: disable=REPRO111
-        if self.cache is not None:
-            cached, hit = self.cache.get(task)
+        hit = spec in self._results
+        if hit:
+            result = self._results[spec]
+        elif self.cache is not None:
+            result, hit = self.cache.get(task)
             if hit:
-                return cached, True, time.perf_counter() - started  # repro-lint: disable=REPRO111
+                self._results[spec] = result
+        if hit:
+            if self._in_progress:
+                self.subtask_hits += 1
+            return result, True, time.perf_counter() - started  # repro-lint: disable=REPRO111
         executor = executor_for(task.kind)
-        self._in_progress.add(task.spec)
+        self._in_progress.add(spec)
         global _ACTIVE_CONTEXT
         previous = _ACTIVE_CONTEXT
         # The active-context swap is restored in the finally below; it
@@ -107,7 +134,8 @@ class RunnerContext:
             result = executor(task.params, self)
         finally:
             _ACTIVE_CONTEXT = previous  # repro-lint: disable=REPRO111
-            self._in_progress.discard(task.spec)
+            self._in_progress.discard(spec)
+        self._results[spec] = result
         if self.cache is not None:
             self.cache.put(task, result)
         return result, False, time.perf_counter() - started  # repro-lint: disable=REPRO111
@@ -116,8 +144,8 @@ class RunnerContext:
 #: The context of the task executing right now (one task at a time per
 #: process).  Lets library code reached *from inside* an executor — the
 #: figure registry calling back into the comparison sweep, say — route
-#: its sub-tasks through the same cache and cycle guard instead of a
-#: detached default cache.
+#: its sub-tasks through the same context (memo, cache and cycle guard)
+#: instead of a detached default cache.
 _ACTIVE_CONTEXT: Optional[RunnerContext] = None
 
 
@@ -127,7 +155,17 @@ def current_context() -> Optional[RunnerContext]:
 
 
 def execute(
-    task: ExperimentTask, cache: Optional[ResultCache] = None
+    task: ExperimentTask,
+    cache: Optional[ResultCache] = None,
+    *,
+    context: Optional[RunnerContext] = None,
 ) -> Tuple[object, bool, float]:
-    """Execute one task in this process: ``(result, cache_hit, seconds)``."""
-    return RunnerContext(cache).execute(task)
+    """Execute one task in this process: ``(result, hit, seconds)``.
+
+    Runs in a fresh context over ``cache``, or in ``context`` (which
+    carries its own cache) when the caller wants to read its
+    :attr:`~RunnerContext.subtask_hits` afterwards.
+    """
+    if context is None:
+        context = RunnerContext(cache)
+    return context.execute(task)

@@ -8,11 +8,19 @@ content-addressed cache before computing anything.  The guarantees:
   pure, seeds live in the spec), so serial, parallel(2), parallel(4),
   and cache-warm runs of the same sweep return identical results, in
   input order.
-* **Reuse** — every worker shares the on-disk cache, so one generated
-  trace set serves all the benchmarks, examples, and reruns that need
-  it; a warm rerun skips trace generation and emulation entirely.
-* **Accounting** — per-task timing, cache-hit flags, and worker ids
-  come back in a :class:`RunReport` with a printable summary.
+* **Reuse** — within one run each distinct task spec is computed
+  once, with or without the on-disk cache.  A serial run holds one
+  :class:`~repro.runner.registry.RunnerContext`, which keeps every
+  result it computes (nested sub-tasks included), so one generated
+  trace set serves every task of the run and identical specs share one
+  result object.  The parallel path submits each distinct spec once;
+  each pooled task runs in its own context, so pooled tasks share
+  sub-task results only through the disk cache.  Across runs every
+  worker shares the on-disk cache: a warm rerun skips trace generation
+  and emulation entirely.
+* **Accounting** — per-task timing, cache-hit flags, sub-task hits,
+  and worker ids come back in a :class:`RunReport` with a printable
+  summary.
 
 ``serial=True`` (the ``--serial`` escape hatch everywhere) executes in
 the calling process with identical semantics — useful under debuggers,
@@ -24,11 +32,12 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, RunnerError
 from repro.runner.cache import ResultCache, cache_disabled, default_cache_dir
 from repro.runner.registry import RunnerContext, current_context, execute
 from repro.runner.task import ExperimentTask
@@ -78,19 +87,25 @@ def execute_cached(task: ExperimentTask) -> object:
 
 @dataclass(frozen=True)
 class TaskStats:
-    """Execution record for one task."""
+    """Execution record for one task.
+
+    ``subtask_hits`` counts the task's sub-tasks served from the run's
+    memo or the disk cache instead of being computed.
+    """
 
     name: str
     kind: str
     seconds: float
     cached: bool
     worker: str
+    subtask_hits: int = 0
 
-    def row(self) -> Tuple[str, str, str, str]:
+    def row(self) -> Tuple[str, str, str, str, str]:
         return (
             self.name,
             f"{self.seconds:.2f}s",
             "hit" if self.cached else "miss",
+            str(self.subtask_hits),
             self.worker,
         )
 
@@ -117,6 +132,11 @@ class RunReport:
         return sum(1 for s in self.stats if not s.cached)
 
     @property
+    def subtask_hits(self) -> int:
+        """Sub-tasks served from a memo or the disk cache, summed."""
+        return sum(s.subtask_hits for s in self.stats)
+
+    @property
     def task_seconds(self) -> float:
         """Summed per-task compute time (> wall time when parallel)."""
         return sum(s.seconds for s in self.stats)
@@ -139,7 +159,7 @@ class RunReport:
         from repro.experiments.formatting import format_table
 
         table = format_table(
-            ["task", "time", "cache", "worker"],
+            ["task", "time", "cache", "sub-hits", "worker"],
             [s.row() for s in self.stats],
         )
         return (
@@ -148,22 +168,28 @@ class RunReport:
             f"({self.task_seconds:.2f}s task time, "
             f"{self.throughput_tasks_per_s:.2f} tasks/s, "
             f"speedup {self.parallel_efficiency:.1f}x) — "
-            f"cache: {self.cache_hits} hits / {self.cache_misses} misses "
-            f"over {self.workers} worker(s)"
+            f"cache: {self.cache_hits} hits / {self.cache_misses} misses, "
+            f"{self.subtask_hits} sub-task hits over {self.workers} worker(s)"
         )
 
 
 def _execute_payload(
     payload: Tuple[str, dict, str, Optional[str], Optional[str]]
-) -> Tuple[object, bool, float, str]:
-    """Worker-side entry point: rebuild the task, execute through cache."""
+) -> Tuple[object, bool, float, str, int]:
+    """Worker-side entry point: rebuild the task, execute through cache.
+
+    Each pooled task gets its own context: a worker that kept every
+    result it served would grow with the sweep, and which tasks share a
+    worker depends on timing.
+    """
     kind, params, label, cache_dir, salt = payload
     task = ExperimentTask(kind=kind, params=params, label=label)
     cache = (
         ResultCache(cache_dir, salt=salt) if cache_dir is not None else None
     )
-    result, hit, seconds = execute(task, cache)
-    return result, hit, seconds, f"pid:{os.getpid()}"
+    context = RunnerContext(cache)
+    result, hit, seconds = execute(task, context=context)
+    return result, hit, seconds, f"pid:{os.getpid()}", context.subtask_hits
 
 
 class ExperimentRunner:
@@ -177,8 +203,8 @@ class ExperimentRunner:
         Execute in-process instead (the ``--serial`` escape hatch).
     cache_dir:
         Cache root; defaults to ``$REPRO_CACHE_DIR`` or
-        ``~/.cache/repro-runner``.  ``use_cache=False`` disables
-        caching entirely.
+        ``~/.cache/repro-runner``.  ``use_cache=False`` disables the
+        disk cache; reuse within a run does not depend on it.
     salt:
         Cache-key salt override; defaults to the code-version salt.
     """
@@ -244,10 +270,16 @@ class ExperimentRunner:
     def _run_serial(
         self, tasks: List[ExperimentTask]
     ) -> Tuple[List[object], List[TaskStats]]:
+        """Run every task in one context.
+
+        Identical specs, top-level or nested, are computed once and
+        return the same object.
+        """
         ctx = RunnerContext(self.cache())
         results: List[object] = []
         stats: List[TaskStats] = []
         for task in tasks:
+            subtask_hits = ctx.subtask_hits
             result, hit, seconds = ctx.execute(task)
             results.append(result)
             stats.append(
@@ -257,6 +289,7 @@ class ExperimentRunner:
                     seconds=seconds,
                     cached=hit,
                     worker="serial",
+                    subtask_hits=ctx.subtask_hits - subtask_hits,
                 )
             )
         return results, stats
@@ -264,28 +297,65 @@ class ExperimentRunner:
     def _run_parallel(
         self, tasks: List[ExperimentTask]
     ) -> Tuple[List[object], List[TaskStats]]:
+        """Submit each distinct spec once; fan results out in input order.
+
+        A repeated spec gets the first copy's result object and a
+        ``cached`` record with no time of its own.  A worker that dies
+        raises :class:`~repro.exceptions.RunnerError` naming the tasks
+        left unfinished.
+        """
         cache_dir = None if self._cache_dir is None else str(self._cache_dir)
-        payloads = [
-            (task.kind, dict(task.params), task.label, cache_dir, self._salt)
-            for task in tasks
-        ]
-        workers = min(self.workers, len(tasks))
+        first_of: Dict[str, int] = {}
+        distinct: List[ExperimentTask] = []
+        for task in tasks:
+            if task.spec not in first_of:
+                first_of[task.spec] = len(distinct)
+                distinct.append(task)
+        outcomes: List[Tuple[object, bool, float, str, int]] = []
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(distinct))
+        ) as pool:
+            futures = [
+                pool.submit(
+                    _execute_payload,
+                    (task.kind, dict(task.params), task.label, cache_dir,
+                     self._salt),
+                )
+                for task in distinct
+            ]
+            for future in futures:
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as error:
+                    # The pool fails every unfinished future at once and
+                    # cannot tell which one the dead worker held.
+                    lost = [
+                        task.name
+                        for task, pending in zip(distinct, futures)
+                        if isinstance(pending.exception(), BrokenProcessPool)
+                    ]
+                    raise RunnerError(
+                        "a pool worker died abruptly; tasks left "
+                        f"unfinished, in input order: {', '.join(lost)}"
+                    ) from error
         results: List[object] = []
         stats: List[TaskStats] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_execute_payload, payload) for payload in payloads
-            ]
-            for task, future in zip(tasks, futures):
-                result, hit, seconds, worker = future.result()
-                results.append(result)
-                stats.append(
-                    TaskStats(
-                        name=task.name,
-                        kind=task.kind,
-                        seconds=seconds,
-                        cached=hit,
-                        worker=worker,
-                    )
+        served: Set[int] = set()
+        for task in tasks:
+            index = first_of[task.spec]
+            result, hit, seconds, worker, subtask_hits = outcomes[index]
+            results.append(result)
+            if index in served:
+                hit, seconds, subtask_hits = True, 0.0, 0
+            served.add(index)
+            stats.append(
+                TaskStats(
+                    name=task.name,
+                    kind=task.kind,
+                    seconds=seconds,
+                    cached=hit,
+                    worker=worker,
+                    subtask_hits=subtask_hits,
                 )
+            )
         return results, stats

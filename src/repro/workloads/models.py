@@ -237,12 +237,13 @@ def ar1_filter_matrix(
     if sigma == 0 or gaussians.shape[1] == 0:
         return np.zeros_like(gaussians)
     stationary_std = sigma / np.sqrt(1.0 - phi**2)
-    out = np.empty_like(gaussians)
-    previous = stationary_std * gaussians[:, 0]
-    out[:, 0] = previous
+    # The shocks are scaled in one pass, then each column folds in its
+    # predecessor in place: ``sigma*g + phi*x`` is the scalar loop's
+    # ``phi*x + sigma*g`` because IEEE addition is commutative.
+    out = np.multiply(gaussians, sigma)
+    out[:, 0] = stationary_std * gaussians[:, 0]
     for t in range(1, gaussians.shape[1]):
-        previous = phi * previous + sigma * gaussians[:, t]
-        out[:, t] = previous
+        out[:, t] += phi * out[:, t - 1]
     return out
 
 
@@ -304,10 +305,11 @@ def ewma_smooth_matrix(values: np.ndarray, alpha: float) -> np.ndarray:
         raise ConfigurationError("ewma_smooth_matrix expects a 2-D array")
     if approx_eq(alpha, 1.0) or values.shape[1] == 0:
         return values.copy()
-    out = np.empty_like(values)
-    previous = values[:, 0]
-    out[:, 0] = previous
+    # Scale every observation once, then fold each column's predecessor
+    # in place; addition is commutative, so this is bit-identical.
+    out = np.multiply(values, alpha)
+    out[:, 0] = values[:, 0]
+    keep = 1.0 - alpha
     for t in range(1, values.shape[1]):
-        previous = alpha * values[:, t] + (1.0 - alpha) * previous
-        out[:, t] = previous
+        out[:, t] += keep * out[:, t - 1]
     return out

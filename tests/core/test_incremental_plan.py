@@ -519,3 +519,65 @@ class TestVacateTargets:
         assert plan.fill(1) == max(25.0 / 100.0, 4.0 / 5.0)
         assert plan.residual(0) == 1.0
         assert plan.fill(0) == 0.0
+
+
+class TestVacateRuledOut:
+    """The dynamic planner's capacity rule never rules out a success."""
+
+    def test_a_ruled_out_source_never_finds_targets(self):
+        rng = random.Random(23)
+        allows_choices = (None, _spread, lambda row, host, moves: True)
+        ruled = 0
+        cases = 600
+        for _ in range(cases):
+            plan = _random_io_plan(
+                rng, rng.randint(2, 8), rng.randint(2, 24)
+            )
+            if rng.random() < 0.5:
+                # Some plans first commit a vacate with append folds, as
+                # the planner's sweep does between attempts.
+                emptied = rng.choice(plan.active_hosts())
+                moves = plan.vacate_targets(
+                    emptied,
+                    list(plan.vm_rows_of_host[emptied]),
+                    rng.sample(range(plan.n_hosts), plan.n_hosts),
+                )
+                if moves is not None:
+                    plan.commit_vacate(emptied, moves)
+            caps = plan.caps
+            for host in range(plan.n_hosts):
+                assert plan.body_cpu[host] <= caps.eps_cpu[host]
+                assert plan.body_mem[host] <= caps.eps_mem[host]
+            source = rng.choice(plan.active_hosts())
+            others = [h for h in range(plan.n_hosts) if h != source]
+            candidates = rng.sample(others, rng.randint(0, len(others)))
+            candidates.insert(rng.randint(0, len(candidates)), source)
+            rows = list(plan.vm_rows_of_host[source])
+            rng.shuffle(rows)
+            ruled_out = plan.vacate_ruled_out(candidates)
+            moves = plan.vacate_targets(
+                source, rows, candidates, rng.choice(allows_choices)
+            )
+            if ruled_out(source):
+                ruled += 1
+                assert moves is None
+        # The rule decides a real share of the draws, not a corner.
+        assert ruled >= cases // 5, ruled
+
+    def test_an_exact_fit_is_not_ruled_out(self):
+        caps = HostCapacities(
+            _fleet(2, cpu_rpe2=100.0, memory_gb=10.0), utilization_bound=1.0
+        )
+        plan = IncrementalPlan(caps, ["a", "b", "c"], [70.0, 20.0, 10.0],
+                               [1.0, 1.0, 1.0])
+        for row, host in ((0, 0), (1, 1), (2, 1)):
+            plan.assign(row, host)
+        ruled_out = plan.vacate_ruled_out([0, 1])
+        # Host 0 has exactly 30 free, host 1 holds 30: the search fits.
+        assert not ruled_out(1)
+        assert plan.vacate_targets(1, [1, 2], [0]) == [(1, 0), (2, 0)]
+        # Host 1 has 70 free and host 0 holds 70; one more unit is too many.
+        assert not ruled_out(0)
+        plan.set_demand("a", 70.5, 1.0)
+        assert plan.vacate_ruled_out([0, 1])(0)
+        assert plan.vacate_targets(0, [0], [1]) is None
