@@ -47,10 +47,13 @@ bench-smoke:
 
 # Re-pin the committed benchmark numbers (paper-scale instances, see
 # docs/PERFORMANCE.md); review the JSON diffs like any other change.
+# The last step adds the 100k-row scale-out plan (about 15 minutes) to
+# BENCH_planners.json.
 bench-baseline:
 	$(PYTHON) benchmarks/bench_kernels.py --out BENCH_kernels.json
 	$(PYTHON) benchmarks/bench_generation.py --out BENCH_kernels.json
 	$(PYTHON) benchmarks/bench_planners.py --out BENCH_planners.json
+	$(PYTHON) benchmarks/bench_planners.py --scale-out --out BENCH_planners.json
 
 # Full soak of the online consolidation controller: 10k streamed
 # updates through ingest → replan with fault injection, asserting

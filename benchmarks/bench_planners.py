@@ -44,7 +44,8 @@ streams a 100k-server fleet into a chunked store and plans it sharded,
 asserting (via tracemalloc) that the fleet's trace matrices are never
 materialized in the parent — they stay on disk behind ``np.memmap``.
 The committed ``BENCH_planners.json`` is regenerated with
-``make bench-baseline``.
+``make bench-baseline``; with ``--out`` naming an existing report,
+``--scale-out`` merges its row into that report's rows.
 """
 
 from __future__ import annotations
@@ -345,25 +346,21 @@ def run_scale_out() -> Dict[str, object]:
                 days=days,
                 seed=101 + index,
             )
-            traces = list(block)
+            store = block.store
             if writer is None:
                 writer = ChunkedTraceWriter(
                     tmp,
                     name="scale-out-100k",
-                    n_servers=blocks * len(traces),
-                    n_points=block.n_points,
-                    interval_hours=block.interval_hours,
+                    n_servers=blocks * store.n_servers,
+                    n_points=store.n_points,
+                    interval_hours=store.interval_hours,
                 )
             records = []
-            for trace in traces:
-                record = vm_record(trace.vm, trace.source_spec)
+            for vm, spec in block.identities:
+                record = vm_record(vm, spec)
                 record["vm_id"] = f"c{index:02d}:{record['vm_id']}"
                 records.append(record)
-            writer.append_block(
-                records,
-                np.stack([t.cpu_util.values for t in traces]),
-                np.stack([t.memory_gb.values for t in traces]),
-            )
+            writer.append_block(records, store.cpu_util, store.memory_gb)
             print(
                 f"block {index + 1}/{blocks} written "
                 f"({writer.rows_written} rows)",
@@ -445,6 +442,16 @@ def main() -> int:
     options = parser.parse_args()
     report = run_scale_out() if options.scale_out else run(options.smoke)
     if options.out is not None:
+        if options.scale_out and options.out.exists():
+            # The 100k row joins the full baseline's rows, replacing
+            # any earlier scale-out row, instead of overwriting them.
+            pinned = json.loads(options.out.read_text())
+            pinned["results"] = [
+                row
+                for row in pinned["results"]
+                if row["benchmark"] != "scale-out-100k"
+            ] + report["results"]
+            report = pinned
         options.out.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {options.out}")
     return 0

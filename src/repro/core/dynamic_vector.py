@@ -152,10 +152,6 @@ def plan_dynamic_array(
     points = context.points_per_interval
     history_points = context.history.n_points
     vm_ids = list(context.evaluation.vm_ids)
-    class_of = {
-        trace.vm_id: trace.vm.workload_class
-        for trace in context.evaluation
-    }
     cpu_full = np.hstack(
         [
             context.history.cpu_rpe2_matrix(),
@@ -189,7 +185,7 @@ def plan_dynamic_array(
         vm_ids,
         cpu_table,
         memory_table,
-        [class_of.get(vm_id) for vm_id in vm_ids],
+        [vm.workload_class for vm, _spec in context.evaluation.identities],
     )
 
     host_arrays = _HostArrays(algorithm, context)

@@ -38,11 +38,8 @@ from repro.emulator.schedule import PlacementSchedule, ScheduledPlacement
 from repro.exceptions import ConfigurationError
 from repro.experiments.settings import ExperimentSettings
 from repro.workloads.datacenters import generate_datacenter
-from repro.workloads.trace import (
-    ResourceTrace,
-    ServerTrace,
-    TraceSet,
-)
+from repro.workloads.store import TraceStore
+from repro.workloads.trace import TraceSet
 
 __all__ = ["MultiPeriodResult", "apply_seasonal_drift", "run_multiperiod"]
 
@@ -74,23 +71,21 @@ def apply_seasonal_drift(
         2.0 * np.pi * hours / (period_days * 24.0) + phase
     )
     memory_factor = 1.0 + (factor - 1.0) * 0.5
-    drifted = TraceSet(name=trace_set.name)
-    for trace in trace_set:
-        cpu = np.clip(trace.cpu_util.values * factor, 0.0, 1.0)
-        memory = np.clip(
-            trace.memory_gb.values * memory_factor,
-            0.0,
-            trace.vm.memory_config_gb,
-        )
-        drifted.add(
-            ServerTrace(
-                vm=trace.vm,
-                source_spec=trace.source_spec,
-                cpu_util=ResourceTrace(cpu, unit="fraction"),
-                memory_gb=ResourceTrace(memory, unit="GB"),
-            )
-        )
-    return drifted
+    identities = trace_set.identities
+    cpu = np.clip(trace_set.cpu_util_matrix() * factor, 0.0, 1.0)
+    memory = np.clip(
+        trace_set.memory_gb_matrix() * memory_factor,
+        0.0,
+        np.array([[vm.memory_config_gb] for vm, _spec in identities]),
+    )
+    store = TraceStore.from_demand(
+        trace_set.vm_ids,
+        cpu,
+        memory,
+        [spec.cpu_rpe2 for _vm, spec in identities],
+        trace_set.interval_hours,
+    )
+    return TraceSet.from_store(trace_set.name, store, identities)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ from repro.exceptions import ConfigurationError, TraceError
 from repro.infrastructure.server import ServerSpec
 from repro.infrastructure.vm import VirtualMachine
 from repro.monitoring.agent import MINUTES_PER_HOUR, MonitoringAgent
-from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
+from repro.workloads.store import TraceStore, check_demand_rows
+from repro.workloads.trace import TraceSet
 
 __all__ = ["WarehouseRecord", "DataWarehouse"]
 
@@ -153,28 +154,31 @@ class DataWarehouse:
             raise ConfigurationError(
                 f"min_completeness must be in (0, 1], got {min_completeness}"
             )
-        trace_set = TraceSet(name=name)
+        kept = []
         excluded = []
         for vm_id, record in self._records.items():
-            if record.spec is None:
+            if (
+                record.spec is None
+                or record.completeness() < min_completeness
+                or np.isnan(record.hourly_cpu_util).any()
+            ):
                 excluded.append(vm_id)
-                continue
-            if record.completeness() < min_completeness:
-                excluded.append(vm_id)
-                continue
-            if np.isnan(record.hourly_cpu_util).any():
-                excluded.append(vm_id)
-                continue
-            trace_set.add(
-                ServerTrace(
-                    vm=record.vm,
-                    source_spec=record.spec,
-                    cpu_util=ResourceTrace(
-                        record.hourly_cpu_util, unit="fraction"
-                    ),
-                    memory_gb=ResourceTrace(
-                        record.hourly_memory_gb, unit="GB"
-                    ),
-                )
-            )
+            else:
+                kept.append(record)
+        if not kept:
+            return TraceSet(name), tuple(excluded)
+        if len({record.n_hours for record in kept}) > 1:
+            raise TraceError(f"{name}: servers cover different hour counts")
+        store = TraceStore.from_demand(
+            [record.vm.vm_id for record in kept],
+            np.stack([record.hourly_cpu_util for record in kept]),
+            np.stack([record.hourly_memory_gb for record in kept]),
+            [record.spec.cpu_rpe2 for record in kept],  # type: ignore[union-attr]
+            1.0,
+        )
+        check_demand_rows(store.cpu_util, store.vm_ids, f"{name} cpu_util")
+        check_demand_rows(store.memory_gb, store.vm_ids, f"{name} memory_gb")
+        trace_set = TraceSet.from_store(
+            name, store, [(record.vm, record.spec) for record in kept]
+        )
         return trace_set, tuple(excluded)

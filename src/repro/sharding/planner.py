@@ -279,7 +279,7 @@ class ShardedConsolidation(ConsolidationAlgorithm):
                 "planner; pass reconcile=False for other algorithms"
             )
         classes = [
-            trace.vm.workload_class for trace in context.evaluation
+            vm.workload_class for vm, _spec in context.evaluation.identities
         ]
         table = build_demand_table(
             inner,

@@ -154,7 +154,7 @@ class SizeEstimator:
             store.vm_ids,
             cpu[:, None],
             memory[:, None],
-            [trace.vm.workload_class for trace in trace_set],
+            [vm.workload_class for vm, _spec in trace_set.identities],
             tail_cpu[:, None],
         )
         # One row per VM, the columns in VMDemand's field order.

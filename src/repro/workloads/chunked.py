@@ -18,15 +18,17 @@ Layout of a store directory::
     <dir>/memory_gb.npy   (n_servers, n_points) float64
 
 The absolute-CPU matrix is derived block-by-block at *write* time with
-the same broadcast multiply as :meth:`TraceStore.from_traces`, so an
+the same broadcast multiply as :meth:`TraceStore.from_demand`, so an
 opened store is bit-identical to the in-memory store built from the same
 traces.
 
 :class:`ChunkedTraceWriter` streams row blocks into the files without
 ever holding the full fleet in memory; :func:`write_trace_set` spills an
-existing in-memory :class:`~repro.workloads.trace.TraceSet`;
+existing :class:`~repro.workloads.trace.TraceSet` store block by block;
 :func:`open_chunked_store` / :func:`open_chunked_trace_set` map a
-directory back into planner-consumable objects.
+directory back into planner-consumable objects.  :func:`vm_record` and
+:func:`decode_vm_record` are the one per-row identity codec, shared
+with the ``.npz`` archives of :mod:`repro.workloads.io`.
 """
 
 from __future__ import annotations
@@ -34,19 +36,20 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import TraceError
 from repro.infrastructure.server import ServerSpec
 from repro.infrastructure.vm import VirtualMachine
-from repro.workloads.store import TraceStore
-from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
+from repro.workloads.store import TraceStore, check_demand_rows
+from repro.workloads.trace import Identity, TraceSet
 
 __all__ = [
     "ChunkedManifest",
     "ChunkedTraceWriter",
+    "decode_vm_record",
     "generate_chunked_store",
     "vm_record",
     "write_trace_set",
@@ -78,23 +81,38 @@ def vm_record(
     }
 
 
-def _vm_record(trace: ServerTrace) -> dict:
-    return vm_record(trace.vm, trace.source_spec)
+def decode_vm_record(record: Mapping[str, object]) -> Identity:
+    """Rebuild one row's ``(VirtualMachine, ServerSpec)`` from its record.
+
+    The inverse of :func:`vm_record`.  Source-spec fields a record does
+    not carry (``.npz`` archives written before the network and disk
+    throughputs were recorded) take the :class:`ServerSpec` defaults.
+    """
+    return (
+        VirtualMachine(
+            vm_id=record["vm_id"],  # type: ignore[arg-type]
+            memory_config_gb=record["memory_config_gb"],  # type: ignore[arg-type]
+            workload_class=record["workload_class"],  # type: ignore[arg-type]
+            labels=dict(record.get("labels", {})),  # type: ignore[call-overload]
+        ),
+        ServerSpec(**record["source_spec"]),  # type: ignore[arg-type]
+    )
 
 
 @dataclass(frozen=True)
 class ChunkedManifest:
     """Identity and per-VM metadata of one chunked store directory.
 
-    The matrices carry only demand numbers; everything needed to rebuild
-    :class:`~repro.workloads.trace.ServerTrace` objects for a row range —
-    VM identity, configured memory, workload class and labels, and the
-    source server's full hardware spec — lives here as one JSON record
-    per row.
+    The matrices carry only demand numbers; each row's identity — VM
+    id, configured memory, workload class and labels, and the source
+    server's full hardware spec — lives here as one JSON record per row
+    (see :func:`vm_record`), along with the matrix geometry every file
+    must have.
     """
 
     name: str
     interval_hours: float
+    n_points: int
     vms: Tuple[dict, ...]
 
     def __post_init__(self) -> None:
@@ -102,6 +120,8 @@ class ChunkedManifest:
             raise TraceError(
                 f"interval_hours must be > 0, got {self.interval_hours}"
             )
+        if self.n_points <= 0:
+            raise TraceError(f"n_points must be > 0, got {self.n_points}")
 
     @property
     def n_servers(self) -> int:
@@ -110,25 +130,6 @@ class ChunkedManifest:
     @property
     def vm_ids(self) -> Tuple[str, ...]:
         return tuple(record["vm_id"] for record in self.vms)
-
-    def virtual_machine(self, row: int) -> VirtualMachine:
-        record = self.vms[row]
-        return VirtualMachine(
-            vm_id=record["vm_id"],
-            memory_config_gb=record["memory_config_gb"],
-            workload_class=record["workload_class"],
-            labels=dict(record.get("labels", {})),
-        )
-
-    def source_spec(self, row: int) -> ServerSpec:
-        spec = self.vms[row]["source_spec"]
-        return ServerSpec(
-            cpu_rpe2=spec["cpu_rpe2"],
-            memory_gb=spec["memory_gb"],
-            network_mbps=spec.get("network_mbps", 10_000.0),
-            disk_mbps=spec.get("disk_mbps", 4_000.0),
-            model_name=spec.get("model_name", "custom"),
-        )
 
 
 class ChunkedTraceWriter:
@@ -192,7 +193,7 @@ class ChunkedTraceWriter:
         ``cpu_util``/``memory_gb`` are ``(k, n_points)`` blocks and
         ``vm_records`` the matching per-row metadata (see
         :func:`vm_record`).  The absolute-CPU block is derived here with
-        the same broadcast multiply as ``TraceStore.from_traces`` so the
+        the same broadcast multiply as ``TraceStore.from_demand`` so the
         on-disk matrix is bit-identical to the in-memory build.
         """
         if self._closed:
@@ -222,16 +223,6 @@ class ChunkedTraceWriter:
         )
         self._vms.extend(vm_records)
         self._cursor = stop
-
-    def append_traces(self, traces: Sequence[ServerTrace]) -> None:
-        """Append a block of in-memory traces (convenience wrapper)."""
-        if not traces:
-            return
-        self.append_block(
-            [_vm_record(t) for t in traces],
-            np.stack([t.cpu_util.values for t in traces]),
-            np.stack([t.memory_gb.values for t in traces]),
-        )
 
     def close(self) -> Path:
         """Flush matrices, write the manifest, return the directory."""
@@ -269,18 +260,28 @@ def write_trace_set(
     *,
     block_rows: int = 1024,
 ) -> Path:
-    """Spill an in-memory trace set into a chunked store directory."""
-    traces = trace_set.traces
-    n_rows = len(traces)
+    """Spill a trace set into a chunked store directory.
+
+    Writes the set's store in row blocks of ``block_rows``, each with
+    its identity records; no trace objects are built.
+    """
+    store = trace_set.store
+    identities = trace_set.identities
+    records = [vm_record(vm, spec) for vm, spec in identities]
     writer = ChunkedTraceWriter(
         directory,
         name=trace_set.name,
-        n_servers=n_rows,
-        n_points=trace_set.n_points,
-        interval_hours=trace_set.interval_hours,
+        n_servers=store.n_servers,
+        n_points=store.n_points,
+        interval_hours=store.interval_hours,
     )
-    for start in range(0, n_rows, block_rows):
-        writer.append_traces(traces[start:start + block_rows])
+    for start in range(0, store.n_servers, block_rows):
+        stop = start + block_rows
+        writer.append_block(
+            records[start:stop],
+            store.cpu_util[start:stop],
+            store.memory_gb[start:stop],
+        )
     return writer.close()
 
 
@@ -349,10 +350,18 @@ def load_manifest(directory: Union[str, Path]) -> ChunkedManifest:
             f"unsupported chunked store format {raw.get('format')!r} "
             f"at {path}"
         )
+    vms = tuple(raw["vms"])
+    if raw.get("n_servers") != len(vms) or "n_points" not in raw:
+        raise TraceError(
+            f"manifest {path} lists {len(vms)} VM records, but its "
+            f"geometry is n_servers={raw.get('n_servers')!r}, "
+            f"n_points={raw.get('n_points')!r}"
+        )
     return ChunkedManifest(
         name=raw["name"],
         interval_hours=float(raw["interval_hours"]),
-        vms=tuple(raw["vms"]),
+        n_points=int(raw["n_points"]),
+        vms=vms,
     )
 
 
@@ -367,14 +376,16 @@ def open_chunked_store(
     nothing is resident until touched, and ``window()``/``rows()``
     slices of it remain memmap views.  Query results are bit-identical
     to the in-memory store built from the same traces.  Every matrix
-    file must hold float64 of the manifest's row count, or
-    :class:`TraceError` names the file.  Pass an
+    file must hold float64 in the manifest's ``(n_servers, n_points)``
+    shape, or :class:`TraceError` names the file — a truncated file
+    never opens as a shorter store.  Pass an
     already-loaded ``manifest`` to skip re-parsing it — at 100k rows
     the manifest is tens of MB of JSON, a real cost per shard task.
     """
     base = Path(directory)
     if manifest is None:
         manifest = load_manifest(base)
+    expected = (manifest.n_servers, manifest.n_points)
     matrices = {}
     for metric in _MATRIX_FILES:
         path = base / f"{metric}.npy"
@@ -386,14 +397,12 @@ def open_chunked_store(
                 f"chunked store matrix file {path} has dtype "
                 f"{matrix.dtype}, expected float64"
             )
-        matrices[metric] = matrix
-    expected = (manifest.n_servers, None)
-    for metric, matrix in matrices.items():
-        if matrix.ndim != 2 or matrix.shape[0] != expected[0]:
+        if matrix.shape != expected:
             raise TraceError(
-                f"chunked store {metric}: shape {matrix.shape} does not "
-                f"match manifest ({manifest.n_servers} servers)"
+                f"chunked store matrix file {path} has shape "
+                f"{matrix.shape}, but the manifest says {expected}"
             )
+        matrices[metric] = matrix
     return TraceStore(
         vm_ids=manifest.vm_ids,
         cpu_util=matrices["cpu_util"],
@@ -409,38 +418,28 @@ def open_chunked_trace_set(
     start: int = 0,
     stop: Optional[int] = None,
 ) -> TraceSet:
-    """Materialize rows ``[start, stop)`` as a planner-consumable set.
+    """Open rows ``[start, stop)`` as a planner-consumable set.
 
-    Each :class:`ServerTrace` wraps a *view* of the memmap row (the
-    trace constructors adopt read-only arrays without copying), and the
-    set's cached columnar store is the matching zero-copy row slice of
-    the on-disk store — so a shard worker that opens its own row range
-    touches only those rows' pages, never the whole fleet.
+    The set's store is the matching zero-copy row slice of the on-disk
+    store, so a shard worker that opens its own row range touches only
+    those rows' pages, never the whole fleet.  Every opened row of every
+    matrix file is checked once (:func:`check_demand_rows`: non-empty,
+    finite, non-negative); the VM identities are decoded from the
+    manifest only when something first needs them.
     """
-    manifest = load_manifest(directory)
-    store = open_chunked_store(directory, manifest=manifest)
+    base = Path(directory)
+    manifest = load_manifest(base)
+    store = open_chunked_store(base, manifest=manifest)
     if stop is None:
         stop = store.n_servers
-    shard_store = store.rows(start, stop)
-    traces = []
-    for offset in range(stop - start):
-        row = start + offset
-        traces.append(
-            ServerTrace(
-                vm=manifest.virtual_machine(row),
-                source_spec=manifest.source_spec(row),
-                cpu_util=ResourceTrace(
-                    values=shard_store.cpu_util[offset],
-                    interval_hours=manifest.interval_hours,
-                    unit="fraction",
-                ),
-                memory_gb=ResourceTrace(
-                    values=shard_store.memory_gb[offset],
-                    interval_hours=manifest.interval_hours,
-                    unit="GB",
-                ),
-            )
+    rows = store.rows(start, stop)
+    for metric in _MATRIX_FILES:
+        check_demand_rows(
+            getattr(rows, metric), rows.vm_ids, str(base / f"{metric}.npy")
         )
-    trace_set = TraceSet(name=manifest.name, _traces=traces)
-    trace_set._store = shard_store
-    return trace_set
+    records = manifest.vms[start:stop]
+    return TraceSet.from_store(
+        manifest.name,
+        rows,
+        lambda: [decode_vm_record(record) for record in records],
+    )

@@ -1378,7 +1378,7 @@ def generate_trace_matrix(
             drawer=drawer,
             cpu_out=cpu_util[row_slice],
             mem_out=memory_gb[row_slice],
-            # Same broadcast multiply as ``TraceStore.from_traces``,
+            # Same broadcast multiply as ``TraceStore.from_demand``,
             # fused into the final clip pass.
             rpe2_out=cpu_rpe2[row_slice],
             rpe2_scale=ServerSpec.from_model(hardware).cpu_rpe2,

@@ -5,13 +5,20 @@ central warehouse (Section 3.1); this module is the equivalent exchange
 format for the library.  A :class:`~repro.workloads.trace.TraceSet` is
 stored as a single ``.npz`` archive:
 
-* ``cpu_util`` — (n_servers, n_points) float matrix,
+* ``cpu_util`` — (n_servers, n_points) float matrix of the stored
+  utilization fractions,
 * ``memory_gb`` — (n_servers, n_points) float matrix,
 * ``meta`` — a JSON document with the set name, sampling interval, and
-  per-server identity (vm id, workload class, labels, source spec).
+  one identity record per server
+  (:func:`~repro.workloads.chunked.vm_record`: vm id, configured
+  memory, workload class, labels, full source spec).
 
-The format is self-contained and versioned so archives survive library
-upgrades.
+A round trip is bit for bit: both matrices are written as stored, and
+loading derives the absolute-CPU matrix with the same multiply that
+built it.  The format is self-contained and versioned so archives
+survive library upgrades; archives whose source specs predate the
+network and disk throughputs load with the :class:`ServerSpec`
+defaults.
 """
 
 from __future__ import annotations
@@ -23,9 +30,9 @@ from typing import Union
 import numpy as np
 
 from repro.exceptions import TraceError
-from repro.infrastructure.server import ServerSpec
-from repro.infrastructure.vm import VirtualMachine
-from repro.workloads.trace import ResourceTrace, ServerTrace, TraceSet
+from repro.workloads.chunked import decode_vm_record, vm_record
+from repro.workloads.store import TraceStore, check_demand_rows
+from repro.workloads.trace import TraceSet
 
 __all__ = ["save_trace_set", "load_trace_set"]
 
@@ -37,31 +44,15 @@ def save_trace_set(trace_set: TraceSet, path: Union[str, Path]) -> Path:
     path = Path(path)
     if len(trace_set) == 0:
         raise TraceError(f"refusing to save empty trace set {trace_set.name!r}")
-    servers = []
-    for trace in trace_set:
-        servers.append(
-            {
-                "vm_id": trace.vm.vm_id,
-                "memory_config_gb": trace.vm.memory_config_gb,
-                "workload_class": trace.vm.workload_class,
-                "labels": dict(trace.vm.labels),
-                "source_spec": {
-                    "cpu_rpe2": trace.source_spec.cpu_rpe2,
-                    "memory_gb": trace.source_spec.memory_gb,
-                    "model_name": trace.source_spec.model_name,
-                },
-            }
-        )
     meta = {
         "format_version": FORMAT_VERSION,
         "name": trace_set.name,
         "interval_hours": trace_set.interval_hours,
-        "servers": servers,
+        "servers": [vm_record(vm, spec) for vm, spec in trace_set.identities],
     }
     np.savez_compressed(
         path,
-        cpu_util=trace_set.cpu_rpe2_matrix()
-        / np.array([[t.source_spec.cpu_rpe2] for t in trace_set]),
+        cpu_util=trace_set.cpu_util_matrix(),
         memory_gb=trace_set.memory_gb_matrix(),
         meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
     )
@@ -70,7 +61,11 @@ def save_trace_set(trace_set: TraceSet, path: Union[str, Path]) -> Path:
 
 
 def load_trace_set(path: Union[str, Path]) -> TraceSet:
-    """Load a trace set previously written by :func:`save_trace_set`."""
+    """Load a trace set previously written by :func:`save_trace_set`.
+
+    Every row of both matrices must be finite and non-negative, or
+    :class:`TraceError` names the archive member and the VM.
+    """
     path = Path(path)
     if not path.exists():
         raise TraceError(f"trace archive not found: {path}")
@@ -88,31 +83,24 @@ def load_trace_set(path: Union[str, Path]) -> TraceSet:
             f"(expected {FORMAT_VERSION})"
         )
     servers = meta["servers"]
-    if cpu_util.shape[0] != len(servers) or memory_gb.shape != cpu_util.shape:
+    if (
+        cpu_util.ndim != 2
+        or cpu_util.shape[0] != len(servers)
+        or memory_gb.shape != cpu_util.shape
+    ):
         raise TraceError(
             f"{path}: matrix shapes {cpu_util.shape}/{memory_gb.shape} do "
             f"not match {len(servers)} server records"
         )
-    interval_hours = float(meta["interval_hours"])
-    trace_set = TraceSet(name=meta["name"])
-    for row, record in enumerate(servers):
-        spec = ServerSpec(**record["source_spec"])
-        vm = VirtualMachine(
-            vm_id=record["vm_id"],
-            memory_config_gb=record["memory_config_gb"],
-            workload_class=record["workload_class"],
-            labels=record["labels"],
-        )
-        trace_set.add(
-            ServerTrace(
-                vm=vm,
-                source_spec=spec,
-                cpu_util=ResourceTrace(
-                    cpu_util[row], interval_hours=interval_hours, unit="fraction"
-                ),
-                memory_gb=ResourceTrace(
-                    memory_gb[row], interval_hours=interval_hours, unit="GB"
-                ),
-            )
-        )
-    return trace_set
+    identities = [decode_vm_record(record) for record in servers]
+    vm_ids = [vm.vm_id for vm, _spec in identities]
+    check_demand_rows(cpu_util, vm_ids, f"{path}[cpu_util]")
+    check_demand_rows(memory_gb, vm_ids, f"{path}[memory_gb]")
+    store = TraceStore.from_demand(
+        vm_ids,
+        cpu_util,
+        memory_gb,
+        [spec.cpu_rpe2 for _vm, spec in identities],
+        float(meta["interval_hours"]),
+    )
+    return TraceSet.from_store(meta["name"], store, identities)

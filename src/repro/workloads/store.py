@@ -2,10 +2,14 @@
 
 :class:`TraceStore` holds one datacenter's demand as immutable
 ``(n_servers, n_points)`` matrices — CPU utilization fractions, absolute
-CPU demand in RPE2, and memory demand in GB — built once from a list of
-:class:`~repro.workloads.trace.ServerTrace` objects and shared by every
-consumer that needs bulk per-timestep math (the emulator's scatter-add
-replay, aggregate demand queries, trace analysis).
+CPU demand in RPE2, and memory demand in GB.  It is the demand half of
+every :class:`~repro.workloads.trace.TraceSet` — written once by the
+generator, opened from a chunked directory or an archive, or packed
+from a list of :class:`~repro.workloads.trace.ServerTrace` objects — and
+shared by every consumer that needs bulk per-timestep math (the
+emulator's scatter-add replay, aggregate demand queries, trace
+analysis).  :func:`check_demand_rows` is the one value check for demand
+read from outside the library.
 
 The row-major ``float64`` layout is the contract: row ``i`` is VM
 ``vm_ids[i]``, and every matrix is marked read-only so views handed out
@@ -19,7 +23,7 @@ bit-identical to iterating traces one at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -28,12 +32,40 @@ from repro.exceptions import TraceError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workloads.trace import ServerTrace
 
-__all__ = ["TraceStore"]
+__all__ = ["TraceStore", "check_demand_rows"]
+
+#: Rows per block of :func:`check_demand_rows`: small enough that a
+#: block stays in cache between its min and max passes.
+_CHECK_BLOCK_ROWS = 256
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def check_demand_rows(
+    matrix: np.ndarray, vm_ids: Sequence[str], source: str
+) -> None:
+    """Reject demand read from outside the library.
+
+    Every row must be non-empty, finite and non-negative; otherwise
+    :class:`TraceError` names ``source`` (the file the matrix came from)
+    and the first bad row's VM.  The check reduces one row block at
+    a time to per-row minima and maxima, so a memory-mapped fleet is
+    read once, block by block, and the only temporaries are per row.
+    """
+    if matrix.ndim != 2 or matrix.shape[1] == 0:
+        raise TraceError(f"{source}: demand rows are empty")
+    for start in range(0, matrix.shape[0], _CHECK_BLOCK_ROWS):
+        block = matrix[start:start + _CHECK_BLOCK_ROWS]
+        # NaN fails ``>= 0`` (min propagates it); +Inf shows in the max.
+        bad = ~(block.min(axis=1) >= 0.0) | np.isinf(block.max(axis=1))
+        if bad.any():
+            vm_id = vm_ids[start + int(np.argmax(bad))]
+            raise TraceError(
+                f"{source}: VM {vm_id!r} has NaN, Inf or negative values"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,41 +104,68 @@ class TraceStore:
                 )
             if matrix.shape[1] != self.cpu_util.shape[1]:
                 raise TraceError(f"TraceStore.{name}: column count mismatch")
-        object.__setattr__(
-            self, "_row_of", {vm_id: i for i, vm_id in enumerate(self.vm_ids)}
+        row_of = {vm_id: i for i, vm_id in enumerate(self.vm_ids)}
+        if len(row_of) != n:
+            dup = next(v for i, v in enumerate(self.vm_ids) if row_of[v] != i)
+            raise TraceError(f"duplicate vm_id {dup!r} in TraceStore")
+        object.__setattr__(self, "_row_of", row_of)
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Unpickled arrays come back writable: freeze them again, so the
+        # rows a TraceSet materializes stay zero-copy views.
+        for name in ("cpu_util", "cpu_rpe2", "memory_gb"):
+            _frozen(state[name])  # type: ignore[arg-type]
+        self.__dict__.update(state)
+
+    @classmethod
+    def from_demand(
+        cls,
+        vm_ids: Sequence[str],
+        cpu_util: np.ndarray,
+        memory_gb: np.ndarray,
+        capacity: Sequence[float],
+        interval_hours: float,
+    ) -> "TraceStore":
+        """Adopt (and freeze) utilization and memory matrices.
+
+        ``capacity`` holds each row's source-server RPE2.  The
+        absolute-CPU matrix is one broadcast multiply by it, exactly the
+        float multiplications of ``ServerTrace.cpu_rpe2`` row by row, so
+        every producer derives it the same way.
+        """
+        cpu_util = np.asarray(cpu_util, dtype=float)
+        cpu_rpe2 = np.multiply(
+            cpu_util, np.asarray(capacity, dtype=float).reshape(-1, 1)
+        )
+        return cls(
+            vm_ids=tuple(vm_ids),
+            cpu_util=_frozen(cpu_util),
+            cpu_rpe2=_frozen(cpu_rpe2),
+            memory_gb=_frozen(np.asarray(memory_gb, dtype=float)),
+            interval_hours=interval_hours,
         )
 
     @classmethod
     def from_traces(cls, traces: Sequence["ServerTrace"]) -> "TraceStore":
         """Build the columnar matrices from row-per-trace objects.
 
-        One bulk fill per metric; the absolute-CPU matrix is derived by
-        broadcasting each row's source capacity, which performs exactly
-        the same float multiplications as ``ServerTrace.cpu_rpe2``.
+        One C-level gather per metric (``np.stack`` writes straight into
+        the preallocated matrix), then :meth:`from_demand`'s broadcast
+        multiply — no per-trace temporaries anywhere.
         """
         if not traces:
             raise TraceError("cannot build a TraceStore from zero traces")
-        n = len(traces)
-        n_points = len(traces[0])
-        cpu_util = np.empty((n, n_points), dtype=float)
-        cpu_rpe2 = np.empty((n, n_points), dtype=float)
-        memory_gb = np.empty((n, n_points), dtype=float)
-        capacity = np.empty((n, 1), dtype=float)
-        # One C-level gather per metric (np.stack writes straight into
-        # the preallocated matrix), then one broadcast multiply into the
-        # rpe2 matrix — no per-trace temporaries anywhere.  Elementwise
-        # broadcasting performs exactly the same float multiplications
-        # as ``ServerTrace.cpu_rpe2`` row by row.
+        shape = (len(traces), len(traces[0]))
+        cpu_util = np.empty(shape, dtype=float)
+        memory_gb = np.empty(shape, dtype=float)
         np.stack([t.cpu_util.values for t in traces], out=cpu_util)
         np.stack([t.memory_gb.values for t in traces], out=memory_gb)
-        capacity[:, 0] = [t.source_spec.cpu_rpe2 for t in traces]
-        np.multiply(cpu_util, capacity, out=cpu_rpe2)
-        return cls(
-            vm_ids=tuple(t.vm_id for t in traces),
-            cpu_util=_frozen(cpu_util),
-            cpu_rpe2=_frozen(cpu_rpe2),
-            memory_gb=_frozen(memory_gb),
-            interval_hours=traces[0].interval_hours,
+        return cls.from_demand(
+            [t.vm_id for t in traces],
+            cpu_util,
+            memory_gb,
+            [t.source_spec.cpu_rpe2 for t in traces],
+            traces[0].interval_hours,
         )
 
     @property

@@ -8,9 +8,11 @@ model that as:
   sampling interval and unit),
 * :class:`ServerTrace` — one consolidation candidate: its VM identity,
   the source server's hardware spec, and its CPU + memory traces,
-* :class:`TraceSet` — all candidates of one datacenter, with uniform
-  trace length, supporting time-window slicing (history vs evaluation)
-  and aggregate demand queries.
+* :class:`TraceSet` — all candidates of one datacenter: one columnar
+  :class:`~repro.workloads.store.TraceStore` plus one identity per
+  store row, supporting time-window slicing (history vs evaluation)
+  and aggregate demand queries.  Its :class:`ServerTrace` objects are
+  read-only views of store rows, built only when something iterates.
 
 CPU is stored as a utilization fraction of the *source* server and is
 converted to absolute RPE2 demand through the source spec; memory is
@@ -19,8 +21,18 @@ stored directly in GB (the paper reports memory demand in absolute units).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -34,18 +46,18 @@ __all__ = ["ResourceTrace", "ServerTrace", "TraceSet", "HOURS_PER_DAY"]
 HOURS_PER_DAY = 24
 
 
-def _memoized(fn):
-    """Wrap a zero-arg callable so it runs at most once (shared result).
+def _memoized(fn: Callable[[], Iterable[object]]) -> Callable[[], tuple]:
+    """Wrap a zero-arg builder so it runs at most once (shared tuple).
 
-    Store-first trace sets hand the same deferred VM-spec builder to
-    every ``window``/``subset`` child; memoizing here keeps the builder
-    from re-running once any of them materializes.
+    A store-first set hands the same deferred identity builder to every
+    ``window`` child; memoizing here keeps the builder from re-running
+    once any of them resolves it.
     """
-    cache: List[object] = []
+    cache: List[tuple] = []
 
-    def call() -> object:
+    def call() -> tuple:
         if not cache:
-            cache.append(fn())
+            cache.append(tuple(fn()))
         return cache[0]
 
     return call
@@ -91,8 +103,8 @@ class ResourceTrace:
             )
         # Defensive copy only when the caller could still mutate the
         # array through an alias: a writable input that asarray passed
-        # through unchanged.  Read-only inputs (e.g. slices of another
-        # frozen trace — every window() call) and arrays freshly
+        # through unchanged.  Read-only inputs (e.g. rows of a frozen
+        # store — every materialized TraceSet row) and arrays freshly
         # converted from sequences are safe to adopt as views.
         if array is self.values and array.flags.writeable:
             array = array.copy()
@@ -106,31 +118,6 @@ class ResourceTrace:
     @property
     def duration_hours(self) -> float:
         return len(self) * self.interval_hours
-
-    def window(self, start_hour: float, end_hour: float) -> "ResourceTrace":
-        """Slice the trace to ``[start_hour, end_hour)``.
-
-        Bounds must align to sample boundaries; misaligned windows are a
-        caller bug and raise :class:`TraceError`.
-        """
-        start_index = start_hour / self.interval_hours
-        end_index = end_hour / self.interval_hours
-        if start_index != int(start_index) or end_index != int(end_index):
-            raise TraceError(
-                f"window [{start_hour}, {end_hour}) does not align to "
-                f"{self.interval_hours}h samples"
-            )
-        i, j = int(start_index), int(end_index)
-        if not (0 <= i < j <= len(self)):
-            raise TraceError(
-                f"window [{start_hour}, {end_hour})h out of range for a "
-                f"{self.duration_hours}h trace"
-            )
-        return ResourceTrace(
-            values=self.values[i:j],
-            interval_hours=self.interval_hours,
-            unit=self.unit,
-        )
 
     def mean(self) -> float:
         return float(self.values.mean())
@@ -194,255 +181,217 @@ class ServerTrace:
         """Absolute CPU demand in RPE2 units (util × source capacity)."""
         return self.cpu_util.values * self.source_spec.cpu_rpe2
 
-    def window(self, start_hour: float, end_hour: float) -> "ServerTrace":
-        return ServerTrace(
-            vm=self.vm,
-            source_spec=self.source_spec,
-            cpu_util=self.cpu_util.window(start_hour, end_hour),
-            memory_gb=self.memory_gb.window(start_hour, end_hour),
-        )
+
+#: One consolidation candidate's identity: the VM and its source server.
+Identity = Tuple[VirtualMachine, ServerSpec]
+#: A set's identities, or a shared zero-argument builder resolving them.
+_Identities = Union[Tuple[Identity, ...], Callable[[], Tuple[Identity, ...]]]
 
 
-@dataclass
 class TraceSet:
     """All consolidation candidates of one datacenter.
 
-    All member traces must have the same length and sampling interval so
-    that aggregate (cross-server, per-timestep) queries are well defined.
+    A set is one columnar :class:`TraceStore` (``None`` for an empty
+    set) plus one ``(VirtualMachine, ServerSpec)`` identity per store
+    row.  Matrix and aggregate queries, :meth:`window` and
+    :meth:`subset` are answered from the store; the identities are
+    resolved at most once, when something first needs them; and
+    :class:`ServerTrace` objects are read-only views of store rows,
+    built the first time something iterates the set or looks up one
+    trace.
 
-    Bulk queries are served by a cached columnar :class:`TraceStore`
-    (built lazily on first use, invalidated by :meth:`add`), so repeated
-    matrix/aggregate calls cost one build instead of one ``vstack`` per
-    call.
+    Build a set from one list of traces (``TraceSet(name, traces)``,
+    which rejects duplicate ids and mixed lengths or intervals) or from
+    a store (:meth:`from_store`).  A set never changes once built.
     """
 
-    name: str
-    _traces: List[ServerTrace] = field(default_factory=list)
-    _by_id: Dict[str, ServerTrace] = field(default_factory=dict)
-    _store: Optional[TraceStore] = field(
-        default=None, repr=False, compare=False
-    )
-    #: Deferred per-VM identities for a store-first set: a callable (or
-    #: its resolved list) of ``(VirtualMachine, ServerSpec)`` pairs, one
-    #: per store row.  ``None`` once materialized (or for eager sets).
-    _pending: Optional[object] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        traces, self._traces = list(self._traces), []
-        self._by_id = {}
-        self._store = None
-        self._pending = None
+    def __init__(self, name: str, traces: Iterable[ServerTrace] = ()) -> None:
+        traces = list(traces)
+        seen = set()
         for trace in traces:
-            self.add(trace)
+            if trace.vm_id in seen:
+                raise TraceError(f"duplicate vm_id {trace.vm_id!r} in {name!r}")
+            seen.add(trace.vm_id)
+            if len(trace) != len(traces[0]):
+                raise TraceError(
+                    f"{trace.vm_id}: length {len(trace)} != set length "
+                    f"{len(traces[0])}"
+                )
+            if trace.interval_hours != traces[0].interval_hours:
+                raise TraceError(
+                    f"{trace.vm_id}: interval {trace.interval_hours}h != set "
+                    f"interval {traces[0].interval_hours}h"
+                )
+        self.name = name
+        self._store = TraceStore.from_traces(traces) if traces else None
+        self._identities: _Identities = tuple(
+            (trace.vm, trace.source_spec) for trace in traces
+        )
+        self._traces: Optional[Tuple[ServerTrace, ...]] = None
 
     @classmethod
     def from_store(
         cls, name: str, store: TraceStore, vm_specs: object
     ) -> "TraceSet":
-        """Build a set served by a columnar store, materializing lazily.
+        """Build a set over a columnar store.
 
-        ``vm_specs`` is a list of ``(VirtualMachine, ServerSpec)`` pairs
-        aligned with the store rows, or a zero-argument callable
-        returning one (resolved at most once, on first need).  Bulk
-        matrix/aggregate queries, ``window``, and ``subset`` are served
-        straight from the store; per-trace objects are only created when
-        something iterates or looks up an individual trace.
+        ``vm_specs`` is a sequence of ``(VirtualMachine, ServerSpec)``
+        pairs aligned with the store rows, or a zero-argument callable
+        returning one (resolved at most once, on first need, and shared
+        with every ``window`` of the set).
         """
-        trace_set = cls(name=name)
-        if callable(vm_specs):
-            vm_specs = _memoized(vm_specs)
+        trace_set = cls(name)
         trace_set._store = store
-        trace_set._pending = vm_specs
+        trace_set._identities = (
+            _memoized(vm_specs) if callable(vm_specs) else tuple(vm_specs)  # type: ignore[call-overload]
+        )
         return trace_set
 
-    def _pending_pairs(self) -> List[Tuple[VirtualMachine, ServerSpec]]:
-        if callable(self._pending):
-            self._pending = self._pending()
-        pairs = list(self._pending)
-        if len(pairs) != self._store.n_servers:
+    def _resolved(self) -> Tuple[Identity, ...]:
+        pairs = self._identities
+        if callable(pairs):
+            pairs = self._identities = pairs()
+        if len(pairs) != len(self):
             raise TraceError(
                 f"{self.name!r}: {len(pairs)} VM specs for "
-                f"{self._store.n_servers} store rows"
+                f"{len(self)} store rows"
             )
         return pairs
 
-    def _ensure_traces(self) -> None:
-        """Materialize per-trace objects from the backing store."""
-        if self._pending is None:
-            return
-        pairs = self._pending_pairs()
-        store = self._store
-        self._pending = None
-        for row, (vm, spec) in enumerate(pairs):
-            # Store rows are read-only views, so ResourceTrace adopts
-            # them without copying the demand data.
-            trace = ServerTrace(
-                vm=vm,
-                source_spec=spec,
-                cpu_util=ResourceTrace(
-                    values=store.cpu_util[row],
-                    interval_hours=store.interval_hours,
-                    unit="fraction",
-                ),
-                memory_gb=ResourceTrace(
-                    values=store.memory_gb[row],
-                    interval_hours=store.interval_hours,
-                    unit="GB",
-                ),
-            )
-            self._traces.append(trace)
-            self._by_id[trace.vm_id] = trace
-
     def __getstate__(self) -> Dict[str, object]:
-        # Pending callables close over generator state and do not
-        # pickle; materialize before any serialization (runner caches
-        # pickle trace sets).
-        self._ensure_traces()
-        return self.__dict__
+        # Identity builders close over generator or manifest state and
+        # do not pickle, and the materialized traces are views of store
+        # rows: pickling them would write the demand a second time.
+        return {
+            "name": self.name,
+            "_store": self._store,
+            "_identities": self._resolved(),
+            "_traces": None,
+        }
 
-    def add(self, trace: ServerTrace) -> None:
-        self._ensure_traces()
-        if trace.vm_id in self._by_id:
-            raise TraceError(f"duplicate vm_id {trace.vm_id!r} in {self.name!r}")
-        if self._traces:
-            first = self._traces[0]
-            if len(trace) != len(first):
-                raise TraceError(
-                    f"{trace.vm_id}: length {len(trace)} != set length "
-                    f"{len(first)}"
-                )
-            if trace.interval_hours != first.interval_hours:
-                raise TraceError(
-                    f"{trace.vm_id}: interval {trace.interval_hours}h != set "
-                    f"interval {first.interval_hours}h"
-                )
-        self._traces.append(trace)
-        self._by_id[trace.vm_id] = trace
-        self._store = None
+    def __repr__(self) -> str:
+        return f"TraceSet(name={self.name!r}, n_servers={len(self)})"
 
     @property
     def store(self) -> TraceStore:
-        """The cached columnar backing store (built on first access)."""
+        """The columnar store holding every row's demand."""
         if self._store is None:
-            if not self._traces:
-                raise TraceError(f"trace set {self.name!r} is empty")
-            self._store = TraceStore.from_traces(self._traces)
+            raise TraceError(f"trace set {self.name!r} is empty")
         return self._store
 
     @property
+    def identities(self) -> Tuple[Identity, ...]:
+        """One ``(VirtualMachine, ServerSpec)`` pair per row, in row order.
+
+        Reading them builds no trace objects: planners take workload
+        classes from here, writers take identity records.
+        """
+        return self._resolved()
+
+    @property
     def traces(self) -> Tuple[ServerTrace, ...]:
-        self._ensure_traces()
-        return tuple(self._traces)
+        if self._traces is None:
+            store = self._store
+            # Store rows are read-only views, so ResourceTrace adopts
+            # them without copying the demand data.
+            self._traces = tuple(
+                ServerTrace(
+                    vm=vm,
+                    source_spec=spec,
+                    cpu_util=ResourceTrace(
+                        values=store.cpu_util[row],
+                        interval_hours=store.interval_hours,
+                        unit="fraction",
+                    ),
+                    memory_gb=ResourceTrace(
+                        values=store.memory_gb[row],
+                        interval_hours=store.interval_hours,
+                        unit="GB",
+                    ),
+                )
+                for row, (vm, spec) in enumerate(self._resolved())
+            )
+        return self._traces
+
+    def _row(self, vm_id: str) -> int:
+        try:
+            return self.store.row_of(vm_id)
+        except TraceError:
+            raise TraceError(
+                f"unknown vm_id {vm_id!r} in {self.name!r}"
+            ) from None
 
     def trace(self, vm_id: str) -> ServerTrace:
-        self._ensure_traces()
-        try:
-            return self._by_id[vm_id]
-        except KeyError:
-            raise TraceError(f"unknown vm_id {vm_id!r} in {self.name!r}") from None
+        return self.traces[self._row(vm_id)]
 
     def __len__(self) -> int:
-        if self._pending is not None:
-            return self._store.n_servers
-        return len(self._traces)
+        return 0 if self._store is None else self._store.n_servers
 
     def __iter__(self) -> Iterator[ServerTrace]:
-        self._ensure_traces()
-        return iter(self._traces)
+        return iter(self.traces)
 
     def __contains__(self, vm_id: object) -> bool:
-        if self._pending is not None:
-            try:
-                self._store.row_of(vm_id)  # type: ignore[arg-type]
-            except TraceError:
-                return False
-            return True
-        return vm_id in self._by_id
+        try:
+            self._row(vm_id)  # type: ignore[arg-type]
+        except TraceError:
+            return False
+        return True
 
     @property
     def vm_ids(self) -> Tuple[str, ...]:
-        if self._pending is not None:
-            return tuple(self._store.vm_ids)
-        return tuple(t.vm_id for t in self._traces)
+        return () if self._store is None else self._store.vm_ids
 
     @property
     def n_points(self) -> int:
-        if self._pending is not None:
-            return self._store.n_points
-        if not self._traces:
-            raise TraceError(f"trace set {self.name!r} is empty")
-        return len(self._traces[0])
+        return self.store.n_points
 
     @property
     def interval_hours(self) -> float:
-        if self._pending is not None:
-            return self._store.interval_hours
-        if not self._traces:
-            raise TraceError(f"trace set {self.name!r} is empty")
-        return self._traces[0].interval_hours
+        return self.store.interval_hours
 
     @property
     def duration_hours(self) -> float:
         return self.n_points * self.interval_hours
 
     def window(self, start_hour: float, end_hour: float) -> "TraceSet":
-        """Slice every trace to ``[start_hour, end_hour)``.
+        """Slice every row to ``[start_hour, end_hour)``.
 
-        Per-trace slices are read-only views (no demand data is copied),
-        and an already-built columnar store is propagated as a zero-copy
-        column slice instead of being rebuilt by the child.
+        Bounds must align to sample boundaries; misaligned or
+        out-of-range windows are a caller bug and raise
+        :class:`TraceError`.  The child's store is a zero-copy column
+        slice, and it shares this set's identities.
         """
-        if self._pending is not None:
-            interval = self._store.interval_hours
-            start_index = start_hour / interval
-            end_index = end_hour / interval
-            if start_index != int(start_index) or end_index != int(end_index):
-                raise TraceError(
-                    f"window [{start_hour}, {end_hour}) does not align to "
-                    f"{interval}h samples"
-                )
-            i, j = int(start_index), int(end_index)
-            if not (0 <= i < j <= self._store.n_points):
-                raise TraceError(
-                    f"window [{start_hour}, {end_hour})h out of range for a "
-                    f"{self._store.n_points * interval}h trace"
-                )
-            child = TraceSet(name=self.name)
-            child._store = self._store.window(i, j)
-            child._pending = self._pending
-            return child
-        child = TraceSet(
-            name=self.name,
-            _traces=[t.window(start_hour, end_hour) for t in self._traces],
+        store = self.store
+        interval = store.interval_hours
+        start_index = start_hour / interval
+        end_index = end_hour / interval
+        if start_index != int(start_index) or end_index != int(end_index):
+            raise TraceError(
+                f"window [{start_hour}, {end_hour}) does not align to "
+                f"{interval}h samples"
+            )
+        i, j = int(start_index), int(end_index)
+        if not (0 <= i < j <= store.n_points):
+            raise TraceError(
+                f"window [{start_hour}, {end_hour})h out of range for a "
+                f"{store.n_points * interval}h trace"
+            )
+        return TraceSet.from_store(
+            self.name, store.window(i, j), self._identities
         )
-        if self._store is not None and self._traces:
-            start_index = int(start_hour / self.interval_hours)
-            end_index = int(end_hour / self.interval_hours)
-            child._store = self._store.window(start_index, end_index)
-        return child
 
     def subset(self, vm_ids: Iterable[str]) -> "TraceSet":
         """Restrict to the given VMs (order follows ``vm_ids``)."""
         selected = list(vm_ids)
-        if self._pending is not None:
-            pairs = self._pending_pairs()
-            by_id = {pair[0].vm_id: pair for pair in pairs}
-            for vm_id in selected:
-                if vm_id not in by_id:
-                    raise TraceError(
-                        f"unknown vm_id {vm_id!r} in {self.name!r}"
-                    )
-            child = TraceSet(name=self.name)
-            if selected:
-                child._store = self._store.take(selected)
-                child._pending = [by_id[v] for v in selected]
-            return child
-        child = TraceSet(
-            name=self.name, _traces=[self.trace(v) for v in selected]
+        rows = [self._row(vm_id) for vm_id in selected]
+        if not selected:
+            return TraceSet(self.name)
+        pairs = self._resolved()
+        return TraceSet.from_store(
+            self.name,
+            self.store.take(selected),
+            [pairs[row] for row in rows],
         )
-        if self._store is not None and selected:
-            child._store = self._store.take(selected)
-        return child
 
     def cpu_util_matrix(self) -> np.ndarray:
         """(n_servers, n_points) read-only matrix of CPU utilization."""

@@ -68,10 +68,9 @@ class TestScoreCandidate:
 
 class TestRankCandidates:
     def test_ordering(self):
-        ts = TraceSet(name="rank")
-        ts.add(_flat("flat"))
-        ts.add(_diurnal_bursty("good"))
-        ts.add(_random_spiky("spiky"))
+        ts = TraceSet(
+            "rank", [_flat("flat"), _diurnal_bursty("good"), _random_spiky("spiky")]
+        )
         ranked = rank_candidates(ts)
         assert ranked[0].vm_id == "good"
         assert ranked[-1].vm_id == "flat"

@@ -69,25 +69,28 @@ class TestClusterByPeaks:
         return make_server_trace(vm_id, util, np.full(n_hours, 1.0))
 
     def test_copeaking_servers_share_cluster(self):
-        ts = TraceSet(name="c")
-        ts.add(self._trace("a", range(0, 10)))
-        ts.add(self._trace("b", range(0, 10)))
-        ts.add(self._trace("c", range(50, 60)))
+        ts = TraceSet(
+            "c",
+            [
+                self._trace("a", range(0, 10)),
+                self._trace("b", range(0, 10)),
+                self._trace("c", range(50, 60)),
+            ],
+        )
         clusters = cluster_by_peaks(ts, similarity_threshold=0.5)
         assert clusters.cluster_for("a") == clusters.cluster_for("b")
         assert clusters.cluster_for("a") != clusters.cluster_for("c")
         assert clusters.n_clusters == 2
 
     def test_members_listing(self):
-        ts = TraceSet(name="c")
-        ts.add(self._trace("a", range(0, 10)))
-        ts.add(self._trace("b", range(0, 10)))
+        ts = TraceSet(
+            "c", [self._trace("a", range(0, 10)), self._trace("b", range(0, 10))]
+        )
         clusters = cluster_by_peaks(ts, similarity_threshold=0.5)
         assert set(clusters.members(clusters.cluster_for("a"))) == {"a", "b"}
 
     def test_unknown_vm(self):
-        ts = TraceSet(name="c")
-        ts.add(self._trace("a", range(0, 10)))
+        ts = TraceSet("c", [self._trace("a", range(0, 10))])
         clusters = cluster_by_peaks(ts)
         with pytest.raises(TraceError):
             clusters.cluster_for("zz")

@@ -14,11 +14,10 @@ from tests.conftest import make_server_trace
 
 
 def _set_with_ratio(cpu_util, memory_gb, cpu_rpe2=1000.0):
-    ts = TraceSet(name="ratio")
-    ts.add(
-        make_server_trace("a", cpu_util, memory_gb, cpu_rpe2=cpu_rpe2)
+    return TraceSet(
+        "ratio",
+        [make_server_trace("a", cpu_util, memory_gb, cpu_rpe2=cpu_rpe2)],
     )
-    return ts
 
 
 class TestReferenceRatio:

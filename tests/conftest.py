@@ -63,7 +63,7 @@ def make_server_trace(
 def size_one(estimator: SizeEstimator, trace: ServerTrace) -> VMDemand:
     """``estimate_all`` on a one-trace set, checked against the per-trace
     reference sizing."""
-    (demand,) = estimator.estimate_all(TraceSet(name="one", _traces=[trace]))
+    (demand,) = estimator.estimate_all(TraceSet("one", [trace]))
     assert demand == estimate_reference(estimator, trace)
     return demand
 
@@ -80,7 +80,7 @@ def flat_trace_set() -> TraceSet:
         )
         for i in range(4)
     ]
-    return TraceSet(name="flat", _traces=traces)
+    return TraceSet("flat", traces)
 
 
 @pytest.fixture
@@ -88,10 +88,10 @@ def generated_trace_set(rng) -> TraceSet:
     """A dozen generated servers over 6 days (realistic texture)."""
     hours = 6 * 24
     model = get_model("rack-1u-medium")
-    traces = TraceSet(name="generated")
     seeds = np.random.SeedSequence(7).spawn(12)
-    for index, seed in enumerate(seeds):
-        traces.add(
+    return TraceSet(
+        "generated",
+        [
             generate_server_trace(
                 vm_id=f"gen{index}",
                 profile=WEB_MODERATE,
@@ -99,8 +99,9 @@ def generated_trace_set(rng) -> TraceSet:
                 n_hours=hours,
                 rng=np.random.default_rng(seed),
             )
-        )
-    return traces
+            for index, seed in enumerate(seeds)
+        ],
+    )
 
 
 @pytest.fixture

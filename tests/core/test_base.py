@@ -9,10 +9,13 @@ from tests.conftest import make_server_trace
 
 
 def _ts(name, vm_ids, hours=48):
-    ts = TraceSet(name=name)
-    for vm_id in vm_ids:
-        ts.add(make_server_trace(vm_id, [0.1] * hours, [1.0] * hours))
-    return ts
+    return TraceSet(
+        name,
+        [
+            make_server_trace(vm_id, [0.1] * hours, [1.0] * hours)
+            for vm_id in vm_ids
+        ],
+    )
 
 
 class TestPlanningConfig:

@@ -16,8 +16,7 @@ def _diurnal_context(small_pool, n_vms=12, days=4, constraints=None,
                      utilization_bound=0.8):
     """VMs with strong day/night cycles: dynamic's favourite diet."""
     hours = days * 24
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     for i in range(n_vms):
         util = np.full(hours, 0.04)
         for day in range(days):
@@ -25,12 +24,12 @@ def _diurnal_context(small_pool, n_vms=12, days=4, constraints=None,
             util[start:start + 10] = 0.6
         memory = np.full(hours, 1.0 + 0.02 * i)
         for ts in (history, evaluation):
-            ts.add(
+            ts.append(
                 make_server_trace(f"vm{i}", util, memory, cpu_rpe2=4000.0)
             )
     return PlanningContext(
-        history=history,
-        evaluation=evaluation,
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
         datacenter=small_pool,
         constraints=constraints or ConstraintSet(),
         config=PlanningConfig(utilization_bound=utilization_bound),

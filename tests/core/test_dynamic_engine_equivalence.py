@@ -52,8 +52,7 @@ def _context(small_pool, *, n_vms=14, days=4, config=None, seed=5):
     """Diurnal + noisy VMs so repack/vacate decisions actually trigger."""
     rng = np.random.default_rng(seed)
     hours = days * 24
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     for i in range(n_vms):
         util = np.full(hours, 0.05) + rng.uniform(0.0, 0.03, hours)
         for day in range(days):
@@ -61,15 +60,15 @@ def _context(small_pool, *, n_vms=14, days=4, config=None, seed=5):
             util[start:start + 10] += rng.uniform(0.3, 0.6)
         memory = np.full(hours, 1.0 + 0.02 * i) + rng.uniform(0, 0.2, hours)
         for ts, jitter in ((history, 0.0), (evaluation, 0.01)):
-            ts.add(
+            ts.append(
                 make_server_trace(
                     f"vm{i}", np.clip(util + jitter, 0, 1), memory,
                     cpu_rpe2=4000.0,
                 )
             )
     return PlanningContext(
-        history=history,
-        evaluation=evaluation,
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
         datacenter=small_pool,
         config=config or PlanningConfig(),
     )

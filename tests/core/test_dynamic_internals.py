@@ -16,8 +16,7 @@ from tests.reference.dynamic import host_order, predict_interval
 
 def _context(small_pool, n_vms=8, days=3):
     hours = days * 24
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     rng = np.random.default_rng(0)
     for i in range(n_vms):
         util = np.full(hours, 0.05)
@@ -25,14 +24,16 @@ def _context(small_pool, n_vms=8, days=3):
             util[day * 24 + 9:day * 24 + 18] = 0.5
         util = util * (1.0 + 0.1 * rng.random(hours))
         for ts in (history, evaluation):
-            ts.add(
+            ts.append(
                 make_server_trace(
                     f"vm{i}", np.clip(util, 0, 1), np.full(hours, 1.0),
                     cpu_rpe2=4000.0,
                 )
             )
     return PlanningContext(
-        history=history, evaluation=evaluation, datacenter=small_pool
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
+        datacenter=small_pool,
     )
 
 

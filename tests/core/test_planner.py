@@ -12,15 +12,16 @@ from tests.conftest import make_server_trace
 
 @pytest.fixture
 def month_traces():
-    ts = TraceSet(name="m")
     hours = 30 * 24
-    for i in range(6):
-        ts.add(
+    return TraceSet(
+        "m",
+        [
             make_server_trace(
                 f"vm{i}", [0.1 + 0.01 * i] * hours, [1.0] * hours
             )
-        )
-    return ts
+            for i in range(6)
+        ],
+    )
 
 
 class TestSplitWindow:

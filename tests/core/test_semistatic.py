@@ -12,19 +12,18 @@ from tests.conftest import make_server_trace
 
 
 def _context(small_pool, history_utils, eval_utils, mem=1.0):
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     for vm_id, utils in history_utils.items():
-        history.add(
+        history.append(
             make_server_trace(vm_id, utils, [mem] * len(utils), cpu_rpe2=1000)
         )
     for vm_id, utils in eval_utils.items():
-        evaluation.add(
+        evaluation.append(
             make_server_trace(vm_id, utils, [mem] * len(utils), cpu_rpe2=1000)
         )
     return PlanningContext(
-        history=history,
-        evaluation=evaluation,
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
         datacenter=small_pool,
         config=PlanningConfig(
             overhead=VirtualizationOverhead(

@@ -12,24 +12,25 @@ from tests.conftest import make_server_trace
 
 @pytest.fixture
 def context(small_pool):
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     for i in range(30):
         # Sized near half an HS23 blade so margins actually matter.
-        history.add(
+        history.append(
             make_server_trace(
                 f"vm{i}", [0.5] * 48, [10.0] * 48, cpu_rpe2=4000.0,
                 configured_gb=32.0,
             )
         )
-        evaluation.add(
+        evaluation.append(
             make_server_trace(
                 f"vm{i}", [0.5] * 48, [10.0] * 48, cpu_rpe2=4000.0,
                 configured_gb=32.0,
             )
         )
     return PlanningContext(
-        history=history, evaluation=evaluation, datacenter=small_pool
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
+        datacenter=small_pool,
     )
 
 

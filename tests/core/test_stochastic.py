@@ -16,8 +16,7 @@ from tests.conftest import make_server_trace
 def _bursty_context(small_pool, n_vms=24, hours=96, seed=0):
     """VMs with alternating peak phases: ideal PCP material."""
     rng = np.random.default_rng(seed)
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     for i in range(n_vms):
         util = np.full(hours, 0.05) + rng.random(hours) * 0.02
         # Phase-offset peaks: group 0 peaks in even slots, group 1 odd.
@@ -25,13 +24,15 @@ def _bursty_context(small_pool, n_vms=24, hours=96, seed=0):
             util[t] = 0.9
         memory = np.full(hours, 1.0)
         for ts, vm_id in ((history, f"vm{i}"), (evaluation, f"vm{i}")):
-            ts.add(
+            ts.append(
                 make_server_trace(
                     vm_id, util, memory, cpu_rpe2=4000.0
                 )
             )
     return PlanningContext(
-        history=history, evaluation=evaluation, datacenter=small_pool
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
+        datacenter=small_pool,
     )
 
 

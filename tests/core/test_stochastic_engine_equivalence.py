@@ -35,8 +35,7 @@ def _context(small_pool, *, n_vms=16, days=3, config=None, seed=9):
     """Servers with clustered peak phases: PCP's intended input."""
     rng = np.random.default_rng(seed)
     hours = days * 24
-    history = TraceSet(name="h")
-    evaluation = TraceSet(name="e")
+    history, evaluation = [], []
     for i in range(n_vms):
         util = np.full(hours, 0.06) + rng.uniform(0.0, 0.04, hours)
         phase = (i % 3) * 8
@@ -45,14 +44,14 @@ def _context(small_pool, *, n_vms=16, days=3, config=None, seed=9):
             util[start:start + 6] += rng.uniform(0.25, 0.55)
         memory = np.full(hours, 0.8 + 0.05 * i) + rng.uniform(0, 0.3, hours)
         for ts in (history, evaluation):
-            ts.add(
+            ts.append(
                 make_server_trace(
                     f"vm{i}", np.clip(util, 0, 1), memory, cpu_rpe2=4000.0
                 )
             )
     return PlanningContext(
-        history=history,
-        evaluation=evaluation,
+        history=TraceSet("h", history),
+        evaluation=TraceSet("e", evaluation),
         datacenter=small_pool,
         config=config or PlanningConfig(),
     )
@@ -149,13 +148,13 @@ def test_cluster_engines_agree(small_pool, threshold) -> None:
 
 def test_cluster_engines_agree_on_flat_envelopes() -> None:
     """Flat series make empty envelopes (union == 0): both scans 0.0."""
-    traces = TraceSet(name="flat")
-    for i in range(6):
-        traces.add(
-            make_server_trace(
-                f"vm{i}", np.full(48, 0.2), np.full(48, 1.0)
-            )
-        )
+    traces = TraceSet(
+        "flat",
+        [
+            make_server_trace(f"vm{i}", np.full(48, 0.2), np.full(48, 1.0))
+            for i in range(6)
+        ],
+    )
     assert cluster_by_peaks_reference(traces) == cluster_by_peaks(traces)
 
 

@@ -14,18 +14,17 @@ from tests.conftest import make_server_trace
 
 @pytest.fixture
 def two_vm_set():
-    ts = TraceSet(name="two")
-    ts.add(
-        make_server_trace(
-            "a", [0.1, 0.2, 0.3, 0.4], [1.0, 1.0, 2.0, 2.0], cpu_rpe2=1000
-        )
+    return TraceSet(
+        "two",
+        [
+            make_server_trace(
+                "a", [0.1, 0.2, 0.3, 0.4], [1.0, 1.0, 2.0, 2.0], cpu_rpe2=1000
+            ),
+            make_server_trace(
+                "b", [0.4, 0.3, 0.2, 0.1], [2.0, 2.0, 1.0, 1.0], cpu_rpe2=1000
+            ),
+        ],
     )
-    ts.add(
-        make_server_trace(
-            "b", [0.4, 0.3, 0.2, 0.1], [2.0, 2.0, 1.0, 1.0], cpu_rpe2=1000
-        )
-    )
-    return ts
 
 
 @pytest.fixture
@@ -157,9 +156,9 @@ class TestValidation:
             emulator.evaluate(schedule)
 
     def test_non_hourly_traces_rejected(self, tiny_pool):
-        ts = TraceSet(name="coarse")
-        ts.add(
-            make_server_trace("a", [0.1, 0.2], [1.0, 1.0], interval_hours=2.0)
+        ts = TraceSet(
+            "coarse",
+            [make_server_trace("a", [0.1, 0.2], [1.0, 1.0], interval_hours=2.0)],
         )
         with pytest.raises(EmulationError, match="hourly"):
             ConsolidationEmulator(trace_set=ts, datacenter=tiny_pool)

@@ -51,11 +51,11 @@ def _pool() -> Datacenter:
 def _traces(scale: float = 1.0) -> TraceSet:
     """Deterministic bursty traces, optionally scaled down."""
     rng = random.Random(42)
-    traces = TraceSet(name="meta")
+    traces = []
     for index in range(N_VMS):
         cpu = np.array([rng.uniform(0.05, 0.9) for _ in range(N_HOURS)])
         memory = np.array([rng.uniform(0.5, 4.0) for _ in range(N_HOURS)])
-        traces.add(
+        traces.append(
             make_server_trace(
                 f"vm{index}",
                 cpu * scale,
@@ -64,7 +64,7 @@ def _traces(scale: float = 1.0) -> TraceSet:
                 configured_gb=8.0,
             )
         )
-    return traces
+    return TraceSet("meta", traces)
 
 
 def _random_assignment(seed: int) -> dict:

@@ -63,16 +63,18 @@ def random_schedules(draw):
 @settings(max_examples=50, deadline=None)
 def test_demand_conserved_under_any_schedule(data):
     cpu_rows, assignment_a, assignment_b = data
-    traces = TraceSet(name="prop")
-    for index, row in enumerate(cpu_rows):
-        traces.add(
+    traces = TraceSet(
+        "prop",
+        [
             make_server_trace(
                 f"vm{index}",
                 np.array(row),
                 np.full(N_HOURS, 1.0),
                 cpu_rpe2=1000.0,
             )
-        )
+            for index, row in enumerate(cpu_rows)
+        ],
+    )
     emulator = ConsolidationEmulator(
         trace_set=traces,
         datacenter=_pool(),
@@ -96,15 +98,17 @@ def test_demand_conserved_under_any_schedule(data):
 @settings(max_examples=50, deadline=None)
 def test_activity_matches_assignment(data):
     cpu_rows, assignment_a, assignment_b = data
-    traces = TraceSet(name="prop")
-    for index, row in enumerate(cpu_rows):
-        traces.add(
+    traces = TraceSet(
+        "prop",
+        [
             make_server_trace(
                 f"vm{index}",
                 np.array(row),
                 np.full(N_HOURS, 1.0),
             )
-        )
+            for index, row in enumerate(cpu_rows)
+        ],
+    )
     emulator = ConsolidationEmulator(trace_set=traces, datacenter=_pool())
     schedule = PlacementSchedule.periodic(
         [Placement(assignment_a), Placement(assignment_b)], N_HOURS / 2

@@ -50,10 +50,10 @@ def _build_instance(
     rng: random.Random, *, n_vms: int, n_hosts: int, n_hours: int
 ) -> Tuple[TraceSet, Datacenter]:
     np_rng = np.random.default_rng(rng.randint(0, 2**31))
-    traces = TraceSet(name="equiv")
     spec = ServerSpec(cpu_rpe2=1500.0, memory_gb=8.0)
-    for i in range(n_vms):
-        traces.add(
+    traces = TraceSet(
+        "equiv",
+        [
             ServerTrace(
                 vm=VirtualMachine(vm_id=f"vm{i:03d}", memory_config_gb=8.0),
                 source_spec=spec,
@@ -65,7 +65,9 @@ def _build_instance(
                     values=np_rng.uniform(0.1, 8.0, size=n_hours), unit="GB"
                 ),
             )
-        )
+            for i in range(n_vms)
+        ],
+    )
     datacenter = Datacenter(name="equiv-dc")
     for i in range(n_hosts):
         # A mix of hosts with catalog power models and hosts on the

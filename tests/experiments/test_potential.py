@@ -12,11 +12,10 @@ from tests.conftest import make_server_trace
 
 class TestPotentialGainMechanics:
     def test_flat_workload_has_no_potential(self):
-        ts = TraceSet(name="flat")
-        for i in range(4):
-            ts.add(
-                make_server_trace(f"v{i}", [0.2] * 48, [2.0] * 48)
-            )
+        ts = TraceSet(
+            "flat",
+            [make_server_trace(f"v{i}", [0.2] * 48, [2.0] * 48) for i in range(4)],
+        )
         gain = potential_gain(ts)
         assert gain.per_server_cpu_gain == pytest.approx(1.0)
         assert gain.realized_gain == pytest.approx(1.0)
@@ -24,18 +23,18 @@ class TestPotentialGainMechanics:
     def test_bursty_cpu_quiet_memory_is_the_paper_story(self):
         # Per-server CPU promises a lot; flat memory caps the realized
         # gain when memory binds on the reference blade.
-        ts = TraceSet(name="story")
+        traces = []
         hours = 48
         for i in range(6):
             util = np.full(hours, 0.05)
             util[(i * 7) % hours] = 0.9            # 18x per-server P2A
-            ts.add(
+            traces.append(
                 make_server_trace(
                     f"v{i}", util, np.full(hours, 60.0),
                     cpu_rpe2=4000.0, configured_gb=64.0,
                 )
             )
-        gain = potential_gain(ts)
+        gain = potential_gain(TraceSet("story", traces))
         assert gain.per_server_cpu_gain > 5.0
         # 360 GB aggregate flat memory needs ~2.8 HS23 blades always:
         # memory binds, so the realized gain collapses toward 1.
@@ -43,8 +42,7 @@ class TestPotentialGainMechanics:
         assert gain.deflation_factor > 3.0
 
     def test_misaligned_interval_rejected(self):
-        ts = TraceSet(name="x")
-        ts.add(make_server_trace("a", [0.1] * 48, [1.0] * 48))
+        ts = TraceSet("x", [make_server_trace("a", [0.1] * 48, [1.0] * 48)])
         with pytest.raises(ConfigurationError, match="align"):
             potential_gain(ts, interval_hours=1.5)
 

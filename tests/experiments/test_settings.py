@@ -57,16 +57,16 @@ class TestScale:
 class TestPool:
     def test_build_pool_scales_with_traces(self):
         settings = ExperimentSettings(scale=1.0)
-        ts = TraceSet(name="t")
-        for i in range(40):
-            ts.add(make_server_trace(f"v{i}", [0.1] * 4, [1.0] * 4))
+        ts = TraceSet(
+            "t",
+            [make_server_trace(f"v{i}", [0.1] * 4, [1.0] * 4) for i in range(40)],
+        )
         pool = settings.build_pool(ts)
         assert len(pool) == 20
 
     def test_minimum_pool(self):
         settings = ExperimentSettings(scale=1.0)
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("v", [0.1] * 4, [1.0] * 4))
+        ts = TraceSet("t", [make_server_trace("v", [0.1] * 4, [1.0] * 4)])
         assert len(settings.build_pool(ts)) == 12
 
     def test_validation(self):

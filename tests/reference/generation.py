@@ -91,7 +91,7 @@ def generate_trace_set_reference(
             n_hours, shared_rng
         )
         events = correlation.draw_events(n_hours, shared_rng)
-    trace_set = TraceSet(name=name)
+    traces = []
     server_index = 0
     for profile, hardware, count in specs:
         for _ in range(count):
@@ -114,7 +114,7 @@ def generate_trace_set_reference(
                     * profile.correlation_sensitivity,
                     rng,
                 )
-            trace_set.add(
+            traces.append(
                 generate_server_trace(
                     vm_id=f"{name}-vm{server_index:04d}",
                     profile=profile,
@@ -127,7 +127,7 @@ def generate_trace_set_reference(
                 )
             )
             server_index += 1
-    return trace_set
+    return TraceSet(name, traces)
 
 
 def _generate_cpu_util(

@@ -60,9 +60,10 @@ class TestEstimateScalarSizing:
         assert p50_demand.memory_gb < max_demand.memory_gb
 
     def test_estimate_all_preserves_order(self, trace):
-        ts = TraceSet(name="s")
-        ts.add(trace)
-        ts.add(make_server_trace("vm2", [0.1, 0.1, 0.1, 0.1], [1.0] * 4))
+        ts = TraceSet(
+            "s",
+            [trace, make_server_trace("vm2", [0.1, 0.1, 0.1, 0.1], [1.0] * 4)],
+        )
         demands = SizeEstimator().estimate_all(ts)
         assert [d.vm_id for d in demands] == ["vm", "vm2"]
 

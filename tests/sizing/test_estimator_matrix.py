@@ -58,7 +58,7 @@ ESTIMATOR_VARIANTS = [
 
 
 def _random_trace_set(rng: random.Random, n_vms: int, hours: int) -> TraceSet:
-    traces = TraceSet(name="estmatrix")
+    traces = []
     classes = [None, "web-interactive", "steady-batch", "scheduled-batch"]
     for i in range(n_vms):
         trace = make_server_trace(
@@ -70,8 +70,8 @@ def _random_trace_set(rng: random.Random, n_vms: int, hours: int) -> TraceSet:
         workload_class = rng.choice(classes)
         if workload_class is not None:
             object.__setattr__(trace.vm, "workload_class", workload_class)
-        traces.add(trace)
-    return traces
+        traces.append(trace)
+    return TraceSet("estmatrix", traces)
 
 
 def _assert_same_demands(left, right):

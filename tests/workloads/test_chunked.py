@@ -19,6 +19,7 @@ from repro.infrastructure.vm import VirtualMachine
 from repro.workloads.chunked import (
     ChunkedManifest,
     ChunkedTraceWriter,
+    decode_vm_record,
     load_manifest,
     open_chunked_store,
     open_chunked_trace_set,
@@ -51,10 +52,9 @@ def _trace(vm_id: str, seed: int) -> ServerTrace:
 
 @pytest.fixture(scope="module")
 def traces() -> TraceSet:
-    trace_set = TraceSet(name="chunk-test")
-    for index in range(13):
-        trace_set.add(_trace(f"vm{index:02d}", seed=index))
-    return trace_set
+    return TraceSet(
+        "chunk-test", [_trace(f"vm{index:02d}", seed=index) for index in range(13)]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +131,9 @@ class TestTraceSetReconstruction:
         manifest = load_manifest(store_dir)
         assert isinstance(manifest, ChunkedManifest)
         assert manifest.n_servers == 13
-        assert manifest.virtual_machine(0).workload_class == "web"
-        assert manifest.source_spec(0).memory_gb == 32.0
+        vm, spec = decode_vm_record(manifest.vms[0])
+        assert vm.workload_class == "web"
+        assert spec.memory_gb == 32.0
         opened = open_chunked_trace_set(store_dir, start=0, stop=1)
         (trace,) = list(opened)
         assert trace.vm.workload_class == "web"
@@ -226,6 +227,18 @@ class TestOpenValidation:
         with pytest.raises(TraceError, match=rf"{metric}\.npy.*float64"):
             open_chunked_store(tmp_path)
 
+    def test_truncated_matrices_rejected(self, traces, tmp_path) -> None:
+        # Every file cut to the first 48 of the manifest's 72 hours: the
+        # manifest's geometry, not the files, says what the store holds.
+        write_trace_set(traces, tmp_path)
+        for metric in ("cpu_util", "cpu_rpe2", "memory_gb"):
+            path = tmp_path / f"{metric}.npy"
+            np.save(path, np.load(path)[:, :48])
+        with pytest.raises(TraceError, match=r"cpu_util\.npy.*\(13, 72\)"):
+            open_chunked_store(tmp_path)
+        with pytest.raises(TraceError, match=r"cpu_util\.npy"):
+            open_chunked_trace_set(tmp_path)
+
     def test_unsupported_format_version(self, traces, tmp_path) -> None:
         write_trace_set(traces, tmp_path)
         manifest = tmp_path / "manifest.json"
@@ -270,3 +283,41 @@ class TestGeneratedChunkedStore:
         for trace in shard.traces:
             assert trace.vm.memory_config_gb > 0
             assert trace.source_spec.cpu_rpe2 > 0
+
+
+class TestDemandValues:
+    """Demand read from disk is checked once, for the rows opened."""
+
+    @staticmethod
+    def _plant(directory, metric, row, value) -> None:
+        path = directory / f"{metric}.npy"
+        matrix = np.load(path)
+        matrix[row, 5] = value
+        np.save(path, matrix)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("metric", ["cpu_util", "memory_gb", "cpu_rpe2"])
+    def test_bad_cell_rejected(self, traces, tmp_path, metric, value) -> None:
+        write_trace_set(traces, tmp_path)
+        self._plant(tmp_path, metric, 6, value)
+        with pytest.raises(TraceError):
+            open_chunked_trace_set(tmp_path, start=4, stop=9)
+
+    @pytest.mark.parametrize("metric", ["cpu_util", "memory_gb", "cpu_rpe2"])
+    def test_error_names_file_and_vm(self, traces, tmp_path, metric) -> None:
+        write_trace_set(traces, tmp_path)
+        self._plant(tmp_path, metric, 6, np.nan)
+        with pytest.raises(TraceError, match=rf"{metric}\.npy.*'vm06'"):
+            open_chunked_trace_set(tmp_path)
+
+    @pytest.mark.parametrize("metric", ["cpu_util", "memory_gb", "cpu_rpe2"])
+    def test_rows_outside_the_range_are_not_read(
+        self, traces, tmp_path, metric
+    ) -> None:
+        write_trace_set(traces, tmp_path)
+        self._plant(tmp_path, metric, 6, -1.0)
+        shard = open_chunked_trace_set(tmp_path, start=7, stop=13)
+        assert shard.vm_ids == traces.vm_ids[7:13]
+        np.testing.assert_array_equal(
+            shard.store.cpu_rpe2, traces.store.cpu_rpe2[7:13]
+        )

@@ -1,10 +1,10 @@
-"""Columnar :class:`TraceStore` semantics: caching, views, immutability.
+"""Columnar :class:`TraceStore` semantics: one store per set, views, immutability.
 
-The store is the cached backing matrix behind every vectorized kernel,
-so these tests pin its contract precisely: built once per
-:class:`TraceSet`, invalidated by ``add``, propagated to ``window`` /
-``subset`` children as zero-copy views (``np.shares_memory``), always
-read-only, and bitwise equal to the per-trace arrays it was packed from.
+The store is the backing matrix behind every vectorized kernel, so
+these tests pin its contract precisely: one per :class:`TraceSet`,
+handed to ``window`` / ``subset`` children as zero-copy views or one
+bulk gather (``np.shares_memory``), always read-only, and bitwise equal
+to the per-trace arrays it was packed from.
 """
 
 from __future__ import annotations
@@ -36,25 +36,15 @@ def _trace(vm_id: str, seed: int, n_hours: int = N_HOURS) -> ServerTrace:
 
 
 def _trace_set(n_vms: int = 5) -> TraceSet:
-    traces = TraceSet(name="store-test")
-    for i in range(n_vms):
-        traces.add(_trace(f"vm{i:02d}", seed=i))
-    return traces
+    return TraceSet(
+        "store-test", [_trace(f"vm{i:02d}", seed=i) for i in range(n_vms)]
+    )
 
 
 class TestCaching:
     def test_store_is_cached(self) -> None:
         traces = _trace_set()
         assert traces.store is traces.store
-
-    def test_add_invalidates_store(self) -> None:
-        traces = _trace_set()
-        first = traces.store
-        traces.add(_trace("vm99", seed=99))
-        rebuilt = traces.store
-        assert rebuilt is not first
-        assert rebuilt.n_servers == first.n_servers + 1
-        assert rebuilt.vm_ids[-1] == "vm99"
 
     def test_empty_set_raises(self) -> None:
         with pytest.raises(TraceError):
@@ -135,12 +125,12 @@ class TestZeroCopyWindows:
         assert child.store.n_points == 24
 
     def test_resource_trace_window_is_a_view(self) -> None:
-        """Satellite: read-only trace arrays are adopted without copying,
-        so windowing a frozen trace never duplicates demand data."""
-        trace = ResourceTrace(values=np.arange(24.0), unit="rpe2")
-        view = trace.window(6.0, 18.0)
-        assert np.shares_memory(view.values, trace.values)
-        assert not view.values.flags.writeable
+        """Read-only store rows are adopted without copying, so a
+        window's materialized traces never duplicate demand data."""
+        traces = _trace_set()
+        (view, *_rest) = traces.window(6.0, 18.0)
+        assert np.shares_memory(view.cpu_util.values, traces.store.cpu_util)
+        assert not view.cpu_util.values.flags.writeable
 
     def test_writable_input_is_still_copied(self) -> None:
         """A caller-held writable array must not alias the trace."""

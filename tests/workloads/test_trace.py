@@ -8,6 +8,22 @@ from repro.workloads.trace import ResourceTrace, TraceSet
 from tests.conftest import make_server_trace
 
 
+def _one_row_set(values, interval_hours=1.0) -> TraceSet:
+    """A one-VM set whose CPU row is ``values`` (memory is constant)."""
+    values = np.asarray(values, dtype=float)
+    return TraceSet(
+        "t",
+        [
+            make_server_trace(
+                "vm",
+                values,
+                np.ones(values.size),
+                interval_hours=interval_hours,
+            )
+        ],
+    )
+
+
 class TestResourceTrace:
     def test_basic_statistics(self):
         trace = ResourceTrace(np.array([1.0, 3.0, 2.0]))
@@ -21,28 +37,30 @@ class TestResourceTrace:
         with pytest.raises(ValueError):
             trace.values[0] = 5.0
 
+    # Traces are windowed through their set, which holds the one
+    # hour-to-index alignment check.
     def test_window_slicing(self):
-        trace = ResourceTrace(np.arange(10, dtype=float))
-        window = trace.window(2, 5)
-        assert list(window.values) == [2.0, 3.0, 4.0]
-        assert window.interval_hours == trace.interval_hours
+        traces = _one_row_set(np.arange(10, dtype=float))
+        window = traces.window(2, 5)
+        assert list(window.cpu_util_matrix()[0]) == [2.0, 3.0, 4.0]
+        assert window.interval_hours == traces.interval_hours
 
     def test_window_respects_interval(self):
-        trace = ResourceTrace(np.arange(4, dtype=float), interval_hours=2.0)
-        window = trace.window(2, 6)
-        assert list(window.values) == [1.0, 2.0]
+        traces = _one_row_set(np.arange(4, dtype=float), 2.0)
+        window = traces.window(2, 6)
+        assert list(window.cpu_util_matrix()[0]) == [1.0, 2.0]
 
     def test_misaligned_window_rejected(self):
-        trace = ResourceTrace(np.arange(4, dtype=float), interval_hours=2.0)
+        traces = _one_row_set(np.arange(4, dtype=float), 2.0)
         with pytest.raises(TraceError, match="align"):
-            trace.window(1, 3)
+            traces.window(1, 3)
 
     def test_out_of_range_window_rejected(self):
-        trace = ResourceTrace(np.arange(4, dtype=float))
+        traces = _one_row_set(np.arange(4, dtype=float))
         with pytest.raises(TraceError):
-            trace.window(0, 5)
+            traces.window(0, 5)
         with pytest.raises(TraceError):
-            trace.window(3, 3)
+            traces.window(3, 3)
 
     @pytest.mark.parametrize(
         "values",
@@ -75,45 +93,76 @@ class TestServerTrace:
             make_server_trace("vm", [0.5, 0.25], [1.0])
 
     def test_window_slices_both_resources(self):
-        trace = make_server_trace("vm", [0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
-        window = trace.window(1, 3)
+        traces = TraceSet(
+            "t", [make_server_trace("vm", [0.1, 0.2, 0.3], [1.0, 2.0, 3.0])]
+        )
+        (window,) = traces.window(1, 3)
         assert list(window.cpu_util.values) == [0.2, 0.3]
         assert list(window.memory_gb.values) == [2.0, 3.0]
 
 
 class TestTraceSet:
     def test_duplicate_vm_rejected(self):
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("vm", [0.1], [1.0]))
-        with pytest.raises(TraceError, match="duplicate"):
-            ts.add(make_server_trace("vm", [0.2], [2.0]))
+        with pytest.raises(TraceError, match="duplicate vm_id 'vm' in 't'"):
+            TraceSet(
+                "t",
+                [
+                    make_server_trace("vm", [0.1], [1.0]),
+                    make_server_trace("vm", [0.2], [2.0]),
+                ],
+            )
 
     def test_length_mismatch_rejected(self):
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("a", [0.1, 0.2], [1.0, 1.0]))
-        with pytest.raises(TraceError, match="length"):
-            ts.add(make_server_trace("b", [0.1], [1.0]))
+        with pytest.raises(TraceError, match="b: length 1 != set length 2"):
+            TraceSet(
+                "t",
+                [
+                    make_server_trace("a", [0.1, 0.2], [1.0, 1.0]),
+                    make_server_trace("b", [0.1], [1.0]),
+                ],
+            )
+
+    def test_interval_mismatch_rejected(self):
+        with pytest.raises(
+            TraceError, match=r"b: interval 2.0h != set interval 1.0h"
+        ):
+            TraceSet(
+                "t",
+                [
+                    make_server_trace("a", [0.1, 0.2], [1.0, 1.0]),
+                    make_server_trace(
+                        "b", [0.1, 0.2], [1.0, 1.0], interval_hours=2.0
+                    ),
+                ],
+            )
 
     def test_aggregates(self):
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("a", [0.1, 0.2], [1.0, 2.0], cpu_rpe2=1000))
-        ts.add(make_server_trace("b", [0.3, 0.4], [3.0, 4.0], cpu_rpe2=1000))
+        ts = TraceSet(
+            "t",
+            [
+                make_server_trace("a", [0.1, 0.2], [1.0, 2.0], cpu_rpe2=1000),
+                make_server_trace("b", [0.3, 0.4], [3.0, 4.0], cpu_rpe2=1000),
+            ],
+        )
         assert list(ts.aggregate_cpu_rpe2()) == [400.0, 600.0]
         assert list(ts.aggregate_memory_gb()) == [4.0, 6.0]
         assert ts.cpu_rpe2_matrix().shape == (2, 2)
 
     def test_window_and_subset(self):
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("a", [0.1, 0.2, 0.3], [1.0, 1.0, 1.0]))
-        ts.add(make_server_trace("b", [0.2, 0.3, 0.4], [2.0, 2.0, 2.0]))
+        ts = TraceSet(
+            "t",
+            [
+                make_server_trace("a", [0.1, 0.2, 0.3], [1.0, 1.0, 1.0]),
+                make_server_trace("b", [0.2, 0.3, 0.4], [2.0, 2.0, 2.0]),
+            ],
+        )
         window = ts.window(1, 3)
         assert window.n_points == 2
         subset = ts.subset(["b"])
         assert subset.vm_ids == ("b",)
 
     def test_unknown_vm_lookup(self):
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("a", [0.1], [1.0]))
+        ts = TraceSet("t", [make_server_trace("a", [0.1], [1.0])])
         with pytest.raises(TraceError, match="unknown"):
             ts.trace("zz")
 
@@ -123,7 +172,11 @@ class TestTraceSet:
             _ = ts.n_points
 
     def test_mean_cpu_utilization(self):
-        ts = TraceSet(name="t")
-        ts.add(make_server_trace("a", [0.1, 0.3], [1.0, 1.0]))
-        ts.add(make_server_trace("b", [0.2, 0.4], [1.0, 1.0]))
+        ts = TraceSet(
+            "t",
+            [
+                make_server_trace("a", [0.1, 0.3], [1.0, 1.0]),
+                make_server_trace("b", [0.2, 0.4], [1.0, 1.0]),
+            ],
+        )
         assert ts.mean_cpu_utilization() == pytest.approx(0.25)
