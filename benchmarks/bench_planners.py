@@ -24,7 +24,10 @@ servers, 48 h history + 720 h evaluation at 2 h intervals):
 Every planner-vs-reference case asserts schedule equality before timing
 anything: the speedup is only meaningful because the answers are
 bit-identical.  The sharded case instead pins the consolidation-quality
-gap (mean active hosts vs the unsharded plan) alongside its speedup.
+gap (mean active hosts vs the unsharded plan) alongside its speedup; at
+the smoke size it also checks, before timing, that its merge and
+reconciliation equal the dict pipeline in
+``tests/reference/reconcile.py``.
 
 Each row also reports ``peak_rss_mb`` — the process's peak resident set
 while that case ran (``VmHWM``, reset per case; see
@@ -75,7 +78,13 @@ from repro.experiments.settings import ExperimentSettings
 from repro.infrastructure.datacenter import Datacenter, build_target_pool
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.runner import ExperimentRunner
-from repro.sharding import chunked_source, run_sharded_plan
+from repro.emulator.schedule import PlacementSchedule
+from repro.sharding import (
+    ShardedConsolidation,
+    chunked_source,
+    run_sharded_plan,
+)
+from repro.sharding.planner import shard_context
 from repro.workloads.chunked import (
     ChunkedTraceWriter,
     vm_record,
@@ -84,6 +93,7 @@ from repro.workloads.chunked import (
 from repro.workloads.datacenters import generate_datacenter
 from repro.workloads.trace import TraceSet
 from tests.reference.dynamic import plan_reference
+from tests.reference.reconcile import sharded_plan_reference
 
 # The banking preset has 816 servers at scale 1.0 (see bench_kernels).
 _BANKING_SERVERS = 816
@@ -166,15 +176,52 @@ def bench_dynamic(context: PlanningContext, repeats: int) -> Dict[str, float]:
     }
 
 
+def _sharded_oracle_plan(
+    context: PlanningContext, n_shards: int
+) -> PlacementSchedule:
+    """The in-process sharded plan, checked against the dict pipeline.
+
+    Merge and reconcile run on the library's host-index matrix and on
+    ``tests/reference/reconcile.py``'s union dicts over the same shard
+    plans; every interval's mapping and the move count must agree.
+    """
+    planned: Dict[str, List[PlacementSchedule]] = {}
+
+    def plan_shards(shards, shard_parent):
+        planned["schedules"] = [
+            DynamicConsolidation().plan(shard_context(shard, shard_parent))
+            for shard in shards
+        ]
+        return planned["schedules"]
+
+    algorithm = ShardedConsolidation(
+        n_shards=n_shards, plan_shards=plan_shards
+    )
+    schedule = algorithm.plan(context)
+    expected, moves, _before, _after = sharded_plan_reference(
+        algorithm, context, planned["schedules"]
+    )
+    assert [dict(s.placement.assignment) for s in schedule] == expected
+    assert algorithm.last_report.reconcile_moves == moves
+    return schedule
+
+
 def bench_sharded(
-    n_servers: int, days: int, n_shards: int, workers: int
+    n_servers: int,
+    days: int,
+    n_shards: int,
+    workers: int,
+    check_oracle: bool = False,
 ) -> Dict[str, object]:
     """Sharded runner-pool plan vs the unsharded planner.
 
     The fleet is spilled to a chunked on-disk store first — the sharded
     side plans from memory-mapped rows, exactly as a scale-out caller
     would.  Both sides plan the same (48 h history, rest evaluation)
-    window onto the same consolidation pool.
+    window onto the same consolidation pool.  With ``check_oracle``
+    (the smoke size), the sharded schedule is first planned in-process
+    and checked against the dict merge-and-reconcile oracle, and the
+    timed pooled run must then reproduce it exactly.
     """
     traces = generate_datacenter(
         "banking", scale=n_servers / _BANKING_SERVERS, days=days, seed=7
@@ -187,6 +234,7 @@ def bench_sharded(
         datacenter=build_target_pool("bench", host_count=pool_hosts),
         config=PlanningConfig(),
     )
+    checked = _sharded_oracle_plan(context, n_shards) if check_oracle else None
     start = time.perf_counter()
     flat = DynamicConsolidation().plan(context)
     reference_s = time.perf_counter() - start
@@ -205,6 +253,10 @@ def bench_sharded(
         )
         vectorized_s = time.perf_counter() - start
     sharded = run.schedule
+    if checked is not None:
+        assert [s.placement.assignment for s in sharded] == [
+            s.placement.assignment for s in checked
+        ]
     assert len(sharded) == len(flat)
     for left, right in zip(flat, sharded):
         assert (left.start_hour, left.end_hour) == (
@@ -290,7 +342,7 @@ def run(smoke: bool) -> Dict[str, object]:
     else:
         shard_args = dict(n_servers=10_000, days=32, n_shards=16, workers=2)
     reset_peak_rss()
-    timings = bench_sharded(**shard_args)
+    timings = bench_sharded(**shard_args, check_oracle=smoke)
     rss = max(peak_rss_mb(), children_peak_rss_mb())
     speedup = timings["reference_s"] / timings["vectorized_s"]
     entry = {

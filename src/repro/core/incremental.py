@@ -14,11 +14,12 @@ Two mutation disciplines coexist, each with its own exactness contract:
   recomputed, reproducing the scalar reference's left folds bit for bit
   (see ``docs/PERFORMANCE.md``).
 * **Canonical folds** (:meth:`apply_delta`, :meth:`set_demands`,
-  :meth:`from_assignment`) — the online controller's discipline: after
-  every delta the touched hosts' bodies are *re-folded* over their VM
-  rows in ascending row order.  Because the fold order is canonical, a
-  plan mutated by any sequence of deltas is **bitwise identical** to a
-  plan rebuilt from scratch from the same assignment — the property the
+  :meth:`load`, :meth:`from_assignment`) — the online controller's and
+  the sharded reconciler's discipline: after every delta the touched
+  hosts' bodies are *re-folded* over their VM rows in ascending row
+  order.  Because the fold order is canonical, a plan mutated by any
+  sequence of deltas is **bitwise identical** to a plan rebuilt from
+  scratch from the same assignment — the property the
   incremental-vs-batch equivalence suite pins
   (``tests/core/test_incremental_plan.py``), and the reason float
   drift can never accumulate across a long-running controller's life.
@@ -184,21 +185,87 @@ class IncrementalPlan:
     ) -> "IncrementalPlan":
         """Rebuild canonical-fold state from scratch for an assignment.
 
-        The from-scratch twin of a delta-mutated plan: per host, VM rows
-        ascend and bodies are folded in that order, so the result is
+        The from-scratch twin of a delta-mutated plan: the mapping
+        becomes a host index per row (``-1`` for rows it leaves
+        unassigned) and goes through :meth:`load`, so the result is
         bitwise comparable with any plan maintained via
         :meth:`apply_delta` / :meth:`set_demands`.
         """
         plan = cls(caps, vm_ids, cpu, mem, net, dsk)
+        host_of_row = [-1] * len(plan.vm_ids)
         for vm_id, host_id in assignment.items():
-            row = plan.row_of(vm_id)
-            host = plan._host_index(host_id)
-            plan.assignment_rows[row] = host
-            plan.vm_rows_of_host[host].append(row)
-        for host in range(caps.n):
-            if plan.vm_rows_of_host[host]:
-                plan._refold_host(host)
+            host_of_row[plan.row_of(vm_id)] = plan._host_index(host_id)
+        plan.load(host_of_row, plan.cpu, plan.mem, plan.net, plan.dsk)
         return plan
+
+    def load(
+        self,
+        host_of_row: Sequence[int],
+        cpu: Sequence[float],
+        mem: Sequence[float],
+        net: Sequence[float],
+        dsk: Sequence[float],
+    ) -> None:
+        """Replace the whole assignment and every demand in one bulk load.
+
+        ``host_of_row[row]`` is the row's host index, or ``-1`` to leave
+        it unassigned; the demand vectors are per row.  Afterwards each
+        host's rows ascend and its bodies are
+        ``np.bincount(host_of_row, weights=column)``: bincount adds its
+        weights one by one in input order, so each body is the left
+        fold over the host's rows in ascending order, bit for bit what
+        :meth:`_refold_host` computes (``np.sum`` and
+        ``np.add.reduceat`` sum pairwise and would not be).  Only the
+        hosts that held rows before the load are reset.
+        """
+        n_vms = len(self.vm_ids)
+        n_hosts = self.caps.n
+        hosts = np.asarray(host_of_row, dtype=np.intp)
+        if hosts.shape != (n_vms,):
+            raise PlacementError(
+                "IncrementalPlan.load: host_of_row must have one entry "
+                "per VM row"
+            )
+        if n_vms and not -1 <= hosts.min() <= hosts.max() < n_hosts:
+            raise PlacementError(
+                "IncrementalPlan.load: host index outside "
+                f"[-1, {n_hosts})"
+            )
+        columns = [
+            np.asarray(values, dtype=float) for values in (cpu, mem, net, dsk)
+        ]
+        if any(column.shape != (n_vms,) for column in columns):
+            raise PlacementError(
+                "IncrementalPlan.load: demand vectors must match vm_ids"
+            )
+        # Rows grouped by host, ascending within each host: the stable
+        # sort puts the unassigned (-1) rows first, then each host's run.
+        order = np.argsort(hosts, kind="stable")
+        order = order[np.count_nonzero(hosts < 0):]
+        placed_hosts = hosts[order]
+        starts = np.flatnonzero(np.diff(placed_hosts, prepend=-1))
+        rows = order.tolist()
+        bounds = starts.tolist() + [len(rows)]
+        vm_rows_of_host = self.vm_rows_of_host
+        for host, held in enumerate(vm_rows_of_host):
+            if held:
+                vm_rows_of_host[host] = []
+        for host, start, stop in zip(
+            placed_hosts[starts].tolist(), bounds, bounds[1:]
+        ):
+            vm_rows_of_host[host] = rows[start:stop]
+        self.assignment_rows = hosts.tolist()
+        self.cpu, self.mem, self.net, self.dsk = (
+            column.tolist() for column in columns
+        )
+        placed = hosts >= 0
+        # (bincount returns integer zeros when no row is placed.)
+        self.body_cpu, self.body_mem, self.body_net, self.body_dsk = (
+            np.bincount(
+                hosts[placed], weights=column[placed], minlength=n_hosts
+            ).astype(float, copy=False).tolist()
+            for column in columns
+        )
 
     # -- queries ---------------------------------------------------------
 

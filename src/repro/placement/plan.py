@@ -9,7 +9,7 @@ hosts used, VMs per host, and the migration delta between two placements
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, Mapping, Tuple
+from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 from repro.exceptions import PlacementError
 
@@ -18,28 +18,37 @@ __all__ = ["Placement"]
 
 @dataclass(frozen=True)
 class Placement:
-    """An immutable VM → host assignment."""
+    """An immutable VM → host assignment.
+
+    The by-host index behind :meth:`vms_on`, :attr:`hosts_used` and
+    :attr:`active_host_count` is built on the first of those queries,
+    so a placement that is only read by VM (a shard plan on its way
+    back from a pool worker, a segment being digested) never pays for
+    it or carries it.
+    """
 
     assignment: Mapping[str, str]
-    _vms_by_host: Mapping[str, Tuple[str, ...]] = field(
-        init=False, repr=False, compare=False, default=None  # type: ignore[assignment]
+    _vms_by_host: Optional[Mapping[str, Tuple[str, ...]]] = field(
+        init=False, repr=False, compare=False, default=None
     )
 
     def __post_init__(self) -> None:
         frozen = dict(self.assignment)
-        by_host: Dict[str, list] = {}
-        for vm_id, host_id in frozen.items():
-            if not vm_id or not host_id:
-                raise PlacementError(
-                    "placement entries must have non-empty vm and host ids"
-                )
-            by_host.setdefault(host_id, []).append(vm_id)
+        if not all(frozen) or not all(frozen.values()):
+            raise PlacementError(
+                "placement entries must have non-empty vm and host ids"
+            )
         object.__setattr__(self, "assignment", frozen)
-        object.__setattr__(
-            self,
-            "_vms_by_host",
-            {host: tuple(vms) for host, vms in by_host.items()},
-        )
+
+    def _by_host(self) -> Mapping[str, Tuple[str, ...]]:
+        index = self._vms_by_host
+        if index is None:
+            by_host: Dict[str, list] = {}
+            for vm_id, host_id in self.assignment.items():
+                by_host.setdefault(host_id, []).append(vm_id)
+            index = {host: tuple(vms) for host, vms in by_host.items()}
+            object.__setattr__(self, "_vms_by_host", index)
+        return index
 
     @classmethod
     def empty(cls) -> "Placement":
@@ -62,16 +71,16 @@ class Placement:
 
     def vms_on(self, host_id: str) -> Tuple[str, ...]:
         """VMs assigned to a host (empty tuple for an unused host)."""
-        return self._vms_by_host.get(host_id, ())
+        return self._by_host().get(host_id, ())
 
     @property
     def hosts_used(self) -> FrozenSet[str]:
-        return frozenset(self._vms_by_host)
+        return frozenset(self._by_host())
 
     @property
     def active_host_count(self) -> int:
         """Hosts with at least one VM — the paper's 'running servers'."""
-        return len(self._vms_by_host)
+        return len(self._by_host())
 
     def migrations_from(self, previous: "Placement") -> FrozenSet[str]:
         """VMs whose host differs from ``previous`` (new VMs excluded).

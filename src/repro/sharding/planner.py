@@ -6,10 +6,15 @@ topology (:func:`~repro.sharding.partition.partition_fleet`), plans each
 shard independently on its own sub-context — per-shard host scans are
 what makes planning superlinear, so ``S`` shards of ``n/S`` VMs are
 substantially cheaper than one plan of ``n`` — merges the per-interval
-placements (shards are disjoint, so the merge is a union), and finally
-runs the hierarchical reconciliation pass of
+placements, and finally runs the hierarchical reconciliation pass of
 :mod:`repro.sharding.reconcile` so the merged plan's active-host count
 stays close to the unsharded plan's.
+
+From the merge to the output the fleet assignment is one
+``(n_intervals, n_vms)`` matrix of host indices in fleet row order:
+shards are contiguous row blocks, so each shard segment fills its own
+column slice; reconciliation rewrites rows in place; and each output
+:class:`~repro.placement.plan.Placement` is built once, from its row.
 
 With one shard the pipeline degenerates to the inner algorithm on the
 original inputs (reconciliation is cross-shard by definition and is
@@ -27,13 +32,13 @@ memory-mapped fleet store is never materialized whole.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
-from repro.core.incremental import HostCapacities
+from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule, ScheduledPlacement
 from repro.exceptions import ConfigurationError
 from repro.infrastructure.datacenter import Datacenter
@@ -144,16 +149,28 @@ def build_demand_table(
 
 
 def merge_shard_schedules(
+    shards: Sequence[ShardSpec],
     schedules: Sequence[PlacementSchedule],
-) -> PlacementSchedule:
-    """Union the per-shard schedules segment by segment.
+    index_of: Mapping[str, int],
+) -> np.ndarray:
+    """Merge the per-shard schedules into one host-index matrix.
 
-    Shards cover disjoint VM sets, so each segment's merged placement is
-    a plain dict union; all shard schedules must tile the evaluation
-    window identically (same segment boundaries).
+    Row ``i`` of the ``(n_intervals, n_vms)`` result is interval ``i``'s
+    fleet assignment in fleet row order, each entry an index into
+    ``index_of`` (host id → position in the fleet's host order).  Shard
+    ``k``'s segments fill the columns ``[vm_start, vm_stop)`` of
+    ``shards[k]``, one dict lookup per VM.  All shard schedules must
+    tile the evaluation window identically, and each segment must place
+    exactly its shard's VMs on hosts of ``index_of``; otherwise
+    :class:`~repro.exceptions.ConfigurationError` names the shard and
+    the first VM out of place.
     """
     if not schedules:
         raise ConfigurationError("no shard schedules to merge")
+    if len(schedules) != len(shards):
+        raise ConfigurationError(
+            f"{len(schedules)} shard schedules for {len(shards)} shards"
+        )
     boundaries = [
         tuple((s.start_hour, s.end_hour) for s in schedule)
         for schedule in schedules
@@ -162,25 +179,87 @@ def merge_shard_schedules(
         raise ConfigurationError(
             "shard schedules tile the window differently; cannot merge"
         )
-    segments = []
-    for index, segment in enumerate(schedules[0]):
-        assignment: Dict[str, str] = {}
-        for schedule in schedules:
-            shard_segment = schedule.segments[index]
-            overlap = assignment.keys() & shard_segment.placement.assignment.keys()
-            if overlap:
-                raise ConfigurationError(
-                    f"shards overlap on VMs {sorted(overlap)[:3]}"
+    stops = [0] + [shard.vm_stop for shard in shards]
+    if any(shard.vm_start != stop for shard, stop in zip(shards, stops)):
+        raise ConfigurationError(
+            "shards must cover the VM rows as consecutive blocks"
+        )
+    hosts = np.empty((len(boundaries[0]), stops[-1]), dtype=np.intp)
+    host_index = index_of.__getitem__
+    for shard, schedule in zip(shards, schedules):
+        for interval, segment in enumerate(schedule):
+            assignment = segment.placement.assignment
+            try:
+                row = list(
+                    map(host_index, map(assignment.__getitem__, shard.vm_ids))
                 )
-            assignment.update(shard_segment.placement.assignment)
-        segments.append(
+            except KeyError:
+                row = None
+            if row is None or len(assignment) != shard.n_vms:
+                raise _misplaced(shard, interval, assignment, index_of)
+            hosts[interval, shard.vm_start:shard.vm_stop] = row
+    return hosts
+
+
+def _misplaced(
+    shard: ShardSpec,
+    interval: int,
+    assignment: Mapping[str, str],
+    index_of: Mapping[str, int],
+) -> ConfigurationError:
+    """The error for a shard segment that does not place exactly the
+    shard's VMs on known hosts: the first missing VM, else the first
+    VM outside the shard, else the first unknown host."""
+    where = f"shard {shard.index}: segment {interval}"
+    for vm_id in shard.vm_ids:
+        if vm_id not in assignment:
+            return ConfigurationError(f"{where} is missing VM {vm_id!r}")
+    members = set(shard.vm_ids)
+    for vm_id in assignment:
+        if vm_id not in members:
+            return ConfigurationError(
+                f"{where} places VM {vm_id!r}, which is outside the shard"
+            )
+    vm_id, host_id = next(
+        (vm_id, host_id)
+        for vm_id, host_id in assignment.items()
+        if host_id not in index_of
+    )
+    return ConfigurationError(
+        f"{where} places VM {vm_id!r} on unknown host {host_id!r}"
+    )
+
+
+def _active_host_counts(
+    hosts: np.ndarray, n_hosts: int
+) -> Tuple[int, ...]:
+    """Distinct hosts used by each row of a host-index matrix."""
+    used = np.zeros((hosts.shape[0], n_hosts), dtype=bool)
+    used[np.arange(hosts.shape[0])[:, None], hosts] = True
+    return tuple(used.sum(axis=1).tolist())
+
+
+def _schedule_from_hosts(
+    hosts: np.ndarray,
+    template: PlacementSchedule,
+    vm_ids: Sequence[str],
+    host_ids: Sequence[str],
+) -> PlacementSchedule:
+    """One :class:`Placement` per row of ``hosts``, in fleet row order,
+    on ``template``'s segment boundaries."""
+    host_id = np.array(host_ids, dtype=object)
+    return PlacementSchedule(
+        segments=tuple(
             ScheduledPlacement(
-                placement=Placement(assignment=assignment),
+                placement=Placement(
+                    assignment=dict(zip(vm_ids, host_id[row].tolist()))
+                ),
                 start_hour=segment.start_hour,
                 end_hour=segment.end_hour,
             )
+            for row, segment in zip(hosts, template)
         )
-    return PlacementSchedule(segments=tuple(segments))
+    )
 
 
 @dataclass
@@ -250,28 +329,45 @@ class ShardedConsolidation(ConsolidationAlgorithm):
                 self.algorithm_factory().plan(shard_context(shard, context))
                 for shard in shards
             ]
-        merged = merge_shard_schedules(schedules)
-        active_before = tuple(
-            segment.placement.active_host_count for segment in merged
+        caps = HostCapacities(
+            list(context.datacenter.hosts), context.config.utilization_bound
         )
+        hosts = merge_shard_schedules(shards, schedules, caps.index_of)
+        active_before = _active_host_counts(hosts, caps.n)
+        active_after = active_before
         moves = 0
-        if self.reconcile and len(shards) > 1:
-            merged, moves = self._reconcile(merged, context)
+        if len(shards) == 1:
+            # The inner plan itself, bitwise (iteration order included).
+            merged = schedules[0]
+        else:
+            if self.reconcile:
+                moves = self._reconcile(hosts, context, caps)
+                if moves:
+                    active_after = _active_host_counts(hosts, caps.n)
+            merged = _schedule_from_hosts(
+                hosts, schedules[0], context.evaluation.vm_ids, caps.host_ids
+            )
         self.last_report = ShardedPlanReport(
             shards=shards,
             reconcile_moves=moves,
             active_hosts_before=active_before,
-            active_hosts_after=tuple(
-                segment.placement.active_host_count for segment in merged
-            ),
+            active_hosts_after=active_after,
         )
         return merged
 
     # ------------------------------------------------------------------
 
     def _reconcile(
-        self, merged: PlacementSchedule, context: PlanningContext
-    ) -> Tuple[PlacementSchedule, int]:
+        self,
+        hosts: np.ndarray,
+        context: PlanningContext,
+        caps: HostCapacities,
+    ) -> int:
+        """Reconcile every row of ``hosts`` in place; returns the moves.
+
+        All intervals share one :class:`IncrementalPlan` workspace,
+        reloaded from each interval's row that needs reconciling.
+        """
         inner = self.algorithm_factory()
         if not isinstance(inner, DynamicConsolidation):
             raise ConfigurationError(
@@ -288,35 +384,29 @@ class ShardedConsolidation(ConsolidationAlgorithm):
             classes,
             context,
         )
-        caps = HostCapacities(
-            list(context.datacenter.hosts), context.config.utilization_bound
-        )
+        if tuple(table.vm_ids) != tuple(context.evaluation.vm_ids):
+            raise ConfigurationError(
+                "history and evaluation windows must list the VMs in the "
+                "same row order"
+            )
         group_of_host = _group_index(context.datacenter, self.by, caps)
-        segments = []
+        zeros = [0.0] * len(table.vm_ids)
+        plan = IncrementalPlan(caps, table.vm_ids, zeros, zeros)
         total_moves = 0
-        for column, segment in enumerate(merged):
-            assignment, moves = reconcile_assignment(
-                segment.placement.assignment,
+        for column in range(hosts.shape[0]):
+            row, moves = reconcile_assignment(
+                hosts[column],
                 table,
                 column,
-                caps,
+                plan,
                 group_of_host,
                 fill_threshold=self.fill_threshold,
                 max_sweeps=self.max_reconcile_sweeps,
             )
-            total_moves += moves
-            segments.append(
-                ScheduledPlacement(
-                    placement=(
-                        Placement(assignment=assignment)
-                        if moves
-                        else segment.placement
-                    ),
-                    start_hour=segment.start_hour,
-                    end_hour=segment.end_hour,
-                )
-            )
-        return PlacementSchedule(segments=tuple(segments)), total_moves
+            if moves:
+                hosts[column] = row
+                total_moves += moves
+        return total_moves
 
 
 def shard_context(

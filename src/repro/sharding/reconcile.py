@@ -16,6 +16,12 @@ below the fill threshold (the shard-boundary tail, a handful per shard),
 each vacate is all-or-nothing and atomic
 (:meth:`IncrementalPlan.apply_delta` rolls back on any misfit), and the
 sweep count is capped.
+
+An interval's merged assignment is a row of host indices, one per VM
+row of the fleet-wide demand table; every interval of a schedule is
+reconciled on one :class:`IncrementalPlan`, reloaded from that row
+(:meth:`IncrementalPlan.load`), and only the intervals the prefilter
+lets through touch it.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.incremental import HostCapacities, IncrementalPlan
+from repro.core.incremental import IncrementalPlan
 from repro.exceptions import PlacementError
 from repro.sizing.estimator import DemandTable
 
@@ -68,6 +74,13 @@ def _try_vacate(
     return len(moves)
 
 
+def _check_threshold(fill_threshold: float) -> None:
+    if not 0 < fill_threshold <= 1:
+        raise PlacementError(
+            f"fill_threshold must be in (0, 1], got {fill_threshold}"
+        )
+
+
 def reconcile_plan(
     plan: IncrementalPlan,
     group_of_host: Sequence[int],
@@ -84,20 +97,36 @@ def reconcile_plan(
     repeat up to ``max_sweeps`` times or until a sweep changes nothing.
     Returns the total number of VM moves committed.
     """
-    if not 0 < fill_threshold <= 1:
-        raise PlacementError(
-            f"fill_threshold must be in (0, 1], got {fill_threshold}"
-        )
+    _check_threshold(fill_threshold)
+    return _sweep(
+        plan, group_of_host, plan.active_hosts(), fill_threshold, max_sweeps
+    )
+
+
+def _sweep(
+    plan: IncrementalPlan,
+    group_of_host: Sequence[int],
+    active: List[int],
+    fill_threshold: float,
+    max_sweeps: int,
+) -> int:
+    """:func:`reconcile_plan`'s sweeps, from the ascending ``active`` hosts.
+
+    Every target already carries VMs and a committed vacate empties
+    exactly its source, so the active list only ever loses hosts: it is
+    kept current by dropping emptied hosts, never by rescanning every
+    host of the plan.
+    """
+    rows_of_host = plan.vm_rows_of_host
     moves = 0
     for _ in range(max_sweeps):
         changed = False
-        active = plan.active_hosts()
         if len(active) <= 1:
             break
         under = [host for host in active if plan.fill(host) < fill_threshold]
         if not under:
             break
-        under.sort(key=lambda h: (len(plan.vm_rows_of_host[h]), plan.body_cpu[h]))
+        under.sort(key=lambda h: (len(rows_of_host[h]), plan.body_cpu[h]))
 
         # Phase A: intra-group (rack-local) vacates, into the peers
         # still active (an earlier vacate of the sweep may have emptied
@@ -109,7 +138,7 @@ def reconcile_plan(
             peers = [
                 host
                 for host in active_in_group[group_of_host[source]]
-                if plan.vm_rows_of_host[host]
+                if rows_of_host[host]
             ]
             if len(peers) <= 1:
                 continue
@@ -119,71 +148,84 @@ def reconcile_plan(
                 changed = True
 
         # Phase B: cross-group vacates for the residual under-filled.
-        active = plan.active_hosts()
+        active = [host for host in active if rows_of_host[host]]
         survivors = [
             host
             for host in under
-            if plan.vm_rows_of_host[host]
-            and plan.fill(host) < fill_threshold
+            if rows_of_host[host] and plan.fill(host) < fill_threshold
         ]
         for source in survivors:
             moved = _try_vacate(plan, source, active)
             if moved:
                 moves += moved
                 changed = True
-                active = plan.active_hosts()
+                active = [host for host in active if host != source]
         if not changed:
             break
     return moves
 
 
 def reconcile_assignment(
-    assignment: Dict[str, str],
+    host_of_row: np.ndarray,
     table: DemandTable,
     column: int,
-    caps: HostCapacities,
+    plan: IncrementalPlan,
     group_of_host: Sequence[int],
     *,
     fill_threshold: float = 0.5,
     max_sweeps: int = 2,
-) -> Tuple[Dict[str, str], int]:
+) -> Tuple[np.ndarray, int]:
     """Reconcile one interval's merged assignment; returns (result, moves).
 
-    ``table`` holds the fleet-wide sized demands (one column per
-    interval) and must cover every VM in ``assignment``.  A fast
-    vectorized prefilter skips intervals with no under-filled active
-    host without building any plan state.
+    ``host_of_row`` holds the interval's host index for every row of
+    ``table``, the fleet-wide sized demands (one column per interval).
+    ``plan`` is the workspace: an :class:`IncrementalPlan` over
+    ``table.vm_ids`` and the fleet's hosts, bulk-reloaded
+    (:meth:`~repro.core.incremental.IncrementalPlan.load`) from the row
+    and the column for each interval that needs it, so a whole schedule
+    reconciles on one plan.  A vectorized bincount prefilter skips an
+    interval with no under-filled active host without touching
+    ``plan``; its host counts are the first sweep's active list.  The
+    input row is never written: the result is a new row when VMs moved
+    and ``host_of_row`` itself when none did.
     """
-    n_hosts = caps.n
-    rows_host = np.array(
-        [caps.index_of[assignment[vm_id]] for vm_id in table.vm_ids],
-        dtype=np.intp,
-    )
+    _check_threshold(fill_threshold)
+    caps = plan.caps
+    host_of_row = np.asarray(host_of_row, dtype=np.intp)
+    if (
+        plan.n_vms != len(table.vm_ids)
+        or host_of_row.shape != (plan.n_vms,)
+    ):
+        raise PlacementError(
+            "reconcile_assignment: the row, the demand table and the "
+            "plan must cover the same VMs"
+        )
+    if plan.n_vms and host_of_row.min() < 0:
+        raise PlacementError(
+            "reconcile_assignment: every VM row must be assigned"
+        )
     cpu_col = table.cpu_rpe2[:, column]
     mem_col = table.memory_gb[:, column]
-    body_cpu = np.bincount(rows_host, weights=cpu_col, minlength=n_hosts)
-    body_mem = np.bincount(rows_host, weights=mem_col, minlength=n_hosts)
-    counts = np.bincount(rows_host, minlength=n_hosts)
-    active = counts > 0
+    active = np.flatnonzero(np.bincount(host_of_row, minlength=caps.n))
+    body_cpu = np.bincount(host_of_row, weights=cpu_col, minlength=caps.n)
+    body_mem = np.bincount(host_of_row, weights=mem_col, minlength=caps.n)
     fills = np.maximum(
-        body_cpu / caps.cap_cpu_np, body_mem / caps.cap_mem_np
+        body_cpu[active] / caps.cap_cpu_np[active],
+        body_mem[active] / caps.cap_mem_np[active],
     )
-    if active.sum() <= 1 or not (fills[active] < fill_threshold).any():
-        return dict(assignment), 0
+    if len(active) <= 1 or not (fills < fill_threshold).any():
+        return host_of_row, 0
 
-    plan = IncrementalPlan.from_assignment(
-        caps,
-        list(table.vm_ids),
-        cpu_col.tolist(),
-        mem_col.tolist(),
-        assignment,
-        table.network_mbps[:, column].tolist(),
-        table.disk_mbps[:, column].tolist(),
+    plan.load(
+        host_of_row,
+        cpu_col,
+        mem_col,
+        table.network_mbps[:, column],
+        table.disk_mbps[:, column],
     )
-    moves = reconcile_plan(
-        plan,
-        group_of_host,
-        fill_threshold=fill_threshold,
-        max_sweeps=max_sweeps,
+    moves = _sweep(
+        plan, group_of_host, active.tolist(), fill_threshold, max_sweeps
     )
-    return plan.assignment(), moves
+    if not moves:
+        return host_of_row, 0
+    return np.array(plan.assignment_rows, dtype=np.intp), moves

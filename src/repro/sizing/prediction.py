@@ -85,6 +85,82 @@ def _check_table(
     return full, starts
 
 
+#: Cells in one row block of :func:`_window_peaks`'s window maxima
+#: (0.5 MB of float64): the kernels never hold a second full-size
+#: ``(rows, points)`` matrix beside the series.
+_WINDOW_BLOCK_CELLS = 1 << 16
+
+
+def _wide_maxima(rows: np.ndarray, horizon: int, out: np.ndarray) -> None:
+    """``out[:, s] = rows[:, s:s + horizon].max(axis=1)`` for every
+    column ``s`` of ``out``, by shifted-slice ``np.maximum`` passes.
+
+    Each pass doubles the width the running maxima cover; the last one
+    overlaps two such maxima to cover exactly ``horizon`` samples, so a
+    horizon of ``h`` takes about ``log2(h)`` passes (one for ``h = 2``).
+    """
+    n_wide = out.shape[1]
+    span = 1
+    covered = rows
+    while 2 * span < horizon:
+        covered = np.maximum(covered[:, :-span], covered[:, span:])
+        span *= 2
+    if span == horizon:
+        out[...] = covered[:, :n_wide]
+    else:
+        shift = horizon - span
+        np.maximum(
+            covered[:, :n_wide], covered[:, shift:shift + n_wide], out=out
+        )
+
+
+def _window_peaks(
+    full: np.ndarray,
+    horizon: int,
+    windows: Sequence[Tuple[np.ndarray, np.ndarray]],
+) -> np.ndarray:
+    """Row-wise window maxima, maxed across window families.
+
+    ``windows`` holds one ``(lo, hi)`` pair of index arrays per family,
+    one entry per table column; column ``j`` of the result is the
+    largest ``full[:, lo[j]:hi[j]].max(axis=1)`` over the families.
+    Every window must be ``horizon`` wide or a prefix (``lo == 0``).
+
+    Per block of rows, the maxima of all ``horizon``-wide windows come
+    from :func:`_wide_maxima` and the prefix maxima from
+    ``np.maximum.accumulate``; each family is then one column gather.
+    Max is exact, so each entry equals the direct window ``.max`` bit
+    for bit.
+    """
+    n_rows, n_points = full.shape
+    n_wide = max(n_points - horizon + 1, 0)
+    n_prefix = 0
+    gathers = []
+    for lo, hi in windows:
+        wide = hi - lo == horizon
+        n_prefix = max(n_prefix, int(hi[~wide].max(initial=0)))
+        gathers.append(np.where(wide, lo, n_wide + hi - 1))
+    table = np.empty((n_rows, len(gathers[0])))
+    if not table.size:
+        return table
+    width = n_wide + n_prefix
+    block = max(1, _WINDOW_BLOCK_CELLS // width)
+    maxima = np.empty((min(block, n_rows), width))
+    for start in range(0, n_rows, block):
+        rows = full[start:start + block]
+        found = maxima[:len(rows)]
+        if n_wide:
+            _wide_maxima(rows, horizon, found[:, :n_wide])
+        np.maximum.accumulate(
+            rows[:, :n_prefix], axis=1, out=found[:, n_wide:]
+        )
+        peaks = table[start:start + block]
+        np.take(found, gathers[0], axis=1, out=peaks)
+        for columns in gathers[1:]:
+            np.maximum(peaks, found[:, columns], out=peaks)
+    return table
+
+
 def build_peak_table(
     predictor: "Predictor",
     full: np.ndarray,
@@ -142,10 +218,8 @@ class OraclePredictor:
     ) -> np.ndarray:
         """The actual peak of each interval, one window max per start."""
         full, starts = _check_table(full, horizon, starts, need_future=True)
-        table = np.empty((full.shape[0], len(starts)))
-        for j, now in enumerate(starts):
-            table[:, j] = full[:, now:now + horizon].max(axis=1)
-        return table
+        now = np.array(starts, dtype=np.intp)
+        return _window_peaks(full, horizon, [(now, now + horizon)])
 
 
 @dataclass(frozen=True)
@@ -161,10 +235,10 @@ class LastIntervalPredictor:
         """The peak of the window ending at each start (all of the
         history when it is shorter than ``horizon``)."""
         full, starts = _check_table(full, horizon, starts)
-        table = np.empty((full.shape[0], len(starts)))
-        for j, now in enumerate(starts):
-            table[:, j] = full[:, now - min(horizon, now):now].max(axis=1)
-        return table
+        now = np.array(starts, dtype=np.intp)
+        return _window_peaks(
+            full, horizon, [(np.maximum(now - horizon, 0), now)]
+        )
 
 
 @dataclass(frozen=True)
@@ -261,25 +335,36 @@ class PeriodicPeakPredictor:
         horizon: int,
         starts: Sequence[int],
     ) -> np.ndarray:
-        """All interval predictions, one vectorized column per start.
+        """All interval predictions, one window family at a time.
 
-        Each column is a few row-wise maxima over the VM rows: the
-        recency floor (the last ``horizon`` samples), the interval's
-        phases ``day`` periods earlier for every lookback day the
-        history covers, and the whole history while it is shorter than
-        one period.
+        Each column is the largest of a few row-wise window maxima: the
+        recency floor (the last ``horizon`` samples, or the whole
+        history while it is shorter than one period), and the
+        interval's phases ``day`` periods earlier for every lookback day
+        the history covers.  A lookback window that would end at the
+        start (``day * period < horizon``) lies inside the recency
+        window, so it cannot raise the peak and is left out; a start
+        with fewer lookback days repeats its recency window in the
+        missing days' families, which max leaves unchanged.
         """
         full, starts = _check_table(full, horizon, starts)
-        table = np.empty((full.shape[0], len(starts)))
-        for j, now in enumerate(starts):
-            peaks = full[:, now - min(horizon, now):now].max(axis=1)
-            if now < self.period:
-                peaks = np.maximum(peaks, full[:, :now].max(axis=1))
-            days = min(self.lookback_days, now // self.period)
-            for day in range(1, days + 1):
-                start = now - day * self.period
-                peaks = np.maximum(
-                    peaks, full[:, start:min(start + horizon, now)].max(axis=1)
+        now = np.array(starts, dtype=np.intp)
+        recent_lo = np.where(
+            now < self.period, 0, np.maximum(now - horizon, 0)
+        )
+        windows = [(recent_lo, now)]
+        days = np.minimum(self.lookback_days, now // self.period)
+        for day in range(1, int(days.max(initial=0)) + 1):
+            if day * self.period < horizon:
+                continue
+            covered = day <= days
+            lo = now - day * self.period
+            windows.append(
+                (
+                    np.where(covered, lo, recent_lo),
+                    np.where(covered, lo + horizon, now),
                 )
-            table[:, j] = peaks * (1.0 + self.safety_margin)
+            )
+        table = _window_peaks(full, horizon, windows)
+        table *= 1.0 + self.safety_margin
         return table

@@ -21,7 +21,9 @@ from repro.core.base import PlanningContext
 from repro.core.dynamic import DynamicConsolidation
 from repro.core.incremental import HostCapacities
 from repro.core.static import StaticConsolidation
+from repro.emulator.schedule import PlacementSchedule, ScheduledPlacement
 from repro.exceptions import ConfigurationError
+from repro.placement.plan import Placement
 from repro.sharding import (
     ShardedConsolidation,
     build_demand_table,
@@ -40,7 +42,9 @@ class TestSingleShardEquivalence:
         sharded = ShardedConsolidation(n_shards=1).plan(fleet_context)
         assert len(sharded) == len(unsharded_schedule)
         for left, right in zip(unsharded_schedule, sharded):
-            assert left.placement.assignment == right.placement.assignment
+            assert list(left.placement.assignment.items()) == list(
+                right.placement.assignment.items()
+            )
             assert left.start_hour == right.start_hour
             assert left.end_hour == right.end_hour
 
@@ -181,22 +185,185 @@ class TestConfiguration:
             assert segment.placement.assignment.keys() == vm_ids
 
 
+def _index_of(context):
+    return {
+        host.host_id: index
+        for index, host in enumerate(context.datacenter.hosts)
+    }
+
+
 class TestMergeShardSchedules:
+    @pytest.fixture(scope="class")
+    def two_shards(self, fleet_context):
+        algorithm = ShardedConsolidation(n_shards=2, reconcile=False)
+        algorithm.plan(fleet_context)
+        return algorithm.last_report.shards
+
     def test_rejects_empty(self) -> None:
         with pytest.raises(ConfigurationError, match="no shard schedules"):
-            merge_shard_schedules([])
+            merge_shard_schedules((), [], {})
 
-    def test_rejects_mismatched_boundaries(self, fleet_context) -> None:
+    def test_rejects_mismatched_boundaries(
+        self, fleet_context, two_shards
+    ) -> None:
         algorithm = ShardedConsolidation(n_shards=2, reconcile=False)
         shards_plan = algorithm.plan(fleet_context)
         full = DynamicConsolidation().plan(fleet_context)
         trimmed = type(full)(segments=full.segments[:-1])
         with pytest.raises(ConfigurationError, match="tile the window"):
-            merge_shard_schedules([shards_plan, trimmed])
+            merge_shard_schedules(
+                two_shards, [shards_plan, trimmed], _index_of(fleet_context)
+            )
 
-    def test_rejects_overlapping_vms(self, unsharded_schedule) -> None:
-        with pytest.raises(ConfigurationError, match="overlap"):
-            merge_shard_schedules([unsharded_schedule, unsharded_schedule])
+    def test_rejects_vm_outside_its_shard(
+        self, fleet_context, two_shards, unsharded_schedule
+    ) -> None:
+        # Each shard's schedule places the whole fleet: the error names
+        # the first VM of shard 0's segment 0 that belongs to shard 1.
+        members = set(two_shards[0].vm_ids)
+        foreign = next(
+            vm
+            for vm in unsharded_schedule.segments[0].placement.assignment
+            if vm not in members
+        )
+        with pytest.raises(
+            ConfigurationError,
+            match=(
+                f"shard 0: segment 0 places VM '{foreign}', which is "
+                "outside the shard"
+            ),
+        ):
+            merge_shard_schedules(
+                two_shards,
+                [unsharded_schedule, unsharded_schedule],
+                _index_of(fleet_context),
+            )
+
+    def test_fills_each_shard_column_block(
+        self, fleet_context, two_shards
+    ) -> None:
+        schedules = [
+            DynamicConsolidation().plan(shard_context(shard, fleet_context))
+            for shard in two_shards
+        ]
+        index_of = _index_of(fleet_context)
+        hosts = merge_shard_schedules(two_shards, schedules, index_of)
+        assert hosts.shape == (
+            len(schedules[0]),
+            len(fleet_context.evaluation.vm_ids),
+        )
+        for shard, schedule in zip(two_shards, schedules):
+            for interval, segment in enumerate(schedule):
+                assignment = segment.placement.assignment
+                block = hosts[interval, shard.vm_start:shard.vm_stop]
+                assert block.tolist() == [
+                    index_of[assignment[vm]] for vm in shard.vm_ids
+                ]
+
+
+def _replace_segments(schedule, edit):
+    """``schedule`` with every segment's mapping passed through ``edit``."""
+    return PlacementSchedule(
+        segments=tuple(
+            ScheduledPlacement(
+                placement=Placement(
+                    assignment=edit(dict(segment.placement.assignment))
+                ),
+                start_hour=segment.start_hour,
+                end_hour=segment.end_hour,
+            )
+            for segment in schedule
+        )
+    )
+
+
+class TestShardScheduleCoverage:
+    """A shard schedule must place exactly its shard's VMs.
+
+    Driven through :meth:`ShardedConsolidation.plan` with a
+    ``plan_shards`` hook that tampers with the shard plans, with and
+    without reconciliation.
+    """
+
+    @pytest.fixture(scope="class")
+    def shard_plans(self, fleet_context):
+        algorithm = ShardedConsolidation(n_shards=2, reconcile=False)
+        algorithm.plan(fleet_context)
+        shards = algorithm.last_report.shards
+        return shards, [
+            DynamicConsolidation().plan(shard_context(shard, fleet_context))
+            for shard in shards
+        ]
+
+    def _plan(self, context, shard_plans, reconcile, tamper):
+        shards, schedules = shard_plans
+
+        def plan_shards(planned_shards, _context):
+            assert planned_shards == shards
+            return tamper(shards, list(schedules))
+
+        return ShardedConsolidation(
+            n_shards=2, reconcile=reconcile, plan_shards=plan_shards
+        ).plan(context)
+
+    @pytest.mark.parametrize("reconcile", [False, True])
+    def test_rejects_a_shard_schedule_missing_a_vm(
+        self, fleet_context, shard_plans, reconcile
+    ) -> None:
+        dropped = shard_plans[0][0].vm_ids[0]
+
+        def drop_one(shards, schedules):
+            schedules[0] = _replace_segments(
+                schedules[0],
+                lambda mapping: {
+                    vm: host for vm, host in mapping.items() if vm != dropped
+                },
+            )
+            return schedules
+
+        with pytest.raises(
+            ConfigurationError,
+            match=f"shard 0: segment 0 is missing VM '{dropped}'",
+        ):
+            self._plan(fleet_context, shard_plans, reconcile, drop_one)
+
+    @pytest.mark.parametrize("reconcile", [False, True])
+    def test_rejects_a_shard_schedule_with_a_foreign_vm(
+        self, fleet_context, shard_plans, reconcile
+    ) -> None:
+        foreign = shard_plans[0][0].vm_ids[0]
+
+        def add_one(shards, schedules):
+            schedules[1] = _replace_segments(
+                schedules[1],
+                lambda mapping: {**mapping, foreign: shards[1].host_ids[0]},
+            )
+            return schedules
+
+        with pytest.raises(
+            ConfigurationError,
+            match=(
+                f"shard 1: segment 0 places VM '{foreign}', which is "
+                "outside the shard"
+            ),
+        ):
+            self._plan(fleet_context, shard_plans, reconcile, add_one)
+
+    def test_rejects_an_unknown_host(
+        self, fleet_context, shard_plans
+    ) -> None:
+        moved = shard_plans[0][1].vm_ids[0]
+
+        def misplace(shards, schedules):
+            schedules[1] = _replace_segments(
+                schedules[1], lambda mapping: {**mapping, moved: "nowhere"}
+            )
+            return schedules
+
+        with pytest.raises(
+            ConfigurationError, match="on unknown host 'nowhere'"
+        ):
+            self._plan(fleet_context, shard_plans, True, misplace)
 
 
 class TestShardContext:

@@ -3,7 +3,7 @@
 Small, fully-determined fixtures (two racks, four hosts) pin the pass's
 contract: rack-local vacates happen first, cross-rack vacates mop up
 the rest, every vacate is all-or-nothing, and the vectorized prefilter
-in :func:`reconcile_assignment` never builds plan state for an interval
+in :func:`reconcile_assignment` never touches plan state for an interval
 with nothing to do.
 """
 
@@ -119,22 +119,36 @@ class TestReconcileAssignment:
             disk_mbps=np.zeros_like(column),
         )
 
+    def _reconcile(self, table, assignment):
+        """``reconcile_assignment`` on the row form of ``assignment``;
+        returns (input row, result mapping, moves)."""
+        caps = _caps()
+        row = np.array(
+            [caps.index_of[assignment[vm]] for vm in table.vm_ids]
+        )
+        zeros = [0.0] * len(table.vm_ids)
+        workspace = IncrementalPlan(caps, table.vm_ids, zeros, zeros)
+        result, moves = reconcile_assignment(
+            row, table, 0, workspace, _GROUP_OF_HOST
+        )
+        mapping = {
+            vm: caps.host_ids[host]
+            for vm, host in zip(table.vm_ids, result.tolist())
+        }
+        return row, mapping, moves
+
     def test_moves_tail_vms_and_reports_count(self) -> None:
         table = self._table({"a": 30.0, "b": 30.0, "c": 10.0})
         assignment = {"a": "h0", "b": "h0", "c": "h1"}
-        result, moves = reconcile_assignment(
-            assignment, table, 0, _caps(), _GROUP_OF_HOST
-        )
+        row, result, moves = self._reconcile(table, assignment)
         assert moves == 1
         assert result["c"] == "h0"
-        # The input assignment is never mutated.
-        assert assignment["c"] == "h1"
+        # The input row is never written.
+        assert row.tolist() == [0, 0, 1]
 
     def test_prefilter_skips_balanced_intervals(self) -> None:
         table = self._table({"a": 60.0, "b": 70.0})
         assignment = {"a": "h0", "b": "h1"}
-        result, moves = reconcile_assignment(
-            assignment, table, 0, _caps(), _GROUP_OF_HOST
-        )
+        _row, result, moves = self._reconcile(table, assignment)
         assert moves == 0
         assert result == assignment

@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.sizing import prediction
 from repro.sizing.prediction import (
     EwmaPredictor,
     LastIntervalPredictor,
@@ -174,6 +175,61 @@ def test_empty_starts_give_empty_table(predictor, n_points, horizon) -> None:
     full = np.arange(3.0 * n_points).reshape(3, n_points)
     table = build_peak_table(predictor, full, horizon, [])
     assert table.shape == (3, 0)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 150])
+@pytest.mark.parametrize("kind", ["oracle", "last", "periodic"])
+def test_window_kernels_across_row_blocks(
+    monkeypatch, kind, block_cells
+) -> None:
+    """The window kernels work through the rows in blocks; small blocks
+    (one row, several rows with a partial last block) give the same
+    table as the reference."""
+    monkeypatch.setattr(prediction, "_WINDOW_BLOCK_CELLS", block_cells)
+    rng = random.Random(f"blocks-{kind}-{block_cells}")
+    for _ in range(20):
+        predictor = _irregular_predictor(rng, kind)
+        horizon = rng.randint(1, 9)
+        n_points = rng.randint(horizon + 1, 40)
+        full = _random_matrix(rng, rng.randint(1, 11), n_points)
+        last_start = n_points - horizon if kind == "oracle" else n_points
+        starts = [rng.randint(1, last_start) for _ in range(6)]
+        np.testing.assert_array_equal(
+            build_peak_table(predictor, full, horizon, starts),
+            peak_table_reference(predictor, full, horizon, starts),
+        )
+
+
+@pytest.mark.parametrize(
+    "predictor, horizon, n_points, starts",
+    [
+        # No horizon-wide window fits the series: prefixes only.
+        (LastIntervalPredictor(), 9, 5, [1, 3, 5]),
+        (PeriodicPeakPredictor(period=2, lookback_days=3), 9, 5, [2, 5]),
+        # Starts past one period but short of the horizon: the recency
+        # window is a prefix while lookback days exist, and days whose
+        # window would end at the start are covered by it.
+        (PeriodicPeakPredictor(period=3, lookback_days=4), 8, 30,
+         [3, 4, 7, 8, 20, 30]),
+        # A prefix exactly one horizon wide, and lookback days no start
+        # reaches.
+        (PeriodicPeakPredictor(period=10, lookback_days=9), 4, 25,
+         [4, 9, 12, 25]),
+        # Horizons around powers of two for the doubling passes.
+        (LastIntervalPredictor(), 1, 12, [1, 6, 12]),
+        (LastIntervalPredictor(), 5, 40, [5, 17, 40]),
+        (LastIntervalPredictor(), 8, 40, [8, 9, 40]),
+        (OraclePredictor(), 7, 40, [1, 16, 33]),
+    ],
+)
+def test_window_shapes_the_planners_never_ask_for(
+    predictor, horizon, n_points, starts
+) -> None:
+    full = _random_matrix(random.Random(n_points), 4, n_points)
+    np.testing.assert_array_equal(
+        build_peak_table(predictor, full, horizon, starts),
+        peak_table_reference(predictor, full, horizon, starts),
+    )
 
 
 def test_flat_history_predicts_flat() -> None:
