@@ -64,6 +64,7 @@ from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningContext
 from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
+from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.placement.binpacking import _no_fit_error
@@ -151,7 +152,7 @@ def plan_dynamic_array(
     """Sticky pack, cost-aware vacate and the interval hook, per interval."""
     points = context.points_per_interval
     history_points = context.history.n_points
-    vm_ids = list(context.evaluation.vm_ids)
+    vm_ids = tuple(context.evaluation.vm_ids)
     cpu_full = np.hstack(
         [
             context.history.cpu_rpe2_matrix(),
@@ -201,40 +202,39 @@ def plan_dynamic_array(
     id_rank = np.empty(n_vms, dtype=np.intp)
     id_rank[np.argsort(np.array(vm_ids))] = np.arange(n_vms)
 
+    # One plan for the whole schedule, emptied for each interval; every
+    # interval's placement shares its two id tuples.
+    plan = IncrementalPlan(
+        host_arrays.caps, vm_ids, [0.0] * n_vms, [0.0] * n_vms
+    )
+    memo: dict = {}
     placements: List[Placement] = []
-    prev_rows: Optional[List[int]] = None
-    prev_active: Optional[List[bool]] = None
     bound = context.config.utilization_bound
     for interval in range(n_intervals):
-        plan, order, appearance = _pack_interval(
-            table, interval, host_arrays, id_rank,
-            prev_rows, prev_active, vm_ids, bound, rules,
+        order, appearance = _pack_interval(
+            table, interval, host_arrays, plan, id_rank, bound, rules
         )
         _vacate_intervals_hosts(
             algorithm, context, host_arrays, plan, appearance, rules
         )
-        placement = Placement(
-            assignment={
-                vm_ids[row]: host_arrays.host_ids[plan.assignment_rows[row]]
-                for row in order
-            }
+        hosts = [plan.assignment_rows[row] for row in order]
+        placement = Placement.from_indices(
+            vm_ids, host_arrays.host_ids, order, hosts
         )
         final = algorithm._finish_interval(
             placement, table, interval, context
         )
         placements.append(final)
-        if final is placement:
-            prev_rows = plan.assignment_rows
-            prev_active = [bool(rows) for rows in plan.vm_rows_of_host]
-        else:
+        if final is not placement:
             # The hook moved VMs: the next sticky pack starts from them.
-            index_of = host_arrays.caps.index_of
-            prev_rows = [
-                index_of[final.assignment[vm_id]] for vm_id in vm_ids
-            ]
-            prev_active = [False] * host_arrays.n
-            for host in prev_rows:
-                prev_active[host] = True
+            rows, hosts = final.indices(
+                plan.row_index, plan.caps.index_of, memo, PlacementError
+            )
+            if len(rows) != n_vms:
+                raise PlacementError("the interval hook must place every VM")
+            previous = np.empty(n_vms, dtype=np.intp)
+            previous[rows] = hosts
+            plan.load(previous, plan.cpu, plan.mem, plan.net, plan.dsk)
     return PlacementSchedule.periodic(
         placements, context.config.interval_hours
     )
@@ -244,36 +244,34 @@ def _pack_interval(
     table,
     interval: int,
     host_arrays: _HostArrays,
+    plan: IncrementalPlan,
     id_rank: np.ndarray,
-    prev_rows: Optional[List[int]],
-    prev_active: Optional[List[bool]],
-    vm_ids: List[str],
     utilization_bound: float,
     rules: Optional[_Rules],
-) -> Tuple[IncrementalPlan, List[int], List[int]]:
-    """Sticky FFD pack of one interval column, delta from ``prev_rows``.
+) -> Tuple[List[int], List[int]]:
+    """Sticky FFD pack of one interval, delta from the one ``plan`` holds.
 
     Replays ``pack(..., preferred=previous.assignment)``
     exactly: per VM in FFD order (constrained VMs first), the previous
     host is tried first and a warm-first host scan runs only for
     displaced VMs; a constrained VM takes a host only if it fits and
-    the constraints allow it.  Returns the packed
-    :class:`IncrementalPlan`, the FFD order, and the host appearance
-    order (the vacate sweeps' bin order).
+    the constraints allow it.  ``plan`` is reloaded with the column's
+    demands and no row assigned, then packed.  Returns the FFD order
+    and the host appearance order (the vacate sweeps' bin order).
     """
     caps = host_arrays.caps
     n_hosts = host_arrays.n
     cpu_col = table.cpu_rpe2[:, interval]
     mem_col = table.memory_gb[:, interval]
 
-    # Warm-first host order; the FFD reference host is its head.
-    if prev_active is None:
-        scan_hosts = list(range(n_hosts))
-    else:
-        scan_hosts = (
-            [h for h in range(n_hosts) if prev_active[h]]
-            + [h for h in range(n_hosts) if not prev_active[h]]
-        )
+    # Warm-first host order (no host is warm before the first interval);
+    # the FFD reference host is its head.
+    prev_rows = plan.assignment_rows
+    warm = [bool(held) for held in plan.vm_rows_of_host]
+    scan_hosts = (
+        [h for h in range(n_hosts) if warm[h]]
+        + [h for h in range(n_hosts) if not warm[h]]
+    )
     reference = host_arrays.hosts[scan_hosts[0]]
     scores = np.maximum(
         cpu_col / reference.cpu_rpe2, mem_col / reference.memory_gb
@@ -296,13 +294,12 @@ def _pack_interval(
     sufmin_cpu = np.minimum.accumulate(ordered_cpu[::-1])[::-1].tolist()
     sufmin_mem = np.minimum.accumulate(ordered_mem[::-1])[::-1].tolist()
 
-    plan = IncrementalPlan(
-        caps,
-        vm_ids,
-        cpu_col.tolist(),
-        mem_col.tolist(),
-        table.network_mbps[:, interval].tolist(),
-        table.disk_mbps[:, interval].tolist(),
+    plan.load(
+        np.full(plan.n_vms, -1),
+        cpu_col,
+        mem_col,
+        table.network_mbps[:, interval],
+        table.disk_mbps[:, interval],
     )
     cpu = plan.cpu
     mem = plan.mem
@@ -330,16 +327,16 @@ def _pack_interval(
         d_dsk = dsk[row]
         check = position < n_checked
         target = -1
-        if prev_rows is not None:
-            hint = prev_rows[row]
-            if (
-                body_cpu[hint] + d_cpu <= eps_cpu[hint]
-                and body_mem[hint] + d_mem <= eps_mem[hint]
-                and body_net[hint] + d_net <= eps_net[hint]
-                and body_dsk[hint] + d_dsk <= eps_dsk[hint]
-                and (not check or rules.allows(row, hint, rules.assigned))
-            ):
-                target = hint
+        hint = prev_rows[row]
+        if (
+            hint >= 0
+            and body_cpu[hint] + d_cpu <= eps_cpu[hint]
+            and body_mem[hint] + d_mem <= eps_mem[hint]
+            and body_net[hint] + d_net <= eps_net[hint]
+            and body_dsk[hint] + d_dsk <= eps_dsk[hint]
+            and (not check or rules.allows(row, hint, rules.assigned))
+        ):
+            target = hint
         if target < 0:
             min_cpu = sufmin_cpu[position]
             min_mem = sufmin_mem[position]
@@ -378,7 +375,7 @@ def _pack_interval(
             rules.place(row, target)
     if rules is not None:
         rules.constraints.validate(rules.assigned, rules.datacenter)
-    return plan, order, appearance
+    return order, appearance
 
 
 def _vacate_intervals_hosts(

@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.exceptions import PlacementError
 from repro.infrastructure.server import PhysicalServer
-from repro.infrastructure.vm import VMDemand
 
 __all__ = ["HostCapacities", "IncrementalPlan"]
 
@@ -80,7 +79,7 @@ class HostCapacities:
     ) -> None:
         if not hosts:
             raise PlacementError("no hosts to pack onto")
-        self.host_ids: List[str] = [h.host_id for h in hosts]
+        self.host_ids: Tuple[str, ...] = tuple(h.host_id for h in hosts)
         self.n = len(hosts)
         self.utilization_bound = utilization_bound
         # Capacities scaled by the bound, as pack() scales them, as
@@ -111,7 +110,7 @@ class IncrementalPlan:
         "caps", "vm_ids", "cpu", "mem", "net", "dsk",
         "assignment_rows", "vm_rows_of_host",
         "body_cpu", "body_mem", "body_net", "body_dsk",
-        "_row_of",
+        "row_index",
     )
 
     def __init__(
@@ -150,27 +149,14 @@ class IncrementalPlan:
         self.body_mem: List[float] = [0.0] * caps.n
         self.body_net: List[float] = [0.0] * caps.n
         self.body_dsk: List[float] = [0.0] * caps.n
-        self._row_of: Dict[str, int] = {
+        #: VM id → row, the plan's own VM order.
+        self.row_index: Dict[str, int] = {
             vm_id: row for row, vm_id in enumerate(self.vm_ids)
         }
-        if len(self._row_of) != n_vms:
+        if len(self.row_index) != n_vms:
             raise PlacementError("IncrementalPlan: duplicate vm_ids")
 
     # -- construction ----------------------------------------------------
-
-    @classmethod
-    def from_demands(
-        cls, caps: HostCapacities, demands: Sequence[VMDemand]
-    ) -> "IncrementalPlan":
-        """Unassigned plan over sized scalar demands (controller path)."""
-        return cls(
-            caps,
-            [d.vm_id for d in demands],
-            [d.cpu_rpe2 for d in demands],
-            [d.memory_gb for d in demands],
-            [d.network_mbps for d in demands],
-            [d.disk_mbps for d in demands],
-        )
 
     @classmethod
     def from_assignment(
@@ -279,7 +265,7 @@ class IncrementalPlan:
 
     def row_of(self, vm_id: str) -> int:
         try:
-            return self._row_of[vm_id]
+            return self.row_index[vm_id]
         except KeyError:
             raise PlacementError(
                 f"unknown vm_id {vm_id!r} in IncrementalPlan"

@@ -141,12 +141,15 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
         )
         # Append folds in placement order; hosts in order of appearance
         # (the power sum's order and every tie-break below).
+        vm_rows, host_rows = placement.indices(
+            plan.row_index, caps.index_of, unknown=PlacementError
+        )
         appearance: List[int] = []
-        for vm_id, host_id in placement.assignment.items():
-            row = plan.row_of(vm_id)
-            host = caps.index_of[host_id]
+        for row, host in zip(vm_rows.tolist(), host_rows.tolist()):
             if not plan.fits(row, host):
-                raise PlacementError(f"{vm_id} does not fit on {host_id}")
+                raise PlacementError(
+                    f"{plan.vm_ids[row]} does not fit on {caps.host_ids[host]}"
+                )
             if not plan.vm_rows_of_host[host]:
                 appearance.append(host)
             plan.assign(row, host)
@@ -182,9 +185,11 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
         overshoot = max(
             0.0, _planned_power(plan, hosts, appearance) - self.budget_watts
         )
-        host_ids = caps.host_ids
-        assignment = {
-            vm_id: host_ids[plan.assignment_rows[plan.row_of(vm_id)]]
-            for vm_id in placement.assignment
-        }
-        return Placement(assignment=assignment), overshoot
+        # The same entries in the same order, on the plan's hosts.
+        same = caps.host_ids == placement.host_ids  # then share the tuple
+        host_ids = placement.host_ids if same else caps.host_ids
+        hosts_now = [plan.assignment_rows[row] for row in vm_rows.tolist()]
+        result = Placement.from_indices(
+            placement.vm_ids, host_ids, placement.rows, hosts_now
+        )
+        return result, overshoot

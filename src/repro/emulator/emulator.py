@@ -19,9 +19,10 @@ against a :class:`~repro.emulator.schedule.PlacementSchedule`:
 
 The hot path is columnar: adjusted demand lives in two read-mostly
 ``(n_vms, n_hours)`` matrices derived from the trace set's
-:class:`~repro.workloads.store.TraceStore`, each segment's assignment is
-resolved to integer (VM row → host row) index arrays once, and demand
-lands on host rows via a scatter-add over those indices.  The scatter
+:class:`~repro.workloads.store.TraceStore`, each segment's placement is
+read as integer (VM row → host row) index arrays (a schedule's shared id
+tuples are looked up once), and demand lands on host rows via a
+scatter-add over those indices.  The scatter
 accumulates contributions per host row in exactly the left-to-right
 assignment order of a per-VM loop, so results are bit-identical to the
 loop-based reference kept in ``tests/reference/emulator.py``.
@@ -142,8 +143,19 @@ class ConsolidationEmulator:
                 f"only {self._n_hours} hours"
             )
 
-        used_hosts = self._used_hosts(schedule)
-        host_index = {h.host_id: i for i, h in enumerate(used_hosts)}
+        host_index = {h.host_id: k for k, h in enumerate(self.datacenter)}
+        memo: dict = {}
+        indices = [
+            s.placement.indices(self._vm_row, host_index, memo, EmulationError)
+            for s in schedule
+        ]
+        used = np.zeros(len(host_index), dtype=bool)
+        for _vm_rows, host_rows in indices:
+            used[host_rows] = True
+        # An empty schedule is legal: zero hosts, zero cost, zero
+        # contention (the metamorphic baseline the tests pin down).
+        used_hosts = [h for h, use in zip(self.datacenter, used) if use]
+        used_row = np.cumsum(used) - 1  # datacenter position -> used row
         n_hosts = len(used_hosts)
         n_hours = int(schedule.end_hour)
 
@@ -151,14 +163,12 @@ class ConsolidationEmulator:
         memory_demand = np.zeros((n_hosts, n_hours))
         active = np.zeros((n_hosts, n_hours), dtype=bool)
 
-        for segment in schedule:
+        for segment, (vm_rows, host_rows) in zip(schedule, indices):
             start = int(segment.start_hour)
             end = int(segment.end_hour)
-            vm_rows, host_rows = self._segment_rows(
-                segment.placement.assignment, host_index
-            )
             if vm_rows.size == 0:
                 continue
+            host_rows = used_row[host_rows]
             cpu_values = self._cpu_matrix[vm_rows, start:end]
             memory_values = self._memory_matrix[vm_rows, start:end]
             _scatter_add_rows(cpu_demand, host_rows, cpu_values, start, end)
@@ -183,44 +193,6 @@ class ConsolidationEmulator:
             power_watts=power,
             schedule=schedule,
         )
-
-    def _segment_rows(
-        self, assignment: "Dict[str, str]", host_index: Dict[str, int]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Resolve one segment's assignment to (VM row, host row) arrays.
-
-        Array order is the assignment's iteration order, which fixes the
-        per-host accumulation order of the scatter-add.
-        """
-        n = len(assignment)
-        vm_rows = np.empty(n, dtype=np.intp)
-        host_rows = np.empty(n, dtype=np.intp)
-        vm_row = self._vm_row
-        for k, (vm_id, host_id) in enumerate(assignment.items()):
-            row = vm_row.get(vm_id)
-            if row is None:
-                raise EmulationError(
-                    f"placement refers to unknown VM {vm_id!r}"
-                )
-            vm_rows[k] = row
-            host_rows[k] = host_index[host_id]
-        return vm_rows, host_rows
-
-    def _used_hosts(
-        self, schedule: PlacementSchedule
-    ) -> List[PhysicalServer]:
-        """All hosts any segment uses, in datacenter order."""
-        used: Dict[str, None] = {}
-        for segment in schedule:
-            for host_id in segment.placement.hosts_used:
-                if host_id not in self.datacenter:
-                    raise EmulationError(
-                        f"placement refers to unknown host {host_id!r}"
-                    )
-                used.setdefault(host_id, None)
-        # An empty schedule is legal: zero hosts, zero cost, zero
-        # contention (the metamorphic baseline the tests pin down).
-        return [h for h in self.datacenter if h.host_id in used]
 
     @staticmethod
     def _power_matrix(

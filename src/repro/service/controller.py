@@ -26,13 +26,12 @@ implicit:
    is what keeps per-cycle work bounded by the flagged set rather than
    the fleet (the soak test pins p99 replan scope ≪ fleet size).
 
-``rebuild_plan_each_cycle=True`` turns the controller into its own
-batch twin: the plan is rebuilt from scratch (canonical folds) at the
-top of every cycle, and because
-:class:`~repro.core.incremental.IncrementalPlan`'s canonical-fold
-discipline makes a delta-mutated plan bitwise identical to a rebuilt
-one, both modes must produce identical schedules over any stream —
-the equivalence the fault-injection suite pins.
+Because :class:`~repro.core.incremental.IncrementalPlan`'s
+canonical-fold discipline makes a delta-mutated plan bitwise identical
+to one rebuilt from scratch, a controller that rebuilds its plan at the
+top of every cycle must produce identical schedules over any stream —
+the equivalence ``tests/service/test_controller.py`` pins against the
+rebuild twin in ``tests/reference/controller.py``.
 """
 
 from __future__ import annotations
@@ -97,9 +96,6 @@ class ControllerConfig:
         Per-cycle time budget.  When exceeded mid-cycle the remaining
         flagged hosts are deferred to the next cycle (counted in
         ``deadline_aborts``); the plan is always left consistent.
-    rebuild_plan_each_cycle:
-        Equivalence-twin mode: rebuild the plan from scratch at the top
-        of every cycle instead of carrying delta-mutated state.
     stats_window:
         Bounded sample count for latency / replan-scope percentiles.
     """
@@ -108,7 +104,6 @@ class ControllerConfig:
     sizing_window_points: int = 12
     history_points: int = 32
     deadline_seconds: float = float("inf")
-    rebuild_plan_each_cycle: bool = False
     stats_window: int = 1024
 
     def __post_init__(self) -> None:
@@ -472,8 +467,6 @@ class ConsolidationController:
     def replan_cycle(self) -> CycleReport:
         """Run one detect → select → delta-repack cycle."""
         start_seconds = self.clock.now()
-        if self.config.rebuild_plan_each_cycle:
-            self._rebuild_plan()
         detector_errors = 0
         migrations: List[Tuple[str, str, str]] = []
         touched: set = set()
@@ -537,19 +530,6 @@ class ConsolidationController:
         )
 
     # -- internals -------------------------------------------------------
-
-    def _rebuild_plan(self) -> None:
-        """Equivalence-twin mode: from-scratch canonical rebuild."""
-        plan = self.plan
-        self.plan = IncrementalPlan.from_assignment(
-            self.caps,
-            plan.vm_ids,
-            plan.cpu,
-            plan.mem,
-            plan.assignment(),
-            plan.net,
-            plan.dsk,
-        )
 
     def _measure_host_utilization(self) -> np.ndarray:
         """Per-host CPU utilization from the latest flushed column."""

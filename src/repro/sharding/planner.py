@@ -31,7 +31,7 @@ memory-mapped fleet store is never materialized whole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
 from repro.core.incremental import HostCapacities, IncrementalPlan
-from repro.emulator.schedule import PlacementSchedule, ScheduledPlacement
+from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import ConfigurationError
 from repro.infrastructure.datacenter import Datacenter
 from repro.placement.plan import Placement
@@ -159,11 +159,11 @@ def merge_shard_schedules(
     fleet assignment in fleet row order, each entry an index into
     ``index_of`` (host id → position in the fleet's host order).  Shard
     ``k``'s segments fill the columns ``[vm_start, vm_stop)`` of
-    ``shards[k]``, one dict lookup per VM.  All shard schedules must
-    tile the evaluation window identically, and each segment must place
-    exactly its shard's VMs on hosts of ``index_of``; otherwise
-    :class:`~repro.exceptions.ConfigurationError` names the shard and
-    the first VM out of place.
+    ``shards[k]``, its shared id tuples looked up once.  All shard
+    schedules must tile the evaluation window identically, and each
+    segment must place exactly its shard's VMs on hosts of ``index_of``;
+    otherwise :class:`~repro.exceptions.ConfigurationError` names the
+    shard and the first VM out of place.
     """
     if not schedules:
         raise ConfigurationError("no shard schedules to merge")
@@ -185,46 +185,42 @@ def merge_shard_schedules(
             "shards must cover the VM rows as consecutive blocks"
         )
     hosts = np.empty((len(boundaries[0]), stops[-1]), dtype=np.intp)
-    host_index = index_of.__getitem__
+    memo: dict = {}
     for shard, schedule in zip(shards, schedules):
+        row_of = {vm: shard.vm_start + k for k, vm in enumerate(shard.vm_ids)}
         for interval, segment in enumerate(schedule):
-            assignment = segment.placement.assignment
-            try:
-                row = list(
-                    map(host_index, map(assignment.__getitem__, shard.vm_ids))
-                )
-            except KeyError:
-                row = None
-            if row is None or len(assignment) != shard.n_vms:
-                raise _misplaced(shard, interval, assignment, index_of)
-            hosts[interval, shard.vm_start:shard.vm_stop] = row
+            placement = segment.placement
+            rows, host_rows = placement.indices(row_of, index_of, memo)
+            known = min(rows.min(initial=0), host_rows.min(initial=0)) >= 0
+            if len(rows) != shard.n_vms or not known:
+                raise _misplaced(shard, interval, placement, rows, host_rows)
+            hosts[interval, rows] = host_rows
     return hosts
 
 
 def _misplaced(
     shard: ShardSpec,
     interval: int,
-    assignment: Mapping[str, str],
-    index_of: Mapping[str, int],
+    placement: Placement,
+    rows: np.ndarray,
+    host_rows: np.ndarray,
 ) -> ConfigurationError:
     """The error for a shard segment that does not place exactly the
     shard's VMs on known hosts: the first missing VM, else the first
     VM outside the shard, else the first unknown host."""
     where = f"shard {shard.index}: segment {interval}"
-    for vm_id in shard.vm_ids:
-        if vm_id not in assignment:
-            return ConfigurationError(f"{where} is missing VM {vm_id!r}")
-    members = set(shard.vm_ids)
-    for vm_id in assignment:
-        if vm_id not in members:
-            return ConfigurationError(
-                f"{where} places VM {vm_id!r}, which is outside the shard"
-            )
-    vm_id, host_id = next(
-        (vm_id, host_id)
-        for vm_id, host_id in assignment.items()
-        if host_id not in index_of
-    )
+    missing = np.setdiff1d(np.arange(shard.vm_start, shard.vm_stop), rows)
+    if missing.size:
+        vm_id = shard.vm_ids[missing[0] - shard.vm_start]
+        return ConfigurationError(f"{where} is missing VM {vm_id!r}")
+    foreign = rows < 0
+    k = int(np.argmax(foreign if foreign.any() else host_rows < 0))
+    vm_id = placement.vm_ids[placement.rows[k]]
+    if foreign[k]:
+        return ConfigurationError(
+            f"{where} places VM {vm_id!r}, which is outside the shard"
+        )
+    host_id = placement.host_ids[placement.hosts[k]]
     return ConfigurationError(
         f"{where} places VM {vm_id!r} on unknown host {host_id!r}"
     )
@@ -237,29 +233,6 @@ def _active_host_counts(
     used = np.zeros((hosts.shape[0], n_hosts), dtype=bool)
     used[np.arange(hosts.shape[0])[:, None], hosts] = True
     return tuple(used.sum(axis=1).tolist())
-
-
-def _schedule_from_hosts(
-    hosts: np.ndarray,
-    template: PlacementSchedule,
-    vm_ids: Sequence[str],
-    host_ids: Sequence[str],
-) -> PlacementSchedule:
-    """One :class:`Placement` per row of ``hosts``, in fleet row order,
-    on ``template``'s segment boundaries."""
-    host_id = np.array(host_ids, dtype=object)
-    return PlacementSchedule(
-        segments=tuple(
-            ScheduledPlacement(
-                placement=Placement(
-                    assignment=dict(zip(vm_ids, host_id[row].tolist()))
-                ),
-                start_hour=segment.start_hour,
-                end_hour=segment.end_hour,
-            )
-            for row, segment in zip(hosts, template)
-        )
-    )
 
 
 @dataclass
@@ -344,8 +317,15 @@ class ShardedConsolidation(ConsolidationAlgorithm):
                 moves = self._reconcile(hosts, context, caps)
                 if moves:
                     active_after = _active_host_counts(hosts, caps.n)
-            merged = _schedule_from_hosts(
-                hosts, schedules[0], context.evaluation.vm_ids, caps.host_ids
+            # One placement per row, in fleet row order, all sharing the
+            # id tuples and one rows array (int32, as placements store).
+            ids = (tuple(context.evaluation.vm_ids), caps.host_ids)
+            rows = np.arange(hosts.shape[1], dtype=np.int32)
+            merged = PlacementSchedule(
+                segments=tuple(
+                    replace(s, placement=Placement.from_indices(*ids, rows, h))
+                    for h, s in zip(hosts, schedules[0])
+                )
             )
         self.last_report = ShardedPlanReport(
             shards=shards,

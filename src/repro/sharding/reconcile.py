@@ -200,9 +200,9 @@ def reconcile_assignment(
             "reconcile_assignment: the row, the demand table and the "
             "plan must cover the same VMs"
         )
-    if plan.n_vms and host_of_row.min() < 0:
+    if plan.n_vms and not 0 <= host_of_row.min() <= host_of_row.max() < caps.n:
         raise PlacementError(
-            "reconcile_assignment: every VM row must be assigned"
+            f"reconcile_assignment: a row's host index is not in [0, {caps.n})"
         )
     cpu_col = table.cpu_rpe2[:, column]
     mem_col = table.memory_gb[:, column]

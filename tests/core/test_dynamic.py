@@ -1,5 +1,7 @@
 """Tests for dynamic consolidation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ class TestDynamicConsolidation:
         schedule = DynamicConsolidation().plan(context)
         for segment in schedule:
             assert len(segment.placement) == 12
+
+    def test_segments_share_id_tuples_across_a_pickle(self, small_pool):
+        schedule = DynamicConsolidation().plan(_diurnal_context(small_pool))
+        back = pickle.loads(pickle.dumps(schedule))
+        assert back == schedule
+        assert back.total_migrations() == schedule.total_migrations()
+        for placements in (schedule, back):
+            assert len({id(s.placement.vm_ids) for s in placements}) == 1
+            assert len({id(s.placement.host_ids) for s in placements}) == 1
 
     def test_night_uses_fewer_hosts_than_day(self, small_pool):
         context = _diurnal_context(small_pool)

@@ -75,9 +75,13 @@ def _context(small_pool, *, n_vms=14, days=4, config=None, seed=5):
 
 
 def _assert_schedules_identical(reference, library):
+    """Equal mappings, listed in the same order: FFD order, constrained
+    VMs first (the emulator folds each host's demand in that order)."""
     assert len(reference) == len(library)
     for left, right in zip(reference.segments, library.segments):
-        assert left.placement.assignment == right.placement.assignment
+        assert list(left.placement.assignment.items()) == list(
+            right.placement.assignment.items()
+        )
 
 
 def _assert_matches_reference(context, **kwargs):

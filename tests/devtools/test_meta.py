@@ -104,6 +104,25 @@ def test_library_imports_only_stdlib_numpy_and_itself():
     assert offenders == []
 
 
+def test_placement_consumers_read_indices_not_assignment():
+    """A ``Placement`` is host indices over shared id tuples.  The
+    planners, the emulator and the shard merge read those indices
+    (``Placement.indices``, ``rows``, ``hosts``); none of their modules
+    reads an attribute named ``assignment``, so none turns a placement
+    into a VM-id → host-id dict and back."""
+    offenders = []
+    for package in ("core", "emulator", "sharding"):
+        for path in sorted((SRC / package).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            offenders += [
+                f"{path.relative_to(REPO_ROOT)}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "assignment"
+            ]
+    assert offenders == []
+
+
 def test_library_has_no_vectorization_exemptions():
     """Scalar references live in ``tests/reference/``; no library module
     opts out of REPRO109."""

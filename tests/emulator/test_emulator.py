@@ -145,6 +145,39 @@ class TestValidation:
         with pytest.raises(EmulationError, match="unknown host"):
             emulator.evaluate(schedule)
 
+    @pytest.mark.parametrize(
+        "rows, hosts, match",
+        [
+            ([0, 2], [0, 0], "unknown VM 'zz'"),
+            ([0, 1], [0, 1], "unknown host 'ghost'"),
+        ],
+    )
+    def test_unknown_ids_of_an_index_built_placement_rejected(
+        self, two_vm_set, tiny_pool, rows, hosts, match
+    ):
+        # Tuples naming ids the emulator does not know; only the
+        # entries that use them are errors.
+        placement = Placement.from_indices(
+            ("a", "b", "zz"), ("tiny-h0", "ghost"), rows, hosts
+        )
+        emulator = ConsolidationEmulator(
+            trace_set=two_vm_set, datacenter=tiny_pool
+        )
+        with pytest.raises(EmulationError, match=match):
+            emulator.evaluate(PlacementSchedule.static(placement, 4))
+
+    def test_unused_unknown_ids_in_the_tuples_are_fine(
+        self, two_vm_set, tiny_pool
+    ):
+        placement = Placement.from_indices(
+            ("a", "b", "zz"), ("tiny-h0", "ghost"), [1, 0], [0, 0]
+        )
+        emulator = ConsolidationEmulator(
+            trace_set=two_vm_set, datacenter=tiny_pool
+        )
+        result = emulator.evaluate(PlacementSchedule.static(placement, 4))
+        assert result.host_ids == ("tiny-h0",)
+
     def test_schedule_longer_than_traces_rejected(
         self, two_vm_set, tiny_pool
     ):

@@ -72,8 +72,9 @@ def assert_engines_agree(
             pack(demands, pool.hosts, **kwargs)
         assert str(raised.value) == str(failure)
         return
-    assert pack(demands, pool.hosts, **kwargs).assignment == (
-        expected.assignment
+    # Same mapping, listed in the same (FFD) order.
+    assert list(pack(demands, pool.hosts, **kwargs).assignment.items()) == (
+        list(expected.assignment.items())
     )
 
 

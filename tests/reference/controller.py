@@ -9,6 +9,12 @@ re-folded one VM at a time, NumPy finiteness checks plus a watermark
 sync on every sample, and a vacate that walks the whole fleet skipping
 empty hosts.  Fed the same stream, both must make the same decisions
 and end with bitwise-equal plans and counters.
+
+:class:`RebuildController` is the batch twin: it rebuilds its plan from
+scratch (canonical folds) at the top of every cycle instead of carrying
+delta-mutated state.  Because a delta-mutated plan is bitwise identical
+to its rebuild, it must move the same VMs and end on the same
+assignment as the library controller over any stream.
 """
 
 from __future__ import annotations
@@ -17,13 +23,32 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.incremental import IncrementalPlan
 from repro.exceptions import PlacementError, ServiceError
 from repro.service.controller import (
     ConsolidationController,
+    CycleReport,
     MonitoringSample,
 )
 
-__all__ = ["ReferenceController"]
+__all__ = ["RebuildController", "ReferenceController"]
+
+
+class RebuildController(ConsolidationController):
+    """The controller with its plan rebuilt at the top of every cycle."""
+
+    def replan_cycle(self) -> CycleReport:
+        plan = self.plan
+        self.plan = IncrementalPlan.from_assignment(
+            self.caps,
+            plan.vm_ids,
+            plan.cpu,
+            plan.mem,
+            plan.assignment(),
+            plan.net,
+            plan.dsk,
+        )
+        return super().replan_cycle()
 
 
 class ReferenceController(ConsolidationController):

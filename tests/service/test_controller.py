@@ -4,7 +4,8 @@ The streaming contracts (watermark, duplicate, late, gap-fill), the
 Neat-style decision loop (overload eviction, all-or-nothing underload
 vacate), and the headline equivalence: a controller carrying
 delta-mutated plan state produces the *same schedule* as its twin that
-rebuilds the plan from scratch every cycle.
+rebuilds the plan from scratch every cycle
+(:class:`tests.reference.controller.RebuildController`).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.service.detectors import (
 from repro.service.harness import ScriptedFeed, SimulationHarness
 from repro.service.clock import VirtualClock
 
+from tests.reference.controller import RebuildController
 from tests.service.conftest import (
     assert_plan_consistent,
     build_controller,
@@ -331,15 +333,13 @@ class TestEquivalenceTwin:
         memory_gb = rng.uniform(1.0, 6.0, (n_vms, n_ticks))
         assignments = []
         migration_logs = []
-        for rebuild in (False, True):
+        for controller_cls in (ConsolidationController, RebuildController):
             controller = build_controller(
                 n_hosts=4,
                 n_vms=n_vms,
                 seed=seed,
-                config=ControllerConfig(
-                    sizing_window_points=4,
-                    rebuild_plan_each_cycle=rebuild,
-                ),
+                config=ControllerConfig(sizing_window_points=4),
+                controller_cls=controller_cls,
             )
             feed = scripted_feed_for(controller, cpu_util, memory_gb)
             harness = SimulationHarness(controller, feed, replan_every=2)

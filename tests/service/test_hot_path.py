@@ -5,8 +5,9 @@ cycle's flagged rows in one batch (re-folding each flagged host once)
 and vacates by scanning only the active hosts.
 :class:`tests.reference.controller.ReferenceController` keeps the
 per-sample NumPy checks, the per-VM re-fold and the all-hosts scan.
-The rebuild twin (``rebuild_plan_each_cycle``) cannot catch drift in
-these paths, since both of its modes run them; the reference can.
+The rebuild twin (:class:`tests.reference.controller.RebuildController`)
+cannot catch drift in these paths, since it runs them too; the
+reference can.
 """
 
 from __future__ import annotations

@@ -65,6 +65,13 @@ class TestMultiShardInvariants:
         for segment in sharded_schedule:
             assert segment.placement.assignment.keys() == vm_ids
 
+    def test_segments_list_vms_in_fleet_row_order(
+        self, sharded_schedule, fleet_context
+    ) -> None:
+        vm_ids = list(fleet_context.evaluation.vm_ids)
+        for segment in sharded_schedule:
+            assert list(segment.placement.assignment) == vm_ids
+
     def test_same_interval_boundaries_as_unsharded(
         self, sharded_schedule, unsharded_schedule
     ) -> None:

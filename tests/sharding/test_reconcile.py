@@ -152,3 +152,22 @@ class TestReconcileAssignment:
         _row, result, moves = self._reconcile(table, assignment)
         assert moves == 0
         assert result == assignment
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ([0, 0], "cover the same VMs"),
+            ([0, 0, -1], r"host index is not in \[0, 4\)"),
+            ([0, 1, 9], r"host index is not in \[0, 4\)"),
+            ([0, 4, 1], r"host index is not in \[0, 4\)"),
+        ],
+        ids=["wrong-length", "unassigned", "too-large", "one-past-the-end"],
+    )
+    def test_rejects_bad_rows(self, row, match) -> None:
+        table = self._table({"a": 30.0, "b": 30.0, "c": 10.0})
+        zeros = [0.0] * len(table.vm_ids)
+        workspace = IncrementalPlan(_caps(), table.vm_ids, zeros, zeros)
+        with pytest.raises(PlacementError, match=match):
+            reconcile_assignment(
+                np.array(row), table, 0, workspace, _GROUP_OF_HOST
+            )
