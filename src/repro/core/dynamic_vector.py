@@ -11,8 +11,10 @@ while replacing its per-VM object churn with columnar kernels:
 * prediction + sizing happen **once per plan** — a full
   ``(n_vms, n_intervals)`` peak table
   (:func:`~repro.sizing.prediction.build_peak_table`) pushed through
-  :meth:`~repro.sizing.estimator.SizeEstimator.estimate_matrix`, so the
-  per-interval loop only reads columns;
+  :meth:`~repro.sizing.estimator.SizeEstimator.estimate_matrix`
+  (:func:`size_demand_rows`, which the sharded reconciler also builds
+  its fleet table with, block by block), so the per-interval loop only
+  reads columns;
 * the sticky FFD pack keeps its per-host running totals in an
   :class:`~repro.core.incremental.IncrementalPlan` carried across
   intervals (the delta-pack state, shared with the online controller in
@@ -69,14 +71,15 @@ from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.placement.binpacking import _no_fit_error
 from repro.placement.plan import Placement
-from repro.sizing.estimator import SizeEstimator
+from repro.sizing.estimator import DemandTable, SizeEstimator
 from repro.sizing.functions import MaxSizing
 from repro.sizing.prediction import build_peak_table
+from repro.workloads.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dynamic import DynamicConsolidation
 
-__all__ = ["plan_dynamic_array"]
+__all__ = ["plan_dynamic_array", "size_demand_rows"]
 
 #: Admission slack: a fit compares against ``capacity + 1e-9``, as in
 #: ``pack()``.
@@ -146,24 +149,39 @@ class _Rules:
         return self.allows(row, host, shadow)
 
 
-def plan_dynamic_array(
-    algorithm: "DynamicConsolidation", context: PlanningContext
-) -> PlacementSchedule:
-    """Sticky pack, cost-aware vacate and the interval hook, per interval."""
+def size_demand_rows(
+    algorithm: "DynamicConsolidation",
+    history: TraceStore,
+    evaluation: TraceStore,
+    workload_classes: Sequence[Optional[str]],
+    context: PlanningContext,
+) -> DemandTable:
+    """Sized demands of a block of VM rows, one column per interval.
+
+    Per metric, the rows' history and evaluation samples are stacked
+    and reduced to the interval peak table in one kernel call
+    (:func:`~repro.sizing.prediction.build_peak_table`; the stacked
+    matrix is freed as soon as its table is built); the CPU table
+    carries the burst premium, an elementwise scalar multiply; then
+    :meth:`~repro.sizing.estimator.SizeEstimator.estimate_matrix` sizes
+    both tables.  Every step works row by row, so a block's table is
+    bit-identical to the same rows of a whole-fleet table.
+    """
     points = context.points_per_interval
-    history_points = context.history.n_points
-    vm_ids = tuple(context.evaluation.vm_ids)
-    cpu_full = np.hstack(
-        [
-            context.history.cpu_rpe2_matrix(),
-            context.evaluation.cpu_rpe2_matrix(),
-        ]
+    starts = [
+        history.n_points + i * points for i in range(context.n_intervals)
+    ]
+    cpu_table = algorithm.cpu_burst_factor * build_peak_table(
+        algorithm.predictor,
+        np.hstack([history.cpu_rpe2, evaluation.cpu_rpe2]),
+        points,
+        starts,
     )
-    memory_full = np.hstack(
-        [
-            context.history.memory_gb_matrix(),
-            context.evaluation.memory_gb_matrix(),
-        ]
+    memory_table = build_peak_table(
+        algorithm.predictor,
+        np.hstack([history.memory_gb, evaluation.memory_gb]),
+        points,
+        starts,
     )
     estimator = SizeEstimator(
         sizing=MaxSizing(),
@@ -171,22 +189,25 @@ def plan_dynamic_array(
         network=context.config.network,
         disk=context.config.disk,
     )
+    return estimator.estimate_matrix(
+        evaluation.vm_ids, cpu_table, memory_table, list(workload_classes)
+    )
+
+
+def plan_dynamic_array(
+    algorithm: "DynamicConsolidation", context: PlanningContext
+) -> PlacementSchedule:
+    """Sticky pack, cost-aware vacate and the interval hook, per interval."""
+    vm_ids = tuple(context.evaluation.vm_ids)
     n_intervals = context.n_intervals
-    starts = [history_points + i * points for i in range(n_intervals)]
-    # Whole-plan peak tables: one kernel call instead of 2 × n_intervals
-    # per-interval predictions.  The burst premium is an elementwise
-    # scalar multiply — identical to scaling each column on its own.
-    cpu_table = algorithm.cpu_burst_factor * build_peak_table(
-        algorithm.predictor, cpu_full, points, starts
-    )
-    memory_table = build_peak_table(
-        algorithm.predictor, memory_full, points, starts
-    )
-    table = estimator.estimate_matrix(
-        vm_ids,
-        cpu_table,
-        memory_table,
+    # Whole-plan tables: one peak-table kernel call per metric instead
+    # of 2 × n_intervals per-interval predictions.
+    table = size_demand_rows(
+        algorithm,
+        context.history.store,
+        context.evaluation.store,
         [vm.workload_class for vm, _spec in context.evaluation.identities],
+        context,
     )
 
     host_arrays = _HostArrays(algorithm, context)

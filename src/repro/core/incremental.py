@@ -298,20 +298,6 @@ class IncrementalPlan:
             host for host, rows in enumerate(self.vm_rows_of_host) if rows
         ]
 
-    def affected_hosts(self, changed_vms: Iterable[str]) -> List[int]:
-        """Sorted host indices the given VMs currently occupy.
-
-        The replan scope for a batch of changed VMs: only these hosts'
-        accumulators can be touched by removing/re-placing them.
-        Unassigned VMs contribute no host.
-        """
-        hosts = {
-            self.assignment_rows[self.row_of(vm_id)]
-            for vm_id in changed_vms
-        }
-        hosts.discard(-1)
-        return sorted(hosts)
-
     def fits(self, row: int, host: int) -> bool:
         """Would the VM row fit on the host right now (all resources)?"""
         caps = self.caps
@@ -681,18 +667,3 @@ class IncrementalPlan:
                 self.assignment_rows[row] = host
             raise
         return sorted(touched)
-
-    def copy(self) -> "IncrementalPlan":
-        """Independent deep copy (cycle-level rollback snapshot)."""
-        clone = IncrementalPlan(
-            self.caps, self.vm_ids, self.cpu, self.mem, self.net, self.dsk
-        )
-        clone.assignment_rows = list(self.assignment_rows)
-        clone.vm_rows_of_host = [
-            list(rows) for rows in self.vm_rows_of_host
-        ]
-        clone.body_cpu = list(self.body_cpu)
-        clone.body_mem = list(self.body_mem)
-        clone.body_net = list(self.body_net)
-        clone.body_dsk = list(self.body_dsk)
-        return clone

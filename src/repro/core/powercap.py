@@ -21,7 +21,10 @@ Mechanism per interval, after normal cost-aware placement:
 Forced consolidation trades SLA risk (packing into the reservation)
 for power compliance — exactly BrownMap's graceful-degradation deal.
 
-The interval's placement is rebuilt as an
+The first estimate folds each host's demands in the placement's order
+with ``np.bincount``; an interval whose hosts all fit at full capacity
+and whose estimate meets the budget keeps its placement object as is.
+Otherwise the placement is loaded into the plan's one
 :class:`~repro.core.incremental.IncrementalPlan` at full capacity
 (bound 1.0), folded in the placement's order, and each forced vacate's
 targets come from the plan's shared search,
@@ -34,7 +37,9 @@ that the hook is pinned to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.base import PlanningContext
 from repro.core.dynamic import DynamicConsolidation, _DEFAULT_IDLE_WATTS
@@ -60,19 +65,43 @@ def _power_model(host: PhysicalServer) -> LinearPowerModel:
     return _DEFAULT_POWER
 
 
-def _planned_power(
-    plan: IncrementalPlan,
-    hosts: Sequence[PhysicalServer],
-    order: Sequence[int],
-) -> float:
-    """Active hosts at their packed CPU utilization, summed in ``order``."""
-    total = 0.0
-    for host in order:
-        if plan.vm_rows_of_host[host]:
-            server = hosts[host]
-            utilization = min(plan.body_cpu[host] / server.cpu_rpe2, 1.0)
-            total += _power_model(server).power_watts(utilization)
-    return total
+class _Workspace:
+    """What the budget reads of one plan's hosts and VMs, built once.
+
+    ``plan`` is at full physical capacity (bound 1.0): the budget
+    enforcer may eat into the migration reservation (the documented SLA
+    trade).  It is reloaded only for an interval the budget binds.
+    """
+
+    def __init__(
+        self, context: PlanningContext, vm_ids: Tuple[str, ...]
+    ) -> None:
+        hosts = list(context.datacenter.hosts)
+        caps = HostCapacities(hosts, 1.0)
+        zeros = [0.0] * len(vm_ids)
+        self.datacenter = context.datacenter
+        self.vm_ids = vm_ids
+        self.hosts = hosts
+        self.caps = caps
+        self.plan = IncrementalPlan(caps, vm_ids, zeros, zeros)
+        self.eps = [
+            np.array(eps)
+            for eps in (caps.eps_cpu, caps.eps_mem, caps.eps_net, caps.eps_dsk)
+        ]
+        self.cpu_rpe2 = [host.cpu_rpe2 for host in hosts]
+        self.power = [_power_model(host) for host in hosts]
+        #: Placement id lookups, shared by the intervals' placements.
+        self.memo: dict = {}
+
+    def planned_power(
+        self, body_cpu: Sequence[float], active: Sequence[int]
+    ) -> float:
+        """``active`` hosts at their packed CPU utilization, in order."""
+        total = 0.0
+        for host in active:
+            utilization = min(body_cpu[host] / self.cpu_rpe2[host], 1.0)
+            total += self.power[host].power_watts(utilization)
+        return total
 
 
 @dataclass
@@ -92,9 +121,11 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
         #: Per-interval budget overshoot (W) observed during planning;
         #: reset at each plan() call, indexed by interval.
         self.overshoot_watts: List[float] = []
+        self._workspace: Optional[_Workspace] = None
 
     def plan(self, context: PlanningContext) -> PlacementSchedule:
         self.overshoot_watts = []
+        self._workspace = None
         return super().plan(context)
 
     def _finish_interval(
@@ -119,32 +150,61 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
         column: int,
         context: PlanningContext,
     ) -> "tuple[Placement, float]":
-        """Force-vacate hosts until the power estimate meets the budget."""
+        """Force-vacate hosts until the power estimate meets the budget.
+
+        A placement that fits at full capacity and already meets the
+        budget comes back as the very same object.
+        """
         if self.budget_watts == float("inf"):
             return placement, 0.0
-        hosts = list(context.datacenter.hosts)
-        # Full physical capacity: the budget enforcer may eat into the
-        # migration reservation (the documented SLA trade).
-        caps = HostCapacities(hosts, 1.0)
-        plan = IncrementalPlan(
-            caps,
-            table.vm_ids,
-            table.cpu_rpe2[:, column].tolist(),
-            table.memory_gb[:, column].tolist(),
-            table.network_mbps[:, column].tolist(),
-            table.disk_mbps[:, column].tolist(),
+        space = self._workspace
+        vm_ids = tuple(table.vm_ids)
+        if (
+            space is None
+            or space.datacenter is not context.datacenter
+            or space.vm_ids != vm_ids
+        ):
+            # Built at first use, so the hook also works outside plan().
+            space = self._workspace = _Workspace(context, vm_ids)
+        plan = space.plan
+        caps = space.caps
+        columns = [
+            matrix[:, column]
+            for matrix in (
+                table.cpu_rpe2, table.memory_gb,
+                table.network_mbps, table.disk_mbps,
+            )
+        ]
+        vm_rows, host_rows = placement.indices(
+            plan.row_index, caps.index_of, space.memo, PlacementError
         )
+        # Each host's bodies folded in placement order: bincount adds
+        # its weights in input order, the append folds below.  Demands
+        # are non-negative, so a fold that ends within capacity fit at
+        # every step.
+        bodies = [
+            np.bincount(host_rows, weights=values[vm_rows], minlength=caps.n)
+            for values in columns
+        ]
+        if all((body <= eps).all() for body, eps in zip(bodies, space.eps)):
+            hosts, first = np.unique(host_rows, return_index=True)
+            appearance = hosts[np.argsort(first)].tolist()
+            power = space.planned_power(bodies[0].tolist(), appearance)
+            if power <= self.budget_watts:
+                return placement, 0.0
+
+        plan.load(np.full(plan.n_vms, -1), *columns)
         rules = (
-            _Rules(context.constraints, context.datacenter, plan.vm_ids, hosts)
+            _Rules(
+                context.constraints, context.datacenter, plan.vm_ids,
+                space.hosts,
+            )
             if context.constraints
             else None
         )
         # Append folds in placement order; hosts in order of appearance
         # (the power sum's order and every tie-break below).
-        vm_rows, host_rows = placement.indices(
-            plan.row_index, caps.index_of, unknown=PlacementError
-        )
-        appearance: List[int] = []
+        appearance = []
         for row, host in zip(vm_rows.tolist(), host_rows.tolist()):
             if not plan.fits(row, host):
                 raise PlacementError(
@@ -157,9 +217,10 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
                 rules.place(row, host)
 
         vm_rows_of_host = plan.vm_rows_of_host
-        while _planned_power(plan, hosts, appearance) > self.budget_watts:
+        while True:
             active = [host for host in appearance if vm_rows_of_host[host]]
-            if len(active) <= 1:
+            power = space.planned_power(plan.body_cpu, active)
+            if power <= self.budget_watts or len(active) <= 1:
                 break
             source = min(
                 active,
@@ -182,9 +243,7 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
             if rules is not None:
                 for row, host in moves:
                     rules.place(row, host)
-        overshoot = max(
-            0.0, _planned_power(plan, hosts, appearance) - self.budget_watts
-        )
+        overshoot = max(0.0, power - self.budget_watts)
         # The same entries in the same order, on the plan's hosts.
         same = caps.host_ids == placement.host_ids  # then share the tuple
         host_ids = placement.host_ids if same else caps.host_ids

@@ -10,13 +10,13 @@ over :class:`~repro.infrastructure.server.PhysicalServer`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.metrics.catalog import HS23_ELITE, ServerModel
 
-__all__ = ["Datacenter", "build_target_pool"]
+__all__ = ["Datacenter", "build_target_pool", "target_pool_hosts"]
 
 
 @dataclass
@@ -114,29 +114,59 @@ def build_target_pool(
     subnets:
         Optional subnet labels assigned round-robin per rack.  Defaults to
         one subnet per rack.
+
+    Host ``index`` is built by :func:`target_pool_hosts` from the same
+    arguments and that index alone, so a caller that needs a few of the
+    pool's hosts builds only those.
     """
     if host_count <= 0:
         raise ConfigurationError(f"host_count must be > 0, got {host_count}")
+    dc = Datacenter(name=name)
+    for host in target_pool_hosts(
+        name,
+        range(host_count),
+        model=model,
+        hosts_per_rack=hosts_per_rack,
+        subnets=subnets,
+    ):
+        dc.add_host(host)
+    return dc
+
+
+def target_pool_hosts(
+    name: str,
+    indices: Iterable[int],
+    *,
+    model: ServerModel = HS23_ELITE,
+    hosts_per_rack: int = 14,
+    subnets: Optional[Sequence[str]] = None,
+) -> List[PhysicalServer]:
+    """Hosts ``indices`` of :func:`build_target_pool`'s pool, in order.
+
+    Each host depends only on the pool's arguments and its own index:
+    racks fill ``hosts_per_rack`` consecutive indices, and a rack's
+    subnet is its own or ``subnets`` round-robin by rack.  The hosts
+    share one spec, as the pool's do.
+    """
     if hosts_per_rack <= 0:
         raise ConfigurationError(
             f"hosts_per_rack must be > 0, got {hosts_per_rack}"
         )
     spec = ServerSpec.from_model(model)
-    dc = Datacenter(name=name)
-    for index in range(host_count):
+    hosts = []
+    for index in indices:
         rack_index = index // hosts_per_rack
-        rack = f"{name}-rack{rack_index:03d}"
         if subnets:
             subnet = subnets[rack_index % len(subnets)]
         else:
             subnet = f"{name}-net{rack_index:03d}"
-        dc.add_host(
+        hosts.append(
             PhysicalServer(
                 host_id=f"{name}-h{index:04d}",
                 spec=spec,
-                rack=rack,
+                rack=f"{name}-rack{rack_index:03d}",
                 subnet=subnet,
                 model=model,
             )
         )
-    return dc
+    return hosts

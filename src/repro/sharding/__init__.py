@@ -4,7 +4,7 @@ A single centralized planner is the scaling bottleneck once the fleet
 outgrows a few thousand servers: every displaced VM scans every host.
 This package partitions the fleet along the ``Datacenter`` rack/subnet
 topology (:mod:`repro.sharding.partition`), plans each shard
-independently through the existing vectorized engines
+independently with the dynamic planner
 (:mod:`repro.sharding.planner`), and then runs a hierarchical
 cross-shard reconciliation pass (:mod:`repro.sharding.reconcile`) —
 pack intra-rack first, then consolidate residual under-filled hosts
@@ -26,8 +26,6 @@ from repro.sharding.tasks import (
     KIND_SHARD_PLAN,
     ShardedPlanRun,
     chunked_source,
-    generated_source,
-    preset_source,
     run_sharded_plan,
     shard_plan_task,
 )
@@ -42,8 +40,6 @@ __all__ = [
     "KIND_SHARD_PLAN",
     "ShardedPlanRun",
     "chunked_source",
-    "generated_source",
-    "preset_source",
     "shard_plan_task",
     "run_sharded_plan",
 ]

@@ -1,12 +1,13 @@
 """Sharded consolidation planning.
 
 :class:`ShardedConsolidation` is a :class:`ConsolidationAlgorithm` that
-wraps any inner algorithm: it partitions the fleet along the datacenter
-topology (:func:`~repro.sharding.partition.partition_fleet`), plans each
-shard independently on its own sub-context — per-shard host scans are
-what makes planning superlinear, so ``S`` shards of ``n/S`` VMs are
-substantially cheaper than one plan of ``n`` — merges the per-interval
-placements, and finally runs the hierarchical reconciliation pass of
+partitions the fleet along the datacenter topology
+(:func:`~repro.sharding.partition.partition_fleet`), plans each shard
+independently with :class:`~repro.core.dynamic.DynamicConsolidation` on
+its own sub-context — per-shard host scans are what makes planning
+superlinear, so ``S`` shards of ``n/S`` VMs are substantially cheaper
+than one plan of ``n`` — merges the per-interval placements, and
+finally runs the hierarchical reconciliation pass of
 :mod:`repro.sharding.reconcile` so the merged plan's active-host count
 stays close to the unsharded plan's.
 
@@ -16,17 +17,17 @@ shards are contiguous row blocks, so each shard segment fills its own
 column slice; reconciliation rewrites rows in place; and each output
 :class:`~repro.placement.plan.Placement` is built once, from its row.
 
-With one shard the pipeline degenerates to the inner algorithm on the
+With one shard the pipeline degenerates to the dynamic planner on the
 original inputs (reconciliation is cross-shard by definition and is
 skipped), so a 1-shard plan is **bitwise identical** to the unsharded
 plan — the property the equivalence suite pins.
 
 Reconciliation needs the fleet-wide sized demand of every interval.
-For :class:`~repro.core.dynamic.DynamicConsolidation` inner planners
-that table is rebuilt here with the *same* prediction/sizing pipeline
-the shards used (all of it is per-VM-row, so the global table is
-bit-identical to the shard tables stacked) — in row blocks, so a
-memory-mapped fleet store is never materialized whole.
+That table comes from the dynamic planner's own builder,
+:func:`~repro.core.dynamic_vector.size_demand_rows` (all of it is
+per-VM-row, so the global table is bit-identical to the shard tables
+stacked) — called on row blocks, so a memory-mapped fleet store is
+never materialized whole.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
+from repro.core.dynamic_vector import size_demand_rows
 from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import ConfigurationError
@@ -45,9 +47,9 @@ from repro.infrastructure.datacenter import Datacenter
 from repro.placement.plan import Placement
 from repro.sharding.partition import ShardSpec, host_groups, partition_fleet
 from repro.sharding.reconcile import reconcile_assignment
-from repro.sizing.estimator import DemandTable, SizeEstimator
-from repro.sizing.functions import MaxSizing
-from repro.sizing.prediction import build_peak_table
+from repro.sizing.estimator import DemandTable
+# Not called here: perfbench/selftest.py checks its tracer restores it.
+from repro.sizing.prediction import build_peak_table  # noqa: F401
 from repro.workloads.store import TraceStore
 
 __all__ = [
@@ -89,58 +91,35 @@ def build_demand_table(
 ) -> DemandTable:
     """Fleet-wide per-interval sized demands, built in row blocks.
 
-    Reproduces the dynamic array engine's table
-    (``core/dynamic_vector.py``) bit-identically: prediction and sizing
-    are per-VM-row operations, so processing ``block_rows`` rows at a
-    time yields exactly the same floats as one whole-matrix pass —
-    while keeping peak memory at one block's history+evaluation slice
-    (the fleet store itself may be memory-mapped).
+    Each block of ``block_rows`` rows goes through the dynamic planner's
+    own table builder,
+    :func:`~repro.core.dynamic_vector.size_demand_rows`, on zero-copy
+    row slices of the two stores (:meth:`TraceStore.rows`); the
+    builder works row by row, so the stacked blocks equal one
+    whole-matrix pass bit for bit, while peak memory stays at one
+    block's history+evaluation slice (the fleet store itself may be
+    memory-mapped).
     """
-    points = context.points_per_interval
-    history_points = history_store.n_points
-    n_intervals = context.n_intervals
-    starts = [history_points + i * points for i in range(n_intervals)]
-    estimator = SizeEstimator(
-        sizing=MaxSizing(),
-        overhead=context.config.overhead,
-        network=context.config.network,
-        disk=context.config.disk,
-    )
-    vm_ids = history_store.vm_ids
-    n_vms = len(vm_ids)
-    blocks: List[DemandTable] = []
-    for start in range(0, n_vms, block_rows):
-        stop = min(start + block_rows, n_vms)
-        cpu_full = np.hstack(
-            [
-                history_store.cpu_rpe2[start:stop],
-                evaluation_store.cpu_rpe2[start:stop],
-            ]
+    if history_store.vm_ids != evaluation_store.vm_ids:
+        raise ConfigurationError(
+            "history and evaluation windows must list the VMs in the "
+            "same row order"
         )
-        memory_full = np.hstack(
-            [
-                history_store.memory_gb[start:stop],
-                evaluation_store.memory_gb[start:stop],
-            ]
+    n_vms = len(evaluation_store.vm_ids)
+    blocks = [
+        size_demand_rows(
+            algorithm,
+            history_store.rows(start, min(start + block_rows, n_vms)),
+            evaluation_store.rows(start, min(start + block_rows, n_vms)),
+            workload_classes[start:start + block_rows],
+            context,
         )
-        cpu_table = algorithm.cpu_burst_factor * build_peak_table(
-            algorithm.predictor, cpu_full, points, starts
-        )
-        memory_table = build_peak_table(
-            algorithm.predictor, memory_full, points, starts
-        )
-        blocks.append(
-            estimator.estimate_matrix(
-                vm_ids[start:stop],
-                cpu_table,
-                memory_table,
-                list(workload_classes[start:stop]),
-            )
-        )
+        for start in range(0, n_vms, block_rows)
+    ]
     if len(blocks) == 1:
         return blocks[0]
     return DemandTable(
-        vm_ids=vm_ids,
+        vm_ids=evaluation_store.vm_ids,
         cpu_rpe2=np.concatenate([b.cpu_rpe2 for b in blocks]),
         memory_gb=np.concatenate([b.memory_gb for b in blocks]),
         network_mbps=np.concatenate([b.network_mbps for b in blocks]),
@@ -237,7 +216,10 @@ def _active_host_counts(
 
 @dataclass
 class ShardedConsolidation(ConsolidationAlgorithm):
-    """Partition → per-shard plan → merge → reconcile.
+    """Partition → per-shard dynamic plan → merge → reconcile.
+
+    Each shard is planned by a fresh :class:`DynamicConsolidation`
+    (instances keep per-plan caches, so shards do not share one).
 
     Parameters
     ----------
@@ -245,13 +227,8 @@ class ShardedConsolidation(ConsolidationAlgorithm):
         Shard count; must not exceed the number of topology groups.
     by:
         Topology label shards align to (``"rack"`` or ``"subnet"``).
-    algorithm_factory:
-        Builds one fresh inner planner per shard (instances keep
-        per-plan caches, so shards must not share one).
     reconcile:
-        Run the cross-shard reconciliation pass.  Requires the inner
-        planner to be a :class:`DynamicConsolidation` (its sizing
-        pipeline is what rebuilds the fleet-wide demand table).
+        Run the cross-shard reconciliation pass.
     fill_threshold / max_reconcile_sweeps:
         Reconciliation knobs (see :mod:`repro.sharding.reconcile`).
     plan_shards:
@@ -264,9 +241,6 @@ class ShardedConsolidation(ConsolidationAlgorithm):
     name: str = "sharded-dynamic"
     n_shards: int = 4
     by: str = "rack"
-    algorithm_factory: Callable[[], ConsolidationAlgorithm] = field(
-        default=DynamicConsolidation
-    )
     reconcile: bool = True
     fill_threshold: float = 0.5
     max_reconcile_sweeps: int = 2
@@ -299,7 +273,7 @@ class ShardedConsolidation(ConsolidationAlgorithm):
             schedules = list(self.plan_shards(shards, context))
         else:
             schedules = [
-                self.algorithm_factory().plan(shard_context(shard, context))
+                DynamicConsolidation().plan(shard_context(shard, context))
                 for shard in shards
             ]
         caps = HostCapacities(
@@ -310,7 +284,7 @@ class ShardedConsolidation(ConsolidationAlgorithm):
         active_after = active_before
         moves = 0
         if len(shards) == 1:
-            # The inner plan itself, bitwise (iteration order included).
+            # The shard plan itself, bitwise (iteration order included).
             merged = schedules[0]
         else:
             if self.reconcile:
@@ -348,27 +322,13 @@ class ShardedConsolidation(ConsolidationAlgorithm):
         All intervals share one :class:`IncrementalPlan` workspace,
         reloaded from each interval's row that needs reconciling.
         """
-        inner = self.algorithm_factory()
-        if not isinstance(inner, DynamicConsolidation):
-            raise ConfigurationError(
-                "reconcile=True requires a DynamicConsolidation inner "
-                "planner; pass reconcile=False for other algorithms"
-            )
-        classes = [
-            vm.workload_class for vm, _spec in context.evaluation.identities
-        ]
         table = build_demand_table(
-            inner,
+            DynamicConsolidation(),
             context.history.store,
             context.evaluation.store,
-            classes,
+            [vm.workload_class for vm, _spec in context.evaluation.identities],
             context,
         )
-        if tuple(table.vm_ids) != tuple(context.evaluation.vm_ids):
-            raise ConfigurationError(
-                "history and evaluation windows must list the VMs in the "
-                "same row order"
-            )
         group_of_host = _group_index(context.datacenter, self.by, caps)
         zeros = [0.0] * len(table.vm_ids)
         plan = IncrementalPlan(caps, table.vm_ids, zeros, zeros)

@@ -34,7 +34,7 @@ from repro.core.incremental import IncrementalPlan
 from repro.exceptions import PlacementError
 from repro.sizing.estimator import DemandTable
 
-__all__ = ["reconcile_assignment", "reconcile_plan"]
+__all__ = ["reconcile_assignment"]
 
 
 def _try_vacate(
@@ -74,35 +74,6 @@ def _try_vacate(
     return len(moves)
 
 
-def _check_threshold(fill_threshold: float) -> None:
-    if not 0 < fill_threshold <= 1:
-        raise PlacementError(
-            f"fill_threshold must be in (0, 1], got {fill_threshold}"
-        )
-
-
-def reconcile_plan(
-    plan: IncrementalPlan,
-    group_of_host: Sequence[int],
-    *,
-    fill_threshold: float = 0.5,
-    max_sweeps: int = 2,
-) -> int:
-    """Hierarchical vacate pass over one interval's merged plan.
-
-    Phase A visits each topology group (rack) and vacates its
-    under-filled hosts into other active hosts *of the same group*;
-    phase B retries the survivors against every active host.  Sources
-    go emptiest-first so the cheapest hosts free up first; both phases
-    repeat up to ``max_sweeps`` times or until a sweep changes nothing.
-    Returns the total number of VM moves committed.
-    """
-    _check_threshold(fill_threshold)
-    return _sweep(
-        plan, group_of_host, plan.active_hosts(), fill_threshold, max_sweeps
-    )
-
-
 def _sweep(
     plan: IncrementalPlan,
     group_of_host: Sequence[int],
@@ -110,7 +81,14 @@ def _sweep(
     fill_threshold: float,
     max_sweeps: int,
 ) -> int:
-    """:func:`reconcile_plan`'s sweeps, from the ascending ``active`` hosts.
+    """Hierarchical vacate sweeps, from the ascending ``active`` hosts.
+
+    Phase A visits each topology group (rack) and vacates its
+    under-filled hosts into other active hosts *of the same group*;
+    phase B retries the survivors against every active host.  Sources
+    go emptiest-first so the cheapest hosts free up first; both phases
+    repeat up to ``max_sweeps`` times or until a sweep changes nothing.
+    Returns the total number of VM moves committed.
 
     Every target already carries VMs and a committed vacate empties
     exactly its source, so the active list only ever loses hosts: it is
@@ -189,7 +167,10 @@ def reconcile_assignment(
     input row is never written: the result is a new row when VMs moved
     and ``host_of_row`` itself when none did.
     """
-    _check_threshold(fill_threshold)
+    if not 0 < fill_threshold <= 1:
+        raise PlacementError(
+            f"fill_threshold must be in (0, 1], got {fill_threshold}"
+        )
     caps = plan.caps
     host_of_row = np.asarray(host_of_row, dtype=np.intp)
     if (

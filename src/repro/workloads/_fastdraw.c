@@ -234,58 +234,15 @@ void repro_ar1_filter(const double *gauss, double *out, int64_t count,
   }
 }
 
-/* EWMA recurrence matching models.ewma_smooth_matrix:
- * out[0] = v[0]; out[t] = alpha*v[t] + one_minus*out[t-1], with
- * one_minus = 1 - alpha precomputed by the caller. */
-void repro_ewma_filter(const double *values, double *out, int64_t count,
-                       int64_t n, double alpha, double one_minus) {
-  for (int64_t k = 0; k < count; k++) {
-    const double *v = values + k * n;
-    double *y = out + k * n;
-    double previous = v[0];
-    y[0] = previous;
-    for (int64_t t = 1; t < n; t++) {
-      previous = alpha * v[t] + one_minus * previous;
-      y[t] = previous;
-    }
-  }
-}
-
-/* The fused multiplicative-texture pass:
- *   util *= texture_a; util *= texture_b; util *= column[t]
- * with any operand optionally absent.  Composing elementwise passes
- * per element performs the identical sequence of IEEE multiplies, so
- * the result is bit-identical to the separate numpy passes while
- * reading/writing the big matrix once instead of three times. */
-void repro_texture_mul(double *util, const double *texture_a,
-                       const double *texture_b, const double *column,
-                       int64_t count, int64_t n) {
-  for (int64_t k = 0; k < count; k++) {
-    double *u = util + k * n;
-    const double *a = texture_a ? texture_a + k * n : NULL;
-    const double *b = texture_b ? texture_b + k * n : NULL;
-    for (int64_t t = 0; t < n; t++) {
-      double value = u[t];
-      if (a) {
-        value = value * a[t];
-      }
-      if (b) {
-        value = value * b[t];
-      }
-      if (column) {
-        value = value * column[t];
-      }
-      u[t] = value;
-    }
-  }
-}
-
-/* Like repro_texture_mul, but the base operand is gathered from a
- * periodic per-row pattern instead of read from util: one pass writes
+/* The fused multiplicative-texture pass over a periodic base: one pass
+ * gathers the base operand from a per-row pattern and writes
  *   util[k][t] = pattern[k][(start_hour + t) % period] * a * b * col
- * Bit-identical to expanding the pattern (models._tile_periodic — a
- * pure copy) and then running the multiply passes, without ever
- * materializing the expanded matrix. */
+ * with any of a, b, col optionally absent.  Composing the elementwise
+ * passes per element performs the identical sequence of IEEE
+ * multiplies, so the result is bit-identical to expanding the pattern
+ * (models._tile_periodic — a pure copy) and then running the separate
+ * numpy multiply passes, without ever materializing the expanded
+ * matrix. */
 void repro_texture_fill(double *util, const double *pattern, int64_t period,
                         int64_t start_hour, const double *texture_a,
                         const double *texture_b, const double *column,

@@ -471,8 +471,8 @@ def datacenter_specs(
 
     This is the preset's full generation plan — what
     :func:`generate_datacenter` feeds the engine — exposed so callers
-    that stream (chunked writers, shard workers with a ``vm_range``)
-    can hand the exact same plan to the blockwise entry points.
+    that stream (the chunked writer) can hand the exact same plan to
+    the blockwise entry points.
     """
     config = get_datacenter_config(key)
     if scale <= 0:
@@ -491,7 +491,6 @@ def generate_datacenter(
     scale: float = 1.0,
     days: int = STUDY_DAYS,
     seed: Optional[int] = None,
-    vm_range: Optional[Tuple[int, int]] = None,
 ) -> TraceSet:
     """Generate the trace set for one of the paper's datacenters.
 
@@ -507,9 +506,6 @@ def generate_datacenter(
         Trace length in days (paper: 30).
     seed:
         Override the preset's seed for alternative trace realizations.
-    vm_range:
-        Generate just global rows ``[start, stop)``, bit-identical to
-        the same rows of the full fleet.
     """
     config = get_datacenter_config(key)
     if days <= 0:
@@ -520,7 +516,6 @@ def generate_datacenter(
         n_hours=days * HOURS_PER_DAY,
         seed=config.seed if seed is None else seed,
         correlation=config.correlation,
-        vm_range=vm_range,
     )
 
 

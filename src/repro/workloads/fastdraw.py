@@ -227,25 +227,15 @@ def _load_library() -> Optional[ctypes.CDLL]:
         ctypes.c_void_p,
         ctypes.c_void_p,
     ]
-    for name in ("repro_ar1_filter", "repro_ewma_filter"):
-        function = getattr(library, name)
-        function.restype = None
-        function.argtypes = [
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_double,
-            ctypes.c_double,
-        ] + ([ctypes.c_double] if name == "repro_ar1_filter" else [])
-    library.repro_texture_mul.restype = None
-    library.repro_texture_mul.argtypes = [
-        ctypes.c_void_p,
-        ctypes.c_void_p,
+    library.repro_ar1_filter.restype = None
+    library.repro_ar1_filter.argtypes = [
         ctypes.c_void_p,
         ctypes.c_void_p,
         ctypes.c_int64,
         ctypes.c_int64,
+        ctypes.c_double,
+        ctypes.c_double,
+        ctypes.c_double,
     ]
     library.repro_texture_fill.restype = None
     library.repro_texture_fill.argtypes = [
@@ -362,47 +352,6 @@ class FastDrawKernel:
         )
         return out
 
-    def ewma_filter(self, values: np.ndarray, alpha: float) -> np.ndarray:
-        """C twin of :func:`~.models.ewma_smooth_matrix` (bit-identical)."""
-        values = np.ascontiguousarray(values, dtype=np.float64)
-        count, n_hours = values.shape
-        out = np.empty_like(values)
-        self._library.repro_ewma_filter(
-            values.ctypes.data,
-            out.ctypes.data,
-            count,
-            n_hours,
-            alpha,
-            1.0 - alpha,
-        )
-        return out
-
-    def texture_mul(
-        self,
-        util: np.ndarray,
-        texture_a: Optional[np.ndarray],
-        texture_b: Optional[np.ndarray],
-        column: Optional[np.ndarray],
-    ) -> None:
-        """One-pass ``util *= a; util *= b; util *= column`` (in place).
-
-        Bit-identical to the separate broadcast passes; operands may be
-        ``None``.  ``util`` must be C-contiguous float64.
-        """
-        count, n_hours = util.shape
-
-        def _address(array: Optional[np.ndarray]) -> int:
-            return 0 if array is None else array.ctypes.data
-
-        self._library.repro_texture_mul(
-            util.ctypes.data,
-            _address(texture_a),
-            _address(texture_b),
-            _address(column),
-            count,
-            n_hours,
-        )
-
     def texture_fill(
         self,
         util: np.ndarray,
@@ -415,7 +364,9 @@ class FastDrawKernel:
         """One pass: gather the periodic ``pattern`` row and multiply.
 
         Bit-identical to tiling ``pattern`` out to ``util`` and then
-        applying :meth:`texture_mul`, without the expanded matrix.
+        multiplying by each given operand in turn (``util *= a; util *=
+        b; util *= column``), without the expanded matrix; operands may
+        be ``None``.
         """
         count, n_hours = util.shape
         pattern = np.ascontiguousarray(pattern, dtype=np.float64)
@@ -555,52 +506,29 @@ def _verify(kernel: FastDrawKernel) -> bool:
             models.ar1_filter_matrix(matrix, phi, sigma),
         ):
             return False
-    values = np.abs(matrix) + 0.1
-    for alpha in (0.3, 0.85):
-        if not np.array_equal(
-            kernel.ewma_filter(values, alpha),
-            models.ewma_smooth_matrix(values, alpha),
-        ):
-            return False
 
     texture_a = probe_rng.lognormal(0.0, 0.4, matrix.shape)
     texture_b = probe_rng.lognormal(0.0, 0.2, matrix.shape)
     column = probe_rng.lognormal(0.0, 0.3, matrix.shape[1])
-    for use_a, use_b, use_column in (
-        (True, True, True),
-        (True, False, False),
-        (False, True, True),
-        (False, False, True),
-    ):
-        reference = np.abs(matrix) + 0.05
-        candidate = reference.copy()
-        if use_a:
-            reference *= texture_a
-        if use_b:
-            reference *= texture_b
-        if use_column:
-            reference *= column
-        kernel.texture_mul(
-            candidate,
-            texture_a if use_a else None,
-            texture_b if use_b else None,
-            column if use_column else None,
-        )
-        if not np.array_equal(reference, candidate):
-            return False
-
     pattern = probe_rng.lognormal(0.0, 0.3, (matrix.shape[0], 7))
-    for start_hour in (0, 3):
+    for start_hour, use_b in ((0, False), (3, True)):
         tiled = np.concatenate(
             [np.roll(pattern, -start_hour, axis=1)]
             * (matrix.shape[1] // 7 + 1),
             axis=1,
         )[:, : matrix.shape[1]]
         reference = tiled * texture_a
+        if use_b:
+            reference *= texture_b
         reference *= column
         candidate = np.empty_like(reference)
         kernel.texture_fill(
-            candidate, pattern, start_hour, texture_a, None, column
+            candidate,
+            pattern,
+            start_hour,
+            texture_a,
+            texture_b if use_b else None,
+            column,
         )
         if not np.array_equal(reference, candidate):
             return False

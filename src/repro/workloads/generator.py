@@ -478,44 +478,29 @@ def _shared_factors(
 def _plan_blocks(
     specs: Sequence[Tuple[WorkloadClassProfile, ServerModel, int]],
     *,
-    vm_range: Optional[Tuple[int, int]] = None,
     block_rows: Optional[int] = None,
 ) -> Tuple[List[Tuple[WorkloadClassProfile, ServerModel, int, int]], int]:
     """Split the spec groups into ``(profile, hardware, start, count)`` units.
 
-    ``vm_range`` clips the plan to global fleet rows ``[start, stop)`` —
-    per-VM streams are independent, so a clipped plan generates rows
-    bit-identical to the same rows of the full fleet.  ``block_rows``
-    caps unit size so streaming consumers bound their peak memory.
+    ``start`` is the unit's first global fleet row.  ``block_rows`` caps
+    unit size so streaming consumers bound their peak memory.
     """
     if block_rows is not None and block_rows <= 0:
         raise ConfigurationError(
             f"block_rows must be > 0, got {block_rows}"
         )
     total = 0
-    groups: List[Tuple[WorkloadClassProfile, ServerModel, int, int]] = []
+    plan: List[Tuple[WorkloadClassProfile, ServerModel, int, int]] = []
     for profile, hardware, count in specs:
         if count < 0:
             raise ConfigurationError(
                 f"{profile.name}: count must be >= 0, got {count}"
             )
-        groups.append((profile, hardware, total, count))
-        total += count
-    if vm_range is not None:
-        range_start, range_stop = int(vm_range[0]), int(vm_range[1])
-        if not 0 <= range_start <= range_stop <= total:
-            raise ConfigurationError(
-                f"vm_range {vm_range} out of bounds for {total} servers"
-            )
-    plan: List[Tuple[WorkloadClassProfile, ServerModel, int, int]] = []
-    for profile, hardware, group_start, count in groups:
-        lo, hi = group_start, group_start + count
-        if vm_range is not None:
-            lo = max(lo, range_start)
-            hi = min(hi, range_stop)
+        lo, hi = total, total + count
+        total = hi
         if lo >= hi:
             continue
-        step = (hi - lo) if block_rows is None else block_rows
+        step = count if block_rows is None else block_rows
         for start in range(lo, hi, step):
             plan.append((profile, hardware, start, min(step, hi - start)))
     return plan, total
@@ -1276,23 +1261,19 @@ def generate_trace_blocks(
     mean_util_spread_sigma: float = 0.7,
     mean_util_bounds: Tuple[float, float] = (0.002, 0.6),
     correlation: Optional[CorrelationModel] = None,
-    vm_range: Optional[Tuple[int, int]] = None,
     block_rows: Optional[int] = None,
 ) -> Iterator[TraceBlock]:
     """Stream the fleet as :class:`TraceBlock` row blocks.
 
     This is the streaming face of the batched engine: blocks arrive in
     global row order and are bit-identical to the matching rows of
-    :func:`generate_trace_set`, whatever ``block_rows`` or ``vm_range``
-    say — per-VM streams are keyed by global fleet index, and the shared
-    correlation draws are made once up front.  Shard workers pass their
-    ``vm_range`` to generate only their rows; the chunked writer passes
+    :func:`generate_trace_set`, whatever ``block_rows`` says — per-VM
+    streams are keyed by global fleet index, and the shared correlation
+    draws are made once up front.  The chunked writer passes
     ``block_rows`` to bound peak memory.
     """
     _validate_generation_args(n_hours, mean_util_spread_sigma)
-    plan, _total = _plan_blocks(
-        specs, vm_range=vm_range, block_rows=block_rows
-    )
+    plan, _total = _plan_blocks(specs, block_rows=block_rows)
     shared_log_factor, events = _shared_factors(correlation, n_hours, seed)
     fast = make_fast_seeder()
     drawer = _checked_drawer(fast)
@@ -1337,7 +1318,6 @@ def generate_trace_matrix(
     mean_util_spread_sigma: float = 0.7,
     mean_util_bounds: Tuple[float, float] = (0.002, 0.6),
     correlation: Optional[CorrelationModel] = None,
-    vm_range: Optional[Tuple[int, int]] = None,
 ) -> Tuple[TraceStore, Tuple[TraceBlock, ...]]:
     """Generate the fleet directly into a columnar :class:`TraceStore`.
 
@@ -1348,8 +1328,7 @@ def generate_trace_matrix(
     lazily.
     """
     _validate_generation_args(n_hours, mean_util_spread_sigma)
-    plan, _total = _plan_blocks(specs, vm_range=vm_range)
-    n_rows = sum(count for *_group, count in plan)
+    plan, n_rows = _plan_blocks(specs)
     cpu_util = np.empty((n_rows, n_hours))
     cpu_rpe2 = np.empty((n_rows, n_hours))
     memory_gb = np.empty((n_rows, n_hours))
@@ -1418,7 +1397,6 @@ def generate_trace_set(
     mean_util_spread_sigma: float = 0.7,
     mean_util_bounds: Tuple[float, float] = (0.002, 0.6),
     correlation: Optional[CorrelationModel] = None,
-    vm_range: Optional[Tuple[int, int]] = None,
 ) -> TraceSet:
     """Generate a trace set from ``(profile, hardware, count)`` groups.
 
@@ -1434,14 +1412,9 @@ def generate_trace_set(
     The fleet is generated on ``(n_vms, n_hours)`` matrices straight
     into a columnar store (:func:`generate_trace_matrix`); the returned
     set is backed by that store and builds its per-VM objects lazily.
-
-    ``vm_range`` restricts generation to global fleet rows
-    ``[start, stop)`` — the rows are bit-identical to the same rows of
-    the full fleet, which is how shard workers generate their slice on
-    demand.
     """
     _validate_generation_args(n_hours, mean_util_spread_sigma)
-    _plan, total = _plan_blocks(specs, vm_range=vm_range)
+    _plan, total = _plan_blocks(specs)
     if total == 0:
         return TraceSet(name=name)
     store, blocks = generate_trace_matrix(
@@ -1452,7 +1425,6 @@ def generate_trace_set(
         mean_util_spread_sigma=mean_util_spread_sigma,
         mean_util_bounds=mean_util_bounds,
         correlation=correlation,
-        vm_range=vm_range,
     )
 
     def vm_specs() -> List[Tuple[VirtualMachine, ServerSpec]]:

@@ -129,3 +129,29 @@ class TestReferenceHook:
             left.placement.assignment != right.placement.assignment
             for left, right in zip(schedule, plain)
         )
+
+
+class _RecordingBudget(PowerBudgetedConsolidation):
+    """Records whether each interval's hook returned its own input."""
+
+    def _finish_interval(self, placement, table, column, context):
+        result = super()._finish_interval(placement, table, column, context)
+        self.kept.append(result is placement)
+        return result
+
+
+def test_never_binding_budget_returns_the_placement_itself(
+    planner, unconstrained
+):
+    """A budget above every interval's estimate changes nothing: the hook
+    hands back the very placement it was given, with no overshoot."""
+    peak = unconstrained.power_watts.sum(axis=0).max()
+    algorithm = _RecordingBudget(budget_watts=peak * 10)
+    algorithm.kept = []
+    schedule = algorithm.plan(planner.context)
+    assert algorithm.kept and all(algorithm.kept)
+    assert algorithm.overshoot_watts == [0.0] * len(schedule)
+    plain = DynamicConsolidation().plan(planner.context)
+    assert [s.placement.assignment for s in schedule] == [
+        s.placement.assignment for s in plain
+    ]

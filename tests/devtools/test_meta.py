@@ -132,3 +132,40 @@ def test_library_has_no_vectorization_exemptions():
         if "=REPRO109" in path.read_text(encoding="utf-8")
     ]
     assert offenders == []
+
+
+def _package_data_globs(package):
+    """``package``'s globs in ``[tool.setuptools.package-data]``.
+
+    Read line by line rather than with ``tomllib``, which needs Python
+    3.11: each line of the table is ``name = ["glob", ...]``.
+    """
+    lines = (REPO_ROOT / "pyproject.toml").read_text().splitlines()
+    globs = {}
+    for line in lines[lines.index("[tool.setuptools.package-data]") + 1:]:
+        if line.startswith("["):
+            break
+        name, equals, value = line.partition("=")
+        if equals:
+            globs[name.strip()] = ast.literal_eval(value.strip())
+    return globs[package]
+
+
+def test_every_library_data_file_is_package_data():
+    """A wheel or a non-editable install carries every non-Python file
+    of the library: the generation kernel compiles ``_fastdraw.c`` at
+    first use, and without it runs the slower Python draw loop."""
+    shipped = {
+        path
+        for glob in _package_data_globs("repro")
+        for path in SRC.glob(glob)
+    }
+    missing = [
+        str(path.relative_to(SRC))
+        for path in sorted(SRC.rglob("*"))
+        if path.is_file()
+        and path.suffix not in (".py", ".pyc")
+        and "__pycache__" not in path.parts
+        and path not in shipped
+    ]
+    assert missing == [], f"not listed as package data: {missing}"

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.infrastructure.datacenter import Datacenter, build_target_pool
+from repro.infrastructure.datacenter import (
+    Datacenter,
+    build_target_pool,
+    target_pool_hosts,
+)
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.metrics.catalog import HS23_ELITE
 
@@ -93,3 +97,24 @@ class TestBuildTargetPool:
     def test_invalid_host_count(self, count):
         with pytest.raises(ConfigurationError):
             build_target_pool("p", host_count=count)
+
+    @pytest.mark.parametrize("subnets", [None, ["netA", "netB", "netC"]])
+    def test_target_pool_hosts_builds_only_the_named_hosts(self, subnets):
+        pool = build_target_pool(
+            "p", host_count=40, hosts_per_rack=6, subnets=subnets
+        )
+        positions = [39, 7, 0, 6, 25]
+        alone = target_pool_hosts(
+            "p", positions, hosts_per_rack=6, subnets=subnets
+        )
+        assert [
+            (h.host_id, h.rack, h.subnet, h.spec, h.model) for h in alone
+        ] == [
+            (h.host_id, h.rack, h.subnet, h.spec, h.model)
+            for h in (pool.hosts[p] for p in positions)
+        ]
+
+    @pytest.mark.parametrize("per_rack", [0, -2])
+    def test_invalid_hosts_per_rack(self, per_rack):
+        with pytest.raises(ConfigurationError, match="hosts_per_rack"):
+            build_target_pool("p", host_count=3, hosts_per_rack=per_rack)

@@ -21,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import PlanningContext
+from repro.core.dynamic import DynamicConsolidation
 from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import ConfigurationError, PlacementError
@@ -240,7 +241,7 @@ def sharded_plan_reference(
     moves = 0
     if algorithm.reconcile and len(schedules) > 1:
         table = build_demand_table(
-            algorithm.algorithm_factory(),
+            DynamicConsolidation(),
             context.history.store,
             context.evaluation.store,
             [vm.workload_class for vm, _ in context.evaluation.identities],

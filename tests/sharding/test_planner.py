@@ -3,7 +3,7 @@
 The load-bearing guarantees:
 
 * a **1-shard** sharded plan is *bitwise identical* to the unsharded
-  dynamic plan (the pipeline degenerates to the inner algorithm);
+  dynamic plan (the pipeline degenerates to the dynamic planner);
 * a **multi-shard** plan places every VM exactly once per interval,
   never overfills a host (checked by refolding the fleet-wide demand
   table), and stays within a bounded active-host gap of the unsharded
@@ -20,7 +20,6 @@ from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningContext
 from repro.core.dynamic import DynamicConsolidation
 from repro.core.incremental import HostCapacities
-from repro.core.static import StaticConsolidation
 from repro.emulator.schedule import PlacementSchedule, ScheduledPlacement
 from repro.exceptions import ConfigurationError
 from repro.placement.plan import Placement
@@ -170,26 +169,6 @@ class TestConfiguration:
         )
         with pytest.raises(ConfigurationError, match="constraint"):
             ShardedConsolidation(n_shards=2).plan(constrained)
-
-    def test_reconcile_requires_dynamic_inner(self, fleet_context) -> None:
-        algorithm = ShardedConsolidation(
-            n_shards=2, algorithm_factory=StaticConsolidation
-        )
-        with pytest.raises(ConfigurationError, match="DynamicConsolidation"):
-            algorithm.plan(fleet_context)
-
-    def test_non_dynamic_inner_allowed_without_reconcile(
-        self, fleet_context
-    ) -> None:
-        algorithm = ShardedConsolidation(
-            n_shards=2,
-            algorithm_factory=StaticConsolidation,
-            reconcile=False,
-        )
-        schedule = algorithm.plan(fleet_context)
-        vm_ids = set(fleet_context.evaluation.vm_ids)
-        for segment in schedule:
-            assert segment.placement.assignment.keys() == vm_ids
 
 
 def _index_of(context):

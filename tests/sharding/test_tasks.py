@@ -1,23 +1,27 @@
 """Runner fan-out for sharded planning.
 
 Pins the orchestration contract: a pooled (2-worker) sharded plan from
-a chunked on-disk store equals the serial in-process plan from the
-preset source — same partition, same schedules — and source documents
-carry enough identity (manifest fingerprint) to keep the runner's
-content-addressed cache honest.
+a chunked on-disk store equals :class:`ShardedConsolidation` planned in
+process on the same traces, window, pool and config — same partition,
+same schedules, same reconciliation — a sharded plan reads nothing but
+a chunked store document, and source documents carry enough identity
+(manifest fingerprint) to keep the runner's content-addressed cache
+honest.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.base import PlanningConfig, PlanningContext
+from repro.core.planner import split_window
 from repro.exceptions import ConfigurationError
+from repro.infrastructure.datacenter import build_target_pool
 from repro.runner import ExperimentRunner
 from repro.sharding import (
     KIND_SHARD_PLAN,
+    ShardedConsolidation,
     chunked_source,
-    generated_source,
-    preset_source,
     run_sharded_plan,
     shard_plan_task,
 )
@@ -42,28 +46,29 @@ def chunk_dir(small_traces, tmp_path_factory):
     return directory
 
 
+def _pool_hosts(n_servers):
+    return max(4, n_servers // 2)
+
+
 def _run(source, runner, n_servers):
     return run_sharded_plan(
         source,
         n_shards=2,
-        pool_hosts=max(4, n_servers // 2),
+        pool_hosts=_pool_hosts(n_servers),
         pool_name="task-pool",
         evaluation_days=_DAYS - 2,
         runner=runner,
     )
 
 
-class TestSourceDocuments:
-    def test_preset_source_shape(self) -> None:
-        source = preset_source("banking", scale=0.5, days=8, seed=3)
-        assert source == {
-            "kind": "preset",
-            "datacenter": "banking",
-            "scale": 0.5,
-            "days": 8,
-            "seed": 3,
-        }
+class _NoTasks:
+    """A runner that fails the test if any task reaches it."""
 
+    def run(self, tasks):
+        raise AssertionError(f"{len(tasks)} tasks ran")
+
+
+class TestSourceDocuments:
     def test_chunked_source_fingerprints_manifest(self, chunk_dir) -> None:
         source = chunked_source(chunk_dir)
         assert source["kind"] == "chunked"
@@ -84,78 +89,89 @@ class TestSourceDocuments:
             != chunked_source(rewritten)["fingerprint"]
         )
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            lambda d: dict(chunked_source(d), kind="chunkd"),
+            lambda d: {"kind": "chunked"},
+            lambda d: {"kind": "chunked", "path": str(d)},
+            lambda d: {
+                "kind": "preset",
+                "datacenter": "banking",
+                "scale": _SCALE,
+                "days": _DAYS,
+                "seed": _SEED,
+            },
+        ],
+        ids=["misspelled-kind", "no-path", "no-fingerprint", "preset"],
+    )
+    def test_malformed_source_rejected_before_any_task(
+        self, chunk_dir, small_traces, malformed
+    ) -> None:
+        with pytest.raises(ConfigurationError, match="chunked_source"):
+            _run(malformed(chunk_dir), _NoTasks(), len(small_traces))
+
 
 class TestShardPlanTask:
     def test_task_identity(self, chunk_dir, small_traces) -> None:
-        from repro.infrastructure.datacenter import build_target_pool
-
         pool = build_target_pool(
             "task-pool", host_count=len(small_traces) // 2
         )
         shard = partition_fleet(small_traces.vm_ids, pool, 2)[1]
+        positions = [
+            [host.host_id for host in pool.hosts].index(host_id)
+            for host_id in shard.host_ids
+        ]
         task = shard_plan_task(
             chunked_source(chunk_dir),
             shard,
+            positions,
             pool_name="task-pool",
-            pool_hosts=len(small_traces) // 2,
         )
         assert task.kind == KIND_SHARD_PLAN
         assert task.params["vm_start"] == shard.vm_start
         assert task.params["vm_stop"] == shard.vm_stop
-        assert task.params["host_ids"] == list(shard.host_ids)
+        assert task.params["host_positions"] == positions
         assert str(shard.index) in task.label
 
 
 class TestRunShardedPlan:
-    def test_chunked_pool_equals_preset_serial(
+    def test_pooled_chunked_plan_equals_in_process_sharded(
         self, chunk_dir, small_traces
     ) -> None:
+        """Two pool workers reading the chunked store plan exactly what
+        :class:`ShardedConsolidation` plans in process on the same
+        traces, window, pool and config."""
         n = len(small_traces)
         pooled = _run(
             chunked_source(chunk_dir),
             ExperimentRunner(workers=2, use_cache=False),
             n,
         )
-        serial = _run(
-            preset_source("banking", scale=_SCALE, days=_DAYS, seed=_SEED),
-            ExperimentRunner(serial=True, use_cache=False),
-            n,
+        history, evaluation = split_window(small_traces, _DAYS - 2)
+        in_process = ShardedConsolidation(n_shards=2)
+        schedule = in_process.plan(
+            PlanningContext(
+                history=history,
+                evaluation=evaluation,
+                datacenter=build_target_pool(
+                    "task-pool", host_count=_pool_hosts(n)
+                ),
+                config=PlanningConfig(),
+            )
         )
-        assert len(pooled.schedule) == len(serial.schedule)
-        for left, right in zip(pooled.schedule, serial.schedule):
-            assert left.placement.assignment == right.placement.assignment
-        assert pooled.report.shards == serial.report.shards
+        assert len(pooled.schedule) == len(schedule)
+        for left, right in zip(pooled.schedule, schedule):
+            assert (left.start_hour, left.end_hour) == (
+                right.start_hour, right.end_hour
+            )
+            assert list(left.placement.assignment.items()) == list(
+                right.placement.assignment.items()
+            )
+        assert pooled.report == in_process.last_report
+        assert pooled.report.reconcile_moves > 0
         assert pooled.run_report.workers >= 1
         assert len(pooled.run_report.results) == pooled.report.n_shards
-
-    def test_generated_source_equals_preset(self, small_traces) -> None:
-        """Workers synthesizing only their own rows via the array
-        engine's vm_range must reproduce the preset plan exactly."""
-        n = len(small_traces)
-        generated = _run(
-            generated_source("banking", scale=_SCALE, days=_DAYS, seed=_SEED),
-            ExperimentRunner(serial=True, use_cache=False),
-            n,
-        )
-        preset = _run(
-            preset_source("banking", scale=_SCALE, days=_DAYS, seed=_SEED),
-            ExperimentRunner(serial=True, use_cache=False),
-            n,
-        )
-        assert len(generated.schedule) == len(preset.schedule)
-        for left, right in zip(generated.schedule, preset.schedule):
-            assert left.placement.assignment == right.placement.assignment
-        assert generated.report.shards == preset.report.shards
-
-    def test_generated_source_document_shape(self) -> None:
-        source = generated_source("banking", scale=0.5, days=8, seed=3)
-        assert source == {
-            "kind": "generated",
-            "datacenter": "banking",
-            "scale": 0.5,
-            "days": 8,
-            "seed": 3,
-        }
 
     def test_run_records_reconciliation_report(self, chunk_dir, small_traces) -> None:
         run = _run(

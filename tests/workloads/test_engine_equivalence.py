@@ -40,7 +40,6 @@ from repro.workloads.generator import (
     WEB_MODERATE,
     CorrelationModel,
     generate_trace_blocks,
-    generate_trace_matrix,
     generate_trace_set,
 )
 from tests.reference.generation import (
@@ -234,26 +233,6 @@ class TestDeterminismProperties:
         b, _ = _stores(specs, seed=2)
         assert not np.array_equal(a.cpu_util, b.cpu_util)
 
-    def test_vm_range_rows_match_full_fleet(self):
-        specs = [
-            (WEB_BURSTY, _hardware(), 10),
-            (IDLE, _hardware(), 6),
-        ]
-        full, _blocks = generate_trace_matrix(
-            "eq", specs, _HOURS, _SEED, correlation=BUSY_CORRELATION
-        )
-        window, _blocks = generate_trace_matrix(
-            "eq",
-            specs,
-            _HOURS,
-            _SEED,
-            correlation=BUSY_CORRELATION,
-            vm_range=(7, 13),
-        )
-        assert window.vm_ids == full.vm_ids[7:13]
-        np.testing.assert_array_equal(window.cpu_util, full.cpu_util[7:13])
-        np.testing.assert_array_equal(window.memory_gb, full.memory_gb[7:13])
-
     def test_block_rows_do_not_change_bits(self):
         specs = [(SCHEDULED_BATCH, _hardware(), 11)]
         whole = np.concatenate(
@@ -301,14 +280,8 @@ class TestOptions:
         [[], [(IDLE, get_model("rack-1u-medium"), 0)]],
         ids=["no-groups", "empty-group"],
     )
-    def test_empty_fleet_checks_vm_range(self, specs):
-        """An empty fleet still validates ``vm_range`` like a full one."""
+    def test_empty_fleet_yields_no_rows(self, specs):
         assert len(generate_trace_set("eq", specs, _HOURS, _SEED)) == 0
-        assert len(
-            generate_trace_set("eq", specs, _HOURS, _SEED, vm_range=(0, 0))
-        ) == 0
-        with pytest.raises(ConfigurationError, match="out of bounds"):
-            generate_trace_set("eq", specs, _HOURS, _SEED, vm_range=(0, 5))
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigurationError, match="count must be >= 0"):
