@@ -123,6 +123,7 @@ class _Rules:
         self.constrained = [
             bool(constraints.constraints_for(vm_id)) for vm_id in vm_ids
         ]
+        self.constrained_mask = np.array(self.constrained, dtype=bool)
         self.assigned: Dict[str, str] = {}
 
     def allows(
@@ -238,7 +239,7 @@ def plan_dynamic_array(
         _vacate_intervals_hosts(
             algorithm, context, host_arrays, plan, appearance, rules
         )
-        hosts = [plan.assignment_rows[row] for row in order]
+        hosts = np.array(plan.assignment_rows, dtype=np.intp)[order]
         placement = Placement.from_indices(
             vm_ids, host_arrays.host_ids, order, hosts
         )
@@ -269,54 +270,54 @@ def _pack_interval(
     id_rank: np.ndarray,
     utilization_bound: float,
     rules: Optional[_Rules],
-) -> Tuple[List[int], List[int]]:
+) -> Tuple[np.ndarray, List[int]]:
     """Sticky FFD pack of one interval, delta from the one ``plan`` holds.
 
     Replays ``pack(..., preferred=previous.assignment)``
     exactly: per VM in FFD order (constrained VMs first), the previous
     host is tried first and a warm-first host scan runs only for
     displaced VMs; a constrained VM takes a host only if it fits and
-    the constraints allow it.  ``plan`` is reloaded with the column's
-    demands and no row assigned, then packed.  Returns the FFD order
-    and the host appearance order (the vacate sweeps' bin order).
+    the constraints allow it.  ``plan`` is reset to the column's
+    demands with no row assigned, then packed.  Returns the FFD order
+    (an array of rows) and the host appearance order (the vacate
+    sweeps' bin order).
     """
     caps = host_arrays.caps
     n_hosts = host_arrays.n
     cpu_col = table.cpu_rpe2[:, interval]
     mem_col = table.memory_gb[:, interval]
 
-    # Warm-first host order (no host is warm before the first interval);
-    # the FFD reference host is its head.
+    # The previous interval's placement, read before the reset (which
+    # gives the plan a new assignment list): its rows are the sticky
+    # hints, its non-empty hosts come first in the host scan.  No host
+    # is warm before the first interval.  The FFD reference host is the
+    # scan's head.
     prev_rows = plan.assignment_rows
-    warm = [bool(held) for held in plan.vm_rows_of_host]
-    scan_hosts = (
-        [h for h in range(n_hosts) if warm[h]]
-        + [h for h in range(n_hosts) if not warm[h]]
-    )
+    scan_hosts: List[int] = []
+    cold: List[int] = []
+    for host, held in enumerate(plan.vm_rows_of_host):
+        (scan_hosts if held else cold).append(host)
+    scan_hosts += cold
     reference = host_arrays.hosts[scan_hosts[0]]
     scores = np.maximum(
         cpu_col / reference.cpu_rpe2, mem_col / reference.memory_gb
     )
-    order = np.lexsort((id_rank, -scores)).tolist()
+    order = np.lexsort((id_rank, -scores))
     n_checked = 0
     if rules is not None:
         # Constrained VMs claim their feasible hosts first, stable
         # within each group (pack()'s order).
-        constrained = rules.constrained
-        head = [row for row in order if constrained[row]]
-        n_checked = len(head)
-        order = head + [row for row in order if not constrained[row]]
+        constrained = rules.constrained_mask[order]
+        n_checked = int(np.count_nonzero(constrained))
+        order = np.concatenate((order[constrained], order[~constrained]))
         rules.assigned = {}
 
     # Saturation skip (same optimization as the reference bin scan): the
     # smallest body demand still to come, per FFD position.
-    ordered_cpu = cpu_col[order]
-    ordered_mem = mem_col[order]
-    sufmin_cpu = np.minimum.accumulate(ordered_cpu[::-1])[::-1].tolist()
-    sufmin_mem = np.minimum.accumulate(ordered_mem[::-1])[::-1].tolist()
+    sufmin_cpu = np.minimum.accumulate(cpu_col[order][::-1])[::-1].tolist()
+    sufmin_mem = np.minimum.accumulate(mem_col[order][::-1])[::-1].tolist()
 
-    plan.load(
-        np.full(plan.n_vms, -1),
+    plan.reset(
         cpu_col,
         mem_col,
         table.network_mbps[:, interval],
@@ -341,7 +342,7 @@ def _pack_interval(
     appearance: List[int] = []
     dead = [False] * n_hosts
 
-    for position, row in enumerate(order):
+    for position, row in enumerate(order.tolist()):
         d_cpu = cpu[row]
         d_mem = mem[row]
         d_net = net[row]

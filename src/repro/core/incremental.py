@@ -12,7 +12,8 @@ Two mutation disciplines coexist, each with its own exactness contract:
 * **Append folds** (:meth:`assign`) — the batch planner's discipline:
   bodies accumulate ``+=`` in FFD placement order and are never
   recomputed, reproducing the scalar reference's left folds bit for bit
-  (see ``docs/PERFORMANCE.md``).
+  (see ``docs/PERFORMANCE.md``).  The planner and the power budget
+  empty the plan with :meth:`reset` before each interval's folds.
 * **Canonical folds** (:meth:`apply_delta`, :meth:`set_demands`,
   :meth:`load`, :meth:`from_assignment`) — the online controller's and
   the sharded reconciler's discipline: after every delta the touched
@@ -217,13 +218,7 @@ class IncrementalPlan:
                 "IncrementalPlan.load: host index outside "
                 f"[-1, {n_hosts})"
             )
-        columns = [
-            np.asarray(values, dtype=float) for values in (cpu, mem, net, dsk)
-        ]
-        if any(column.shape != (n_vms,) for column in columns):
-            raise PlacementError(
-                "IncrementalPlan.load: demand vectors must match vm_ids"
-            )
+        columns = self._replace_demands("load", cpu, mem, net, dsk)
         # Rows grouped by host, ascending within each host: the stable
         # sort puts the unassigned (-1) rows first, then each host's run.
         order = np.argsort(hosts, kind="stable")
@@ -232,18 +227,12 @@ class IncrementalPlan:
         starts = np.flatnonzero(np.diff(placed_hosts, prepend=-1))
         rows = order.tolist()
         bounds = starts.tolist() + [len(rows)]
-        vm_rows_of_host = self.vm_rows_of_host
-        for host, held in enumerate(vm_rows_of_host):
-            if held:
-                vm_rows_of_host[host] = []
+        vm_rows_of_host = self._empty_hosts()
         for host, start, stop in zip(
             placed_hosts[starts].tolist(), bounds, bounds[1:]
         ):
             vm_rows_of_host[host] = rows[start:stop]
         self.assignment_rows = hosts.tolist()
-        self.cpu, self.mem, self.net, self.dsk = (
-            column.tolist() for column in columns
-        )
         placed = hosts >= 0
         # (bincount returns integer zeros when no row is placed.)
         self.body_cpu, self.body_mem, self.body_net, self.body_dsk = (
@@ -252,6 +241,60 @@ class IncrementalPlan:
             ).astype(float, copy=False).tolist()
             for column in columns
         )
+
+    def reset(
+        self,
+        cpu: Sequence[float],
+        mem: Sequence[float],
+        net: Sequence[float],
+        dsk: Sequence[float],
+    ) -> None:
+        """Unassign every row and replace every demand, in O(rows + hosts).
+
+        Leaves bit for bit the state a :meth:`load` with every row
+        ``-1`` leaves, without its sort and bincounts.
+        ``assignment_rows`` and the four bodies become new lists, so a
+        caller holding the previous ``assignment_rows`` (the sticky
+        pack's hints) still reads the previous assignment.
+        """
+        self._replace_demands("reset", cpu, mem, net, dsk)
+        self._empty_hosts()
+        n_hosts = self.caps.n
+        self.assignment_rows = [-1] * len(self.vm_ids)
+        self.body_cpu = [0.0] * n_hosts
+        self.body_mem = [0.0] * n_hosts
+        self.body_net = [0.0] * n_hosts
+        self.body_dsk = [0.0] * n_hosts
+
+    def _replace_demands(
+        self,
+        caller: str,
+        cpu: Sequence[float],
+        mem: Sequence[float],
+        net: Sequence[float],
+        dsk: Sequence[float],
+    ) -> List[np.ndarray]:
+        """Check one column per resource, store it, return the arrays."""
+        n_vms = len(self.vm_ids)
+        columns = [
+            np.asarray(values, dtype=float) for values in (cpu, mem, net, dsk)
+        ]
+        if any(column.shape != (n_vms,) for column in columns):
+            raise PlacementError(
+                f"IncrementalPlan.{caller}: demand vectors must match vm_ids"
+            )
+        self.cpu, self.mem, self.net, self.dsk = (
+            column.tolist() for column in columns
+        )
+        return columns
+
+    def _empty_hosts(self) -> List[List[int]]:
+        """Give every host that holds rows a new empty row list."""
+        vm_rows_of_host = self.vm_rows_of_host
+        for host, held in enumerate(vm_rows_of_host):
+            if held:
+                vm_rows_of_host[host] = []
+        return vm_rows_of_host
 
     # -- queries ---------------------------------------------------------
 

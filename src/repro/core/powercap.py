@@ -24,9 +24,10 @@ for power compliance — exactly BrownMap's graceful-degradation deal.
 The first estimate folds each host's demands in the placement's order
 with ``np.bincount``; an interval whose hosts all fit at full capacity
 and whose estimate meets the budget keeps its placement object as is.
-Otherwise the placement is loaded into the plan's one
+Otherwise the plan's one
 :class:`~repro.core.incremental.IncrementalPlan` at full capacity
-(bound 1.0), folded in the placement's order, and each forced vacate's
+(bound 1.0) is reset to the interval's demands and the placement is
+folded into it in the placement's order, and each forced vacate's
 targets come from the plan's shared search,
 :meth:`~repro.core.incremental.IncrementalPlan.vacate_targets` — the
 dynamic planner's own, cost gate aside.  ``tests/reference/powercap.py``
@@ -70,7 +71,8 @@ class _Workspace:
 
     ``plan`` is at full physical capacity (bound 1.0): the budget
     enforcer may eat into the migration reservation (the documented SLA
-    trade).  It is reloaded only for an interval the budget binds.
+    trade).  It is reset and refilled only for an interval the budget
+    binds.
     """
 
     def __init__(
@@ -193,7 +195,7 @@ class PowerBudgetedConsolidation(DynamicConsolidation):
             if power <= self.budget_watts:
                 return placement, 0.0
 
-        plan.load(np.full(plan.n_vms, -1), *columns)
+        plan.reset(*columns)
         rules = (
             _Rules(
                 context.constraints, context.datacenter, plan.vm_ids,

@@ -13,6 +13,9 @@ Built-in kinds live in :mod:`repro.runner.tasks`; applications may
 register their own with :func:`register_task_kind` (under a process
 pool this relies on fork inheriting the registration, which is the
 default start method on Linux — ``--serial`` is the portable fallback).
+A kind may also register a cost estimate, a pure function of its
+params; the parallel runner submits the tasks it can rank longest
+first (:func:`estimated_cost`).
 """
 
 from __future__ import annotations
@@ -27,20 +30,31 @@ from repro.runner.task import ExperimentTask
 __all__ = [
     "register_task_kind",
     "registered_kinds",
+    "estimated_cost",
     "RunnerContext",
     "current_context",
     "execute",
 ]
 
 TaskExecutor = Callable[[Mapping[str, object], "RunnerContext"], object]
+TaskEstimate = Callable[[Mapping[str, object]], float]
 
 _EXECUTORS: Dict[str, TaskExecutor] = {}
+_ESTIMATES: Dict[str, TaskEstimate] = {}
 
 
 def register_task_kind(
-    kind: str, *, replace: bool = False
+    kind: str,
+    *,
+    replace: bool = False,
+    estimate: Optional[TaskEstimate] = None,
 ) -> Callable[[TaskExecutor], TaskExecutor]:
-    """Decorator registering an executor for a task kind."""
+    """Decorator registering an executor for a task kind.
+
+    ``estimate`` maps a task's params to its expected cost in any unit
+    shared by the kind's peers (only the order of estimates matters);
+    without one the kind's tasks keep their input order in a pool.
+    """
 
     def decorate(executor: TaskExecutor) -> TaskExecutor:
         if not replace and kind in _EXECUTORS:
@@ -48,9 +62,19 @@ def register_task_kind(
                 f"task kind {kind!r} is already registered"
             )
         _EXECUTORS[kind] = executor
+        if estimate is None:
+            _ESTIMATES.pop(kind, None)
+        else:
+            _ESTIMATES[kind] = estimate
         return executor
 
     return decorate
+
+
+def estimated_cost(task: ExperimentTask) -> Optional[float]:
+    """The task's expected cost from its kind's estimate, or ``None``."""
+    estimate = _ESTIMATES.get(task.kind)
+    return None if estimate is None else float(estimate(task.params))
 
 
 def executor_for(kind: str) -> TaskExecutor:

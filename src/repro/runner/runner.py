@@ -21,6 +21,12 @@ content-addressed cache before computing anything.  The guarantees:
 * **Accounting** — per-task timing, cache-hit flags, sub-task hits,
   and worker ids come back in a :class:`RunReport` with a printable
   summary.
+* **Longest first** — the pool starts tasks in submission order, so the
+  parallel path submits the tasks whose kind registered a cost
+  estimate longest-expected-first (:func:`submission_order`): a long
+  task that comes late in the input does not start last and leave the
+  other workers idle while it runs.  Only the start order changes:
+  results, stats and errors stay in input order.
 
 ``serial=True`` (the ``--serial`` escape hatch everywhere) executes in
 the calling process with identical semantics — useful under debuggers,
@@ -39,7 +45,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.exceptions import ConfigurationError, RunnerError
 from repro.runner.cache import ResultCache, cache_disabled, default_cache_dir
-from repro.runner.registry import RunnerContext, current_context, execute
+from repro.runner.registry import (
+    RunnerContext,
+    current_context,
+    estimated_cost,
+    execute,
+)
 from repro.runner.task import ExperimentTask
 
 __all__ = [
@@ -49,6 +60,7 @@ __all__ = [
     "default_cache",
     "execute_cached",
     "default_workers",
+    "submission_order",
 ]
 
 #: Cap on the default worker count; sweeps here are 4-30 tasks, and the
@@ -83,6 +95,26 @@ def execute_cached(task: ExperimentTask) -> object:
         return ctx.run_task(task)
     result, _hit, _seconds = execute(task, default_cache())
     return result
+
+
+def submission_order(tasks: Sequence[ExperimentTask]) -> List[int]:
+    """Indices of ``tasks`` in the order a pool should start them.
+
+    The tasks whose kind has a cost estimate (see
+    :func:`~repro.runner.registry.estimated_cost`) are ranked longest
+    first, ties in input order, and fill the positions such tasks hold
+    in the input; a task whose kind has no estimate keeps its own
+    position.
+    """
+    costs: Dict[int, float] = {}
+    for index, task in enumerate(tasks):
+        cost = estimated_cost(task)
+        if cost is not None:
+            costs[index] = cost
+    order = list(range(len(tasks)))
+    for slot, index in zip(costs, sorted(costs, key=lambda i: -costs[i])):
+        order[slot] = index
+    return order
 
 
 @dataclass(frozen=True)
@@ -299,10 +331,11 @@ class ExperimentRunner:
     ) -> Tuple[List[object], List[TaskStats]]:
         """Submit each distinct spec once; fan results out in input order.
 
-        A repeated spec gets the first copy's result object and a
-        ``cached`` record with no time of its own.  A worker that dies
-        raises :class:`~repro.exceptions.RunnerError` naming the tasks
-        left unfinished.
+        Specs are submitted in :func:`submission_order`.  A repeated
+        spec gets the first copy's result object and a ``cached``
+        record with no time of its own.  A worker that dies raises
+        :class:`~repro.exceptions.RunnerError` naming the tasks left
+        unfinished.
         """
         cache_dir = None if self._cache_dir is None else str(self._cache_dir)
         first_of: Dict[str, int] = {}
@@ -315,14 +348,16 @@ class ExperimentRunner:
         with ProcessPoolExecutor(
             max_workers=min(self.workers, len(distinct))
         ) as pool:
-            futures = [
-                pool.submit(
+            submitted = {}
+            for index in submission_order(distinct):
+                task = distinct[index]
+                submitted[index] = pool.submit(
                     _execute_payload,
                     (task.kind, dict(task.params), task.label, cache_dir,
                      self._salt),
                 )
-                for task in distinct
-            ]
+            # Waited on, and reported, in input order.
+            futures = [submitted[index] for index in range(len(distinct))]
             for future in futures:
                 try:
                     outcomes.append(future.result())

@@ -13,7 +13,9 @@ Task kinds map the repo's experiment entry points onto the runner:
 The factory functions build canonical :class:`ExperimentTask` specs —
 every workload parameter, emulator knob, and seed lands in ``params``
 so the cache key covers it.  The sweep builders produce the task lists
-the paper's reproduction fans out.
+the paper's reproduction fans out.  ``comparison`` and ``sensitivity``
+register a cost estimate (the VMs they plan times their plans) for the
+parallel runner's longest-first submission.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.runner.task import ExperimentTask, derive_seed
 from repro.workloads.datacenters import (
     ALL_DATACENTERS,
     STUDY_DAYS,
+    datacenter_specs,
     get_datacenter_config,
 )
 from repro.workloads.trace import TraceSet
@@ -294,7 +297,29 @@ def _trace_set_for(
     return result
 
 
-@register_task_kind(KIND_COMPARISON)
+def _vm_count(params: Mapping[str, object]) -> int:
+    """VMs a comparison or sensitivity task plans, from its params."""
+    settings = params["settings"]
+    return sum(
+        count
+        for *_, count in datacenter_specs(
+            str(params["datacenter"]),
+            scale=float(settings["scale"]),  # type: ignore[index]
+        )
+    )
+
+
+def _comparison_estimate(params: Mapping[str, object]) -> float:
+    """VMs × plans: semi-static, stochastic and dynamic."""
+    return 3 * _vm_count(params)
+
+
+def _sensitivity_estimate(params: Mapping[str, object]) -> float:
+    """VMs × plans: semi-static, stochastic and one dynamic per bound."""
+    return (len(params["bounds"]) + 2) * _vm_count(params)  # type: ignore[arg-type]
+
+
+@register_task_kind(KIND_COMPARISON, estimate=_comparison_estimate)
 def _execute_comparison(
     params: Mapping[str, object], ctx: RunnerContext
 ) -> object:
@@ -307,7 +332,7 @@ def _execute_comparison(
     )
 
 
-@register_task_kind(KIND_SENSITIVITY)
+@register_task_kind(KIND_SENSITIVITY, estimate=_sensitivity_estimate)
 def _execute_sensitivity(
     params: Mapping[str, object], ctx: RunnerContext
 ) -> object:

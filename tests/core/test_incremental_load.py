@@ -5,7 +5,9 @@ its bodies are ``np.bincount`` sums, which add in row order.  The
 oracle is ``tests/reference/reconcile.py``'s
 ``plan_from_assignment_reference`` — rows appended host by host, each
 host's bodies folded left over its sorted rows — and the comparison is
-exact, state list by state list.
+exact, state list by state list.  ``IncrementalPlan.reset``, the
+planners' way to empty a plan, must leave what a ``load`` with every
+row ``-1`` leaves.
 """
 
 from __future__ import annotations
@@ -193,3 +195,85 @@ class TestFromAssignmentErrors:
             IncrementalPlan.from_assignment(
                 _caps(2), ["a"], [1.0], [1.0], {"a": "h9"}
             )
+
+
+class TestReset:
+    def _held(self, seed: int, n_hosts: int = 6, n_vms: int = 30):
+        rng = random.Random(seed)
+        caps = _caps(n_hosts)
+        vm_ids = [f"vm{i}" for i in range(n_vms)]
+        hosts = [rng.randrange(-1, n_hosts) for _ in range(n_vms)]
+        return rng, caps, vm_ids, _loaded(
+            caps, vm_ids, _demands(rng, n_vms), hosts
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_loading_every_row_unassigned(self, seed: int) -> None:
+        rng, caps, vm_ids, plan = self._held(seed)
+        assert plan.active_hosts()
+        n_vms = len(vm_ids)
+        demands = [np.array(d) for d in _demands(rng, n_vms)]
+        loaded = _loaded(caps, vm_ids, demands, [3] * n_vms)
+        loaded.load(np.full(n_vms, -1), *demands)
+        plan.reset(*demands)
+        _assert_state_equal(plan, loaded)
+        assert plan.assignment_rows == [-1] * n_vms
+        assert plan.vm_rows_of_host == [[]] * caps.n
+        assert plan.active_hosts() == []
+        for name in ("body_cpu", "body_mem", "body_net", "body_dsk"):
+            assert getattr(plan, name) == [0.0] * caps.n
+            assert all(type(body) is float for body in getattr(plan, name))
+        assert plan.cpu == demands[0].tolist()
+
+    def test_reads_strided_columns(self) -> None:
+        # The planners pass one column of an (n_vms, n_intervals) table.
+        rng, caps, vm_ids, plan = self._held(7)
+        table = np.array(_demands(rng, len(vm_ids))).T.copy()
+        wide = np.repeat(table, 3, axis=1)
+        plan.reset(*(wide[:, 3 * i + 1] for i in range(4)))
+        assert plan.cpu == table[:, 0].tolist()
+        assert plan.dsk == table[:, 3].tolist()
+
+    def test_a_plan_with_zero_vms(self) -> None:
+        caps = _caps(3)
+        plan = IncrementalPlan(caps, [], [], [])
+        empty = np.zeros(0)
+        plan.reset(empty, empty, empty, empty)
+        oracle = IncrementalPlan(caps, [], [], [])
+        oracle.load(np.full(0, -1), empty, empty, empty, empty)
+        _assert_state_equal(plan, oracle)
+        assert plan.assignment_rows == []
+        assert plan.vm_rows_of_host == [[], [], []]
+
+    def test_a_column_of_the_wrong_length_raises(self) -> None:
+        _, caps, vm_ids, plan = self._held(8)
+        before = {name: list(getattr(plan, name)) for name in _STATE}
+        n_vms = len(vm_ids)
+        good = np.ones(n_vms)
+        for position in range(4):
+            columns = [good] * 4
+            columns[position] = np.ones(n_vms + 1)
+            with pytest.raises(PlacementError, match="reset: demand vectors"):
+                plan.reset(*columns)
+        with pytest.raises(PlacementError, match="demand vectors"):
+            plan.reset(np.ones((n_vms, 1)), good, good, good)
+        # Nothing was written before the check failed.
+        for name in _STATE:
+            assert getattr(plan, name) == before[name], name
+
+    def test_the_previous_sticky_hints_are_not_mutated(self) -> None:
+        # The sticky pack keeps the previous assignment_rows list (and
+        # the held hosts' row lists) as its hints across the reset.
+        _, caps, vm_ids, plan = self._held(9)
+        hints = plan.assignment_rows
+        saved = list(hints)
+        held_lists = [rows for rows in plan.vm_rows_of_host if rows]
+        saved_lists = [list(rows) for rows in held_lists]
+        n_vms = len(vm_ids)
+        plan.reset(*(np.ones(n_vms),) * 4)
+        assert plan.assignment_rows is not hints
+        assert hints == saved
+        assert held_lists == saved_lists
+        # Writing the new plan leaves the hints alone too.
+        plan.assign(0, 1)
+        assert hints == saved
