@@ -26,17 +26,18 @@ Plain script, no pytest-benchmark::
     PYTHONPATH=src python benchmarks/bench_generation.py --out BENCH_kernels.json
     PYTHONPATH=src python benchmarks/bench_generation.py --smoke
 
-``--out`` *merges*: rows named ``generate*`` in an existing report are
-replaced and all other rows kept, so ``make bench-baseline`` can pin
-the generation numbers into ``BENCH_kernels.json`` next to the kernel
-rows.  ``--smoke`` shrinks both fleets for CI: it checks equivalence
-and the streaming-memory invariant, not that the speedup target holds.
+``--out`` replaces the rows of an existing report that this run
+measured and keeps every other row (``conftest.write_report``, shared
+with the kernel and planner benchmarks), so ``make bench-baseline`` can
+pin the generation numbers into ``BENCH_kernels.json`` next to the
+kernel rows.  ``--smoke`` shrinks both fleets for CI: it checks
+equivalence and the streaming-memory invariant, not that the speedup
+target holds.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import tempfile
@@ -51,7 +52,7 @@ sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
-from conftest import peak_rss_mb, reset_peak_rss
+from conftest import peak_rss_mb, reset_peak_rss, write_report
 from repro.workloads import generator
 from repro.workloads.chunked import generate_chunked_store
 from repro.workloads.datacenters import datacenter_specs
@@ -255,20 +256,6 @@ def run(smoke: bool) -> Dict[str, object]:
     }
 
 
-def _merge_into(out: Path, report: Dict[str, object]) -> Dict[str, object]:
-    """Replace ``generate*`` rows in an existing report, keep the rest."""
-    if not out.exists():
-        return report
-    existing = json.loads(out.read_text())
-    kept = [
-        row
-        for row in existing.get("results", [])
-        if not str(row.get("benchmark", "")).startswith("generate")
-    ]
-    existing["results"] = kept + list(report["results"])
-    return existing
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -285,8 +272,7 @@ def main() -> int:
     options = parser.parse_args()
     report = run(options.smoke)
     if options.out is not None:
-        merged = _merge_into(options.out, report)
-        options.out.write_text(json.dumps(merged, indent=2) + "\n")
+        write_report(options.out, report)
         print(f"wrote {options.out}")
     return 0
 

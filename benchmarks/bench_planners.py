@@ -47,14 +47,15 @@ streams a 100k-server fleet into a chunked store and plans it sharded,
 asserting (via tracemalloc) that the fleet's trace matrices are never
 materialized in the parent — they stay on disk behind ``np.memmap``.
 The committed ``BENCH_planners.json`` is regenerated with
-``make bench-baseline``; with ``--out`` naming an existing report,
-``--scale-out`` merges its row into that report's rows.
+``make bench-baseline``.  ``--out`` naming an existing report replaces
+the rows this run measured and keeps every other row
+(``conftest.write_report``), so a full run keeps the pinned 100k row and
+``--scale-out`` keeps the full run's rows.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import sys
 import tempfile
@@ -69,7 +70,9 @@ sys.path.insert(0, str(_ROOT))
 
 import numpy as np
 
-from conftest import children_peak_rss_mb, peak_rss_mb, reset_peak_rss
+from conftest import (
+    children_peak_rss_mb, peak_rss_mb, reset_peak_rss, write_report,
+)
 from repro.constraints import AntiColocate, PinToHost, SameSubnet
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import PlanningConfig, PlanningContext
@@ -494,17 +497,7 @@ def main() -> int:
     options = parser.parse_args()
     report = run_scale_out() if options.scale_out else run(options.smoke)
     if options.out is not None:
-        if options.scale_out and options.out.exists():
-            # The 100k row joins the full baseline's rows, replacing
-            # any earlier scale-out row, instead of overwriting them.
-            pinned = json.loads(options.out.read_text())
-            pinned["results"] = [
-                row
-                for row in pinned["results"]
-                if row["benchmark"] != "scale-out-100k"
-            ] + report["results"]
-            report = pinned
-        options.out.write_text(json.dumps(report, indent=2) + "\n")
+        write_report(options.out, report)
         print(f"wrote {options.out}")
     return 0
 

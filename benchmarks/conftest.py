@@ -20,8 +20,11 @@ emulations instead of recomputing them.  Environment knobs:
 
 from __future__ import annotations
 
+import json
 import os
 import resource
+from pathlib import Path
+from typing import Dict
 
 import pytest
 
@@ -71,6 +74,27 @@ def children_peak_rss_mb() -> float:
     return round(
         resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 1
     )
+
+
+def write_report(out: Path, report: Dict[str, object]) -> None:
+    """Write a ``--out`` report, keeping the rows this run did not measure.
+
+    Rows of an existing report at ``out`` whose ``benchmark`` name this
+    run measured are replaced by the run's rows, placed where the first
+    of them stood; every other row, and the existing header, is kept.
+    """
+    if out.exists():
+        pinned = json.loads(out.read_text())
+        rows = pinned["results"]
+        measured = {row["benchmark"] for row in report["results"]}
+        first = next(
+            (i for i, row in enumerate(rows) if row["benchmark"] in measured),
+            len(rows),
+        )
+        kept = [row for row in rows if row["benchmark"] not in measured]
+        pinned["results"] = kept[:first] + report["results"] + kept[first:]
+        report = pinned
+    out.write_text(json.dumps(report, indent=2) + "\n")
 
 
 def _bench_scale() -> float:

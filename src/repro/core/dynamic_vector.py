@@ -4,8 +4,8 @@
 :meth:`repro.core.dynamic.DynamicConsolidation.plan` runs.  It makes
 the per-VM reference planner's decisions *bit-identically*
 (``tests/reference/dynamic.py``: per-interval prediction and sizing, a
-from-scratch ``pack()`` per interval, vacate sweeps on the scalar
-``Bin`` of ``tests/reference/packing.py``)
+from-scratch scalar FFD scan per interval and vacate sweeps, both on
+the scalar ``Bin`` of ``tests/reference/packing.py``)
 while replacing its per-VM object churn with columnar kernels:
 
 * prediction + sizing happen **once per plan** — a full
@@ -15,7 +15,9 @@ while replacing its per-VM object churn with columnar kernels:
   (:func:`size_demand_rows`, which the sharded reconciler also builds
   its fleet table with, block by block), so the per-interval loop only
   reads columns;
-* the sticky FFD pack keeps its per-host running totals in an
+* the sticky FFD pack (:func:`first_fit`, which
+  :func:`~repro.placement.binpacking.pack` runs too, on a fresh plan)
+  keeps its per-host running totals in an
   :class:`~repro.core.incremental.IncrementalPlan` carried across
   intervals (the delta-pack state, shared with the online controller in
   :mod:`repro.service`) instead of rebuilding per-host bins 360 times,
@@ -25,11 +27,11 @@ while replacing its per-VM object churn with columnar kernels:
   reference's source and candidate orders, tie-breaks included, and
   each attempt's targets come from the plan's shared search,
   :meth:`~repro.core.incremental.IncrementalPlan.vacate_targets`;
-* deployment constraints are checked where ``pack()`` checks them:
-  constrained VMs pack first, and a host is taken only if it fits *and*
-  :meth:`~repro.constraints.manager.ConstraintSet.feasible` allows it
-  against the interval's assignment so far (plus, in vacate, the
-  attempt's pending moves).  That assignment holds only the
+* deployment constraints are checked where the reference scan checks
+  them: constrained VMs pack first, and a host is taken only if it fits
+  *and* :meth:`~repro.constraints.manager.ConstraintSet.feasible`
+  allows it against the interval's assignment so far (plus, in vacate,
+  the attempt's pending moves).  That assignment holds only the
   constrained VMs — the only ones any constraint reads.
 
 After each interval's pack and vacate the algorithm's
@@ -69,6 +71,7 @@ from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
+from repro.infrastructure.vm import VMDemand
 from repro.placement.binpacking import _no_fit_error
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable, SizeEstimator
@@ -79,10 +82,10 @@ from repro.workloads.store import TraceStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dynamic import DynamicConsolidation
 
-__all__ = ["plan_dynamic_array", "size_demand_rows"]
+__all__ = ["first_fit", "id_ranks", "plan_dynamic_array", "size_demand_rows"]
 
-#: Admission slack: a fit compares against ``capacity + 1e-9``, as in
-#: ``pack()``.
+#: Admission slack: a fit compares against ``capacity + 1e-9``, as the
+#: reference ``Bin.fits`` does.
 _SLACK = 1e-9
 
 
@@ -96,7 +99,6 @@ class _HostArrays:
         )
         self.hosts = hosts
         self.host_ids = self.caps.host_ids
-        self.n = self.caps.n
         self.idle_watts = [algorithm._idle_watts(h) for h in hosts]
 
 
@@ -220,9 +222,7 @@ def plan_dynamic_array(
         else None
     )
     n_vms = len(vm_ids)
-    # FFD tie-break: ascending vm_id among equal scores.
-    id_rank = np.empty(n_vms, dtype=np.intp)
-    id_rank[np.argsort(np.array(vm_ids))] = np.arange(n_vms)
+    id_rank = id_ranks(vm_ids)
 
     # One plan for the whole schedule, emptied for each interval; every
     # interval's placement shares its two id tuples.
@@ -231,10 +231,16 @@ def plan_dynamic_array(
     )
     memo: dict = {}
     placements: List[Placement] = []
-    bound = context.config.utilization_bound
     for interval in range(n_intervals):
-        order, appearance = _pack_interval(
-            table, interval, host_arrays, plan, id_rank, bound, rules
+        order, appearance = first_fit(
+            plan,
+            host_arrays.hosts,
+            table.cpu_rpe2[:, interval],
+            table.memory_gb[:, interval],
+            table.network_mbps[:, interval],
+            table.disk_mbps[:, interval],
+            id_rank,
+            rules,
         )
         _vacate_intervals_hosts(
             algorithm, context, host_arrays, plan, appearance, rules
@@ -262,30 +268,39 @@ def plan_dynamic_array(
     )
 
 
-def _pack_interval(
-    table,
-    interval: int,
-    host_arrays: _HostArrays,
+def id_ranks(vm_ids: Sequence[str]) -> np.ndarray:
+    """Each VM's position in ascending id order: the FFD tie-break."""
+    ranks = np.empty(len(vm_ids), dtype=np.intp)
+    ranks[np.argsort(np.array(vm_ids))] = np.arange(len(vm_ids))
+    return ranks
+
+
+def first_fit(
     plan: IncrementalPlan,
+    hosts: Sequence[PhysicalServer],
+    cpu_col: np.ndarray,
+    mem_col: np.ndarray,
+    net_col: np.ndarray,
+    dsk_col: np.ndarray,
     id_rank: np.ndarray,
-    utilization_bound: float,
     rules: Optional[_Rules],
 ) -> Tuple[np.ndarray, List[int]]:
-    """Sticky FFD pack of one interval, delta from the one ``plan`` holds.
+    """Sticky FFD pack of one demand column per resource onto ``plan``.
 
-    Replays ``pack(..., preferred=previous.assignment)``
-    exactly: per VM in FFD order (constrained VMs first), the previous
-    host is tried first and a warm-first host scan runs only for
-    displaced VMs; a constrained VM takes a host only if it fits and
-    the constraints allow it.  ``plan`` is reset to the column's
-    demands with no row assigned, then packed.  Returns the FFD order
-    (an array of rows) and the host appearance order (the vacate
-    sweeps' bin order).
+    ``hosts`` are the plan's hosts (its capacities' order) and
+    ``id_rank`` comes from :func:`id_ranks` over the plan's VMs.  The
+    plan's current assignment is the sticky hint: per VM in FFD order
+    (constrained VMs first), its previous host is tried first and a
+    warm-first host scan runs only for displaced VMs; a constrained VM
+    takes a host only if it fits and the constraints allow it.  On a
+    plan that holds no row this is a cold FFD over ``hosts`` in order,
+    which is :func:`~repro.placement.binpacking.pack`.  ``plan`` is
+    reset to the columns with no row assigned, then packed.  Returns
+    the FFD order (an array of rows) and the host appearance order (the
+    vacate sweeps' bin order).
     """
-    caps = host_arrays.caps
-    n_hosts = host_arrays.n
-    cpu_col = table.cpu_rpe2[:, interval]
-    mem_col = table.memory_gb[:, interval]
+    caps = plan.caps
+    n_hosts = caps.n
 
     # The previous interval's placement, read before the reset (which
     # gives the plan a new assignment list): its rows are the sticky
@@ -298,7 +313,7 @@ def _pack_interval(
     for host, held in enumerate(plan.vm_rows_of_host):
         (scan_hosts if held else cold).append(host)
     scan_hosts += cold
-    reference = host_arrays.hosts[scan_hosts[0]]
+    reference = hosts[scan_hosts[0]]
     scores = np.maximum(
         cpu_col / reference.cpu_rpe2, mem_col / reference.memory_gb
     )
@@ -317,12 +332,7 @@ def _pack_interval(
     sufmin_cpu = np.minimum.accumulate(cpu_col[order][::-1])[::-1].tolist()
     sufmin_mem = np.minimum.accumulate(mem_col[order][::-1])[::-1].tolist()
 
-    plan.reset(
-        cpu_col,
-        mem_col,
-        table.network_mbps[:, interval],
-        table.disk_mbps[:, interval],
-    )
+    plan.reset(cpu_col, mem_col, net_col, dsk_col)
     cpu = plan.cpu
     mem = plan.mem
     net = plan.net
@@ -381,7 +391,11 @@ def _pack_interval(
                     dead[host] = True
             if target < 0:
                 raise _no_fit_error(
-                    table.demand(row, interval), utilization_bound
+                    VMDemand(
+                        plan.vm_ids[row], d_cpu, d_mem,
+                        network_mbps=d_net, disk_mbps=d_dsk,
+                    ),
+                    caps.utilization_bound,
                 )
         # plan.assign(row, target), inlined: the same appends and folds.
         rows_here = vm_rows_of_host[target]

@@ -12,8 +12,9 @@ Two mutation disciplines coexist, each with its own exactness contract:
 * **Append folds** (:meth:`assign`) — the batch planner's discipline:
   bodies accumulate ``+=`` in FFD placement order and are never
   recomputed, reproducing the scalar reference's left folds bit for bit
-  (see ``docs/PERFORMANCE.md``).  The planner and the power budget
-  empty the plan with :meth:`reset` before each interval's folds.
+  (see ``docs/PERFORMANCE.md``).  The planner (and ``pack()``, which
+  runs its first-fit loop) and the power budget empty the plan with
+  :meth:`reset` before each interval's folds.
 * **Canonical folds** (:meth:`apply_delta`, :meth:`set_demands`,
   :meth:`load`, :meth:`from_assignment`) — the online controller's and
   the sharded reconciler's discipline: after every delta the touched
@@ -47,13 +48,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.exceptions import PlacementError
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.server import PhysicalServer
 
 __all__ = ["HostCapacities", "IncrementalPlan"]
 
-#: Admission slack: a fit compares against ``capacity + 1e-9``, as in
-#: ``pack()``.
+#: Admission slack: a fit compares against ``capacity + 1e-9``, as the
+#: reference ``Bin.fits`` does.
 _SLACK = 1e-9
 
 
@@ -61,8 +62,9 @@ class HostCapacities:
     """Bound-scaled per-host capacity vectors, fixed for a plan's life.
 
     Python-float lists carry the exactness contract (every comparison
-    uses the same ``capacity + 1e-9`` float ``pack()``'s bins derive);
-    the numpy CPU and memory mirrors serve vectorized fill prefilters.
+    uses the same ``capacity + 1e-9`` float the scalar reference bins
+    derive); the numpy CPU and memory mirrors serve vectorized fill
+    prefilters.  The bound must lie in ``(0, 1]``.
     """
 
     __slots__ = (
@@ -80,11 +82,14 @@ class HostCapacities:
     ) -> None:
         if not hosts:
             raise PlacementError("no hosts to pack onto")
+        if not 0 < utilization_bound <= 1:  # NaN fails too
+            raise ConfigurationError(
+                f"utilization_bound must be in (0, 1], got {utilization_bound}"
+            )
         self.host_ids: Tuple[str, ...] = tuple(h.host_id for h in hosts)
         self.n = len(hosts)
         self.utilization_bound = utilization_bound
-        # Capacities scaled by the bound, as pack() scales them, as
-        # python floats.
+        # Capacities scaled by the bound, as python floats.
         self.cap_cpu = [h.cpu_rpe2 * utilization_bound for h in hosts]
         self.cap_mem = [h.memory_gb * utilization_bound for h in hosts]
         self.cap_net = [
@@ -510,9 +515,9 @@ class IncrementalPlan:
         """Commit a :meth:`vacate_targets` result with append folds.
 
         Each move is re-checked against the *committed* state before it
-        is assigned (as ``BinArray.add`` does: the committed folds can
-        differ from ``body + pending`` in the last ulp), then ``source``
-        is zeroed.  A misfit raises
+        is assigned (as the reference ``Bin.add`` does: the committed
+        folds can differ from ``body + pending`` in the last ulp), then
+        ``source`` is zeroed.  A misfit raises
         :class:`~repro.exceptions.PlacementError` with the earlier moves
         already applied.
         """

@@ -14,13 +14,13 @@ Natural-Resources case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.emulator.schedule import PlacementSchedule
 from repro.placement.binpacking import pack
 from repro.sizing.estimator import SizeEstimator
-from repro.sizing.functions import MaxSizing, SizingFunction
+from repro.sizing.functions import MaxSizing
 
 __all__ = ["SemiStaticConsolidation"]
 
@@ -30,14 +30,10 @@ class SemiStaticConsolidation(ConsolidationAlgorithm):
     """Peak sizing over the history window + FFD placement."""
 
     name: str = "semi-static"
-    sizing: SizingFunction = field(default_factory=MaxSizing)
-    #: Semi-static plans do not hold a live-migration reservation; override
-    #: only for what-if studies.
-    utilization_bound: float = 1.0
 
     def plan(self, context: PlanningContext) -> PlacementSchedule:
         estimator = SizeEstimator(
-            sizing=self.sizing,
+            sizing=MaxSizing(),
             overhead=context.config.overhead,
             network=context.config.network,
             disk=context.config.disk,
@@ -46,7 +42,7 @@ class SemiStaticConsolidation(ConsolidationAlgorithm):
         placement = pack(
             demands,
             context.datacenter.hosts,
-            utilization_bound=self.utilization_bound,
+            utilization_bound=1.0,
             constraints=context.constraints or None,
             datacenter=context.datacenter,
         )

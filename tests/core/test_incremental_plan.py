@@ -21,7 +21,7 @@ import random
 import pytest
 
 from repro.core.incremental import HostCapacities, IncrementalPlan
-from repro.exceptions import PlacementError
+from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 
 try:
@@ -317,6 +317,16 @@ class TestQueries:
         caps = HostCapacities(_fleet(2), utilization_bound=0.5)
         assert caps.cap_cpu == [500.0, 500.0]
         assert caps.eps_cpu[0] == 500.0 + 1e-9
+
+    @pytest.mark.parametrize("bound", [0.0, -0.2, 1.5, float("nan")])
+    def test_bound_outside_unit_interval_rejected(self, bound):
+        # A zero bound used to pass and divide by zero in the first
+        # residual or fill; the others passed silently.
+        with pytest.raises(ConfigurationError, match=r"in \(0, 1\]"):
+            HostCapacities(_fleet(2), utilization_bound=bound)
+        assert HostCapacities(_fleet(2), utilization_bound=1.0).cap_cpu == [
+            1000.0, 1000.0,
+        ]
 
 
 # ----------------------------------------------------------------------

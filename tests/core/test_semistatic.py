@@ -56,8 +56,13 @@ class TestSemiStatic:
         assert placement.active_host_count == 1
 
     def test_no_migration_reservation_by_default(self, small_pool):
-        algo = SemiStaticConsolidation()
-        assert algo.utilization_bound == 1.0
+        # Three 36 GB VMs fill 108 of a blade's 128 GB: one host at full
+        # capacity, two under the config's 0.8 dynamic bound (102.4 GB).
+        utils = {vm_id: [0.1] * 48 for vm_id in ("a", "b", "c")}
+        context = _context(small_pool, utils, utils, mem=36.0)
+        assert context.config.utilization_bound == 0.8
+        schedule = SemiStaticConsolidation().plan(context)
+        assert schedule.segments[0].placement.active_host_count == 1
 
     def test_all_vms_placed(self, small_pool, generated_trace_set):
         half = generated_trace_set.n_points // 2

@@ -4,9 +4,9 @@ import pytest
 
 from repro.constraints.affinity import AntiColocate, Colocate, PinToHost
 from repro.constraints.manager import ConstraintSet
+from repro.core.incremental import HostCapacities
 from repro.exceptions import ConfigurationError, ConstraintViolation, PlacementError
 from repro.infrastructure.vm import VMDemand
-from repro.placement.arraybins import BinArray
 from repro.placement.binpacking import pack, sort_decreasing
 
 
@@ -21,42 +21,36 @@ def _demand(vm_id, cpu, mem, tail_cpu=0.0, tail_mem=0.0):
 
 
 class TestBin:
-    """The bins ``pack()`` runs on: one :class:`BinArray` element each."""
+    """The bins ``pack()`` runs on: :class:`HostCapacities` and its fit."""
 
     def test_capacity_scaled_by_bound(self, tiny_pool):
-        bins = BinArray(tiny_pool.hosts, 0.8)
-        assert bins.cpu_capacity.tolist() == pytest.approx([800.0, 800.0])
-        assert bins.memory_capacity.tolist() == pytest.approx([8.0, 8.0])
+        caps = HostCapacities(tiny_pool.hosts, 0.8)
+        assert caps.cap_cpu == pytest.approx([800.0, 800.0])
+        assert caps.cap_mem == pytest.approx([8.0, 8.0])
 
     def test_fits_and_add(self, tiny_pool):
-        bins = BinArray(tiny_pool.hosts, 1.0)
-        assert bins.fits_one(0, _demand("a", 600, 6))
-        bins.add(0, _demand("a", 600, 6))
-        assert not bins.fits_one(0, _demand("b", 500, 1))
-        assert bins.fits_one(0, _demand("b", 300, 1))
-        assert bins.fits_mask(_demand("b", 500, 1)).tolist() == [False, True]
-
-    def test_tail_pooling(self, tiny_pool):
-        bins = BinArray(tiny_pool.hosts, 1.0)
-        bins.add(0, _demand("a", 300, 2, tail_cpu=400))
-        # Second VM's tail pools with the first: only max(400, 300) held.
-        assert bins.fits_one(0, _demand("b", 300, 2, tail_cpu=300))
-        bins.add(0, _demand("b", 300, 2, tail_cpu=300))
-        assert bins.body_cpu[0] == pytest.approx(300 + 300)
-        assert bins.max_tail_cpu[0] == pytest.approx(400)
-        # 600 of body plus the pooled 400 fill h0's 1000 RPE2 exactly.
-        assert bins.fits_mask(_demand("c", 1, 0)).tolist() == [False, True]
+        # 600 + 500 RPE2 overfills a 1000-RPE2 host; 600 + 300 does not.
+        split = pack(
+            [_demand("a", 600, 6), _demand("b", 500, 1)], tiny_pool.hosts
+        )
+        assert dict(split.assignment) == {"a": "tiny-h0", "b": "tiny-h1"}
+        shared = pack(
+            [_demand("a", 600, 6), _demand("b", 300, 1)], tiny_pool.hosts
+        )
+        assert dict(shared.assignment) == {"a": "tiny-h0", "b": "tiny-h0"}
 
     def test_add_overflow_raises(self, tiny_pool):
-        bins = BinArray(tiny_pool.hosts, 1.0)
-        with pytest.raises(PlacementError, match="a does not fit on tiny-h0"):
-            bins.add(0, _demand("a", 2000, 1))
-        assert bins.body_cpu.tolist() == [0.0, 0.0]
+        with pytest.raises(PlacementError, match="VM a .* fits on no host"):
+            pack([_demand("a", 2000, 1)], tiny_pool.hosts)
 
     def test_invalid_bound(self, tiny_pool):
-        for bound in (0.0, 1.5):
-            with pytest.raises(ConfigurationError):
-                BinArray(tiny_pool.hosts, bound)
+        for bound in (0.0, 1.5, -0.2, float("nan")):
+            with pytest.raises(ConfigurationError, match="utilization_bound"):
+                pack(
+                    [_demand("a", 1, 1)],
+                    tiny_pool.hosts,
+                    utilization_bound=bound,
+                )
 
 
 class TestSortDecreasing:
@@ -114,21 +108,21 @@ class TestPack:
         with pytest.raises(PlacementError):
             pack([_demand("a", 1, 1)], [])
 
-    def test_preferred_host_sticky(self, tiny_pool):
-        demands = [_demand("a", 100, 1)]
-        placement = pack(
-            demands, tiny_pool.hosts, preferred={"a": "tiny-h1"}
-        )
-        assert placement.host_of("a") == "tiny-h1"
+    @pytest.mark.parametrize("tail", [{"tail_cpu": 5.0}, {"tail_mem": 0.5}])
+    def test_tail_demand_rejected(self, tiny_pool, tail):
+        # Bodies only: no planner sizes tails for pack(), and the loop it
+        # runs reserves none.
+        demands = [_demand("a", 1, 1), _demand("b", 1, 1, **tail)]
+        with pytest.raises(ConfigurationError, match="'b' has a tail"):
+            pack(demands, tiny_pool.hosts)
 
-    def test_preferred_ignored_when_full(self, tiny_pool):
-        demands = [_demand("a", 900, 9), _demand("b", 400, 4)]
-        placement = pack(
-            demands, tiny_pool.hosts, preferred={"b": "tiny-h0"}
-        )
-        # "a" lands on h0 first (bigger), so b's hint is infeasible.
-        assert placement.host_of("a") == "tiny-h0"
-        assert placement.host_of("b") == "tiny-h1"
+    def test_no_preferred_option(self, tiny_pool):
+        with pytest.raises(TypeError):
+            pack(
+                [_demand("a", 1, 1)],
+                tiny_pool.hosts,
+                preferred={"a": "tiny-h1"},
+            )
 
 
 class TestPackWithConstraints:

@@ -4,8 +4,7 @@ Property-style tests driven by seeded stdlib :mod:`random` streams (no
 external property-testing dependency): across many generated instances,
 a successful packing must
 
-* keep every host within its bound-scaled capacity (body sums plus the
-  pooled tail — the PCP reservation rule),
+* keep every host within its bound-scaled capacity (summed demands),
 * place every VM exactly once, and
 * be invariant to the input permutation of the demand list (FFD
   canonicalizes its order internally, with vm_id tie-breaks).
@@ -42,18 +41,13 @@ def _random_instance(rng: random.Random):
     """One packing instance: demands, hosts, bound."""
     bound = rng.choice([0.7, 0.8, 0.9, 1.0])
     n_vms = rng.randint(1, 40)
-    with_tails = rng.random() < 0.5
     demands = []
     for i in range(n_vms):
-        tail_cpu = rng.uniform(0.0, 150.0) if with_tails else 0.0
-        tail_mem = rng.uniform(0.0, 1.0) if with_tails else 0.0
         demands.append(
             VMDemand(
                 vm_id=f"vm{i:03d}",
-                cpu_rpe2=rng.uniform(1.0, 600.0),
-                memory_gb=rng.uniform(0.05, 6.0),
-                tail_cpu_rpe2=tail_cpu,
-                tail_memory_gb=tail_mem,
+                cpu_rpe2=rng.uniform(1.0, 750.0),
+                memory_gb=rng.uniform(0.05, 7.0),
             )
         )
     # Enough hosts that one VM per host always succeeds: no instance
@@ -66,19 +60,14 @@ def _random_instance(rng: random.Random):
 def _host_usage(
     assignment: Dict[str, str], demands: List[VMDemand]
 ) -> Dict[str, Dict[str, float]]:
-    """Recompute per-host reservations from scratch (PCP tail pooling)."""
+    """Recompute per-host demand sums from scratch."""
     by_id = {d.vm_id: d for d in demands}
     usage: Dict[str, Dict[str, float]] = {}
     for vm_id, host_id in assignment.items():
         demand = by_id[vm_id]
-        entry = usage.setdefault(
-            host_id,
-            {"cpu": 0.0, "mem": 0.0, "tail_cpu": 0.0, "tail_mem": 0.0},
-        )
+        entry = usage.setdefault(host_id, {"cpu": 0.0, "mem": 0.0})
         entry["cpu"] += demand.cpu_rpe2
         entry["mem"] += demand.memory_gb
-        entry["tail_cpu"] = max(entry["tail_cpu"], demand.tail_cpu_rpe2)
-        entry["tail_mem"] = max(entry["tail_mem"], demand.tail_memory_gb)
     return usage
 
 
@@ -89,10 +78,10 @@ def test_pack_never_exceeds_capacity(seed: int) -> None:
     placement = pack(demands, hosts, utilization_bound=bound)
     for host_id, entry in _host_usage(placement.assignment, demands).items():
         assert approx_lte(
-            entry["cpu"] + entry["tail_cpu"], HOST_SPEC.cpu_rpe2 * bound
+            entry["cpu"], HOST_SPEC.cpu_rpe2 * bound
         ), f"seed {seed}: CPU over capacity on {host_id}"
         assert approx_lte(
-            entry["mem"] + entry["tail_mem"], HOST_SPEC.memory_gb * bound
+            entry["mem"], HOST_SPEC.memory_gb * bound
         ), f"seed {seed}: memory over capacity on {host_id}"
 
 

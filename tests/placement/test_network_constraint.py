@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.core.incremental import HostCapacities
 from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.infrastructure.vm import VMDemand
-from repro.placement.arraybins import BinArray
 from repro.placement.binpacking import pack
 
 
@@ -33,27 +33,30 @@ def _demand(vm_id, network):
 
 
 class TestNetworkInBin:
-    """Link capacity in ``pack()``'s bins (:class:`BinArray`)."""
+    """Link capacity in ``pack()``'s bins (:class:`HostCapacities`)."""
 
     def test_bin_tracks_network(self, thin_link_pool):
-        bins = BinArray(thin_link_pool.hosts, 1.0)
-        bins.add(0, _demand("a", 60.0))
-        assert not bins.fits_one(0, _demand("b", 50.0))
-        assert bins.fits_one(0, _demand("b", 40.0))
-        assert bins.fits_mask(_demand("b", 50.0)).tolist() == [
-            False, True, True, True,
-        ]
+        # 60 + 50 Mbps overfills a 100 Mbps link; 60 + 40 does not.
+        split = pack(
+            [_demand("a", 60.0), _demand("b", 50.0)], thin_link_pool.hosts
+        )
+        assert dict(split.assignment) == {"a": "h0", "b": "h1"}
+        shared = pack(
+            [_demand("a", 60.0), _demand("b", 40.0)], thin_link_pool.hosts
+        )
+        assert dict(shared.assignment) == {"a": "h0", "b": "h0"}
 
     def test_bound_scales_network(self, thin_link_pool):
-        bins = BinArray(thin_link_pool.hosts, 0.8)
-        assert bins.network_capacity.tolist() == pytest.approx([80.0] * 4)
+        caps = HostCapacities(thin_link_pool.hosts, 0.8)
+        assert caps.cap_net == pytest.approx([80.0] * 4)
 
     def test_zero_network_demand_never_blocks(self, thin_link_pool):
-        bins = BinArray(thin_link_pool.hosts, 1.0)
-        for index in range(50):
-            bins.add(0, _demand(f"v{index}", 0.0))
-        assert bins.body_network[0] == 0.0
-        assert bins.fits_mask(_demand("full-link", 100.0)).all()
+        # "full-link" sorts first (equal scores, id order) and takes all
+        # of h0's link; fifty zero-bandwidth VMs still join it.
+        demands = [_demand(f"v{index}", 0.0) for index in range(50)]
+        demands.append(_demand("full-link", 100.0))
+        placement = pack(demands, thin_link_pool.hosts)
+        assert placement.hosts_used == {"h0"}
 
 
 class TestNetworkInPack:

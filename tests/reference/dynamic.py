@@ -1,13 +1,14 @@
 """Scalar reference planner for :class:`DynamicConsolidation`.
 
-Per interval: size every VM at its predicted peak, ``pack()`` from
-scratch with the previous placement as the preferred hosts, vacate
-lightly-loaded hosts with ``Bin`` folds, then hand the placement to the
-algorithm's ``_finish_interval`` hook — the same hook the library's
-columnar planner calls, so subclasses such as
-:class:`~repro.core.powercap.PowerBudgetedConsolidation` are pinned
+Per interval: size every VM at its predicted peak, pack from scratch
+with the scalar FFD scan (``pack_reference``, never the library's
+``pack()``, which runs the loop under test) and the previous placement
+as the preferred hosts, vacate lightly-loaded hosts with ``Bin`` folds,
+then hand the placement to the algorithm's ``_finish_interval`` hook —
+the same hook the library's columnar planner calls, so subclasses such
+as :class:`~repro.core.powercap.PowerBudgetedConsolidation` are pinned
 through their real override.  Deployment constraints go through
-``pack()`` and a ``feasible`` check on every vacate target.
+``pack_reference`` and a ``feasible`` check on every vacate target.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from repro.emulator.schedule import PlacementSchedule
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import pack
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable, SizeEstimator
 from repro.sizing.functions import MaxSizing
-from tests.reference.packing import Bin
+from tests.reference.packing import Bin, pack_reference
 from tests.reference.sizing import estimate_from_values_reference
 
 __all__ = ["host_order", "plan_reference", "predict_interval"]
@@ -137,7 +137,7 @@ def _place_interval(
     datacenter = context.datacenter
     bound = context.config.utilization_bound
     hosts = host_order(datacenter, previous)
-    placement = pack(
+    placement = pack_reference(
         demands,
         hosts,
         utilization_bound=bound,

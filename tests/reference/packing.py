@@ -3,12 +3,14 @@
 :class:`Bin` is one host's running totals, including PCP's tail pooling;
 the reference dynamic and power-budget planners fold onto it too.  The
 scan makes one ``Bin.fits`` call per (VM, candidate bin), where the
-library asks :class:`~repro.placement.arraybins.BinArray` for one
-admissibility mask over all bins.  :func:`pack_reference` keeps
-``pack()``'s whole contract — argument checks, the duplicate-VM check,
-FFD order with constrained VMs first, the same ``PlacementError`` text
-and the final ``constraints.validate`` — so the equivalence suite can
-compare placements and failures one for one.
+library's ``pack()`` runs the dynamic planner's first-fit loop on an
+``IncrementalPlan``.  :func:`pack_reference` keeps ``pack()``'s whole
+contract — argument checks, the duplicate-VM check, FFD order with
+constrained VMs first, the same ``PlacementError`` text and the final
+``constraints.validate`` — so the equivalence suite can compare
+placements and failures one for one on body-only demands.  Beyond that
+contract it pools tails (``pack()`` rejects them) and takes the
+``preferred`` hints the reference dynamic planner packs with.
 """
 
 from __future__ import annotations
