@@ -90,19 +90,25 @@ def peak_envelope(values: np.ndarray, body_quantile: float = 0.9) -> np.ndarray:
 
     The envelope marks *when* a server peaks; two servers whose envelopes
     overlap heavily peak together and belong in the same peak cluster.
+    ``values`` is one series or an ``(n, t)`` matrix of ``n`` series,
+    masked row by row: each row's mask equals the call on that row.
     """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 1 or values.size == 0:
+    if values.ndim == 2:
+        if values.shape[1] == 0:
+            raise TraceError(
+                "peak_envelope expects at least one sample per row"
+            )
+    elif values.ndim != 1 or values.size == 0:
         raise TraceError("peak_envelope expects a non-empty 1-D series")
     if not 0 < body_quantile < 1:
         raise TraceError(
             f"body_quantile must be in (0, 1), got {body_quantile}"
         )
-    threshold = np.quantile(values, body_quantile)
-    if threshold <= values.min():
-        # Flat series: nothing is a peak.
-        return np.zeros(values.size, dtype=bool)
-    return values > threshold
+    threshold = np.quantile(values, body_quantile, axis=-1, keepdims=True)
+    # Flat series: nothing is a peak.
+    flat = threshold <= values.min(axis=-1, keepdims=True)
+    return (values > threshold) & ~flat
 
 
 def envelope_similarity(a: np.ndarray, b: np.ndarray) -> float:
@@ -156,18 +162,19 @@ def cluster_by_peaks(
 ) -> PeakClusters:
     """Greedy peak clustering on CPU demand envelopes.
 
-    Servers are visited in descending demand order; each joins the first
-    existing cluster whose *representative* (first member) envelope is at
-    least ``similarity_threshold`` similar, otherwise it founds a new
-    cluster.  Greedy single-pass clustering is what keeps PCP linear in
-    the number of servers — the property that made it deployable on
-    thousand-server engagements.
+    Servers are visited in descending peak order, ties in row order;
+    each joins the first existing cluster whose *representative* (first
+    member) envelope is at least ``similarity_threshold`` similar,
+    otherwise it founds a new cluster.  Greedy single-pass clustering
+    is what keeps PCP linear in the number of servers — the property
+    that made it deployable on thousand-server engagements.
 
-    Each server's Jaccard similarity against *all* representatives is
-    one masked count; the intersection/union counts are integers, so
-    the decisions are bit-identical to scanning the representatives one
-    by one with :func:`envelope_similarity` (the reference scan in
-    ``tests/reference/correlation.py``).
+    Envelopes and peaks come from the store's CPU matrix in one call
+    each.  Each server's Jaccard similarity against *all*
+    representatives is one masked count; the intersection/union counts
+    are integers, so the decisions are bit-identical to scanning the
+    representatives one by one with :func:`envelope_similarity` (the
+    reference scan in ``tests/reference/correlation.py``).
     """
     if len(trace_set) == 0:
         raise TraceError(f"trace set {trace_set.name!r} is empty")
@@ -176,21 +183,16 @@ def cluster_by_peaks(
             f"similarity_threshold must be in (0, 1], got "
             f"{similarity_threshold}"
         )
-    envelopes = {
-        trace.vm_id: peak_envelope(trace.cpu_rpe2, body_quantile)
-        for trace in trace_set
-    }
-    order = sorted(
-        trace_set,
-        key=lambda trace: float(trace.cpu_rpe2.max()),
-        reverse=True,
-    )
-    assignment: dict = {}
-    n_points = next(iter(envelopes.values())).size
-    representatives = np.empty((len(order), n_points), dtype=bool)
+    store = trace_set.store
+    demand = store.cpu_rpe2
+    envelopes = peak_envelope(demand, body_quantile)
+    # Descending peak, ties in row order: a stable sort of the negation.
+    order = np.argsort(-demand.max(axis=1), kind="stable")
+    cluster_of = [0] * len(order)
+    representatives = np.empty(envelopes.shape, dtype=bool)
     n_reps = 0
-    for trace in order:
-        envelope = envelopes[trace.vm_id]
+    for row in order.tolist():
+        envelope = envelopes[row]
         chosen = None
         if n_reps:
             block = representatives[:n_reps]
@@ -209,9 +211,7 @@ def cluster_by_peaks(
             representatives[n_reps] = envelope
             chosen = n_reps
             n_reps += 1
-        assignment[trace.vm_id] = chosen
-    vm_ids = tuple(trace.vm_id for trace in trace_set)
+        cluster_of[row] = chosen
     return PeakClusters(
-        vm_ids=vm_ids,
-        cluster_of=tuple(assignment[vm] for vm in vm_ids),
+        vm_ids=tuple(store.vm_ids), cluster_of=tuple(cluster_of)
     )

@@ -39,16 +39,12 @@ from typing import Dict
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic_vector import plan_dynamic_array
 from repro.emulator.schedule import PlacementSchedule
-from repro.infrastructure.server import PhysicalServer
 from repro.migration.cost import MigrationCostModel
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable
 from repro.sizing.prediction import PeriodicPeakPredictor, Predictor
 
 __all__ = ["DynamicConsolidation"]
-
-#: Idle power assumed when a host has no catalog model attached (W).
-_DEFAULT_IDLE_WATTS = 160.0
 
 
 @dataclass
@@ -110,9 +106,3 @@ class DynamicConsolidation(ConsolidationAlgorithm):
             cost = self.migration_cost.cost_wh(max(key, 0.1))
             self._cost_cache[key] = cost
         return cost
-
-    @staticmethod
-    def _idle_watts(host: PhysicalServer) -> float:
-        if host.model is not None:
-            return host.model.idle_watts
-        return _DEFAULT_IDLE_WATTS

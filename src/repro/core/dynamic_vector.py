@@ -70,6 +70,7 @@ from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import PlacementError
 from repro.infrastructure.datacenter import Datacenter
+from repro.infrastructure.power import LinearPowerModel
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
 from repro.placement.binpacking import _no_fit_error
@@ -82,7 +83,10 @@ from repro.workloads.store import TraceStore
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dynamic import DynamicConsolidation
 
-__all__ = ["first_fit", "id_ranks", "plan_dynamic_array", "size_demand_rows"]
+__all__ = [
+    "ffd_order", "first_fit", "id_ranks", "plan_dynamic_array",
+    "size_demand_rows",
+]
 
 #: Admission slack: a fit compares against ``capacity + 1e-9``, as the
 #: reference ``Bin.fits`` does.
@@ -92,14 +96,16 @@ _SLACK = 1e-9
 class _HostArrays:
     """Host objects, capacity vectors, and idle power, fixed per plan."""
 
-    def __init__(self, algorithm: "DynamicConsolidation", context) -> None:
+    def __init__(self, context: PlanningContext) -> None:
         hosts = list(context.datacenter.hosts)
         self.caps = HostCapacities(
             hosts, context.config.utilization_bound
         )
         self.hosts = hosts
         self.host_ids = self.caps.host_ids
-        self.idle_watts = [algorithm._idle_watts(h) for h in hosts]
+        self.idle_watts = [
+            LinearPowerModel.for_host(host).idle_watts for host in hosts
+        ]
 
 
 class _Rules:
@@ -213,7 +219,7 @@ def plan_dynamic_array(
         context,
     )
 
-    host_arrays = _HostArrays(algorithm, context)
+    host_arrays = _HostArrays(context)
     rules = (
         _Rules(
             context.constraints, context.datacenter, vm_ids, host_arrays.hosts
@@ -275,6 +281,33 @@ def id_ranks(vm_ids: Sequence[str]) -> np.ndarray:
     return ranks
 
 
+def ffd_order(
+    cpu: np.ndarray,
+    mem: np.ndarray,
+    reference: PhysicalServer,
+    id_rank: np.ndarray,
+    rules: Optional[_Rules],
+) -> Tuple[np.ndarray, int]:
+    """FFD order of the rows, and how many constrained rows lead it.
+
+    Rows sort by decreasing dominant share of ``reference``,
+    ``max(cpu / its cpu, mem / its memory)``, ties by ``id_rank``
+    (:func:`id_ranks`).  With ``rules`` the constrained rows come
+    first, stable within each group.  The caller picks the columns:
+    :func:`first_fit` scores bodies, the stochastic planner bodies plus
+    tails.
+    """
+    scores = np.maximum(cpu / reference.cpu_rpe2, mem / reference.memory_gb)
+    order = np.lexsort((id_rank, -scores))
+    if rules is None:
+        return order, 0
+    constrained = rules.constrained_mask[order]
+    return (
+        np.concatenate((order[constrained], order[~constrained])),
+        int(np.count_nonzero(constrained)),
+    )
+
+
 def first_fit(
     plan: IncrementalPlan,
     hosts: Sequence[PhysicalServer],
@@ -313,18 +346,11 @@ def first_fit(
     for host, held in enumerate(plan.vm_rows_of_host):
         (scan_hosts if held else cold).append(host)
     scan_hosts += cold
-    reference = hosts[scan_hosts[0]]
-    scores = np.maximum(
-        cpu_col / reference.cpu_rpe2, mem_col / reference.memory_gb
+    # Constrained VMs claim their feasible hosts first.
+    order, n_checked = ffd_order(
+        cpu_col, mem_col, hosts[scan_hosts[0]], id_rank, rules
     )
-    order = np.lexsort((id_rank, -scores))
-    n_checked = 0
     if rules is not None:
-        # Constrained VMs claim their feasible hosts first, stable
-        # within each group (pack()'s order).
-        constrained = rules.constrained_mask[order]
-        n_checked = int(np.count_nonzero(constrained))
-        order = np.concatenate((order[constrained], order[~constrained]))
         rules.assigned = {}
 
     # Saturation skip (same optimization as the reference bin scan): the

@@ -43,28 +43,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import PlanningContext
-from repro.core.dynamic import DynamicConsolidation, _DEFAULT_IDLE_WATTS
+from repro.core.dynamic import DynamicConsolidation
 from repro.core.dynamic_vector import _Rules
 from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.power import LinearPowerModel
-from repro.infrastructure.server import PhysicalServer
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable
 
 __all__ = ["PowerBudgetedConsolidation"]
-
-_DEFAULT_POWER = LinearPowerModel(
-    idle_watts=_DEFAULT_IDLE_WATTS, peak_watts=400.0
-)
-
-
-def _power_model(host: PhysicalServer) -> LinearPowerModel:
-    if host.model is not None:
-        return LinearPowerModel.from_model(host.model)
-    return _DEFAULT_POWER
-
 
 class _Workspace:
     """What the budget reads of one plan's hosts and VMs, built once.
@@ -91,7 +79,7 @@ class _Workspace:
             for eps in (caps.eps_cpu, caps.eps_mem, caps.eps_net, caps.eps_dsk)
         ]
         self.cpu_rpe2 = [host.cpu_rpe2 for host in hosts]
-        self.power = [_power_model(host) for host in hosts]
+        self.power = [LinearPowerModel.for_host(host) for host in hosts]
         #: Placement id lookups, shared by the intervals' placements.
         self.memo: dict = {}
 

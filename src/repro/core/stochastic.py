@@ -17,6 +17,13 @@ Peak-Clustering-based Placement in three steps:
    Stacking one cluster on one host therefore eats tail budget fast,
    which is exactly the spreading pressure PCP wants.
 
+The pack runs on the state every planner packs on: bodies fold onto an
+:class:`~repro.core.incremental.IncrementalPlan` over
+:class:`~repro.core.incremental.HostCapacities`, the FFD order comes
+from :func:`~repro.core.dynamic_vector.ffd_order` (scored on bodies
+plus tails) and constraints are checked through the dynamic planner's
+rules.  The only state of its own is each host's tail sum per cluster.
+
 Like vanilla semi-static, PCP relocates during planned downtime and
 holds no live-migration reservation.
 """
@@ -24,115 +31,45 @@ holds no live-migration reservation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
+
+import numpy as np
 
 from repro.analysis.correlation import PeakClusters, cluster_by_peaks
 from repro.constraints.manager import ConstraintSet
 from repro.core.base import ConsolidationAlgorithm, PlanningContext
+from repro.core.dynamic_vector import _Rules, ffd_order, id_ranks
+from repro.core.incremental import HostCapacities, IncrementalPlan
 from repro.emulator.schedule import PlacementSchedule
 from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.datacenter import Datacenter
-from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import sort_decreasing
 from repro.placement.plan import Placement
 from repro.sizing.estimator import SizeEstimator
 from repro.sizing.functions import BodyTailSizing
 
 __all__ = ["StochasticConsolidation"]
 
-class _ClusterBin:
-    """Host packing state with per-cluster tail pooling.
 
-    Reservation per resource:
+def _pooled_tail(
+    tails: Mapping[int, float], cluster: int, tail: float, overlap: float
+) -> float:
+    """A host's tail reservation once ``tail`` joins ``cluster``'s sum.
 
-        sum(bodies) + max_cluster_tail + overlap * (other_tails)
-
-    where ``max_cluster_tail`` is the largest within-cluster tail sum on
-    this host and ``other_tails`` is the remaining tail mass.  With
-    ``overlap = 0`` this is PCP's idealized bet (only one cluster ever
-    peaks at a time); with ``overlap = 1`` it degenerates to max sizing.
-    Real workloads sit in between — peak envelopes are correlated beyond
-    what any finite clustering captures (shared business factor, shared
-    diurnal phase), so a production planner keeps a partial reserve.
+    ``tails`` maps each cluster on the host to its members' tail sum.
+    The reservation is the worst cluster's sum plus ``overlap`` times
+    the other clusters' mass, summed in insertion order with a new
+    cluster last.  With ``overlap = 0`` this is PCP's idealized bet
+    (only one cluster ever peaks at a time); with ``overlap = 1`` it
+    degenerates to max sizing.  Real workloads sit in between — peak
+    envelopes are correlated beyond what any finite clustering captures
+    (shared business factor, shared diurnal phase), so a production
+    planner keeps a partial reserve.
     """
-
-    __slots__ = (
-        "host",
-        "cpu_capacity",
-        "memory_capacity",
-        "network_capacity",
-        "disk_capacity",
-        "body_cpu",
-        "body_memory",
-        "body_network",
-        "body_disk",
-        "cluster_tail_cpu",
-        "cluster_tail_memory",
-        "tail_overlap",
-        "vm_ids",
-    )
-
-    def __init__(
-        self, host: PhysicalServer, bound: float, tail_overlap: float
-    ) -> None:
-        self.host = host
-        self.cpu_capacity = host.cpu_rpe2 * bound
-        self.memory_capacity = host.memory_gb * bound
-        self.network_capacity = host.spec.network_mbps * bound
-        self.disk_capacity = host.spec.disk_mbps * bound
-        self.body_cpu = 0.0
-        self.body_memory = 0.0
-        self.body_network = 0.0
-        self.body_disk = 0.0
-        self.cluster_tail_cpu: Dict[int, float] = {}
-        self.cluster_tail_memory: Dict[int, float] = {}
-        self.tail_overlap = tail_overlap
-        self.vm_ids: List[str] = []
-
-    def _pooled(self, tails: Dict[int, float]) -> float:
-        if not tails:
-            return 0.0
-        worst = max(tails.values())
-        rest = sum(tails.values()) - worst
-        return worst + self.tail_overlap * rest
-
-    def fits(self, demand: VMDemand, cluster: int) -> bool:
-        tail_cpu = dict(self.cluster_tail_cpu)
-        tail_cpu[cluster] = tail_cpu.get(cluster, 0.0) + demand.tail_cpu_rpe2
-        tail_memory = dict(self.cluster_tail_memory)
-        tail_memory[cluster] = (
-            tail_memory.get(cluster, 0.0) + demand.tail_memory_gb
-        )
-        cpu_after = self.body_cpu + demand.cpu_rpe2 + self._pooled(tail_cpu)
-        memory_after = (
-            self.body_memory + demand.memory_gb + self._pooled(tail_memory)
-        )
-        network_after = self.body_network + demand.network_mbps
-        disk_after = self.body_disk + demand.disk_mbps
-        return (
-            cpu_after <= self.cpu_capacity + 1e-9
-            and memory_after <= self.memory_capacity + 1e-9
-            and network_after <= self.network_capacity + 1e-9
-            and disk_after <= self.disk_capacity + 1e-9
-        )
-
-    def add(self, demand: VMDemand, cluster: int) -> None:
-        if not self.fits(demand, cluster):
-            raise PlacementError(
-                f"{demand.vm_id} does not fit on {self.host.host_id}"
-            )
-        self.body_cpu += demand.cpu_rpe2
-        self.body_memory += demand.memory_gb
-        self.body_network += demand.network_mbps
-        self.body_disk += demand.disk_mbps
-        self.cluster_tail_cpu[cluster] = (
-            self.cluster_tail_cpu.get(cluster, 0.0) + demand.tail_cpu_rpe2
-        )
-        self.cluster_tail_memory[cluster] = (
-            self.cluster_tail_memory.get(cluster, 0.0) + demand.tail_memory_gb
-        )
-        self.vm_ids.append(demand.vm_id)
+    sums = dict(tails)
+    sums[cluster] = sums.get(cluster, 0.0) + tail
+    worst = max(sums.values())
+    return worst + overlap * (sum(sums.values()) - worst)
 
 
 @dataclass
@@ -144,7 +81,7 @@ class StochasticConsolidation(ConsolidationAlgorithm):
     envelope_quantile: float = 0.9
     cluster_similarity_threshold: float = 0.25
     #: Fraction of cross-cluster tail mass still reserved (see
-    #: :class:`_ClusterBin`); 0 = fully trust the clustering.
+    #: :func:`_pooled_tail`); 0 = fully trust the clustering.
     tail_overlap_factor: float = 0.55
     utilization_bound: float = 1.0
 
@@ -190,58 +127,85 @@ class StochasticConsolidation(ConsolidationAlgorithm):
         datacenter: Datacenter,
         constraints: ConstraintSet,
     ) -> Placement:
+        """First fit in FFD order, tails pooled per host and cluster.
+
+        A host admits a VM if its bodies plus the VM's stay within
+        ``eps`` (capacity plus slack) on all four resources and, for
+        CPU and memory, ``(body + demand) + _pooled_tail(...) <= eps``.
+        The body-only test runs first: a pooled tail is never negative,
+        so it rejects only hosts the full test rejects.
+        """
         hosts = datacenter.hosts
-        if not hosts:
-            raise PlacementError("no hosts to pack onto")
-        cluster_of = {
-            vm_id: cluster
-            for vm_id, cluster in zip(clusters.vm_ids, clusters.cluster_of)
-        }
-        ordered = sort_decreasing(demands, hosts[0])
-        if constraints:
-            # Constrained VMs claim their feasible hosts first (see
-            # repro.placement.binpacking.pack).
-            ordered = sorted(
-                ordered,
-                key=lambda d: not constraints.constraints_for(d.vm_id),
-            )
-        bins = [
-            _ClusterBin(host, self.utilization_bound, self.tail_overlap_factor)
-            for host in hosts
-        ]
-        assignment: Dict[str, str] = {}
-        for demand in ordered:
-            cluster = cluster_of[demand.vm_id]
-            target = self._first_fit(
-                demand, cluster, bins, assignment, constraints, datacenter
-            )
-            if target is None:
+        caps = HostCapacities(hosts, self.utilization_bound)
+        cluster_index = dict(zip(clusters.vm_ids, clusters.cluster_of))
+        vm_ids = tuple(demand.vm_id for demand in demands)
+        cpu, mem, net, dsk, tail_cpu, tail_mem = np.array(
+            [
+                (
+                    d.cpu_rpe2, d.memory_gb, d.network_mbps, d.disk_mbps,
+                    d.tail_cpu_rpe2, d.tail_memory_gb,
+                )
+                for d in demands
+            ],
+            dtype=float,
+        ).reshape(-1, 6).T
+        plan = IncrementalPlan(caps, vm_ids, cpu, mem, net, dsk)
+        rules = (
+            _Rules(constraints, datacenter, vm_ids, hosts)
+            if constraints
+            else None
+        )
+        # FFD scores count the tails.
+        order, n_checked = ffd_order(
+            cpu + tail_cpu, mem + tail_mem, hosts[0], id_ranks(vm_ids), rules
+        )
+        overlap = self.tail_overlap_factor
+        eps_cpu, eps_mem = caps.eps_cpu, caps.eps_mem
+        eps_net, eps_dsk = caps.eps_net, caps.eps_dsk
+        body_cpu, body_mem = plan.body_cpu, plan.body_mem
+        body_net, body_dsk = plan.body_net, plan.body_dsk
+        # Per host, each cluster's tail sum, clusters in arrival order.
+        tails_cpu: List[Dict[int, float]] = [{} for _ in hosts]
+        tails_mem: List[Dict[int, float]] = [{} for _ in hosts]
+        for position, row in enumerate(order.tolist()):
+            demand = demands[row]
+            cluster = cluster_index[demand.vm_id]
+            t_cpu = demand.tail_cpu_rpe2
+            t_mem = demand.tail_memory_gb
+            for host in range(caps.n):
+                cpu_after = body_cpu[host] + demand.cpu_rpe2
+                mem_after = body_mem[host] + demand.memory_gb
+                if (
+                    cpu_after <= eps_cpu[host]
+                    and mem_after <= eps_mem[host]
+                    and body_net[host] + demand.network_mbps <= eps_net[host]
+                    and body_dsk[host] + demand.disk_mbps <= eps_dsk[host]
+                    and cpu_after
+                    + _pooled_tail(tails_cpu[host], cluster, t_cpu, overlap)
+                    <= eps_cpu[host]
+                    and mem_after
+                    + _pooled_tail(tails_mem[host], cluster, t_mem, overlap)
+                    <= eps_mem[host]
+                    and (
+                        position >= n_checked
+                        or rules.allows(row, host, rules.assigned)
+                    )
+                ):
+                    break
+            else:
                 raise PlacementError(
                     f"VM {demand.vm_id} fits on no host "
                     f"(body cpu={demand.cpu_rpe2:.0f}, "
-                    f"tail cpu={demand.tail_cpu_rpe2:.0f})"
+                    f"tail cpu={t_cpu:.0f})"
                 )
-            target.add(demand, cluster)
-            assignment[demand.vm_id] = target.host.host_id
-        if constraints:
-            constraints.validate(assignment, datacenter)
-        return Placement(assignment=assignment)
-
-    def _first_fit(
-        self,
-        demand: VMDemand,
-        cluster: int,
-        bins: List[_ClusterBin],
-        assignment: Mapping[str, str],
-        constraints: ConstraintSet,
-        datacenter: Datacenter,
-    ) -> Optional[_ClusterBin]:
-        for candidate in bins:
-            if not candidate.fits(demand, cluster):
-                continue
-            if constraints and not constraints.feasible(
-                demand.vm_id, candidate.host, assignment, datacenter
-            ):
-                continue
-            return candidate
-        return None
+            plan.assign(row, host)
+            held = tails_cpu[host]
+            held[cluster] = held.get(cluster, 0.0) + t_cpu
+            held = tails_mem[host]
+            held[cluster] = held.get(cluster, 0.0) + t_mem
+            if position < n_checked:
+                rules.place(row, host)
+        if rules is not None:
+            constraints.validate(rules.assigned, datacenter)
+        hosts_of = np.array(plan.assignment_rows, dtype=np.intp)[order]
+        return Placement.from_indices(vm_ids, caps.host_ids, order, hosts_of)

@@ -47,9 +47,6 @@ from repro.workloads.trace import TraceSet
 
 __all__ = ["ConsolidationEmulator"]
 
-#: Fallback power curve for hosts without a catalog model attached.
-_DEFAULT_POWER = LinearPowerModel(idle_watts=160.0, peak_watts=400.0)
-
 #: Segment width (hours) below which the bincount scatter beats per-VM
 #: row adds.  Narrow segments (dynamic consolidation's intervals) are
 #: dominated by per-call overhead, wide ones by per-element throughput;
@@ -211,11 +208,7 @@ class ConsolidationEmulator:
         power = np.zeros_like(cpu_demand)
         groups: Dict[Tuple[float, float], List[int]] = {}
         for row, host in enumerate(hosts):
-            model = (
-                LinearPowerModel.from_model(host.model)
-                if host.model is not None
-                else _DEFAULT_POWER
-            )
+            model = LinearPowerModel.for_host(host)
             groups.setdefault(
                 (model.idle_watts, model.peak_watts), []
             ).append(row)

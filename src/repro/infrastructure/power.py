@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 from repro.exceptions import ConfigurationError
+from repro.infrastructure.server import PhysicalServer
 from repro.metrics.catalog import ServerModel
 
 __all__ = ["LinearPowerModel"]
@@ -46,6 +47,17 @@ class LinearPowerModel:
     @classmethod
     def from_model(cls, model: ServerModel) -> "LinearPowerModel":
         return cls(idle_watts=model.idle_watts, peak_watts=model.peak_watts)
+
+    @classmethod
+    def for_host(cls, host: PhysicalServer) -> "LinearPowerModel":
+        """The host's catalog model; 160 W idle, 400 W peak without one.
+
+        The emulator, the dynamic planner's migration-cost gate and the
+        power budget all price a host through this one rule.
+        """
+        if host.model is not None:
+            return cls.from_model(host.model)
+        return _UNCATALOGUED
 
     def power_watts(self, utilization: float, *, active: bool = True) -> float:
         """Power draw at a given CPU utilization fraction.
@@ -75,3 +87,7 @@ class LinearPowerModel:
             np.sum(self.power_watts_array(np.fromiter(utilizations, dtype=float)))
         )
         return total_watts * interval_hours / 1000.0
+
+
+#: What a host with no catalog model attached draws.
+_UNCATALOGUED = LinearPowerModel(idle_watts=160.0, peak_watts=400.0)

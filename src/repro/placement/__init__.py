@@ -1,10 +1,9 @@
 """Placement structures and first-fit-decreasing packing."""
 
-from repro.placement.binpacking import pack, sort_decreasing
+from repro.placement.binpacking import pack
 from repro.placement.plan import Placement
 
 __all__ = [
     "Placement",
     "pack",
-    "sort_decreasing",
 ]

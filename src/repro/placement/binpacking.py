@@ -15,7 +15,7 @@ in ``tests/reference/packing.py`` is the oracle that pins it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
 import numpy as np
 
@@ -26,27 +26,7 @@ from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
 from repro.placement.plan import Placement
 
-__all__ = ["pack", "sort_decreasing"]
-
-
-def sort_decreasing(
-    demands: Sequence[VMDemand], reference: PhysicalServer
-) -> List[VMDemand]:
-    """FFD order: decreasing by the dominant normalized resource.
-
-    Each VM is scored by ``max(cpu / host_cpu, memory / host_memory)``
-    including its tail — the standard scalarization for vector bin
-    packing, which keeps memory-heavy and CPU-heavy VMs comparable.
-    Ties break on vm_id for determinism.
-    """
-    def key(demand: VMDemand) -> Tuple[float, str]:
-        score = max(
-            demand.total_cpu_rpe2 / reference.cpu_rpe2,
-            demand.total_memory_gb / reference.memory_gb,
-        )
-        return (-score, demand.vm_id)
-
-    return sorted(demands, key=key)
+__all__ = ["pack"]
 
 
 def pack(

@@ -50,6 +50,33 @@ class TestPeakEnvelope:
         envelope = peak_envelope(np.full(50, 2.0))
         assert not envelope.any()
 
+    @pytest.mark.parametrize("quantile", [0.5, 0.8, 0.9, 0.99])
+    def test_matrix_equals_row_by_row(self, quantile):
+        rng = np.random.default_rng(7)
+        matrix = rng.uniform(0.0, 100.0, (12, 97))
+        matrix[3] = 5.0                            # flat row
+        matrix[5, ::2] = matrix[5, 0]              # heavy ties
+        matrix[7] = np.round(matrix[7] / 25.0)     # few distinct values
+        matrix[9] = 1.0
+        matrix[9, 40] = 50.0                       # one spike
+        envelopes = peak_envelope(matrix, quantile)
+        assert envelopes.shape == matrix.shape
+        for row, values in enumerate(matrix):
+            assert np.array_equal(
+                envelopes[row], peak_envelope(values, quantile)
+            )
+        # Flat rule: a row whose quantile equals its minimum has no
+        # peaks — row 3, and row 9 below q = 0.99, lone spike included.
+        assert not envelopes[3].any()
+        assert envelopes[9].any() == (quantile == 0.99)
+
+    def test_shape_errors(self):
+        for bad in (np.array([]), np.array(1.0), np.zeros((2, 2, 2))):
+            with pytest.raises(TraceError, match="non-empty 1-D series"):
+                peak_envelope(bad)
+        with pytest.raises(TraceError, match="one sample per row"):
+            peak_envelope(np.zeros((3, 0)))
+
     def test_similarity_identical_and_disjoint(self):
         a = np.array([True, True, False, False])
         b = np.array([False, False, True, True])

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.analysis.correlation import PeakClusters
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.semistatic import SemiStaticConsolidation
 from repro.core.stochastic import StochasticConsolidation
 from repro.constraints.affinity import AntiColocate
 from repro.constraints.manager import ConstraintSet
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, PlacementError
+from repro.infrastructure.datacenter import Datacenter
+from repro.infrastructure.vm import VMDemand
 from repro.workloads.trace import TraceSet
 from tests.conftest import make_server_trace
 
@@ -93,6 +96,47 @@ class TestStochasticConsolidation:
         schedule = StochasticConsolidation().plan(context)
         assert len(schedule) == 1
         assert schedule.total_migrations() == 0
+
+
+class TestPlacementErrors:
+    def test_vm_that_fits_nowhere_is_named(self, small_pool, tiny_pool):
+        context = _bursty_context(small_pool)
+        cramped = PlanningContext(
+            history=context.history,
+            evaluation=context.evaluation,
+            datacenter=tiny_pool,  # 1000 RPE2 hosts; peaks reach 3600
+        )
+        with pytest.raises(
+            PlacementError,
+            match=(
+                r"^VM vm\d+ fits on no host "
+                r"\(body cpu=\d+, tail cpu=\d+\)$"
+            ),
+        ):
+            StochasticConsolidation().plan(cramped)
+
+    def test_error_text_reports_body_and_tail(self, tiny_pool):
+        demands = [
+            VMDemand("small", 100.0, 1.0, tail_cpu_rpe2=50.0),
+            VMDemand("burst", 700.4, 1.0, tail_cpu_rpe2=299.7),
+        ]
+        clusters = PeakClusters(vm_ids=("small", "burst"), cluster_of=(0, 0))
+        algorithm = StochasticConsolidation(utilization_bound=0.9)
+        with pytest.raises(PlacementError) as raised:
+            algorithm._pack(demands, clusters, tiny_pool, ConstraintSet())
+        assert str(raised.value) == (
+            "VM burst fits on no host (body cpu=700, tail cpu=300)"
+        )
+
+    def test_empty_pool(self, small_pool):
+        context = _bursty_context(small_pool)
+        empty = PlanningContext(
+            history=context.history,
+            evaluation=context.evaluation,
+            datacenter=Datacenter(name="empty"),
+        )
+        with pytest.raises(PlacementError, match="^no hosts to pack onto$"):
+            StochasticConsolidation().plan(empty)
 
 
 class TestConfiguration:

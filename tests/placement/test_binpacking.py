@@ -1,13 +1,15 @@
 """Tests for first-fit-decreasing packing and its bins."""
 
+import numpy as np
 import pytest
 
 from repro.constraints.affinity import AntiColocate, Colocate, PinToHost
 from repro.constraints.manager import ConstraintSet
+from repro.core.dynamic_vector import _Rules, ffd_order, id_ranks
 from repro.core.incremental import HostCapacities
 from repro.exceptions import ConfigurationError, ConstraintViolation, PlacementError
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import pack, sort_decreasing
+from repro.placement.binpacking import pack
 
 
 def _demand(vm_id, cpu, mem, tail_cpu=0.0, tail_mem=0.0):
@@ -53,22 +55,66 @@ class TestBin:
                 )
 
 
-class TestSortDecreasing:
+class TestFfdOrder:
+    """:func:`ffd_order`, the FFD order ``pack()`` and PCP share."""
+
+    @staticmethod
+    def _order(demands, reference, rules_for=None):
+        vm_ids = tuple(d.vm_id for d in demands)
+        cpu = np.array([d.total_cpu_rpe2 for d in demands])
+        mem = np.array([d.total_memory_gb for d in demands])
+        rules = rules_for(vm_ids) if rules_for else None
+        order, n_checked = ffd_order(
+            cpu, mem, reference, id_ranks(vm_ids), rules
+        )
+        return [vm_ids[row] for row in order.tolist()], n_checked
+
     def test_dominant_resource_ordering(self, tiny_pool):
         reference = tiny_pool.host("tiny-h0")  # 1000 RPE2 / 10 GB
         cpu_heavy = _demand("cpu", 900, 1)   # score 0.9
         mem_heavy = _demand("mem", 100, 8)   # score 0.8
         small = _demand("small", 100, 1)     # score 0.1
-        ordered = sort_decreasing([small, mem_heavy, cpu_heavy], reference)
-        assert [d.vm_id for d in ordered] == ["cpu", "mem", "small"]
+        ordered, n_checked = self._order(
+            [small, mem_heavy, cpu_heavy], reference
+        )
+        assert ordered == ["cpu", "mem", "small"]
+        assert n_checked == 0
 
     def test_deterministic_tiebreak(self, tiny_pool):
         reference = tiny_pool.host("tiny-h0")
         a, b = _demand("a", 100, 1), _demand("b", 100, 1)
-        assert [d.vm_id for d in sort_decreasing([b, a], reference)] == [
-            "a",
-            "b",
+        assert self._order([b, a], reference)[0] == ["a", "b"]
+
+    def test_tails_count_in_the_score(self, tiny_pool):
+        reference = tiny_pool.host("tiny-h0")
+        body = _demand("body", 500, 1)                     # score 0.5
+        bursty = _demand("bursty", 300, 1, tail_cpu=400)   # score 0.7
+        assert self._order([body, bursty], reference)[0] == [
+            "bursty", "body",
         ]
+
+    def test_constrained_vms_first(self, tiny_pool):
+        reference = tiny_pool.host("tiny-h0")
+        demands = [
+            _demand("big", 900, 1),
+            _demand("pinned", 100, 1),
+            _demand("mid", 500, 1),
+            _demand("apart", 200, 1),
+        ]
+        constraints = ConstraintSet(
+            [PinToHost("pinned", "tiny-h1"), AntiColocate("apart", "x")]
+        )
+        ordered, n_checked = self._order(
+            demands,
+            reference,
+            lambda vm_ids: _Rules(
+                constraints, tiny_pool, vm_ids, tiny_pool.hosts
+            ),
+        )
+        # Stable within each group: FFD order among the constrained,
+        # then among the rest.
+        assert ordered == ["apart", "pinned", "big", "mid"]
+        assert n_checked == 2
 
 
 class TestPack:

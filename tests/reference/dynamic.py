@@ -31,6 +31,9 @@ from tests.reference.sizing import estimate_from_values_reference
 
 __all__ = ["host_order", "plan_reference", "predict_interval"]
 
+#: Idle draw of a host with no catalog model attached (W).
+_UNCATALOGUED_IDLE_WATTS = 160.0
+
 
 def plan_reference(
     algorithm: DynamicConsolidation, context: PlanningContext
@@ -242,7 +245,7 @@ def _try_vacate(
             for vm_id, _ in moves
         )
         benefit_wh = (
-            algorithm._idle_watts(source.host) * context.config.interval_hours
+            _idle_watts(source.host) * context.config.interval_hours
         )
         if benefit_wh <= cost_wh:
             return False
@@ -334,3 +337,9 @@ def _fits_with_pending(
         and network_after <= candidate.network_capacity + 1e-9
         and disk_after <= candidate.disk_capacity + 1e-9
     )
+
+
+def _idle_watts(host: PhysicalServer) -> float:
+    if host.model is not None:
+        return host.model.idle_watts
+    return _UNCATALOGUED_IDLE_WATTS

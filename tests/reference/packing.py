@@ -16,17 +16,37 @@ contract it pools tails (``pack()`` rejects them) and takes the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.constraints.manager import ConstraintSet
 from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import sort_decreasing
 from repro.placement.plan import Placement
 
-__all__ = ["Bin", "pack_reference"]
+__all__ = ["Bin", "pack_reference", "sort_decreasing"]
+
+
+def sort_decreasing(
+    demands: Sequence[VMDemand], reference: PhysicalServer
+) -> List[VMDemand]:
+    """FFD order: decreasing by the dominant normalized resource.
+
+    Each VM is scored by ``max(cpu / host_cpu, memory / host_memory)``
+    including its tail, ties broken on vm_id — what the library's
+    ``ffd_order`` computes in one ``np.lexsort``.
+    """
+    def key(demand: VMDemand) -> Tuple[float, str]:
+        score = max(
+            demand.total_cpu_rpe2 / reference.cpu_rpe2,
+            demand.total_memory_gb / reference.memory_gb,
+        )
+        return (-score, demand.vm_id)
+
+    return sorted(demands, key=key)
 
 
 @dataclass
@@ -213,25 +233,17 @@ def _pack_scalar(
     bin_of_host = {b.host.host_id: b for b in bins}
     assignment: Dict[str, str] = {}
     suffix_min_cpu, suffix_min_memory = _suffix_min_bodies(ordered)
-    scan_bins = list(bins)
+    dead = [False] * len(bins)
 
     for position, demand in enumerate(ordered):
-        # Drop permanently-saturated bins: remaining capacity below the
-        # smallest body demand still to come means the bin can never
-        # pass another fits() check.  Purely an optimization — a dropped
-        # bin would have failed every future scan anyway.
-        scan_bins = [
-            b
-            for b in scan_bins
-            if not _is_saturated(
-                b,
-                suffix_min_cpu[position],
-                suffix_min_memory[position],
-            )
-        ]
         target = _choose_bin(
             demand,
-            scan_bins,
+            _live_bins(
+                bins,
+                dead,
+                suffix_min_cpu[position],
+                suffix_min_memory[position],
+            ),
             bin_of_host,
             assignment,
             constraints=constraints,
@@ -243,6 +255,28 @@ def _pack_scalar(
         target.add(demand)
         assignment[demand.vm_id] = target.host.host_id
     return assignment
+
+
+def _live_bins(
+    bins: Sequence[Bin],
+    dead: List[bool],
+    min_future_cpu: float,
+    min_future_memory: float,
+) -> Iterator[Bin]:
+    """The bins a scan reaches, in order, saturated ones dropped for good.
+
+    A bin whose remaining capacity cannot cover the smallest body
+    demand still to come is marked dead when the scan first reaches it.
+    It stays saturated: suffix minima never fall and a bin's totals
+    never fall, so dropping it is purely an optimization.
+    """
+    for index, candidate in enumerate(bins):
+        if dead[index]:
+            continue
+        if _is_saturated(candidate, min_future_cpu, min_future_memory):
+            dead[index] = True
+            continue
+        yield candidate
 
 
 def _is_saturated(
@@ -259,7 +293,7 @@ def _is_saturated(
 
 def _choose_bin(
     demand: VMDemand,
-    bins: Sequence[Bin],
+    bins: Iterable[Bin],
     bin_of_host: Mapping[str, Bin],
     assignment: Mapping[str, str],
     *,

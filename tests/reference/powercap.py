@@ -16,7 +16,9 @@ from __future__ import annotations
 from typing import Dict, List, Mapping
 
 from repro.core.base import PlanningContext
-from repro.core.powercap import PowerBudgetedConsolidation, _power_model
+from repro.core.powercap import PowerBudgetedConsolidation
+from repro.infrastructure.power import LinearPowerModel
+from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable
@@ -24,6 +26,15 @@ from tests.reference.dynamic import _fits_with_pending
 from tests.reference.packing import Bin
 
 __all__ = ["ReferencePowerBudget"]
+
+#: Power curve of a host with no catalog model attached.
+_DEFAULT_POWER = LinearPowerModel(idle_watts=160.0, peak_watts=400.0)
+
+
+def _power_model(host: PhysicalServer) -> LinearPowerModel:
+    if host.model is not None:
+        return LinearPowerModel.from_model(host.model)
+    return _DEFAULT_POWER
 
 
 class ReferencePowerBudget(PowerBudgetedConsolidation):

@@ -8,7 +8,8 @@ its member list:
     sum(bodies) + worst cluster tail sum + overlap * (other tail sums)
 
 instead of carrying running totals.  The folds run in member order, so
-every float equals the library's incremental ``_ClusterBin`` state.
+every float equals the library's running state: the bodies its
+``IncrementalPlan`` folds and its per-host, per-cluster tail sums.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from repro.core.stochastic import StochasticConsolidation
 from repro.exceptions import PlacementError
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
-from repro.placement.binpacking import sort_decreasing
 from repro.placement.plan import Placement
 from repro.sizing.estimator import SizeEstimator
 from repro.sizing.functions import BodyTailSizing
 from tests.reference.correlation import cluster_by_peaks_reference
+from tests.reference.packing import sort_decreasing
 from tests.reference.sizing import estimate_reference
 
 __all__ = ["place_reference"]

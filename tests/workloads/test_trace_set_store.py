@@ -2,7 +2,8 @@
 
 Pins the single representation: planning reads workload classes from
 ``TraceSet.identities`` and demand from the store, so no planner,
-sharded or not, builds a :class:`ServerTrace`; a pickled set carries its
+sharded or not, builds a :class:`ServerTrace`, and neither does the
+emulator; a pickled set carries its
 demand once, and the rows a loaded set materializes are views of its
 store; and a set built from a list of traces answers ``window`` and
 ``subset`` exactly like a store-first set over the same data.
@@ -17,11 +18,16 @@ import pytest
 
 from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
-from repro.core.planner import split_window
+from repro.core.planner import ConsolidationPlanner, split_window
+from repro.core.powercap import PowerBudgetedConsolidation
 from repro.core.semistatic import SemiStaticConsolidation
+from repro.core.static import StaticConsolidation
+from repro.core.stochastic import StochasticConsolidation
 from repro.infrastructure.datacenter import build_target_pool
 from repro.runner import ExperimentRunner
-from repro.sharding import chunked_source, run_sharded_plan
+from repro.sharding import (
+    ShardedConsolidation, chunked_source, run_sharded_plan,
+)
 from repro.workloads.chunked import write_trace_set
 from repro.workloads.datacenters import generate_datacenter
 from repro.workloads.trace import ServerTrace, TraceSet
@@ -84,6 +90,58 @@ class TestPlanningBuildsNoTraces:
         )
         assert run.report.n_shards == 3
         assert built["traces"] == 0
+
+
+class TestPlannersReadTheStore:
+    """Every planner, planned and emulated, with trace objects refused."""
+
+    @pytest.fixture(scope="class")
+    def small_banking(self):
+        """Seed-1 banking at scale 0.1: 82 VMs on 3 racks of hosts."""
+        return generate_datacenter("banking", scale=0.1, days=6, seed=1)
+
+    @pytest.fixture
+    def no_trace_objects(self, monkeypatch):
+        def refuse(trace_set: TraceSet) -> None:
+            raise AssertionError(
+                f"trace set {trace_set.name!r} built its ServerTraces"
+            )
+
+        monkeypatch.setattr(TraceSet, "traces", property(refuse))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            SemiStaticConsolidation,
+            StaticConsolidation,
+            StochasticConsolidation,
+            DynamicConsolidation,
+            # A 1 W budget binds in every interval.
+            lambda: PowerBudgetedConsolidation(budget_watts=1.0),
+            lambda: ShardedConsolidation(n_shards=2),
+        ],
+        ids=[
+            "semi-static", "static", "stochastic", "dynamic",
+            "power-budgeted", "sharded",
+        ],
+    )
+    def test_plan_and_emulate(
+        self, small_banking, no_trace_objects, make
+    ) -> None:
+        planner = ConsolidationPlanner(
+            traces=small_banking,
+            datacenter=build_target_pool(
+                "pool", host_count=len(small_banking) // 2
+            ),
+            evaluation_days=_EVALUATION_DAYS,
+        )
+        algorithm = make()
+        result = planner.run(algorithm)
+        assert len(result.schedule.segments[0].placement) == len(
+            small_banking
+        )
+        if isinstance(algorithm, PowerBudgetedConsolidation):
+            assert min(algorithm.overshoot_watts) > 0
 
 
 class TestPickle:
