@@ -32,7 +32,12 @@ while replacing its per-VM object churn with columnar kernels:
   *and* :meth:`~repro.constraints.manager.ConstraintSet.feasible`
   allows it against the interval's assignment so far (plus, in vacate,
   the attempt's pending moves).  That assignment holds only the
-  constrained VMs — the only ones any constraint reads.
+  constrained VMs — the only ones any constraint reads;
+* :class:`PythonLoop` runs the pack and the sweeps of each interval.
+  A plan without constraints runs them instead in one call per interval
+  into the compiled loop (:mod:`repro.core.interval_kernel`), which
+  makes the same decisions bit for bit, wherever that kernel builds and
+  passes its first-use self-check.
 
 After each interval's pack and vacate the algorithm's
 ``_finish_interval`` hook sees the placement; a hook that returns a
@@ -60,7 +65,7 @@ object is passed in), keeping the dependency one-directional.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,9 +87,10 @@ from repro.workloads.store import TraceStore
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.dynamic import DynamicConsolidation
+    from repro.core.interval_kernel import KernelLoop
 
 __all__ = [
-    "ffd_order", "first_fit", "id_ranks", "plan_dynamic_array",
+    "PythonLoop", "ffd_order", "first_fit", "id_ranks", "plan_dynamic_array",
     "size_demand_rows",
 ]
 
@@ -96,11 +102,11 @@ _SLACK = 1e-9
 class _HostArrays:
     """Host objects, capacity vectors, and idle power, fixed per plan."""
 
-    def __init__(self, context: PlanningContext) -> None:
-        hosts = list(context.datacenter.hosts)
-        self.caps = HostCapacities(
-            hosts, context.config.utilization_bound
-        )
+    def __init__(
+        self, hosts: Sequence[PhysicalServer], utilization_bound: float
+    ) -> None:
+        hosts = list(hosts)
+        self.caps = HostCapacities(hosts, utilization_bound)
         self.hosts = hosts
         self.host_ids = self.caps.host_ids
         self.idle_watts = [
@@ -203,12 +209,69 @@ def size_demand_rows(
     )
 
 
+class PythonLoop:
+    """The interval loop in Python, on one plan carried across intervals.
+
+    Each :meth:`interval` runs :func:`first_fit`, then the vacate sweeps,
+    on an :class:`IncrementalPlan`.  It is the only loop that can check
+    deployment constraints (``rules``), and the one that runs wherever
+    the compiled loop (:class:`~repro.core.interval_kernel.KernelLoop`,
+    the same interface) is off; that kernel's self-check runs against
+    it.
+    """
+
+    def __init__(
+        self,
+        algorithm: "DynamicConsolidation",
+        host_arrays: _HostArrays,
+        interval_hours: float,
+        table: DemandTable,
+        id_rank: np.ndarray,
+        rules: Optional[_Rules] = None,
+    ) -> None:
+        zeros = [0.0] * table.n_vms
+        self.algorithm = algorithm
+        self.host_arrays = host_arrays
+        self.interval_hours = interval_hours
+        self.table = table
+        self.id_rank = id_rank
+        self.rules = rules
+        self.plan = IncrementalPlan(
+            host_arrays.caps, table.vm_ids, zeros, zeros
+        )
+
+    def interval(self, interval: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Plans column ``interval``: the FFD order and each row's host."""
+        table = self.table
+        plan = self.plan
+        order, appearance = first_fit(
+            plan,
+            self.host_arrays.hosts,
+            table.cpu_rpe2[:, interval],
+            table.memory_gb[:, interval],
+            table.network_mbps[:, interval],
+            table.disk_mbps[:, interval],
+            self.id_rank,
+            self.rules,
+        )
+        _vacate_intervals_hosts(
+            self.algorithm, self.host_arrays, plan, appearance,
+            self.interval_hours, self.rules,
+        )
+        return order, np.array(plan.assignment_rows, dtype=np.intp)
+
+    def seed(self, host_of_row: np.ndarray) -> None:
+        """Every row's host: the next interval's sticky hints."""
+        plan = self.plan
+        plan.load(host_of_row, plan.cpu, plan.mem, plan.net, plan.dsk)
+
+
 def plan_dynamic_array(
     algorithm: "DynamicConsolidation", context: PlanningContext
 ) -> PlacementSchedule:
     """Sticky pack, cost-aware vacate and the interval hook, per interval."""
     vm_ids = tuple(context.evaluation.vm_ids)
-    n_intervals = context.n_intervals
+    n_vms = len(vm_ids)
     # Whole-plan tables: one peak-table kernel call per metric instead
     # of 2 × n_intervals per-interval predictions.
     table = size_demand_rows(
@@ -218,8 +281,9 @@ def plan_dynamic_array(
         [vm.workload_class for vm, _spec in context.evaluation.identities],
         context,
     )
-
-    host_arrays = _HostArrays(context)
+    host_arrays = _HostArrays(
+        context.datacenter.hosts, context.config.utilization_bound
+    )
     rules = (
         _Rules(
             context.constraints, context.datacenter, vm_ids, host_arrays.hosts
@@ -227,33 +291,16 @@ def plan_dynamic_array(
         if context.constraints
         else None
     )
-    n_vms = len(vm_ids)
-    id_rank = id_ranks(vm_ids)
+    loop = _interval_loop(algorithm, context, host_arrays, table, rules)
 
-    # One plan for the whole schedule, emptied for each interval; every
-    # interval's placement shares its two id tuples.
-    plan = IncrementalPlan(
-        host_arrays.caps, vm_ids, [0.0] * n_vms, [0.0] * n_vms
-    )
+    row_index = {vm_id: row for row, vm_id in enumerate(vm_ids)}
     memo: dict = {}
     placements: List[Placement] = []
-    for interval in range(n_intervals):
-        order, appearance = first_fit(
-            plan,
-            host_arrays.hosts,
-            table.cpu_rpe2[:, interval],
-            table.memory_gb[:, interval],
-            table.network_mbps[:, interval],
-            table.disk_mbps[:, interval],
-            id_rank,
-            rules,
-        )
-        _vacate_intervals_hosts(
-            algorithm, context, host_arrays, plan, appearance, rules
-        )
-        hosts = np.array(plan.assignment_rows, dtype=np.intp)[order]
+    # Every interval's placement shares the two id tuples.
+    for interval in range(context.n_intervals):
+        order, host_of_row = loop.interval(interval)
         placement = Placement.from_indices(
-            vm_ids, host_arrays.host_ids, order, hosts
+            vm_ids, host_arrays.host_ids, order, host_of_row[order]
         )
         final = algorithm._finish_interval(
             placement, table, interval, context
@@ -262,15 +309,51 @@ def plan_dynamic_array(
         if final is not placement:
             # The hook moved VMs: the next sticky pack starts from them.
             rows, hosts = final.indices(
-                plan.row_index, plan.caps.index_of, memo, PlacementError
+                row_index, host_arrays.caps.index_of, memo, PlacementError
             )
             if len(rows) != n_vms:
                 raise PlacementError("the interval hook must place every VM")
             previous = np.empty(n_vms, dtype=np.intp)
             previous[rows] = hosts
-            plan.load(previous, plan.cpu, plan.mem, plan.net, plan.dsk)
+            loop.seed(previous)
     return PlacementSchedule.periodic(
         placements, context.config.interval_hours
+    )
+
+
+def _interval_loop(
+    algorithm: "DynamicConsolidation",
+    context: PlanningContext,
+    host_arrays: _HostArrays,
+    table: DemandTable,
+    rules: Optional[_Rules],
+) -> Union[PythonLoop, "KernelLoop"]:
+    """The compiled loop where it applies and is on, else the Python one.
+
+    It applies to a plan without constraints whose hosts all have finite
+    CPU and memory capacities: an infinite one makes a residual NaN,
+    which only Python's own sort orders as the Python loop does.  Its
+    module is imported here, so only a process that can use it pays
+    for it (and the library's import time does not move).
+    """
+    id_rank = id_ranks(table.vm_ids)
+    interval_hours = context.config.interval_hours
+    caps = host_arrays.caps
+    if (
+        rules is None
+        and np.isfinite(caps.cap_cpu_np).all()
+        and np.isfinite(caps.cap_mem_np).all()
+    ):
+        from repro.core import interval_kernel
+
+        library = interval_kernel.load()
+        if library is not None:
+            return interval_kernel.KernelLoop(
+                library, algorithm, host_arrays, interval_hours, table,
+                id_rank,
+            )
+    return PythonLoop(
+        algorithm, host_arrays, interval_hours, table, id_rank, rules
     )
 
 
@@ -442,10 +525,10 @@ def first_fit(
 
 def _vacate_intervals_hosts(
     algorithm: "DynamicConsolidation",
-    context: PlanningContext,
     host_arrays: _HostArrays,
     plan: IncrementalPlan,
     appearance: List[int],
+    interval_hours: float,
     rules: Optional[_Rules],
 ) -> None:
     """Empty lightly-loaded hosts into loaded ones when it pays off.
@@ -467,7 +550,6 @@ def _vacate_intervals_hosts(
     """
     body_cpu = plan.body_cpu
     vm_rows_of_host = plan.vm_rows_of_host
-    interval_hours = context.config.interval_hours
 
     def emptiest(host: int) -> Tuple[int, float]:
         return len(vm_rows_of_host[host]), body_cpu[host]

@@ -458,7 +458,10 @@ class IncrementalPlan:
         """An O(1) test that :meth:`vacate_targets` would return ``None``.
 
         Sums the CPU and memory bodies (``load``) and admission
-        capacities (``room``, the ``eps`` floats) of ``candidates`` once.
+        capacities (``room``, the ``eps`` floats) of ``candidates`` once,
+        each a left fold from 0 in candidate order on every Python
+        version (``sum`` compensates its rounding from Python 3.12), as
+        the compiled interval loop folds them.
         The returned test is True for a ``source`` among ``candidates``
         whose load exceeds the other candidates' combined spare room,
         ``load > room - eps[source] + 1e-9 * room`` on either resource:
@@ -477,10 +480,14 @@ class IncrementalPlan:
         caps = self.caps
         eps_cpu = caps.eps_cpu
         eps_mem = caps.eps_mem
-        load_cpu = sum(self.body_cpu[host] for host in candidates)
-        load_mem = sum(self.body_mem[host] for host in candidates)
-        room_cpu = sum(eps_cpu[host] for host in candidates)
-        room_mem = sum(eps_mem[host] for host in candidates)
+        body_cpu = self.body_cpu
+        body_mem = self.body_mem
+        load_cpu = load_mem = room_cpu = room_mem = 0.0
+        for host in candidates:
+            load_cpu += body_cpu[host]
+            load_mem += body_mem[host]
+            room_cpu += eps_cpu[host]
+            room_mem += eps_mem[host]
         margin_cpu = 1e-9 * room_cpu
         margin_mem = 1e-9 * room_mem
 

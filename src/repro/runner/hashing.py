@@ -89,16 +89,24 @@ def stable_hash(value: ParamValue, *, salt: str = "") -> str:
 def code_salt() -> str:
     """Cache-invalidation salt derived from the library's source files.
 
-    Any change to a ``repro`` module that can influence results (all of
-    them except the :mod:`repro.devtools` lint tooling) produces a new
-    salt, so stale cached results are never served across code versions.
-    Computed once per process (the tree is a few hundred KB).
+    Any change to a ``repro`` module or C kernel source that can
+    influence results (all of them except the :mod:`repro.devtools` lint
+    tooling) produces a new salt, so stale cached results are never
+    served across code versions.  Computed once per process (the tree is
+    a few hundred KB).
     """
     import repro
 
-    root = Path(repro.__file__).resolve().parent
+    return _tree_salt(Path(repro.__file__).resolve().parent)
+
+
+def _tree_salt(root: Path) -> str:
+    """Hash of every ``*.py`` and ``*.c`` file under ``root`` but devtools."""
     digest = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
+    paths = sorted(
+        path for pattern in ("*.py", "*.c") for path in root.rglob(pattern)
+    )
+    for path in paths:
         relative = path.relative_to(root).as_posix()
         if relative.startswith("devtools/"):
             continue

@@ -6,8 +6,10 @@ costs as much as the draws themselves.  numpy ships its C distribution
 implementations as a static library (``libnpyrandom.a``) with a public
 header (``numpy/random/distributions.h``) precisely so extensions can
 call them directly.  This module compiles ``_fastdraw.c`` against that
-library at first use, loads it with ctypes, and exposes the per-block
-draw loop plus the AR(1)/EWMA recurrences as single C calls.
+library at first use and loads it with ctypes (both through
+:class:`repro.native.Kernel`, shared with the planner's interval
+kernel), and exposes the per-block draw loop plus the AR(1)/EWMA
+recurrences as single C calls.
 
 Because the kernel calls the *same* compiled distribution functions
 that ``Generator`` dispatches to, against the same PCG64 state struct
@@ -19,23 +21,20 @@ choreography through the library and replays it on a reference
 paths, the Lemire bounded-integer path, and the buffered-uint32 reset),
 and verifies the C filters against the numpy implementations.
 Any mismatch — or a missing compiler — disables the kernel for the
-process and callers fall back to the pure-python draw loop.
+process (``repro.native.why_off("fastdraw")`` names the reason) and
+callers fall back to the pure-python draw loop.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
-import hashlib
 import os
-import shutil
-import subprocess
-import sys
 import sysconfig
-import tempfile
 from typing import Optional, Tuple
 
 import numpy as np
+
+from repro.native import Kernel, Unavailable
 
 from .fastseed import FastSeeder
 
@@ -104,15 +103,6 @@ class DrawBuffers(ctypes.Structure):
     ]
 
 
-def _cache_dir() -> str:
-    # Where the compiled .so lands; never what it computes.  Task
-    # results are bit-identical with or without a populated cache.
-    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(  # repro-lint: disable=REPRO111
-        os.path.expanduser("~"), ".cache"
-    )
-    return os.path.join(root, "repro-workloads")
-
-
 def _npyrandom_library() -> Optional[str]:
     path = os.path.join(
         os.path.dirname(np.random.__file__), "lib", "libnpyrandom.a"
@@ -120,97 +110,25 @@ def _npyrandom_library() -> Optional[str]:
     return path if os.path.exists(path) else None
 
 
+def _build_args() -> Tuple[str, ...]:
+    static_lib = _npyrandom_library()
+    if static_lib is None:
+        raise Unavailable("numpy ships no libnpyrandom.a to link against")
+    return (
+        "-I" + np.get_include(),
+        "-I" + sysconfig.get_paths()["include"],
+        static_lib,
+        "-lm",
+    )
+
+
 # -O3 auto-vectorizes the elementwise passes.  That is safe here: every
 # fused op keeps its per-element IEEE sequence (no reassociation of
 # sums), and the only reduction is max, which is exactly order-free.
-# -ffp-contract=off forbids fused multiply-adds, which would change
-# results versus numpy's own elementwise arithmetic; -ffast-math stays
-# off for the same reason.
-_COMPILE_FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+_KERNEL = Kernel("fastdraw", _SOURCE_PATH, _build_args)
 
 
-def _compile_library() -> Optional[str]:
-    """Compile ``_fastdraw.c`` into a cached shared object, or ``None``.
-
-    The cache key hashes the C source, the compile flags, and the numpy
-    and python versions, so changing any rebuilds (and re-verifies) the
-    kernel rather than reusing a stale binary against changed internals.
-    """
-    compiler = shutil.which("gcc") or shutil.which("cc")
-    static_lib = _npyrandom_library()
-    if compiler is None or static_lib is None:
-        return None
-    try:
-        with open(_SOURCE_PATH, "rb") as handle:
-            source = handle.read()
-    except OSError:
-        return None
-    key = hashlib.sha256(
-        source
-        + b"|".join(flag.encode() for flag in _COMPILE_FLAGS)
-        + np.__version__.encode()
-        + sys.version.encode()
-    ).hexdigest()[:16]
-    directory = _cache_dir()
-    target = os.path.join(directory, f"_fastdraw-{key}.so")
-    if os.path.exists(target):
-        return target
-    scratch = None
-    try:
-        os.makedirs(directory, exist_ok=True)
-        handle, scratch = tempfile.mkstemp(suffix=".so", dir=directory)
-        os.close(handle)
-        command = [
-            compiler,
-            *_COMPILE_FLAGS,
-            "-I" + np.get_include(),
-            "-I" + sysconfig.get_paths()["include"],
-            _SOURCE_PATH,
-            static_lib,
-            "-o",
-            scratch,
-            "-lm",
-        ]
-        result = subprocess.run(
-            command,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            timeout=120,
-        )
-        if result.returncode == 0:
-            os.replace(scratch, target)  # atomic against concurrent builds
-            return target
-    except (OSError, subprocess.SubprocessError):
-        pass
-    # Every failed build (compiler error, timeout, failed rename)
-    # removes its scratch object, so none accumulates in the cache.
-    if scratch is not None:
-        with contextlib.suppress(OSError):
-            os.unlink(scratch)
-    return None
-
-
-def _open_library(target: Optional[str]) -> Optional[ctypes.CDLL]:
-    if target is None:
-        return None
-    try:
-        return ctypes.CDLL(target)
-    except OSError:
-        return None
-
-
-def _load_library() -> Optional[ctypes.CDLL]:
-    target = _compile_library()
-    library = _open_library(target)
-    if library is None and target is not None:
-        # A cached object that does not load (truncated, say) would
-        # otherwise disable the kernel in every later process: build it
-        # once more, and fall back only if the rebuild fails to load too.
-        with contextlib.suppress(OSError):
-            os.unlink(target)
-        library = _open_library(_compile_library())
-    if library is None:
-        return None
+def _bind(library: ctypes.CDLL) -> None:
     library.repro_draw_block.restype = ctypes.c_int64
     library.repro_draw_block.argtypes = [
         ctypes.c_void_p,
@@ -272,7 +190,6 @@ def _load_library() -> Optional[ctypes.CDLL]:
         ctypes.c_int64,
         ctypes.c_int64,
     ] + [ctypes.c_double] * 4
-    return library
 
 
 def _capsule_pointer(bit_generator: np.random.BitGenerator) -> Optional[int]:
@@ -597,32 +514,24 @@ def _verify(kernel: FastDrawKernel) -> bool:
     return True
 
 
-_SUPPORTED: Optional[bool] = None
-_LIBRARY: Optional[ctypes.CDLL] = None
-
-
 def make_fast_drawer(seeder: Optional[FastSeeder]) -> Optional[FastDrawKernel]:
     """A verified :class:`FastDrawKernel` for ``seeder``, or ``None``.
 
-    The compile + verify cost is paid once per process; subsequent
-    calls only rebind the cached library to the caller's seeder.  The
-    memo below is a pure capability probe — a verified kernel and the
-    python fallback produce bit-identical results, so cached task
-    outputs do not depend on which path a process took.
+    The compile + verify cost is paid once per process (``_KERNEL``, a
+    :class:`~repro.native.Kernel`); later calls only bind the library to
+    the caller's seeder.  A verified kernel and the python fallback
+    produce bit-identical results, so cached task outputs do not depend
+    on which path a process took; ``repro.native.why_off("fastdraw")``
+    says why the kernel is off.
     """
-    global _SUPPORTED, _LIBRARY
-    if seeder is None or _SUPPORTED is False:
+    if seeder is None:
+        return None
+    library = _KERNEL.load(
+        _bind, lambda library: _verify(FastDrawKernel(library, seeder))
+    )
+    if library is None:
         return None
     try:
-        if _LIBRARY is None:
-            _LIBRARY = _load_library()  # repro-lint: disable=REPRO111
-        if _LIBRARY is None:
-            _SUPPORTED = False  # repro-lint: disable=REPRO111
-            return None
-        kernel = FastDrawKernel(_LIBRARY, seeder)
-        if _SUPPORTED is None:
-            _SUPPORTED = _verify(kernel)  # repro-lint: disable=REPRO111
-    except Exception:  # pragma: no cover - depends on toolchain/numpy
-        _SUPPORTED = False  # repro-lint: disable=REPRO111
+        return FastDrawKernel(library, seeder)
+    except RuntimeError:  # pragma: no cover - depends on numpy internals
         return None
-    return kernel if _SUPPORTED else None

@@ -7,7 +7,10 @@ assignments in every interval, hence the same migrations, host counts,
 and downstream figures.  Covered across predictors, I/O sizing models,
 the migration cost gate (off, on, and binding), generated workload
 texture, a many-host pool, every deployment constraint class, and a
-binding power budget.
+binding power budget.  Unconstrained plans run on the compiled interval
+loop wherever it builds; :class:`TestPythonLoop` runs those cases again
+on the Python loop, which constrained plans and machines without a C
+compiler use.
 """
 
 from __future__ import annotations
@@ -357,3 +360,34 @@ def test_unsatisfiable_constraints_raise_like_reference(
     with pytest.raises(PlacementError) as reference:
         plan_reference(DynamicConsolidation(), context)
     assert type(library.value) is type(reference.value)
+
+
+@pytest.mark.usefixtures("python_loop")
+class TestPythonLoop:
+    """The unconstrained cases again, with the interval kernel off."""
+
+    test_engines_agree_across_predictors = staticmethod(
+        test_engines_agree_across_predictors
+    )
+    test_engines_agree_with_io_models = staticmethod(
+        test_engines_agree_with_io_models
+    )
+    test_engines_agree_with_cost_gate = staticmethod(
+        test_engines_agree_with_cost_gate
+    )
+    test_engines_agree_with_binding_cost_gate = staticmethod(
+        test_engines_agree_with_binding_cost_gate
+    )
+    test_many_bins_agree = staticmethod(test_many_bins_agree)
+    test_auto_equals_scalar_reference = staticmethod(
+        test_auto_equals_scalar_reference
+    )
+    test_generated_texture_agrees = staticmethod(
+        test_generated_texture_agrees
+    )
+    test_binding_power_budget_agrees = staticmethod(
+        test_binding_power_budget_agrees
+    )
+    test_power_budget_matches_reference_hook = staticmethod(
+        test_power_budget_matches_reference_hook
+    )

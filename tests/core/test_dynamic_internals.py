@@ -101,7 +101,9 @@ class TestVacateAttempt:
     def _attempt(small_pool, algorithm, source_shares):
         """Host 1 half full; host 0 holds VMs of the given cpu shares."""
         context = _context(small_pool)
-        host_arrays = _HostArrays(context)
+        host_arrays = _HostArrays(
+            context.datacenter.hosts, context.config.utilization_bound
+        )
         cap = host_arrays.caps.cap_cpu[1]
         loads = [0.5 * cap] + [share * cap for share in source_shares]
         plan = IncrementalPlan(

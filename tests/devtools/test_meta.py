@@ -153,8 +153,9 @@ def _package_data_globs(package):
 
 def test_every_library_data_file_is_package_data():
     """A wheel or a non-editable install carries every non-Python file
-    of the library: the generation kernel compiles ``_fastdraw.c`` at
-    first use, and without it runs the slower Python draw loop."""
+    of the library: the generation kernel compiles ``_fastdraw.c`` and
+    the dynamic planner ``_interval.c`` at first use, and without them
+    run the slower Python loops."""
     shipped = {
         path
         for glob in _package_data_globs("repro")

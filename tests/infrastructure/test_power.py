@@ -95,7 +95,9 @@ class TestForHost:
         )
         assert emulated.tolist() == [[160.0, 280.0, 400.0]]
         # The dynamic planner's cost gate weighs the idle draw.
-        assert _HostArrays(context).idle_watts == [model.idle_watts]
+        assert _HostArrays(
+            pool.hosts, context.config.utilization_bound
+        ).idle_watts == [model.idle_watts]
         # The power budget's estimate at the same three loads.
         workspace = _Workspace(context, ())
         assert workspace.power == [model]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.runner import hashing
 from repro.runner.hashing import canonical_json, code_salt, stable_hash
 from repro.runner.task import ExperimentTask, derive_seed
 
@@ -57,6 +58,17 @@ class TestStableHash:
         assert salt == code_salt()
         assert len(salt) == 16
         int(salt, 16)  # hex-parsable
+
+    def test_code_salt_covers_c_kernel_sources(self, tmp_path) -> None:
+        """A compiled kernel's source decides results as a module does."""
+        trees = []
+        for body in (b"int x = 1;\n", b"int x = 2;\n"):
+            root = tmp_path / f"tree{len(trees)}"
+            (root / "core").mkdir(parents=True)
+            (root / "__init__.py").write_text("")
+            (root / "core" / "_interval.c").write_bytes(body)
+            trees.append(root)
+        assert hashing._tree_salt(trees[0]) != hashing._tree_salt(trees[1])
 
 
 class TestDeriveSeed:

@@ -6,7 +6,10 @@ use and fall back to bit-identical python otherwise.  These tests pin
 the pieces of that contract that the end-to-end equivalence suite
 exercises only indirectly: the batched SeedSequence/PCG64 hashes, the
 state-install round trip, the compiled kernel's availability probe,
-and its on-disk cache (failed builds, unloadable cached objects).
+and the build shared by both C kernels (``repro.native``: the draw
+kernel and the dynamic planner's interval kernel) — its on-disk cache
+(failed builds, unloadable cached objects) and the reason it keeps
+when a kernel is off.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import subprocess
 import numpy as np
 import pytest
 
+from repro.core import interval_kernel
+from repro.native import why_off
 from repro.workloads import fastdraw
 from repro.workloads.fastdraw import make_fast_drawer
 from repro.workloads.fastseed import (
@@ -133,13 +138,28 @@ def test_fast_seeder_exposes_state_addresses():
     assert flags_address != 0
 
 
+needs_compiler = pytest.mark.skipif(
+    shutil.which("gcc") is None and shutil.which("cc") is None,
+    reason="no C compiler on PATH",
+)
+
+#: Each compiled kernel, and the call that builds, loads and checks it.
+KERNELS = {
+    "fastdraw": (
+        fastdraw._KERNEL, lambda: make_fast_drawer(make_fast_seeder())
+    ),
+    "interval": (interval_kernel._KERNEL, interval_kernel.load),
+}
+
+
 @pytest.fixture
 def fresh_kernel_cache(tmp_path, monkeypatch):
     """An empty kernel cache and a process that has not probed it yet."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    monkeypatch.setattr(fastdraw, "_SUPPORTED", None)
-    monkeypatch.setattr(fastdraw, "_LIBRARY", None)
-    return tmp_path / "repro-workloads"
+    for kernel, _use in KERNELS.values():
+        monkeypatch.setattr(kernel, "library", None)
+        monkeypatch.setattr(kernel, "reason", None)
+    return tmp_path / "repro-kernels"
 
 
 def _timed_out_build(*args, **kwargs):
@@ -167,21 +187,61 @@ def test_failed_build_leaves_no_file_behind(
         lambda *args, **kwargs: subprocess.CompletedProcess(args, 0),
     )
     monkeypatch.setattr(module, name, failure)
-    assert make_fast_drawer(make_fast_seeder()) is None
+    for label, (kernel, use) in KERNELS.items():
+        assert use() is None, label
+        assert why_off(label) == kernel.reason
+        assert ("ran past" if name == "run" else "rename refused") in (
+            kernel.reason
+        )
     assert os.listdir(fresh_kernel_cache) == []
 
 
-@pytest.mark.skipif(
-    shutil.which("gcc") is None and shutil.which("cc") is None,
-    reason="no C compiler on PATH",
-)
+@needs_compiler
 def test_unloadable_cached_object_is_rebuilt(fresh_kernel_cache):
-    target = fastdraw._compile_library()
-    if target is None:
-        pytest.skip("the draw kernel does not build on this platform")
-    with open(target, "wb"):
-        pass  # truncate: what a full disk or a killed copy leaves
-    drawer = make_fast_drawer(make_fast_seeder())
-    assert drawer is not None
-    assert fastdraw._SUPPORTED is True
-    assert os.path.getsize(target) > 0
+    for label, (kernel, use) in KERNELS.items():
+        target = kernel._build()
+        if target is None:
+            pytest.skip(f"the {label} kernel does not build: {kernel.reason}")
+        with open(target, "wb"):
+            pass  # truncate: what a full disk or a killed copy leaves
+        assert use() is not None, kernel.reason
+        assert kernel.library is not None and kernel.reason is None
+        assert os.path.getsize(target) > 0
+
+
+class TestWhyOff:
+    """Each way a kernel turns off leaves one reason, read by ``why_off``."""
+
+    def test_no_compiler(self, fresh_kernel_cache, monkeypatch):
+        monkeypatch.setattr(shutil, "which", lambda command: None)
+        for label, (_kernel, use) in KERNELS.items():
+            assert use() is None
+            assert why_off(label) == "no C compiler (gcc or cc) on PATH"
+
+    def test_no_npyrandom_library(self, fresh_kernel_cache, monkeypatch):
+        monkeypatch.setattr(fastdraw, "_npyrandom_library", lambda: None)
+        assert make_fast_drawer(make_fast_seeder()) is None
+        assert "libnpyrandom.a" in why_off("fastdraw")
+
+    @needs_compiler
+    def test_compile_error_keeps_the_compiler_output(
+        self, fresh_kernel_cache, monkeypatch, tmp_path
+    ):
+        broken = tmp_path / "_interval.c"
+        broken.write_text("int repro_interval(void) { return undeclared; }\n")
+        monkeypatch.setattr(interval_kernel._KERNEL, "source", str(broken))
+        assert interval_kernel.load() is None
+        reason = why_off("interval")
+        assert "exited with status" in reason
+        assert "undeclared" in reason
+        assert os.listdir(fresh_kernel_cache) == []
+
+    @needs_compiler
+    def test_failed_self_check(self, fresh_kernel_cache, monkeypatch):
+        if fastdraw._npyrandom_library() is None:
+            pytest.skip("numpy ships no libnpyrandom.a here")
+        monkeypatch.setattr(fastdraw, "_verify", lambda kernel: False)
+        assert make_fast_drawer(make_fast_seeder()) is None
+        assert why_off("fastdraw") == (
+            "self-check against the Python code failed"
+        )
