@@ -31,6 +31,7 @@
 #include <stdint.h>
 #include <string.h>
 
+/* Admission slack; mirrors repro.numerics.CAPACITY_SLACK. */
 #define SLACK 1e-9
 
 /* Outcome of repro_interval. */

@@ -78,6 +78,7 @@ from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.power import LinearPowerModel
 from repro.infrastructure.server import PhysicalServer
 from repro.infrastructure.vm import VMDemand
+from repro.numerics import CAPACITY_SLACK
 from repro.placement.binpacking import _no_fit_error
 from repro.placement.plan import Placement
 from repro.sizing.estimator import DemandTable, SizeEstimator
@@ -93,10 +94,6 @@ __all__ = [
     "PythonLoop", "ffd_order", "first_fit", "id_ranks", "plan_dynamic_array",
     "size_demand_rows",
 ]
-
-#: Admission slack: a fit compares against ``capacity + 1e-9``, as the
-#: reference ``Bin.fits`` does.
-_SLACK = 1e-9
 
 
 class _HostArrays:
@@ -452,6 +449,7 @@ def first_fit(
     eps_dsk = caps.eps_dsk
     cap_cpu = caps.cap_cpu
     cap_mem = caps.cap_mem
+    slack = CAPACITY_SLACK
     body_cpu = plan.body_cpu
     body_mem = plan.body_mem
     body_net = plan.body_net
@@ -494,8 +492,8 @@ def first_fit(
                         target = host
                         break
                 elif (
-                    min_cpu > cap_cpu[host] - body_cpu[host] + _SLACK
-                    or min_mem > cap_mem[host] - body_mem[host] + _SLACK
+                    min_cpu > cap_cpu[host] - body_cpu[host] + slack
+                    or min_mem > cap_mem[host] - body_mem[host] + slack
                 ):
                     dead[host] = True
             if target < 0:

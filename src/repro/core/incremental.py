@@ -50,12 +50,9 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError, PlacementError
 from repro.infrastructure.server import PhysicalServer
+from repro.numerics import CAPACITY_SLACK
 
 __all__ = ["HostCapacities", "IncrementalPlan"]
-
-#: Admission slack: a fit compares against ``capacity + 1e-9``, as the
-#: reference ``Bin.fits`` does.
-_SLACK = 1e-9
 
 
 class HostCapacities:
@@ -98,10 +95,10 @@ class HostCapacities:
         self.cap_dsk = [h.spec.disk_mbps * utilization_bound for h in hosts]
         # fits() compares against capacity + 1e-9; precomputing the sum
         # reproduces the same float the reference derives per call.
-        self.eps_cpu = [c + _SLACK for c in self.cap_cpu]
-        self.eps_mem = [c + _SLACK for c in self.cap_mem]
-        self.eps_net = [c + _SLACK for c in self.cap_net]
-        self.eps_dsk = [c + _SLACK for c in self.cap_dsk]
+        self.eps_cpu = [c + CAPACITY_SLACK for c in self.cap_cpu]
+        self.eps_mem = [c + CAPACITY_SLACK for c in self.cap_mem]
+        self.eps_net = [c + CAPACITY_SLACK for c in self.cap_net]
+        self.eps_dsk = [c + CAPACITY_SLACK for c in self.cap_dsk]
         self.cap_cpu_np = np.array(self.cap_cpu)
         self.cap_mem_np = np.array(self.cap_mem)
         self.index_of: Dict[str, int] = {

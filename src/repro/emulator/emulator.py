@@ -31,7 +31,7 @@ loop-based reference kept in ``tests/reference/emulator.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -202,16 +202,14 @@ class ConsolidationEmulator:
 
         Hosts sharing a :class:`LinearPowerModel` are grouped so a pool
         of N hosts with a handful of catalog models costs a handful of
-        array ops instead of one Python call per host.
+        :meth:`~LinearPowerModel.power_watts_array` calls instead of one
+        per host.
         """
-        utilization = np.clip(cpu_demand / cpu_capacity[:, None], 0.0, 1.0)
+        utilization = cpu_demand / cpu_capacity[:, None]
         power = np.zeros_like(cpu_demand)
-        groups: Dict[Tuple[float, float], List[int]] = {}
+        groups: Dict[LinearPowerModel, List[int]] = {}
         for row, host in enumerate(hosts):
-            model = LinearPowerModel.for_host(host)
-            groups.setdefault(
-                (model.idle_watts, model.peak_watts), []
-            ).append(row)
-        for (idle_watts, peak_watts), rows in groups.items():
-            power[rows] = idle_watts + (peak_watts - idle_watts) * utilization[rows]
+            groups.setdefault(LinearPowerModel.for_host(host), []).append(row)
+        for model, rows in groups.items():
+            power[rows] = model.power_watts_array(utilization[rows])
         return np.where(active, power, 0.0)

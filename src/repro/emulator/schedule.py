@@ -10,7 +10,7 @@ segments that tile the window exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Tuple
+from typing import FrozenSet, Iterator, Sequence, Tuple
 
 from repro.exceptions import EmulationError
 from repro.placement.plan import Placement
@@ -102,6 +102,15 @@ class PlacementSchedule:
 
     def __iter__(self) -> Iterator[ScheduledPlacement]:
         return iter(self.segments)
+
+    @property
+    def hosts_used(self) -> FrozenSet[str]:
+        """Every host some segment places a VM on — the hosts that must
+        physically exist, as the emulator's ``provisioned_servers``
+        counts them."""
+        return frozenset().union(
+            *(segment.placement.hosts_used for segment in self.segments)
+        )
 
     def total_migrations(self) -> int:
         """Live migrations the Execution step performs across the window."""

@@ -4,6 +4,10 @@
 reserved for live migration."  The sweep re-runs dynamic consolidation
 at each bound while the semi-static variants (which take no reservation)
 stay fixed — the flat reference lines in the paper's figures.
+
+The figures price the reservation in servers only, so the sweep plans
+and counts each schedule's hosts; it replays nothing through the
+emulator (whose ``provisioned_servers`` counts the same hosts).
 """
 
 from __future__ import annotations
@@ -11,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
+from repro.core.base import ConsolidationAlgorithm, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
-from repro.core.planner import ConsolidationPlanner
+from repro.core.planner import split_window
 from repro.core.semistatic import SemiStaticConsolidation
 from repro.core.stochastic import StochasticConsolidation
 from repro.experiments.settings import (
@@ -82,36 +87,39 @@ def run_sensitivity(
     bounds: Sequence[float] = UTILIZATION_BOUND_SWEEP,
     trace_set: Optional[TraceSet] = None,
 ) -> SensitivityResult:
-    """Sweep the dynamic utilization bound for one datacenter."""
+    """Sweep the dynamic utilization bound for one datacenter.
+
+    Every plan reads one history/evaluation split of the traces, and its
+    server count is the hosts its schedule touches
+    (:attr:`~repro.emulator.schedule.PlacementSchedule.hosts_used`, the
+    set the emulator's ``provisioned_servers`` counts), so no schedule
+    is replayed.
+    """
     settings = settings or ExperimentSettings()
     if trace_set is None:
         trace_set = generate_datacenter(datacenter_key, scale=settings.scale)
+    history, evaluation = split_window(trace_set, settings.evaluation_days)
     pool = settings.build_pool(trace_set)
 
-    reference = ConsolidationPlanner(
-        traces=trace_set,
-        datacenter=pool,
-        config=settings.planning_config(),
-        evaluation_days=settings.evaluation_days,
-    )
-    semi = reference.run(SemiStaticConsolidation()).provisioned_servers
-    stochastic = reference.run(StochasticConsolidation()).provisioned_servers
-
-    dynamic_by_bound: Dict[float, int] = {}
-    for bound in bounds:
-        planner = ConsolidationPlanner(
-            traces=trace_set,
+    def servers(
+        algorithm: ConsolidationAlgorithm, bound: Optional[float] = None
+    ) -> int:
+        context = PlanningContext(
+            history=history,
+            evaluation=evaluation,
             datacenter=pool,
             config=settings.planning_config(utilization_bound=bound),
-            evaluation_days=settings.evaluation_days,
         )
-        result = planner.run(DynamicConsolidation())
-        dynamic_by_bound[float(bound)] = result.provisioned_servers
+        return len(algorithm.plan(context).hosts_used)
+
     return SensitivityResult(
         workload=trace_set.name,
-        semi_static_servers=semi,
-        stochastic_servers=stochastic,
-        dynamic_servers_by_bound=dynamic_by_bound,
+        semi_static_servers=servers(SemiStaticConsolidation()),
+        stochastic_servers=servers(StochasticConsolidation()),
+        dynamic_servers_by_bound={
+            float(bound): servers(DynamicConsolidation(), bound)
+            for bound in bounds
+        },
     )
 
 

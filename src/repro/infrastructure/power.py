@@ -9,13 +9,13 @@ paper builds on (pMapper, BrownMap):
     P    = 0                                     for a powered-off server
 
 Idle power dominating the curve is exactly what makes switching servers
-off (dynamic consolidation's lever) valuable.
+off (dynamic consolidation's lever) valuable.  The model prices active
+servers; the emulator zeroes the hours a host is powered off.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -59,14 +59,12 @@ class LinearPowerModel:
             return cls.from_model(host.model)
         return _UNCATALOGUED
 
-    def power_watts(self, utilization: float, *, active: bool = True) -> float:
-        """Power draw at a given CPU utilization fraction.
+    def power_watts(self, utilization: float) -> float:
+        """Power draw of an active server at a CPU utilization fraction.
 
         Utilization is clipped to [0, 1]: demand beyond capacity cannot
         draw more power than the fully-loaded server.
         """
-        if not active:
-            return 0.0
         u = min(max(utilization, 0.0), 1.0)
         return self.idle_watts + (self.peak_watts - self.idle_watts) * u
 
@@ -74,19 +72,6 @@ class LinearPowerModel:
         """Vectorized power for an array of *active* server utilizations."""
         u = np.clip(np.asarray(utilizations, dtype=float), 0.0, 1.0)
         return self.idle_watts + (self.peak_watts - self.idle_watts) * u
-
-    def energy_kwh(
-        self, utilizations: Iterable[float], interval_hours: float
-    ) -> float:
-        """Total energy over a sequence of equal-length active intervals."""
-        if interval_hours <= 0:
-            raise ConfigurationError(
-                f"interval_hours must be > 0, got {interval_hours}"
-            )
-        total_watts = float(
-            np.sum(self.power_watts_array(np.fromiter(utilizations, dtype=float)))
-        )
-        return total_watts * interval_hours / 1000.0
 
 
 #: What a host with no catalog model attached draws.

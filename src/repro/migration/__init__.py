@@ -5,7 +5,6 @@ from repro.migration.precopy import (
     MigrationOutcome,
     PreCopyConfig,
     simulate_migration,
-    simulate_migrations,
 )
 from repro.migration.reliability import (
     ReliabilityPoint,
@@ -33,5 +32,4 @@ __all__ = [
     "recommended_reservation",
     "reliability_sweep",
     "simulate_migration",
-    "simulate_migrations",
 ]

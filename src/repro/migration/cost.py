@@ -21,11 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.migration.precopy import (
-    PreCopyConfig,
-    simulate_migration,
-    simulate_migrations,
-)
+from repro.migration.precopy import PreCopyConfig, simulate_migration
 
 __all__ = ["MigrationCostModel"]
 
@@ -73,22 +69,5 @@ class MigrationCostModel:
         return energy_wh + sla_wh
 
     def costs_wh(self, vm_memory_gb: Sequence[float]) -> List[float]:
-        """Batched :meth:`cost_wh` — one pre-copy simulation sweep.
-
-        All migrations run through :func:`simulate_migrations` in lock
-        step, so each returned cost is bit-identical to the scalar call.
-        """
-        if not vm_memory_gb:
-            return []
-        outcomes = simulate_migrations(
-            [max(m, 1e-3) for m in vm_memory_gb],
-            [self.assumed_dirty_rate_mb_s] * len(vm_memory_gb),
-            host_cpu_util=0.7,
-            host_memory_util=0.7,
-            config=self.precopy,
-        )
-        return [
-            self.migration_power_watts * o.duration_s / 3600.0
-            + self.sla_cost_per_second * o.duration_s
-            for o in outcomes
-        ]
+        """:meth:`cost_wh` of each VM, in order."""
+        return [self.cost_wh(memory) for memory in vm_memory_gb]

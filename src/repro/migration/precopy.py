@@ -26,9 +26,6 @@ production data centers".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
-
-import numpy as np
 
 from repro.exceptions import ConfigurationError
 
@@ -36,7 +33,6 @@ __all__ = [
     "PreCopyConfig",
     "MigrationOutcome",
     "simulate_migration",
-    "simulate_migrations",
 ]
 
 _MB_PER_GB = 1024.0
@@ -207,114 +203,3 @@ def simulate_migration(
         vm_memory_mb=vm_memory_gb * _MB_PER_GB,
         effective_bandwidth_mb_s=bandwidth,
     )
-
-
-def simulate_migrations(
-    vm_memory_gb: Sequence[float],
-    dirty_rate_mb_s: Sequence[float],
-    *,
-    host_cpu_util: Union[float, Sequence[float]] = 0.5,
-    host_memory_util: Union[float, Sequence[float]] = 0.5,
-    config: PreCopyConfig = PreCopyConfig(),
-) -> List[MigrationOutcome]:
-    """Simulate a batch of pre-copy migrations at once.
-
-    One lane per migration; every pre-copy round advances all lanes that
-    have neither converged, stalled, nor timed out, with the same IEEE-754
-    elementwise operations as :func:`simulate_migration` — the outcomes
-    are bit-identical to calling it in a loop.  Scalar ``host_*_util``
-    values broadcast across the batch.
-    """
-    n = len(vm_memory_gb)
-    if len(dirty_rate_mb_s) != n:
-        raise ConfigurationError(
-            "vm_memory_gb and dirty_rate_mb_s must have equal length"
-        )
-    cpu_utils = (
-        [float(host_cpu_util)] * n
-        if isinstance(host_cpu_util, (int, float))
-        else [float(u) for u in host_cpu_util]
-    )
-    mem_utils = (
-        [float(host_memory_util)] * n
-        if isinstance(host_memory_util, (int, float))
-        else [float(u) for u in host_memory_util]
-    )
-    if len(cpu_utils) != n or len(mem_utils) != n:
-        raise ConfigurationError(
-            "host utilization sequences must match vm_memory_gb length"
-        )
-    if n == 0:
-        return []
-
-    bandwidth_l = []
-    dirty_l = []
-    for memory, dirty, cpu_u, mem_u in zip(
-        vm_memory_gb, dirty_rate_mb_s, cpu_utils, mem_utils
-    ):
-        if memory <= 0:
-            raise ConfigurationError(
-                f"vm_memory_gb must be > 0, got {memory}"
-            )
-        if dirty < 0:
-            raise ConfigurationError("dirty_rate_mb_s must be >= 0")
-        if not 0 <= cpu_u <= 1 or not 0 <= mem_u <= 1:
-            raise ConfigurationError("host utilizations must be in [0, 1]")
-        bandwidth_l.append(_effective_bandwidth(config, cpu_u))
-        dirty_l.append(_effective_dirty_rate(config, dirty, mem_u))
-
-    bandwidth = np.array(bandwidth_l)
-    dirty_rate = np.array(dirty_l)
-    memory_mb = np.array([m * _MB_PER_GB for m in vm_memory_gb])
-
-    to_copy = memory_mb.copy()
-    elapsed = np.zeros(n)
-    copied = np.zeros(n)
-    rounds = np.zeros(n, dtype=np.int64)
-    converged = np.zeros(n, dtype=bool)
-    timed_out = np.zeros(n, dtype=bool)
-    lanes = np.arange(n)
-
-    for _ in range(config.max_rounds):
-        if lanes.size == 0:
-            break
-        rounds[lanes] += 1
-        previous = to_copy[lanes]
-        round_time = previous / bandwidth[lanes]
-        elapsed[lanes] += round_time
-        copied[lanes] += previous
-        dirtied = dirty_rate[lanes] * round_time
-        # Timed-out lanes keep their pre-round dirty set and skip the
-        # stop-and-copy phase, matching the scalar early return.
-        over = elapsed[lanes] > config.max_duration_s
-        timed_out[lanes[over]] = True
-        live = lanes[~over]
-        dirtied = dirtied[~over]
-        previous = previous[~over]
-        to_copy[live] = dirtied
-        stop = dirtied <= config.stop_threshold_mb
-        converged[live[stop]] = True
-        # Non-shrink exit compares against the *pre-update* dirty set —
-        # what this round just copied — exactly as the scalar loop does.
-        stalled = dirtied > previous * config.min_round_shrink
-        lanes = live[~stop & ~stalled]
-
-    final = ~timed_out
-    downtime = np.zeros(n)
-    downtime[final] = to_copy[final] / bandwidth[final]
-    elapsed[final] += downtime[final]
-    copied[final] += to_copy[final]
-    success = converged & (elapsed <= config.max_duration_s)
-
-    return [
-        MigrationOutcome(
-            success=bool(success[i]),
-            duration_s=float(elapsed[i]),
-            downtime_s=float(downtime[i]),
-            rounds=int(rounds[i]),
-            copied_mb=float(copied[i]),
-            vm_memory_mb=float(memory_mb[i]),
-            effective_bandwidth_mb_s=float(bandwidth[i]),
-        )
-        for i in range(n)
-    ]

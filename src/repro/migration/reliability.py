@@ -6,7 +6,8 @@ We use a thumb rule of reserving 20% resources for reliable live
 migration."
 
 :func:`reliability_sweep` runs a population of migrations at each host
-load level and reports the success rate and duration tail;
+load level, one :func:`~repro.migration.precopy.simulate_migration` call
+each, and reports the success rate and duration tail;
 :func:`recommended_reservation` finds the highest utilization bound that
 still meets a reliability target — the quantitative form of the paper's
 20% rule.
@@ -20,10 +21,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.migration.precopy import (
-    PreCopyConfig,
-    simulate_migrations,
-)
+from repro.migration.precopy import PreCopyConfig, simulate_migration
 
 __all__ = [
     "ReliabilityPoint",
@@ -67,7 +65,9 @@ def reliability_sweep(
     memory sizes lognormally spread around 2 GB and dirty rates around
     20 MB/s (SpecWeb-class writers per Clark et al.).  With
     ``memory_tracks_cpu`` the host memory commit equals the CPU level —
-    the consolidated-host situation the reservation protects.
+    the consolidated-host situation the reservation protects.  One
+    ``default_rng(seed)`` stream feeds every level in order, so a seed
+    fixes every point.
     """
     if n_migrations <= 0:
         raise ConfigurationError(
@@ -81,33 +81,25 @@ def reliability_sweep(
                 f"utilization must be in [0, 1], got {utilization}"
             )
         memory_util = utilization if memory_tracks_cpu else 0.5
-        # RNG draws stay interleaved per migration (memory, then dirty
-        # rate) so the stream matches the historical per-call loop; only
-        # the simulation itself is batched.
-        memories = []
-        dirty_rates = []
+        outcomes = []
         for _ in range(n_migrations):
-            memories.append(
-                float(
-                    np.clip(
-                        rng.lognormal(mean=np.log(2.0), sigma=0.6), 0.25, 16.0
-                    )
+            # Memory, then dirty rate, per migration: this order fixes
+            # every point a seed yields.
+            memory = float(
+                np.clip(rng.lognormal(mean=np.log(2.0), sigma=0.6), 0.25, 16.0)
+            )
+            dirty_rate = float(
+                np.clip(rng.lognormal(mean=np.log(20.0), sigma=0.7), 1.0, 90.0)
+            )
+            outcomes.append(
+                simulate_migration(
+                    memory,
+                    dirty_rate,
+                    host_cpu_util=utilization,
+                    host_memory_util=memory_util,
+                    config=config,
                 )
             )
-            dirty_rates.append(
-                float(
-                    np.clip(
-                        rng.lognormal(mean=np.log(20.0), sigma=0.7), 1.0, 90.0
-                    )
-                )
-            )
-        outcomes = simulate_migrations(
-            memories,
-            dirty_rates,
-            host_cpu_util=utilization,
-            host_memory_util=memory_util,
-            config=config,
-        )
         durations = np.array([o.duration_s for o in outcomes])
         points.append(
             ReliabilityPoint(

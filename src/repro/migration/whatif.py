@@ -95,10 +95,10 @@ def get_variant(key: str) -> MigrationVariant:
 def reservation_for_variant(key: str, *, seed: int = 7) -> float:
     """Reservation the Obs.-4 reliability bar demands under a variant.
 
-    The underlying reliability sweep batches its migration population
-    through :func:`repro.migration.precopy.simulate_migrations`, so each
-    variant's study is one lane-parallel simulation per load level —
-    transparently, with outcomes identical to the per-call loop.
+    It reruns :func:`~repro.migration.reliability.recommended_reservation`
+    (by default 20 load levels of 200 simulated migrations) with the
+    variant's :class:`~repro.migration.precopy.PreCopyConfig` and the
+    same seed, so variants differ only in their pre-copy parameters.
     """
     return recommended_reservation(config=get_variant(key).config, seed=seed)
 

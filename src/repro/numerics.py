@@ -19,9 +19,10 @@ import math
 __all__ = ["CAPACITY_SLACK", "approx_eq", "approx_ne", "approx_lte", "approx_gte"]
 
 #: Absolute slack used when testing whether a demand fits a capacity.
-#: Matches the headroom the first-fit bins already allow so that a sum
-#: of per-VM demands that mathematically equals the capacity is not
-#: rejected for a 1-ulp rounding excess.
+#: The planners admit a VM against ``capacity + CAPACITY_SLACK`` (and
+#: ``core/_interval.c`` mirrors the value), so a sum of per-VM demands
+#: that mathematically equals the capacity is not rejected for a 1-ulp
+#: rounding excess.
 CAPACITY_SLACK = 1e-9
 
 

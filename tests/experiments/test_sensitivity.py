@@ -2,8 +2,13 @@
 
 import pytest
 
+from repro.core.planner import ConsolidationPlanner
+from repro.emulator.emulator import ConsolidationEmulator
 from repro.experiments.sensitivity import run_sensitivity, run_sensitivity_all
-from repro.experiments.settings import ExperimentSettings
+from repro.experiments.settings import (
+    UTILIZATION_BOUND_SWEEP,
+    ExperimentSettings,
+)
 
 
 @pytest.fixture(scope="module")
@@ -60,3 +65,32 @@ class TestSensitivityGrid:
         )
         assert set(grid) == {"banking"}
         assert set(grid["banking"].dynamic_servers_by_bound) == {0.8, 1.0}
+
+
+#: ``provisioned_servers`` of emulated replays over the full bound sweep:
+#: (datacenter, scale) -> (semi-static, stochastic, dynamic per bound).
+EMULATED_COUNTS = {
+    ("banking", 0.2): (9, 7, (8, 7, 7, 6, 6, 6, 5)),
+    ("natural-resources", 0.15): (17, 15, (19, 18, 17, 16, 15, 14, 13)),
+}
+
+
+class TestCountsWithoutReplay:
+    """The sweep counts each plan's hosts; it builds no planner facade
+    and no emulator, and returns the counts an emulated replay gives."""
+
+    @pytest.mark.parametrize("key, scale", sorted(EMULATED_COUNTS))
+    def test_rows_match_emulated_counts(self, monkeypatch, key, scale):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep must not replay a schedule")
+
+        monkeypatch.setattr(ConsolidationEmulator, "__post_init__", refuse)
+        monkeypatch.setattr(ConsolidationEmulator, "evaluate", refuse)
+        monkeypatch.setattr(ConsolidationPlanner, "__post_init__", refuse)
+        result = run_sensitivity(key, ExperimentSettings(scale=scale))
+        semi, stochastic, dynamic = EMULATED_COUNTS[key, scale]
+        assert result.semi_static_servers == semi
+        assert result.stochastic_servers == stochastic
+        assert result.dynamic_servers_by_bound == dict(
+            zip(UTILIZATION_BOUND_SWEEP, dynamic)
+        )

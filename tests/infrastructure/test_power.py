@@ -26,10 +26,6 @@ class TestLinearPowerModel:
         model = LinearPowerModel(idle_watts=100.0, peak_watts=300.0)
         assert model.power_watts(0.5) == 200.0
 
-    def test_inactive_server_draws_nothing(self):
-        model = LinearPowerModel(idle_watts=100.0, peak_watts=300.0)
-        assert model.power_watts(0.5, active=False) == 0.0
-
     def test_utilization_clipped(self):
         model = LinearPowerModel(idle_watts=100.0, peak_watts=300.0)
         # Contended demand cannot draw more than the loaded server.
@@ -43,11 +39,6 @@ class TestLinearPowerModel:
         scalar = [model.power_watts(u) for u in utils]
         assert np.allclose(vector, scalar)
 
-    def test_energy_kwh(self):
-        model = LinearPowerModel(idle_watts=100.0, peak_watts=300.0)
-        # Two hours at idle and one at peak: (100+100+300) * 1h = 0.5 kWh.
-        assert model.energy_kwh([0.0, 0.0, 1.0], 1.0) == pytest.approx(0.5)
-
     def test_from_model(self):
         model = LinearPowerModel.from_model(HS23_ELITE)
         assert model.idle_watts == HS23_ELITE.idle_watts
@@ -58,9 +49,6 @@ class TestLinearPowerModel:
             LinearPowerModel(idle_watts=-1.0, peak_watts=100.0)
         with pytest.raises(ConfigurationError):
             LinearPowerModel(idle_watts=200.0, peak_watts=100.0)
-        model = LinearPowerModel(idle_watts=1.0, peak_watts=2.0)
-        with pytest.raises(ConfigurationError):
-            model.energy_kwh([0.5], 0.0)
 
 
 class TestForHost:

@@ -36,3 +36,10 @@ class TestMigrationCostModel:
             MigrationCostModel(migration_power_watts=-1.0)
         with pytest.raises(ConfigurationError):
             MigrationCostModel(sla_cost_per_second=-0.1)
+
+    def test_costs_wh_matches_cost_wh(self):
+        model = MigrationCostModel()
+        memories = [0.0, 0.5, 2.0, 7.5, 64.0]
+        costs = model.costs_wh(memories)
+        assert costs == [model.cost_wh(m) for m in memories]
+        assert model.costs_wh([]) == []

@@ -29,6 +29,14 @@ class TestReservationLadder:
     def ladder(self):
         return dict(reservation_ladder())
 
+    def test_recorded_ladder(self, ladder):
+        assert list(ladder.items()) == [
+            ("baseline-1gbe", 0.2),
+            ("10gbe", 0.05),
+            ("target-offload", 0.15),
+            ("rdma", 0.05),
+        ]
+
     def test_baseline_matches_observation4(self, ladder):
         assert 0.15 <= ladder["baseline-1gbe"] <= 0.30
 
