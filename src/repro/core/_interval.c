@@ -1,4 +1,4 @@
-/* One interval of the dynamic planner, for a plan without constraints.
+/* One interval of the dynamic planner.
  *
  * Compiled on first use by interval_kernel.py (through repro/native.py)
  * and called once per interval.  It makes, bit for bit, the decisions of
@@ -8,7 +8,10 @@
  *   - the FFD order is np.lexsort((id_rank, -score)) with score =
  *     np.maximum(cpu / ref cpu, mem / ref memory) against the warm-first
  *     scan's head host: decreasing score, NaN last, ties by id rank;
- *   - the saturation skip's suffix minima follow np.minimum.accumulate;
+ *     with constraints, the constrained rows then move to the front,
+ *     stably, as ffd_order does;
+ *   - the saturation skip's suffix minima follow np.minimum.accumulate
+ *     over that order;
  *   - every fit is `body + demand <= eps` (pending moves counted as
  *     `body + pending + demand <= eps`), bodies and pending loads are
  *     left folds in placement order, and a dead host is one where
@@ -22,6 +25,14 @@
  *     migration cost folds from 0 in move order, each term from the
  *     caller's callback (which rounds in Python), and a commit
  *     re-checks every move against the committed bodies.
+ *
+ * Deployment constraints stay in Python.  For a constrained row only,
+ * the rules callback is asked where _Rules.allows / allows_after is:
+ * about a sticky hint that fits, about each scanned host that fits (a
+ * refused host is not tested for death), and about each vacate
+ * candidate that passes the body and pending checks, with the attempt's
+ * moves so far.  Each constrained row placed or committed is reported,
+ * and the first fit ends with the caller's validation.
  *
  * Keep this file free of floating-point re-association: it must be
  * compiled with -ffp-contract=off and without -ffast-math, so every
@@ -38,14 +49,31 @@
 #define DONE 0
 #define NO_FIT 1          /* error_row fits on no host */
 #define COMMIT_MISFIT 2   /* error_row does not fit on error_host */
-#define COST_FAILED 3     /* the cost callback raised; Python re-raises */
+#define CALLBACK_FAILED 3 /* a callback raised; Python re-raises */
 
 /* Counters in stats, summed over a plan's intervals. */
-enum { STICKY, DISPLACED, DEAD, RULED_OUT, COMMITS, COST_REFUSED, N_STATS };
+enum {
+  STICKY, DISPLACED, DEAD, RULED_OUT, COMMITS, COST_REFUSED,
+  HINT_REFUSED, HOST_REFUSED, TARGET_REFUSED, VALIDATED, N_STATS
+};
 
 /* Migration cost of one VM of memory_gb into *cost_wh; non-zero when
  * the callback failed. */
 typedef int (*repro_cost_fn)(double memory_gb, double *cost_wh);
+
+/* What the rules callback is asked to do. */
+enum {
+  ALLOWS,        /* may row go to host, given the interval's assignment? */
+  ALLOWS_AFTER,  /* the same after the n_moves (rows, hosts) of a vacate */
+  PLACE,         /* row now runs on host */
+  VALIDATE       /* check the interval's assignment after the first fit */
+};
+
+/* Answers 1 (allowed) or 0 (refused) to ALLOWS and ALLOWS_AFTER, 0 to
+ * PLACE and VALIDATE, and -1 when the callback failed. */
+typedef int (*repro_rules_fn)(int64_t op, int64_t row, int64_t host,
+                              int64_t n_moves, const int64_t *move_rows,
+                              const int64_t *move_hosts);
 
 /* One plan.  Field order matters: interval_kernel.py mirrors it. */
 typedef struct {
@@ -70,6 +98,10 @@ typedef struct {
   int64_t *work_i;       /* repro_interval_workspace() integers */
   int64_t *stats;        /* N_STATS counters */
   repro_cost_fn cost;
+  /* n_vms flags, 1 for a row some constraint names; NULL for a plan
+   * without constraints, which asks no rules. */
+  const int64_t *constrained;
+  repro_rules_fn rules;
   int64_t error_row;
   int64_t error_host;
 } repro_interval_plan;
@@ -237,7 +269,7 @@ static void assign(const repro_interval_plan *p, state *s, int64_t row,
 /* ---- sticky first fit -------------------------------------------- */
 
 /* Packs every row; returns how many hosts it opened (their appearance
- * order is in live), or -NO_FIT. */
+ * order is in live), or -NO_FIT / -CALLBACK_FAILED. */
 static int64_t first_fit(repro_interval_plan *p, state *s) {
   const int64_t n = p->n_vms, h = p->n_hosts;
   int64_t *order = p->order;
@@ -261,6 +293,15 @@ static int64_t first_fit(repro_interval_plan *p, state *s) {
   }
   const order_by ffd = {BY_FFD, s->score, p->id_rank};
   sort_stable(order, n, s->tmp, &ffd);
+  const int64_t *constrained = p->constrained;
+  if (constrained != NULL) {  /* constrained rows first, stably */
+    int64_t k = 0;
+    for (int64_t i = 0; i < n; i++)
+      if (constrained[order[i]]) s->tmp[k++] = order[i];
+    for (int64_t i = 0; i < n; i++)
+      if (!constrained[order[i]]) s->tmp[k++] = order[i];
+    memcpy(order, s->tmp, (size_t)n * sizeof *order);
+  }
   if (n > 0) {
     s->sufmin_cpu[n - 1] = s->cpu[order[n - 1]];
     s->sufmin_mem[n - 1] = s->mem[order[n - 1]];
@@ -291,13 +332,21 @@ static int64_t first_fit(repro_interval_plan *p, state *s) {
     const double c = s->cpu[row], m = s->mem[row], nt = s->net[row],
                  d = s->dsk[row];
     const int64_t hint = p->host_of_row[row];
+    const int check = constrained != NULL && constrained[row];
     int64_t target = -1;
     if (hint >= 0) {
-      if (fits(s, hint, c, m, nt, d)) {
-        target = hint;
-        stats[STICKY] += 1;
-      } else {
+      if (!fits(s, hint, c, m, nt, d)) {
         stats[DISPLACED] += 1;
+      } else {
+        const int allowed =
+            check ? p->rules(ALLOWS, row, hint, 0, NULL, NULL) : 1;
+        if (allowed < 0) return -CALLBACK_FAILED;
+        if (allowed) {
+          target = hint;
+          stats[STICKY] += 1;
+        } else {
+          stats[HINT_REFUSED] += 1;
+        }
       }
     }
     if (target < 0) {
@@ -307,8 +356,15 @@ static int64_t first_fit(repro_interval_plan *p, state *s) {
         const int64_t host = s->scan[i];
         if (s->dead[host]) continue;
         if (fits(s, host, c, m, nt, d)) {
-          target = host;
-          break;
+          const int allowed =
+              check ? p->rules(ALLOWS, row, host, 0, NULL, NULL) : 1;
+          if (allowed < 0) return -CALLBACK_FAILED;
+          if (allowed) {
+            target = host;
+            break;
+          }
+          stats[HOST_REFUSED] += 1;
+          continue;  /* a refused host is not tested for death */
         }
         if (min_cpu > s->cap_cpu[host] - s->body_cpu[host] + SLACK ||
             min_mem > s->cap_mem[host] - s->body_mem[host] + SLACK) {
@@ -323,6 +379,13 @@ static int64_t first_fit(repro_interval_plan *p, state *s) {
     }
     if (s->count[target] == 0) s->live[opened++] = target;
     assign(p, s, row, target);
+    if (check && p->rules(PLACE, row, target, 0, NULL, NULL) < 0)
+      return -CALLBACK_FAILED;
+  }
+  if (constrained != NULL) {
+    if (p->rules(VALIDATE, -1, -1, 0, NULL, NULL) < 0)
+      return -CALLBACK_FAILED;
+    stats[VALIDATED] += 1;
   }
   return opened;
 }
@@ -330,7 +393,7 @@ static int64_t first_fit(repro_interval_plan *p, state *s) {
 /* ---- vacate ------------------------------------------------------ */
 
 /* _try_vacate: 1 when source was emptied into the n_cands candidates,
- * 0 when not, or -COMMIT_MISFIT / -COST_FAILED. */
+ * 0 when not, or -COMMIT_MISFIT / -CALLBACK_FAILED. */
 static int64_t try_vacate(repro_interval_plan *p, state *s, int64_t source,
                           int64_t n_cands) {
   int64_t n_rows = 0;
@@ -339,12 +402,16 @@ static int64_t try_vacate(repro_interval_plan *p, state *s, int64_t source,
   const order_by largest = {BY_KEY_DESCENDING, s->cpu, NULL};
   sort_stable(s->rows, n_rows, s->tmp, &largest);
 
-  /* IncrementalPlan.vacate_targets */
+  /* IncrementalPlan.vacate_targets; rows[:placed] moves to
+   * moves[:placed] so far. */
+  const int64_t *constrained = p->constrained;
+  int failed = 0;
   int64_t placed = 0;
   for (; placed < n_rows; placed++) {
     const int64_t row = s->rows[placed];
     const double c = s->cpu[row], m = s->mem[row], nt = s->net[row],
                  d = s->dsk[row];
+    const int check = constrained != NULL && constrained[row];
     int64_t found = -1;
     for (int64_t i = 0; i < n_cands; i++) {
       const int64_t host = s->cands[i];
@@ -355,6 +422,18 @@ static int64_t try_vacate(repro_interval_plan *p, state *s, int64_t source,
             s->body_net[host] + s->pend_net[host] + nt <= s->eps_net[host] &&
             s->body_dsk[host] + s->pend_dsk[host] + d <= s->eps_dsk[host]))
         continue;
+      if (check) {
+        const int allowed = p->rules(ALLOWS_AFTER, row, host, placed,
+                                     s->rows, s->moves);
+        if (allowed < 0) {
+          failed = 1;
+          break;
+        }
+        if (!allowed) {
+          p->stats[TARGET_REFUSED] += 1;
+          continue;
+        }
+      }
       found = host;
       break;
     }
@@ -373,13 +452,14 @@ static int64_t try_vacate(repro_interval_plan *p, state *s, int64_t source,
     s->pend_dsk[found] = s->pend_dsk[found] + d;
   }
   for (int64_t i = 0; i < placed; i++) s->pending[s->moves[i]] = 0;
+  if (failed) return -CALLBACK_FAILED;
   if (placed < n_rows) return 0;
 
   if (p->consider_cost) {
     double cost_wh = 0.0;
     for (int64_t i = 0; i < n_rows; i++) {
       double cost;
-      if (p->cost(s->mem[s->rows[i]], &cost) != 0) return -COST_FAILED;
+      if (p->cost(s->mem[s->rows[i]], &cost) != 0) return -CALLBACK_FAILED;
       cost_wh = cost_wh + cost;
     }
     if (s->idle_wh[source] <= cost_wh) {
@@ -405,6 +485,11 @@ static int64_t try_vacate(repro_interval_plan *p, state *s, int64_t source,
   s->count[source] = 0;
   s->head[source] = -1;
   s->tail[source] = -1;
+  if (constrained != NULL)
+    for (int64_t i = 0; i < n_rows; i++)
+      if (constrained[s->rows[i]] &&
+          p->rules(PLACE, s->rows[i], s->moves[i], 0, NULL, NULL) < 0)
+        return -CALLBACK_FAILED;
   return 1;
 }
 

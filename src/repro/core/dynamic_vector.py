@@ -33,11 +33,12 @@ while replacing its per-VM object churn with columnar kernels:
   allows it against the interval's assignment so far (plus, in vacate,
   the attempt's pending moves).  That assignment holds only the
   constrained VMs — the only ones any constraint reads;
-* :class:`PythonLoop` runs the pack and the sweeps of each interval.
-  A plan without constraints runs them instead in one call per interval
-  into the compiled loop (:mod:`repro.core.interval_kernel`), which
-  makes the same decisions bit for bit, wherever that kernel builds and
-  passes its first-use self-check.
+* each interval's pack and sweeps run in one call into the compiled
+  loop (:mod:`repro.core.interval_kernel`), which makes the same
+  decisions bit for bit and asks :class:`_Rules` back about constrained
+  VMs only, wherever that kernel builds and passes its first-use
+  self-check; :class:`PythonLoop` runs them where it is off, or where a
+  host's capacity is infinite.
 
 After each interval's pack and vacate the algorithm's
 ``_finish_interval`` hook sees the placement; a hook that returns a
@@ -210,11 +211,11 @@ class PythonLoop:
     """The interval loop in Python, on one plan carried across intervals.
 
     Each :meth:`interval` runs :func:`first_fit`, then the vacate sweeps,
-    on an :class:`IncrementalPlan`.  It is the only loop that can check
-    deployment constraints (``rules``), and the one that runs wherever
-    the compiled loop (:class:`~repro.core.interval_kernel.KernelLoop`,
-    the same interface) is off; that kernel's self-check runs against
-    it.
+    on an :class:`IncrementalPlan`, checking deployment constraints
+    through ``rules``.  It runs where the compiled loop
+    (:class:`~repro.core.interval_kernel.KernelLoop`, the same interface)
+    is off or a host's capacity is infinite, and that kernel's
+    self-check runs against it.
     """
 
     def __init__(
@@ -327,18 +328,17 @@ def _interval_loop(
 ) -> Union[PythonLoop, "KernelLoop"]:
     """The compiled loop where it applies and is on, else the Python one.
 
-    It applies to a plan without constraints whose hosts all have finite
-    CPU and memory capacities: an infinite one makes a residual NaN,
-    which only Python's own sort orders as the Python loop does.  Its
-    module is imported here, so only a process that can use it pays
+    It applies to a plan, constrained or not, whose hosts all have
+    finite CPU and memory capacities: an infinite one makes a residual
+    NaN, which only Python's own sort orders as the Python loop does.
+    Its module is imported here, so only a process that can use it pays
     for it (and the library's import time does not move).
     """
     id_rank = id_ranks(table.vm_ids)
     interval_hours = context.config.interval_hours
     caps = host_arrays.caps
     if (
-        rules is None
-        and np.isfinite(caps.cap_cpu_np).all()
+        np.isfinite(caps.cap_cpu_np).all()
         and np.isfinite(caps.cap_mem_np).all()
     ):
         from repro.core import interval_kernel
@@ -347,7 +347,7 @@ def _interval_loop(
         if library is not None:
             return interval_kernel.KernelLoop(
                 library, algorithm, host_arrays, interval_hours, table,
-                id_rank,
+                id_rank, rules,
             )
     return PythonLoop(
         algorithm, host_arrays, interval_hours, table, id_rank, rules

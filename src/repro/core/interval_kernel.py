@@ -1,37 +1,59 @@
 """The dynamic planner's interval loop, compiled to C.
 
-For a plan without deployment constraints, :class:`KernelLoop` runs each
-interval of :func:`~repro.core.dynamic_vector.plan_dynamic_array` in one
-call into ``_interval.c``: the FFD order against the warm-first scan's
-head host, the sticky first fit with its dead-host skip, then up to
+:class:`KernelLoop` runs each interval of
+:func:`~repro.core.dynamic_vector.plan_dynamic_array` in one call into
+``_interval.c``: the FFD order against the warm-first scan's head host,
+the sticky first fit with its dead-host skip, then up to
 ``max_vacate_sweeps`` vacate sweeps with the capacity rule, the
 pending-fold search, the migration-cost gate and the re-checked commit.
 It makes the decisions of
 :class:`~repro.core.dynamic_vector.PythonLoop` bit for bit, error texts
 included; the C file lists the float and ordering rules that requires.
-The cost gate calls the algorithm's ``_cached_cost`` back for the same
-rows in the same order, so its cache and the traced cost calls match
-too, and an exception it raises ends the call and is raised again here.
+
+Two things stay in Python and are called back through ctypes.  The cost
+gate asks the algorithm's ``_cached_cost`` for the same rows in the same
+order, so its cache and the traced cost calls match too.  Deployment
+constraints stay in :class:`~repro.core.dynamic_vector._Rules`: the
+kernel asks its ``allows`` / ``allows_after`` about constrained rows
+only, exactly where the Python loop does, reports each constrained row
+it places or commits to ``_Rules.place``, and has Python validate each
+interval's first fit, so every question still goes through
+:meth:`~repro.constraints.manager.ConstraintSet.feasible` with the same
+arguments in the same order.  An exception a callback raises (a
+:class:`~repro.exceptions.ConstraintViolation` from the validation
+included) ends the call and is raised again here, unchanged.
 
 The library is built and cached through :class:`repro.native.Kernel`
 and loaded at first use, never at import.  Before a process uses it,
-:func:`load` plans a fixed instance (:func:`_check_instance`) on both
-loops and compares every interval.  A failed check, a missing compiler
-or a failed build leave it off (``repro.native.why_off("interval")``
-says why), and the planner runs :class:`PythonLoop`, which is also the
-loop for every constrained plan.
+:func:`load` plans a fixed constrained instance (:func:`_check_instance`)
+on both loops and compares every interval and every constraint call.  A
+failed check, a missing compiler or a failed build leave it off
+(``repro.native.why_off("interval")`` says why), and the planner runs
+:class:`PythonLoop`.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from repro.core.dynamic_vector import PythonLoop, _HostArrays, id_ranks
+from repro.constraints import (
+    AntiColocate,
+    Constraint,
+    ConstraintSet,
+    ExcludeHosts,
+    PinToHost,
+    PlacementContext,
+)
+from repro.core.dynamic_vector import PythonLoop, _HostArrays, _Rules, id_ranks
 from repro.exceptions import PlacementError
+from repro.infrastructure.datacenter import Datacenter
 from repro.infrastructure.server import PhysicalServer, ServerSpec
 from repro.native import Kernel
 from repro.placement.binpacking import _no_fit_error
@@ -50,12 +72,23 @@ _COST_FN = ctypes.CFUNCTYPE(
     ctypes.c_int, ctypes.c_double, ctypes.POINTER(ctypes.c_double)
 )
 
+#: ``repro_rules_fn``: asks or tells the plan's rules; -1 when it failed.
+_RULES_FN = ctypes.CFUNCTYPE(
+    ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+    ctypes.c_int64, ctypes.POINTER(ctypes.c_int64),
+    ctypes.POINTER(ctypes.c_int64),
+)
+
+#: ``repro_rules_fn`` operations, in ``_interval.c``'s order.
+_ALLOWS, _ALLOWS_AFTER, _PLACE, _VALIDATE = 0, 1, 2, 3
+
 #: ``repro_interval`` outcomes other than 0 (planned).
-_NO_FIT, _COMMIT_MISFIT, _COST_FAILED = 1, 2, 3
+_NO_FIT, _COMMIT_MISFIT, _CALLBACK_FAILED = 1, 2, 3
 
 #: The counters :attr:`KernelLoop.stats` sums over a plan, in order.
 STATS = (
     "sticky", "displaced", "dead", "ruled_out", "commits", "cost_refused",
+    "hint_refused", "host_refused", "target_refused", "validated",
 )
 
 
@@ -80,6 +113,8 @@ class _Plan(ctypes.Structure):
         ("work_i", ctypes.c_void_p),
         ("stats", ctypes.c_void_p),
         ("cost", _COST_FN),
+        ("constrained", ctypes.c_void_p),
+        ("rules", _RULES_FN),
         ("error_row", ctypes.c_int64),
         ("error_host", ctypes.c_int64),
     ]
@@ -104,8 +139,9 @@ class KernelLoop:
 
     Every buffer is allocated once per plan, and the kernel reads the
     demand table in place, gathering each interval's four columns into
-    its workspace, so the table is never copied.  Holds the cost
-    callback for the plan's life; nothing of it reaches a result.
+    its workspace, so the table is never copied.  Holds the cost and
+    rules callbacks for the plan's life; nothing of them reaches a
+    result.
     """
 
     def __init__(
@@ -116,10 +152,12 @@ class KernelLoop:
         interval_hours: float,
         table: DemandTable,
         id_rank: np.ndarray,
+        rules: Optional[_Rules] = None,
     ) -> None:
         caps = host_arrays.caps
         n_vms = table.n_vms
         self._library = library
+        self._rules = rules
         self._table = table
         self._vm_ids = table.vm_ids
         self._host_ids = host_arrays.host_ids
@@ -176,6 +214,11 @@ class KernelLoop:
             stats=self.stats.ctypes.data,
             cost=self._cost,
         )
+        if rules is not None:
+            self._constrained = np.array(rules.constrained, dtype=np.int64)
+            self._ask = _RULES_FN(self._rules_callback(rules))
+            self._plan.constrained = self._constrained.ctypes.data
+            self._plan.rules = self._ask
 
     def _cost_callback(
         self, cached_cost: Callable[[float], float]
@@ -194,14 +237,47 @@ class KernelLoop:
 
         return cost
 
+    def _rules_callback(
+        self, rules: _Rules
+    ) -> Callable[[int, int, int, int, Any, Any], int]:
+        failures = self._failures
+
+        def ask(
+            op: int, row: int, host: int, n_moves: int,
+            move_rows: Any, move_hosts: Any,
+        ) -> int:
+            # Kept and raised by interval(), as the cost callback's are.
+            try:
+                if op == _ALLOWS:
+                    return int(rules.allows(row, host, rules.assigned))
+                if op == _ALLOWS_AFTER:
+                    moves = [
+                        (move_rows[i], move_hosts[i]) for i in range(n_moves)
+                    ]
+                    return int(rules.allows_after(row, host, moves))
+                if op == _PLACE:
+                    rules.place(row, host)
+                else:
+                    rules.constraints.validate(
+                        rules.assigned, rules.datacenter
+                    )
+            except BaseException as error:  # repro-lint: disable=REPRO103
+                failures.append(error)
+                return -1
+            return 0
+
+        return ask
+
     def interval(self, interval: int) -> Tuple[np.ndarray, np.ndarray]:
         """Plans column ``interval``: the FFD order and each row's host."""
         if not 0 <= interval < self._plan.n_intervals:
             raise IndexError(f"interval {interval} outside the demand table")
+        if self._rules is not None:
+            self._rules.assigned = {}
         outcome = self._library.repro_interval(
             ctypes.byref(self._plan), interval
         )
-        if outcome == _COST_FAILED:
+        if outcome == _CALLBACK_FAILED:
             raise self._failures.pop()
         if outcome == _NO_FIT:
             raise _no_fit_error(
@@ -246,16 +322,52 @@ class _CheckCosts:
         return 12.0 * memory_gb
 
 
+class _CheckRules(ConstraintSet):
+    """The check's constraints, recording each question and validation.
+
+    It answers from the constraints themselves, not through
+    :meth:`ConstraintSet.feasible`, and only records each validation
+    (the placements are compared anyway), so a traced process does not
+    count the check's calls among its own.
+    """
+
+    def __init__(self, constraints: Sequence[Constraint]) -> None:
+        super().__init__(constraints)
+        self.asked: List[Tuple[Any, ...]] = []
+
+    def feasible(
+        self,
+        vm_id: str,
+        host: PhysicalServer,
+        assignment: Mapping[str, str],
+        datacenter: Datacenter,
+    ) -> bool:
+        self.asked.append((vm_id, host.host_id, dict(assignment)))
+        context = PlacementContext(assignment, datacenter)
+        return all(
+            constraint.allows(vm_id, host, context)
+            for constraint in self.constraints_for(vm_id)
+        )
+
+    def validate(
+        self, assignment: Mapping[str, str], datacenter: Datacenter
+    ) -> None:
+        self.asked.append(("validate", dict(assignment)))
+
+
 def _check_instance() -> Tuple[
-    List[PhysicalServer], DemandTable, Dict[int, np.ndarray]
+    List[PhysicalServer], DemandTable, Dict[int, np.ndarray],
+    List[Constraint],
 ]:
     """A fixed plan whose intervals take every branch of the loop.
 
     Sticky hints kept and displaced VMs, a dead host skipped, sources
     ruled out by the capacity rule, vacates committed and vacates the
-    cost gate refuses (``tests/core/test_interval_kernel.py`` counts
-    each).  Returns the hosts, the demands, and the hints to seed after
-    an interval, as a power budget's hook would.
+    cost gate refuses; and, for the constrained VMs, a sticky hint, a
+    scanned host and a vacate target a rule refuses, and a validation
+    per interval (``tests/core/test_interval_kernel.py`` counts each).
+    Returns the hosts, the demands, the hints to seed after an
+    interval, as a power budget's hook would, and the constraints.
     """
     shapes = (
         (100.0, 64.0), (80.0, 48.0), (120.0, 96.0),
@@ -278,22 +390,32 @@ def _check_instance() -> Tuple[
         network_mbps=40.0 + ((rows * 3 + columns) % 7) * 10.0,
         disk_mbps=np.zeros((n_vms, n_intervals)),
     )
+    # The seeds put vm00 and vm06 together, and vm01 on h1.
     seeds = {2: np.arange(n_vms) % len(hosts)}
-    return hosts, table, seeds
+    constraints: List[Constraint] = [
+        AntiColocate("vm00", "vm06"),
+        ExcludeHosts("vm01", ["h1"]),
+        PinToHost("vm02", "h2"),
+        ExcludeHosts("vm03", ["h2", "h4"]),
+    ]
+    return hosts, table, seeds, constraints
 
 
 def _self_check(library: ctypes.CDLL) -> bool:
     """Plan :func:`_check_instance` on both loops; True if they agree."""
-    hosts, table, seeds = _check_instance()
+    hosts, table, seeds, constraints = _check_instance()
     host_arrays = _HostArrays(hosts, 0.8)
+    datacenter = Datacenter("self-check", hosts)
     id_rank = id_ranks(table.vm_ids)
     runs = []
     for kernel in (False, True):
         costs = _CheckCosts()
+        checked = _CheckRules(constraints)
+        rules = _Rules(checked, datacenter, table.vm_ids, hosts)
         loop = (
-            KernelLoop(library, costs, host_arrays, 2, table, id_rank)
+            KernelLoop(library, costs, host_arrays, 2, table, id_rank, rules)
             if kernel
-            else PythonLoop(costs, host_arrays, 2, table, id_rank)
+            else PythonLoop(costs, host_arrays, 2, table, id_rank, rules)
         )
         planned = []
         for interval in range(table.n_columns):
@@ -301,5 +423,5 @@ def _self_check(library: ctypes.CDLL) -> bool:
             planned.append((order.tolist(), host_of_row.tolist()))
             if interval in seeds:
                 loop.seed(seeds[interval])
-        runs.append((planned, costs.asked))
+        runs.append((planned, costs.asked, checked.asked))
     return runs[0] == runs[1]

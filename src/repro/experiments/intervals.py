@@ -15,12 +15,13 @@ claim (and its cost: shorter intervals mean more migrations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-from repro.core.base import PlanningConfig
+from repro.core.base import PlanningConfig, PlanningContext
 from repro.core.dynamic import DynamicConsolidation
-from repro.core.planner import ConsolidationPlanner
+from repro.core.planner import split_window
+from repro.emulator.emulator import ConsolidationEmulator
 from repro.experiments.settings import ExperimentSettings
 from repro.workloads.datacenters import generate_datacenter
 from repro.workloads.trace import TraceSet
@@ -51,23 +52,33 @@ def run_interval_study(
     intervals_hours: Sequence[float] = DEFAULT_INTERVAL_SWEEP,
     trace_set: Optional[TraceSet] = None,
 ) -> Tuple[IntervalPoint, ...]:
-    """Sweep the dynamic consolidation interval for one datacenter."""
+    """Sweep the dynamic consolidation interval for one datacenter.
+
+    Neither the history/evaluation split nor the emulator depends on the
+    interval, so the sweep splits the traces once and replays every
+    plan on one emulator; each interval gets its own planning context.
+    """
     settings = settings or ExperimentSettings()
     if trace_set is None:
         trace_set = generate_datacenter(datacenter_key, scale=settings.scale)
+    history, evaluation = split_window(trace_set, settings.evaluation_days)
     pool = settings.build_pool(trace_set)
+    base = PlanningConfig(utilization_bound=settings.utilization_bound)
+    emulator = ConsolidationEmulator(
+        trace_set=evaluation, datacenter=pool, overhead=base.overhead
+    )
     points = []
     for interval in intervals_hours:
-        planner = ConsolidationPlanner(
-            traces=trace_set,
+        context = PlanningContext(
+            history=history,
+            evaluation=evaluation,
             datacenter=pool,
-            config=PlanningConfig(
-                utilization_bound=settings.utilization_bound,
-                interval_hours=float(interval),
-            ),
-            evaluation_days=settings.evaluation_days,
+            config=replace(base, interval_hours=float(interval)),
         )
-        result = planner.run(DynamicConsolidation())
+        algorithm = DynamicConsolidation()
+        result = emulator.evaluate(
+            algorithm.plan(context), scheme=algorithm.name
+        )
         points.append(
             IntervalPoint(
                 interval_hours=float(interval),

@@ -7,10 +7,10 @@ assignments in every interval, hence the same migrations, host counts,
 and downstream figures.  Covered across predictors, I/O sizing models,
 the migration cost gate (off, on, and binding), generated workload
 texture, a many-host pool, every deployment constraint class, and a
-binding power budget.  Unconstrained plans run on the compiled interval
-loop wherever it builds; :class:`TestPythonLoop` runs those cases again
-on the Python loop, which constrained plans and machines without a C
-compiler use.
+binding power budget.  Every plan runs on the compiled interval loop
+wherever it builds, constrained or not; :class:`TestPythonLoop` runs
+the cases again on the Python loop, which machines without a C compiler
+and pools with an infinite capacity use.
 """
 
 from __future__ import annotations
@@ -260,17 +260,21 @@ def test_constraint_class_agrees(small_pool, kind, consider_cost) -> None:
     assert not violated(algorithm.plan(context))
 
 
+def _engagement_constraints(pool):
+    """The planning engagement's four constraints, over vm0 ... vm7."""
+    return [
+        AntiColocate("vm0", "vm1"),
+        AntiColocate("vm2", "vm3"),
+        PinToHost("vm4", _second_rack_host(pool).host_id),
+        SameSubnet("vm5", "vm6", "vm7"),
+    ]
+
+
 def test_engagement_constraint_set_agrees(small_pool) -> None:
     """The planning engagement's four constraints, together."""
-    pin = _second_rack_host(small_pool).host_id
     context = _constrained(
         _context(small_pool, n_vms=20, seed=7),
-        [
-            AntiColocate("vm0", "vm1"),
-            AntiColocate("vm2", "vm3"),
-            PinToHost("vm4", pin),
-            SameSubnet("vm5", "vm6", "vm7"),
-        ],
+        _engagement_constraints(small_pool),
     )
     _assert_matches_reference(context)
 
@@ -364,7 +368,7 @@ def test_unsatisfiable_constraints_raise_like_reference(
 
 @pytest.mark.usefixtures("python_loop")
 class TestPythonLoop:
-    """The unconstrained cases again, with the interval kernel off."""
+    """The cases again, with the interval kernel off."""
 
     test_engines_agree_across_predictors = staticmethod(
         test_engines_agree_across_predictors
@@ -390,4 +394,14 @@ class TestPythonLoop:
     )
     test_power_budget_matches_reference_hook = staticmethod(
         test_power_budget_matches_reference_hook
+    )
+    test_constraint_class_agrees = staticmethod(test_constraint_class_agrees)
+    test_engagement_constraint_set_agrees = staticmethod(
+        test_engagement_constraint_set_agrees
+    )
+    test_hook_seeded_hints_are_rechecked = staticmethod(
+        test_hook_seeded_hints_are_rechecked
+    )
+    test_unsatisfiable_constraints_raise_like_reference = staticmethod(
+        test_unsatisfiable_constraints_raise_like_reference
     )

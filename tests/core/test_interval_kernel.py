@@ -1,12 +1,14 @@
 """The compiled interval loop against the Python loop and the reference.
 
-``repro.core.interval_kernel`` runs each interval of an unconstrained
-dynamic plan in C; ``test_dynamic_engine_equivalence.py`` pins its
-schedules to ``tests/reference/dynamic.py`` and, in ``TestPythonLoop``,
-the Python loop's too.  This module covers what those cases do not:
-which loop a plan takes, the sweep cap, every error the loop raises
-(texts included), an exception from the cost model, the first-use
-self-check, and a fresh interpreter without a C compiler.
+``repro.core.interval_kernel`` runs each interval of a dynamic plan in
+C, asking Python about constrained VMs only;
+``test_dynamic_engine_equivalence.py`` pins its schedules to
+``tests/reference/dynamic.py`` and, in ``TestPythonLoop``, the Python
+loop's too.  This module covers what those cases do not: which loop a
+plan takes, the sweep cap, every error the loop raises (texts
+included), an exception from the cost model or from a constraint, the
+constraint calls each loop makes, the first-use self-check, and a fresh
+interpreter without a C compiler.
 """
 
 from __future__ import annotations
@@ -21,11 +23,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.constraints import AntiColocate, ConstraintSet
+from repro.constraints import (
+    AntiColocate,
+    Constraint,
+    ConstraintSet,
+    PinToHost,
+    SameSubnet,
+)
 from repro.core import interval_kernel
 from repro.core.base import PlanningContext
 from repro.core.dynamic import DynamicConsolidation
-from repro.core.dynamic_vector import PythonLoop, _HostArrays, id_ranks
+from repro.core.dynamic_vector import (
+    PythonLoop,
+    _HostArrays,
+    _Rules,
+    id_ranks,
+)
 from repro.core.planner import ConsolidationPlanner
 from repro.exceptions import PlacementError
 from repro.experiments.settings import ExperimentSettings
@@ -38,7 +51,9 @@ from tests.core.test_dynamic_engine_equivalence import (
     _assert_matches_reference,
     _assert_schedules_identical,
     _ColocatingHook,
+    _constrained,
     _context,
+    _engagement_constraints,
 )
 from tests.reference.dynamic import plan_reference
 
@@ -82,19 +97,14 @@ class TestLoopChoice:
         DynamicConsolidation().plan(_context(small_pool))
         assert kernel_calls == []
 
-    def test_constrained_plan_runs_the_python_loop(
+    def test_constrained_plan_runs_the_kernel(
         self, kernel_loop, kernel_calls, small_pool
     ):
-        unconstrained = _context(small_pool)
-        context = PlanningContext(
-            history=unconstrained.history,
-            evaluation=unconstrained.evaluation,
-            datacenter=small_pool,
-            constraints=ConstraintSet([AntiColocate("vm0", "vm1")]),
-            config=unconstrained.config,
+        context = _constrained(
+            _context(small_pool), [AntiColocate("vm0", "vm1")]
         )
         DynamicConsolidation().plan(context)
-        assert kernel_calls == []
+        assert kernel_calls == list(range(context.n_intervals))
 
     def test_unbounded_host_runs_the_python_loop(
         self, kernel_loop, kernel_calls, small_pool
@@ -190,6 +200,89 @@ def test_cost_model_exception_surfaces_unchanged(
     assert capfd.readouterr().err == ""
 
 
+class _RaisingRule(Constraint):
+    """A rule over vm0 whose check fails."""
+
+    def __init__(self, failure):
+        self.failure = failure
+
+    @property
+    def vm_ids(self):
+        return frozenset({"vm0"})
+
+    def allows(self, vm_id, host, context):
+        raise self.failure
+
+    def describe(self):
+        return "raising(vm0)"
+
+
+def test_constraint_exception_surfaces_unchanged(
+    either_loop, small_pool, capfd
+):
+    failure = _Down("rule store down")
+    context = _constrained(_context(small_pool), [_RaisingRule(failure)])
+    with pytest.raises(_Down) as raised:
+        DynamicConsolidation().plan(context)
+    assert raised.value is failure
+    assert capfd.readouterr().err == ""
+
+
+def test_constraints_naming_no_vm_of_the_plan(either_loop, small_pool):
+    """Rules over absent VMs: nothing to ask, each interval validated."""
+    context = _constrained(
+        _context(small_pool), [AntiColocate("absent0", "absent1")]
+    )
+    _assert_matches_reference(context)
+    _assert_schedules_identical(
+        DynamicConsolidation().plan(_context(small_pool)),
+        DynamicConsolidation().plan(context),
+    )
+
+
+def _feasible_calls(monkeypatch, context):
+    """Every ``ConstraintSet.feasible`` call of one dynamic plan."""
+    calls = []
+    feasible = ConstraintSet.feasible
+
+    def recorded(self, vm_id, host, assignment, datacenter):
+        calls.append((vm_id, host.host_id, dict(assignment)))
+        return feasible(self, vm_id, host, assignment, datacenter)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ConstraintSet, "feasible", recorded)
+        DynamicConsolidation().plan(context)
+    return calls
+
+
+@pytest.fixture
+def engagement_context(small_pool):
+    return _constrained(
+        _context(small_pool, n_vms=20, seed=7),
+        _engagement_constraints(small_pool),
+    )
+
+
+@pytest.fixture
+def python_loop_calls(monkeypatch, engagement_context):
+    """The engagement plan's constraint calls on the Python loop."""
+    with monkeypatch.context() as patch:
+        patch.setattr(interval_kernel._KERNEL, "library", None)
+        patch.setattr(interval_kernel._KERNEL, "reason", "off for a test")
+        return _feasible_calls(monkeypatch, engagement_context)
+
+
+def test_feasible_calls_agree(
+    python_loop_calls, either_loop, monkeypatch, engagement_context
+):
+    """Each loop asks the constraints the same questions, in order,
+    against the same assignments of the constrained VMs."""
+    calls = _feasible_calls(monkeypatch, engagement_context)
+    assert calls == python_loop_calls
+    constrained = {f"vm{index}" for index in range(8)}
+    assert calls and {vm_id for vm_id, _, _ in calls} <= constrained
+
+
 class _Settings:
     """What the loops read of an algorithm: one sweep, no cost gate."""
 
@@ -243,11 +336,13 @@ def test_commit_misfit_error_text(either_loop):
 
 class TestSelfCheck:
     def test_instance_takes_every_branch(self, kernel_loop):
-        hosts, table, seeds = interval_kernel._check_instance()
+        hosts, table, seeds, constraints = interval_kernel._check_instance()
         costs = interval_kernel._CheckCosts()
+        checked = interval_kernel._CheckRules(constraints)
         loop = interval_kernel.KernelLoop(
             interval_kernel.load(), costs, _HostArrays(hosts, 0.8), 2,
             table, id_ranks(table.vm_ids),
+            _Rules(checked, Datacenter("check", hosts), table.vm_ids, hosts),
         )
         for interval in range(table.n_columns):
             loop.interval(interval)
@@ -255,7 +350,24 @@ class TestSelfCheck:
                 loop.seed(seeds[interval])
         stats = dict(zip(interval_kernel.STATS, loop.stats.tolist()))
         assert all(stats.values()), stats
+        assert stats["validated"] == table.n_columns
         assert costs.asked
+        validations = [call for call in checked.asked if call[0] == "validate"]
+        assert len(validations) == table.n_columns
+        assert len(checked.asked) > len(validations)
+
+    def test_check_stays_out_of_traced_constraint_calls(
+        self, kernel_loop, monkeypatch
+    ):
+        """The benchmark tracer wraps ``ConstraintSet.feasible`` and
+        ``validate``; a pool worker's self-check must not add to them."""
+
+        def traced(*args):
+            raise AssertionError("the self-check called a traced method")
+
+        monkeypatch.setattr(ConstraintSet, "feasible", traced)
+        monkeypatch.setattr(ConstraintSet, "validate", traced)
+        assert interval_kernel._self_check(interval_kernel.load())
 
     @needs_compiler
     @pytest.mark.parametrize("wrong", ["order", "host"])
@@ -277,8 +389,9 @@ class TestSelfCheck:
         )
 
 
-def _plan_paper_datacenter():
-    """One paper-scale datacenter's dynamic plan: 348 VMs, 168 intervals."""
+def _fallback_plans():
+    """One paper-scale datacenter's dynamic plans: 348 VMs, 168 intervals,
+    without constraints and under the planning engagement's kinds."""
     settings = ExperimentSettings(scale=0.25)
     traces = generate_datacenter("natural-resources", scale=0.25, seed=1)
     context = ConsolidationPlanner(
@@ -286,10 +399,28 @@ def _plan_paper_datacenter():
         datacenter=settings.build_pool(traces),
         config=settings.planning_config(),
     ).context
-    return DynamicConsolidation().plan(context)
+    vm_ids = traces.vm_ids
+    constrained = _constrained(
+        context,
+        [
+            AntiColocate(vm_ids[0], vm_ids[1]),
+            AntiColocate(vm_ids[2], vm_ids[3]),
+            PinToHost(vm_ids[4], context.datacenter.hosts[0].host_id),
+            SameSubnet(vm_ids[5], vm_ids[6], vm_ids[7]),
+        ],
+    )
+    return {
+        name: np.stack([
+            np.stack([s.placement.rows, s.placement.hosts])
+            for s in DynamicConsolidation().plan(planned)
+        ])
+        for name, planned in (
+            ("unconstrained", context), ("constrained", constrained)
+        )
+    }
 
 
-#: Plans ``_plan_paper_datacenter()`` in a fresh interpreter; argv: out.
+#: Plans ``_fallback_plans()`` in a fresh interpreter; argv: out.
 _FALLBACK_CHILD = """
 import json
 import sys
@@ -298,12 +429,9 @@ import numpy as np
 
 from repro.core import interval_kernel
 from repro.native import why_off
-from tests.core.test_interval_kernel import _plan_paper_datacenter
+from tests.core.test_interval_kernel import _fallback_plans
 
-schedule = _plan_paper_datacenter()
-np.save(sys.argv[1], np.stack([
-    np.stack([s.placement.rows, s.placement.hosts]) for s in schedule
-]))
+np.savez(sys.argv[1], **_fallback_plans())
 print(json.dumps({
     "kernel": interval_kernel.load() is not None,
     "reason": why_off("interval"),
@@ -322,7 +450,7 @@ def test_fresh_process_without_a_compiler_plans_the_same(
     (tmp_path / "bin").mkdir()
     env["PATH"] = str(tmp_path / "bin")  # no gcc, no cc
     env["XDG_CACHE_HOME"] = str(tmp_path / "cache")
-    out = tmp_path / "schedule.npy"
+    out = tmp_path / "schedules.npz"
     result = subprocess.run(
         [sys.executable, "-c", _FALLBACK_CHILD, str(out)],
         env=env,
@@ -335,10 +463,8 @@ def test_fresh_process_without_a_compiler_plans_the_same(
         "kernel": False,
         "reason": "no C compiler (gcc or cc) on PATH",
     }
-    schedule = _plan_paper_datacenter()
-    np.testing.assert_array_equal(
-        np.load(out),
-        np.stack([
-            np.stack([s.placement.rows, s.placement.hosts]) for s in schedule
-        ]),
-    )
+    fallback = np.load(out)
+    planned = _fallback_plans()
+    assert sorted(fallback.files) == sorted(planned)
+    for name, schedule in planned.items():
+        np.testing.assert_array_equal(fallback[name], schedule)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.intervals import run_interval_study
+from repro.emulator.emulator import ConsolidationEmulator
+from repro.experiments.intervals import IntervalPoint, run_interval_study
 from repro.experiments.settings import ExperimentSettings
 
 
@@ -38,3 +39,31 @@ class TestIntervalStudy:
             study[0].mean_active_fraction
             <= study[-1].mean_active_fraction + 0.05
         )
+
+    def test_points_are_pinned(self, study):
+        """The points of the sweep that built one planner per interval."""
+        assert study == (
+            IntervalPoint(1.0, 2, 98.64555544098356, 985, 0.0,
+                          0.6636904761904762),
+            IntervalPoint(2.0, 3, 111.76555544098358, 885, 0.0,
+                          0.5238095238095238),
+            IntervalPoint(4.0, 3, 134.16555544098355, 851, 0.0,
+                          0.6626984126984128),
+            IntervalPoint(8.0, 4, 165.52555544098357, 438, 0.0,
+                          0.6428571428571429),
+        )
+
+
+def test_sweep_builds_one_emulator(monkeypatch):
+    """The split and the emulator serve every interval of the sweep."""
+    built = []
+    post_init = ConsolidationEmulator.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ConsolidationEmulator, "__post_init__", counted)
+    points = run_interval_study("banking", ExperimentSettings(scale=0.05))
+    assert len(points) == 4
+    assert len(built) == 1
